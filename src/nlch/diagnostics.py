@@ -55,17 +55,21 @@ def energy(state, bundle: KernelBundle, spec: PotentialSpec) -> float:
     return e_nl + float(np.sum(fvals)) * state.phi.grid.cell_volume
 
 
-def lyapunov(state, params, bundle: KernelBundle, spec: PotentialSpec) -> float:
+def lyapunov(state, params, bundle: KernelBundle, spec: PotentialSpec,
+             e_nl: float | None = None) -> float:
     """Discrete Lyapunov functional of the source-free flow.
 
     (eps/2) ||mu||^2 + interaction energy + int F_lam(phi) + ||sigma||^2 / 2,
     with F_lam the Yosida-regularized potential at the run's lambda.
+    ``e_nl`` is the interaction energy when the caller already has it.
     """
+    if e_nl is None:
+        e_nl = nonlocal_energy_density(bundle, state.phi)
     cellvol = state.phi.grid.cell_volume
     flam = f_lambda_eval(spec, params.lam_eff, state.phi.values)
     return (
         0.5 * params.eps * norm_h(state.mu) ** 2
-        + nonlocal_energy_density(bundle, state.phi)
+        + e_nl
         + float(np.sum(flam)) * cellvol
         + 0.5 * norm_h(state.sigma) ** 2
     )
@@ -73,14 +77,15 @@ def lyapunov(state, params, bundle: KernelBundle, spec: PotentialSpec) -> float:
 
 def make_record(state, params, bundle, spec, mass_defect: float,
                 newton_iters: int) -> DiagnosticsRecord:
+    e_nl = nonlocal_energy_density(bundle, state.phi)
     return DiagnosticsRecord(
         t=state.t,
         mass_balance_residual=mass_defect,
-        lyapunov=lyapunov(state, params, bundle, spec),
+        lyapunov=lyapunov(state, params, bundle, spec, e_nl),
         sigma_min=float(state.sigma.values.min()),
         sigma_max=float(state.sigma.values.max()),
         phi_supnorm=float(np.max(np.abs(state.phi.values))),
-        energy_nonlocal=nonlocal_energy_density(bundle, state.phi),
+        energy_nonlocal=e_nl,
         newton_iters=newton_iters,
     )
 

@@ -7,16 +7,21 @@ semidefinite, and exactly conservative (its output sums to zero).
 
 The module also provides the functional-analytic machinery built on the
 Laplacian: the inverse Neumann Laplacian on zero-mean fields, the dual
-(V*) norm through the Riesz map I - Laplacian, and empirical estimates
-of the Poincare and inclusion constants of the geometry.
+(V*) norm through the Riesz map I - Laplacian, and the Poincare and
+inclusion constants of the geometry in closed form. The type-II
+discrete cosine transform diagonalizes the mirrored-ghost Laplacian
+exactly, so every constant-coefficient Neumann solve is two transforms
+against one cached per-grid spectrum.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dctn, idctn
 from scipy.linalg import solve_banded
 from scipy.sparse.linalg import LinearOperator, cg
 
@@ -198,29 +203,87 @@ def norm_v(f: Field) -> float:
     return float(np.sqrt(max(inner_h(f, f) + grad_sq_integral(f), 0.0)))
 
 
-def _cg_solve(grid: GridSpec, apply_op, rhs: np.ndarray, rtol: float) -> np.ndarray:
-    """Conjugate gradients with zero initial guess and a hard residual check."""
-    op = LinearOperator((grid.size, grid.size), matvec=apply_op, dtype=float)
+@functools.lru_cache(maxsize=32)
+def _neumann_spectrum(grid: GridSpec) -> np.ndarray:
+    """Eigenvalues of -lap on the DCT-II basis, shaped like the grid.
+
+    The mirrored-ghost Laplacian is diagonalized exactly by the type-II
+    cosine transform; along an axis of n cells with spacing h the
+    eigenvalues are 4/h^2 sin^2(pi k / 2n), k = 0..n-1, and they add
+    across axes.
+    """
+    lam = np.zeros(grid.shape)
+    for axis in range(grid.dim):
+        n = grid.cells[axis]
+        axis_lam = 4.0 / grid.spacing[axis] ** 2 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
+        lam = lam + axis_lam.reshape([n if a == axis else 1 for a in range(grid.dim)])
+    lam.setflags(write=False)
+    return lam
+
+
+def _spectral_solve(grid: GridSpec, vals: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """Apply (alpha*I - beta*lap)^(-1) through the cached DCT-II spectrum.
+
+    With alpha = 0 the constant mode is dropped, which returns the
+    zero-mean solution of the singular Neumann problem.
+    """
+    coef = dctn(vals.reshape(grid.shape), type=2, norm="ortho")
+    denom = alpha + beta * _neumann_spectrum(grid)
+    if alpha == 0.0:
+        denom = denom.copy()
+        denom.flat[0] = 1.0
+        coef.flat[0] = 0.0
+    return idctn(coef / denom, type=2, norm="ortho").reshape(-1)
+
+
+def _checked_spectral_solve(grid: GridSpec, b: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """Spectral solve of (alpha*I - beta*lap) x = b with a hard residual check."""
+    x = _spectral_solve(grid, b, alpha, beta)
+    bnorm = float(np.linalg.norm(b))
+    res = float(np.linalg.norm(alpha * x - beta * _lap_array(x, grid) - b))
+    if res > CG_RTOL * bnorm:
+        raise SolverError(
+            f"spectral solve residual {res / bnorm:.3e} > {CG_RTOL:.1e}",
+            residual=res / bnorm,
+        )
+    return x
+
+
+def _cg_solve(grid: GridSpec, apply_op, rhs: np.ndarray, rtol: float,
+              anorm: float, precond) -> np.ndarray:
+    """Preconditioned CG with zero initial guess and a hard backward-error check.
+
+    The solve passes when ||A x - b|| <= rtol (||b|| + anorm ||x||), with
+    anorm an upper bound of ||A||_inf: the normwise backward error, which
+    floating point can reach even when the right-hand side is tiny.
+    """
+    n = grid.size
+    op = LinearOperator((n, n), matvec=apply_op, dtype=float)
+    pre = LinearOperator((n, n), matvec=precond, dtype=float)
     maxiter = CG_ITER_FACTOR * max(grid.cells)
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
         return np.zeros_like(rhs)
-    x, info = cg(op, rhs, rtol=rtol * 1e-2, atol=0.0, maxiter=maxiter)
+    # the preconditioned right-hand side estimates ||x|| for the inner target
+    xest = float(np.linalg.norm(precond(rhs)))
+    x, _ = cg(op, rhs, rtol=0.0, atol=0.1 * rtol * (bnorm + anorm * xest),
+              maxiter=maxiter, M=pre)
     res = float(np.linalg.norm(apply_op(x) - rhs))
-    if res > rtol * bnorm:
+    bound = rtol * (bnorm + anorm * float(np.linalg.norm(x)))
+    if res > bound:
         raise SolverError(
-            f"CG stalled: relative residual {res / bnorm:.3e} > {rtol:.1e} "
+            f"CG stalled: residual {res:.3e} > backward-error bound {bound:.3e} "
             f"after cap {maxiter}",
             residual=res / bnorm,
         )
     return x
 
 
-def solve_neumann_poisson(rhs: Field, rtol: float = CG_RTOL) -> Field:
+def solve_neumann_poisson(rhs: Field) -> Field:
     """Solve -lap(u) = rhs with Neumann conditions, both sides zero-mean.
 
     Raises CompatibilityError when the right-hand side carries mass, and
-    SolverError when CG cannot reach the target residual.
+    SolverError when the solution misses the residual target.
     """
     m = mean(rhs)
     nh = norm_h(rhs)
@@ -229,38 +292,30 @@ def solve_neumann_poisson(rhs: Field, rtol: float = CG_RTOL) -> Field:
             f"poisson rhs must have zero mean, got mean {m:.3e} vs norm {nh:.3e}"
         )
     grid = rhs.grid
-
-    def apply_op(x):
-        return -_lap_array(x, grid)
-
     b = rhs.values - np.mean(rhs.values)
-    x = _cg_solve(grid, apply_op, b, rtol)
+    x = _checked_spectral_solve(grid, b, 0.0, 1.0)
     x -= np.mean(x)
     return Field(grid, x)
 
 
-def solve_helmholtz(f: Field, alpha: float, beta: float, rtol: float = CG_RTOL) -> Field:
+def solve_helmholtz(f: Field, alpha: float, beta: float) -> Field:
     """Solve (alpha*I - beta*lap) u = f with Neumann conditions (alpha > 0, beta >= 0)."""
     if alpha <= 0 or beta < 0:
         raise ConfigError(f"need alpha > 0 and beta >= 0, got {alpha}, {beta}")
     grid = f.grid
     if beta == 0.0:
         return Field(grid, f.values / alpha)
-
-    def apply_op(x):
-        return alpha * x - beta * _lap_array(x, grid)
-
-    return Field(grid, _cg_solve(grid, apply_op, f.values, rtol))
+    return Field(grid, _checked_spectral_solve(grid, f.values, alpha, beta))
 
 
-def riesz_inverse(f: Field, rtol: float = CG_RTOL) -> Field:
+def riesz_inverse(f: Field) -> Field:
     """Apply the inverse Riesz map (I - lap)^(-1)."""
-    return solve_helmholtz(f, 1.0, 1.0, rtol)
+    return solve_helmholtz(f, 1.0, 1.0)
 
 
-def norm_vstar(f: Field, rtol: float = CG_RTOL) -> float:
+def norm_vstar(f: Field) -> float:
     """Dual norm ||f||_* = inner_h(f, (I - lap)^(-1) f)^(1/2)."""
-    u = riesz_inverse(f, rtol)
+    u = riesz_inverse(f)
     return float(np.sqrt(max(inner_h(f, u), 0.0)))
 
 
@@ -269,9 +324,10 @@ def solve_shifted_diffusion(
 ) -> np.ndarray:
     """Solve (diag(d) - c*lap) u = rhs for d > 0 pointwise, c >= 0.
 
-    1D uses a banded direct solve; 2D uses tightly converged CG. This is
-    the workhorse for the implicit pieces of the time stepper, so it is
-    solved to near machine precision.
+    1D uses a banded direct solve; 2D uses CG preconditioned by the
+    spectral inverse at the mean diagonal, converged to a normwise
+    backward error of 1e-13. This is the workhorse for the implicit
+    pieces of the time stepper, so it is solved to near machine precision.
     """
     d = np.asarray(diag, dtype=float).reshape(-1)
     if d.size == 1:
@@ -295,50 +351,37 @@ def solve_shifted_diffusion(
     def apply_op(x):
         return d * x - lap_coeff * _lap_array(x, grid)
 
-    return _cg_solve(grid, apply_op, rhs, rtol=1e-13)
+    d_mean = float(np.mean(d))
+
+    def precond(r):
+        return _spectral_solve(grid, r, d_mean, lap_coeff)
+
+    anorm = float(np.max(d)) + lap_coeff * sum(4.0 / h**2 for h in grid.spacing)
+    return _cg_solve(grid, apply_op, rhs, 1e-13, anorm, precond)
 
 
-def estimate_poincare_constant(grid: GridSpec, seed: int = 0, samples: int = 6) -> float:
-    """Empirical Poincare-Wirtinger constant of the geometry.
+def estimate_poincare_constant(grid: GridSpec) -> float:
+    """Poincare-Wirtinger constant of the geometry in closed form.
 
-    Returns the largest observed ratio norm_v(v)^2 / (||grad v||^2 +
-    mean(v)^2 * measure) over the lowest cosine mode of each axis plus
-    seeded random probes. The cosine mode is near-extremal, so the value
-    stabilizes under grid refinement.
+    The supremum of norm_v(v)^2 / (||grad v||^2 + mean(v)^2 * measure)
+    is attained by the lowest cosine mode, an exact DCT-II eigenvector
+    of the Laplacian, which gives 1 + 1/lambda_1. It tends to the
+    continuum value 1 + (L/pi)^2 of the longest axis L under refinement.
     """
-    probes = []
-    for axis in range(grid.dim):
-        x = grid.meshgrid()[axis]
-        probes.append(Field(grid, np.cos(np.pi * x / grid.extent[axis])))
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        probes.append(Field(grid, rng.standard_normal(grid.size)))
-    best = 0.0
-    for p in probes:
-        denom = grad_sq_integral(p) + mean(p) ** 2 * grid.measure
-        if denom > 1e-300:
-            best = max(best, (inner_h(p, p) + grad_sq_integral(p)) / denom)
-    return best
+    lam = _neumann_spectrum(grid)
+    # lambda_1: the first cosine mode along each axis, constant along the others
+    lambda_1 = min(lam[tuple(int(a == axis) for a in range(grid.dim))]
+                   for axis in range(grid.dim))
+    return 1.0 + 1.0 / float(lambda_1)
 
 
-def estimate_inclusion_constant(grid: GridSpec, seed: int = 0, samples: int = 4) -> float:
-    """Empirical norm of the inclusion H into V*: sup ||f||_* / ||f||_H.
+def estimate_inclusion_constant(grid: GridSpec) -> float:
+    """Norm of the inclusion H into V*: sup ||f||_* / ||f||_H = 1.
 
-    Constants attain the supremum (the Riesz map fixes them), so the
-    estimate is 1 up to solver tolerance on any grid.
+    The inverse Riesz map (I - lap)^(-1) has eigenvalues 1/(1 + lambda_k)
+    <= 1, with equality on the constants, so K0 = 1 on every grid.
     """
-    probes = [Field.constant(grid, 1.0)]
-    x = grid.meshgrid()[0]
-    probes.append(Field(grid, np.cos(np.pi * x / grid.extent[0])))
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        probes.append(Field(grid, rng.standard_normal(grid.size)))
-    best = 0.0
-    for p in probes:
-        nh = norm_h(p)
-        if nh > 0:
-            best = max(best, norm_vstar(p) / nh)
-    return best
+    return 1.0
 
 
 def write_field(path, f: Field):

@@ -173,10 +173,10 @@ class DerivedConstants:
     c_f: float | None = None
 
 
-def derive_constants(bundle: KernelBundle, spec: PotentialSpec, seed: int = 0) -> DerivedConstants:
+def derive_constants(bundle: KernelBundle, spec: PotentialSpec) -> DerivedConstants:
     c0 = check_dominance(spec, bundle.a_star)
-    k0 = estimate_inclusion_constant(bundle.grid, seed=seed)
-    c_omega = estimate_poincare_constant(bundle.grid, seed=seed)
+    k0 = estimate_inclusion_constant(bundle.grid)
+    c_omega = estimate_poincare_constant(bundle.grid)
     eps0 = epsilon_zero(bundle, c0, k0)
     c_f = None
     if spec.full_domain:
@@ -448,10 +448,10 @@ def run(init: InitialData, params: ModelParams, bundle: KernelBundle,
     return traj
 
 
-def make_smoothed_ic(target: Field, s: float, rtol: float = 1e-10) -> Field:
+def make_smoothed_ic(target: Field, s: float) -> Field:
     """Elliptic smoothing v + s (I - lap) v = target; s = 0 returns the target."""
     if s < 0:
         raise ConfigError(f"smoothing scale must be nonnegative, got {s}")
     if s == 0.0:
         return target
-    return solve_helmholtz(target, 1.0 + s, s, rtol)
+    return solve_helmholtz(target, 1.0 + s, s)
