@@ -29,7 +29,7 @@ from .audit import audit as run_audit
 from .config import build_problem, load_config
 from .errors import AssumptionError, ConfigError, NlchError, StepError
 from .grid import write_field, write_field_csv
-from .model import derive_constants, run
+from .model import derive_constants, run  # noqa: F401  derive_constants: a traced call site
 
 MANIFEST_VERSION = 1
 
@@ -70,19 +70,22 @@ def _write_manifest(out: Path, command: str, seed: int, files: list[str]):
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _gate_on_audit(problem, out: Path) -> bool:
-    """Mandatory audit; the verdict is persisted before any results."""
+def _gate_on_audit(problem, out: Path):
+    """Mandatory audit; the verdict is persisted before any results.
+
+    Returns the report, whose derived constants the run reuses.
+    """
     report = run_audit(problem.params, problem.bundle, problem.spec, problem.init)
     (out / "audit.txt").write_text(report.render())
     print(report.render(), end="")
-    return report.passed
+    return report
 
 
 def _cmd_audit(args) -> int:
     cfg = load_config(args.config, args.set)
     problem = build_problem(cfg, seed=args.seed)
     out = _prepare_outdir(args, cfg)
-    ok = _gate_on_audit(problem, out)
+    ok = _gate_on_audit(problem, out).passed
     _write_manifest(out, "audit", args.seed, ["config.resolved", "audit.txt"])
     return 0 if ok else 1
 
@@ -91,7 +94,8 @@ def _cmd_simulate(args) -> int:
     cfg = load_config(args.config, args.set)
     problem = build_problem(cfg, seed=args.seed)
     out = _prepare_outdir(args, cfg)
-    if not _gate_on_audit(problem, out):
+    report = _gate_on_audit(problem, out)
+    if not report.passed:
         _write_manifest(out, "simulate", args.seed, ["config.resolved", "audit.txt"])
         print("audit failed; no results emitted", file=sys.stderr)
         return 1
@@ -99,7 +103,7 @@ def _cmd_simulate(args) -> int:
     failure = None
     try:
         traj = run(problem.init, problem.params, problem.bundle, problem.spec,
-                   snapshot_stride=max(1, stride))
+                   snapshot_stride=max(1, stride), constants=report.constants)
     except StepError as err:
         # persist the partial trajectory before reporting the failure
         traj = getattr(err, "partial", None)
@@ -132,7 +136,8 @@ def _sweep_command(args, mode: str) -> int:
     cfg = load_config(args.config, args.set)
     problem = build_problem(cfg, seed=args.seed)
     out = _prepare_outdir(args, cfg)
-    if not _gate_on_audit(problem, out):
+    audit_report = _gate_on_audit(problem, out)
+    if not audit_report.passed:
         return 1
     base = problem.params.with_params(T=cfg["sweep.t"], dt=cfg["sweep.dt"])
     plan = asymptotics.SweepPlan(
@@ -146,7 +151,7 @@ def _sweep_command(args, mode: str) -> int:
         workers=args.workers,
         check_floor=cfg["sweep.check_floor"],
     )
-    report = asymptotics.sweep(plan)
+    report = asymptotics.sweep(plan, constants=audit_report.constants)
     asymptotics.write_rates_csv(out / "rates.csv", report)
     diagnostics.write_distances_csv(
         out / "distances.csv",
@@ -180,9 +185,9 @@ def _cmd_stability(args) -> int:
     cfg = load_config(args.config, args.set)
     problem = build_problem(cfg, seed=args.seed)
     out = _prepare_outdir(args, cfg)
-    if not _gate_on_audit(problem, out):
+    report = _gate_on_audit(problem, out)
+    if not report.passed:
         return 1
-    constants = derive_constants(problem.bundle, problem.spec)
     deltas = cfg["stability.deltas"]
     taus = cfg["stability.taus"]
     params = problem.params.with_params(T=cfg["stability.t"], eta=0.0)
@@ -192,7 +197,7 @@ def _cmd_stability(args) -> int:
     for tau in taus:
         rows = asymptotics.stability_probe(
             problem.init, params.with_params(tau=tau), problem.bundle, problem.spec,
-            deltas, constants=constants,
+            deltas, constants=report.constants,
         )
         if not asymptotics.ratios_consistent(rows, factor=3.0):
             ok = False
@@ -229,28 +234,20 @@ def _cmd_oracle_compare(args) -> int:
         cfg.entries[k] = v
     problem = build_problem(cfg, seed=args.seed)
     out = _prepare_outdir(args, cfg)
-    if not _gate_on_audit(problem, out):
+    report = _gate_on_audit(problem, out)
+    if not report.passed:
         return 1
     n = cfg["oracle.modes"]
     basis = galerkin.make_basis(problem.grid, n)
     op = galerkin.build_operator(basis, problem.bundle, problem.spec, problem.params)
     traj = run(problem.init, problem.params, problem.bundle, problem.spec,
-               record_diagnostics=False)
+               constants=report.constants, record_diagnostics=False)
     y0 = galerkin.project_initial_data(problem.init.phi0, problem.init.mu0,
                                        problem.init.sigma0, basis)
     ts, coeffs = galerkin.integrate(y0, op, problem.params.T, t_eval=np.array(traj.times))
     galerkin.write_coefficients_csv(out / "oracle_coefficients.csv", ts, coeffs, n)
 
-    diffs, norms = [], []
-    for k, t in enumerate(ts):
-        phi_sp = basis.functions @ coeffs[k, :n]
-        d = phi_sp - traj.phis[k].values
-        w = problem.grid.cell_volume
-        diffs.append(np.sqrt(np.sum(d * d) * w))
-        norms.append(np.sqrt(np.sum(traj.phis[k].values ** 2) * w))
-    ts = np.asarray(ts)
-    rel = float(np.sqrt(np.trapezoid(np.asarray(diffs) ** 2, ts))
-                / np.sqrt(np.trapezoid(np.asarray(norms) ** 2, ts)))
+    rel = galerkin.oracle_gap(basis, ts, coeffs, traj.phis)
     _write_manifest(out, "oracle-compare", args.seed,
                     ["config.resolved", "audit.txt", "oracle_coefficients.csv"])
     ok = rel <= 5e-3

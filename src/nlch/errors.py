@@ -55,4 +55,4 @@ class FitError(NlchError):
 
 
 class StiffnessError(NlchError):
-    """The adaptive ODE integrator underflowed its step size."""
+    """The BDF integrator of the spectral oracle failed (step-size underflow)."""

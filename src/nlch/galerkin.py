@@ -2,8 +2,11 @@
 
 Projects the doubly regularized system (eps, tau > 0) onto the first n
 Neumann-Laplacian eigenfunctions and integrates the resulting ODE system
-with an adaptive embedded Runge-Kutta pair. It exists to cross-validate
-the finite-difference stepper at fixed mode count and Yosida parameter.
+with the implicit variable-order BDF method. The projected system is
+stiff (its fastest rates grow like lambda_n / eps), so an explicit
+integrator would be held to tiny steps by stability, not accuracy. The
+oracle exists to cross-validate the finite-difference stepper at fixed
+mode count and Yosida parameter.
 
 All nonlinear integrals use the same cell-centered midpoint quadrature
 as the finite-difference solver, so the two paths discretize identical
@@ -17,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import ConfigError, DimensionError, InapplicabilityError, StiffnessError
+from .errors import (
+    ComparisonError,
+    ConfigError,
+    DimensionError,
+    InapplicabilityError,
+    StiffnessError,
+)
 from .grid import Field, GridSpec
 from .kernel import KernelBundle
 from .model import ModelParams, _sigma_s_array
@@ -143,18 +152,20 @@ def ode_rhs(t: float, y: np.ndarray, op: GalerkinOperator) -> np.ndarray:
 
 def integrate(init_coeffs: np.ndarray, op: GalerkinOperator, T: float,
               t_eval=None, rtol: float = 1e-8, atol: float = 1e-10):
-    """Adaptive RK45 integration; returns (times, coefficient matrix).
+    """Implicit BDF integration; returns (times, coefficient matrix).
 
-    The coefficient matrix has one row per output time. Integrator
-    failure (step-size underflow on stiff regimes) raises StiffnessError
-    suggesting larger eps/tau or fewer modes.
+    The Newton iterations use a Jacobian that scipy forms by finite
+    differences of ode_rhs, so the oracle shares no linearization with
+    the finite-difference stepper. The coefficient matrix has one row per
+    output time. Integrator failure raises StiffnessError suggesting
+    larger eps/tau or fewer modes.
     """
     sol = solve_ivp(
         ode_rhs,
         (0.0, T),
         np.asarray(init_coeffs, dtype=float),
         args=(op,),
-        method="RK45",
+        method="BDF",
         rtol=rtol,
         atol=atol,
         t_eval=t_eval,
@@ -162,10 +173,33 @@ def integrate(init_coeffs: np.ndarray, op: GalerkinOperator, T: float,
     )
     if not sol.success:
         raise StiffnessError(
-            f"spectral integrator failed: {sol.message}; "
+            f"BDF integrator of the spectral oracle failed: {sol.message.rstrip('.')}; "
             "consider larger eps/tau or a smaller mode count"
         )
     return sol.t, sol.y.T
+
+
+def oracle_gap(basis: SpectralBasis, times, coeffs: np.ndarray, phis) -> float:
+    """Relative L2(0,T;H) gap between the oracle's phi and sampled fields.
+
+    phis holds one Field per output time, on the basis grid (typically
+    the stepper's snapshots at the oracle's output times). The squared H
+    norms are integrated in time with the trapezoidal rule, and the gap is
+    ||phi_oracle - phi||_{L2(0,T;H)} / ||phi||_{L2(0,T;H)}.
+    """
+    if len(phis) != len(times) or len(coeffs) != len(times):
+        raise ComparisonError(
+            f"need one field and one coefficient row per time; got {len(phis)} fields, "
+            f"{len(coeffs)} rows and {len(times)} times"
+        )
+    if any(f.grid != basis.grid for f in phis):
+        raise DimensionError("field grid does not match the basis quadrature grid")
+    sampled = np.stack([f.values for f in phis])
+    oracle = np.asarray(coeffs)[:, : basis.n] @ basis.functions.T
+    diff_sq = np.sum((oracle - sampled) ** 2, axis=1) * basis.weight
+    norm_sq = np.sum(sampled**2, axis=1) * basis.weight
+    ts = np.asarray(times, dtype=float)
+    return float(np.sqrt(np.trapezoid(diff_sq, ts)) / np.sqrt(np.trapezoid(norm_sq, ts)))
 
 
 def project_initial_data(phi0: Field, mu0: Field, sigma0: Field,

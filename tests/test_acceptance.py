@@ -14,7 +14,13 @@ from nlch.diagnostics import (
     theorem_probe_max_principle,
     theorem_probe_separation,
 )
-from nlch.galerkin import build_operator, integrate, make_basis, project_initial_data
+from nlch.galerkin import (
+    build_operator,
+    integrate,
+    make_basis,
+    oracle_gap,
+    project_initial_data,
+)
 from nlch.grid import Field, GridSpec, norm_h
 from nlch.kernel import KernelSpec, build, convolve, convolve_direct
 from nlch.model import InitialData, ModelParams, derive_constants, run
@@ -194,15 +200,7 @@ def _oracle_gap(cells, modes, dt):
     op = build_operator(basis, bundle, poly, params)
     y0 = project_initial_data(init.phi0, init.mu0, init.sigma0, basis)
     ts, coeffs = integrate(y0, op, params.T, t_eval=np.array(traj.times))
-    w = grid.cell_volume
-    diffs, norms = [], []
-    for k in range(len(ts)):
-        phi_sp = basis.functions @ coeffs[k, :modes]
-        diffs.append(np.sqrt(np.sum((phi_sp - traj.phis[k].values) ** 2) * w))
-        norms.append(np.sqrt(np.sum(traj.phis[k].values ** 2) * w))
-    ts = np.asarray(ts)
-    return float(np.sqrt(np.trapezoid(np.asarray(diffs) ** 2, ts))
-                 / np.sqrt(np.trapezoid(np.asarray(norms) ** 2, ts)))
+    return oracle_gap(basis, ts, coeffs, traj.phis)
 
 
 def test_ac7_oracle_equivalence():

@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlch.asymptotics
+import nlch.audit
+import nlch.model
 from nlch.cli import main
 from nlch.config import RunConfig, build_problem, default_config, load_config, parse_config
 from nlch.errors import ConfigError
@@ -182,6 +186,28 @@ def test_cli_oracle_compare_smoke(tmp_path, capsys):
     assert rc == 0, out
     assert "stepper vs oracle" in out
     assert (tmp_path / "oracle_coefficients.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle-compare", "stability"])
+def test_cli_derives_constants_once(tmp_path, monkeypatch, command):
+    # the audit's constants are handed to the run; validate_params reuses them
+    calls = []
+    original = nlch.model.derive_constants
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (nlch.audit, nlch.model, nlch.asymptotics):
+        monkeypatch.setattr(module, "derive_constants", counted)
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "rate-study.cfg"
+    short = {"simulate": ["model.T=0.002"], "oracle-compare": ["oracle.t=0.002"],
+             "stability": ["stability.t=0.002", "stability.taus=0.1"]}[command]
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path)]
+    for item in short:
+        argv += ["--set", item]
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 def test_cli_verify_subcommand(capsys):

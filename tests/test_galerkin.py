@@ -1,13 +1,24 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from nlch.errors import ConfigError, DimensionError, InapplicabilityError
+import nlch.galerkin
+from nlch.cli import main
+from nlch.errors import (
+    ComparisonError,
+    ConfigError,
+    DimensionError,
+    InapplicabilityError,
+    StiffnessError,
+)
 from nlch.galerkin import (
     build_operator,
     integrate,
     make_basis,
     ode_rhs,
+    oracle_gap,
     project,
     project_initial_data,
     reconstruct,
@@ -151,6 +162,15 @@ def test_integrate_zero_stays_zero(setup128):
     assert np.max(np.abs(coeffs)) == 0.0
 
 
+def test_integrate_failure_raises_stiffness_error(setup128, monkeypatch):
+    # y' = y^2 from y = 1 blows up at t = 1: the step size underflows
+    g, b, p = setup128
+    op = build_operator(make_basis(g, 1), b, p, ModelParams(eps=0.1, tau=0.1, dt=1e-3, lam=1e-3))
+    monkeypatch.setattr(nlch.galerkin, "ode_rhs", lambda t, y, op: y * y)
+    with pytest.raises(StiffnessError, match="BDF integrator"):
+        integrate(np.ones(3), op, 2.0)
+
+
 def test_integrate_tolerance_consistency(setup128):
     g, b, p = setup128
     basis = make_basis(g, 8)
@@ -202,16 +222,20 @@ def test_galerkin_mass_source_balance(setup128):
     assert resid <= 1e-5  # trapezoid-in-time + integrator tolerance
 
 
-def test_spectral_convergence(setup128):
-    g, b, p = setup128
-    params = ModelParams(eps=0.1, tau=0.1, P=0.5, A=0.25, B=0.5, C=0.5, chi=0.2,
-                         sigma_s=0.8, dt=1e-3, lam=1e-3)
+def _cosine_init(g):
     x = g.axis_coordinates(0)
-    init = InitialData(
+    return InitialData(
         Field(g, 0.2 * np.cos(np.pi * x) + 0.1 * np.cos(2 * np.pi * x)),
         Field.constant(g, 0.0),
         Field(g, 0.6 + 0.2 * np.cos(np.pi * x)),
     )
+
+
+def test_spectral_convergence(setup128):
+    g, b, p = setup128
+    params = ModelParams(eps=0.1, tau=0.1, P=0.5, A=0.25, B=0.5, C=0.5, chi=0.2,
+                         sigma_s=0.8, dt=1e-3, lam=1e-3)
+    init = _cosine_init(g)
     T = 0.2
     ref_basis = make_basis(g, 48)
     op_ref = build_operator(ref_basis, b, p, params)
@@ -228,6 +252,63 @@ def test_spectral_convergence(setup128):
         phi_n = reconstruct(out[-1][:n], basis)
         errs.append(norm_h(Field(g, phi_n.values - ref_phi.values)))
     assert errs[0] > errs[1] > errs[2]
+
+
+def test_bdf_matches_tight_explicit_reference(setup128):
+    # the stiff integrator at its default tolerances against explicit
+    # RK45 driven to rtol 1e-11, where stability rather than accuracy
+    # sets RK45's step
+    g, b, p = setup128
+    params = ModelParams(eps=0.1, tau=0.1, P=0.5, A=0.25, B=0.5, C=0.5, chi=0.2,
+                         sigma_s=0.8, dt=1e-3, lam=1e-3)
+    init = _cosine_init(g)
+    basis = make_basis(g, 16)
+    op = build_operator(basis, b, p, params)
+    y0 = project_initial_data(init.phi0, init.mu0, init.sigma0, basis)
+    T = 0.1
+    t_eval = np.linspace(0.0, T, 5)
+    ref = solve_ivp(ode_rhs, (0.0, T), y0, args=(op,), method="RK45",
+                    rtol=1e-11, atol=1e-13, t_eval=t_eval)
+    assert ref.success
+    ts, coeffs = integrate(y0, op, T, t_eval=t_eval)
+    assert np.array_equal(ts, t_eval)
+    assert np.max(np.abs(coeffs - ref.y.T)) <= 1e-7
+
+
+def test_oracle_right_hand_side_budget(tmp_path, monkeypatch):
+    # the rate-study oracle setting (256 cells, 32 modes) over T = 0.01:
+    # explicit RK45 needs about 2000 right-hand sides, held to small
+    # steps by the lambda_n / eps stiffness; BDF needs a few hundred,
+    # finite-difference Jacobian columns included
+    calls = []
+    original = nlch.galerkin.ode_rhs
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(nlch.galerkin, "ode_rhs", counted)
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "rate-study.cfg"
+    rc = main(["oracle-compare", "--config", str(cfg), "--set", "oracle.t=0.01",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert 0 < len(calls) < 600
+
+
+def test_oracle_gap_examples(setup128):
+    g, _, _ = setup128
+    basis = make_basis(g, 6)
+    ts = np.linspace(0.0, 0.3, 4)
+    coeffs = np.random.default_rng(3).standard_normal((4, 18))
+    exact = [reconstruct(row[:6], basis) for row in coeffs]
+    assert oracle_gap(basis, ts, coeffs, exact) <= 1e-15
+    # sampled fields twice the oracle's: the gap is ||phi|| / ||2 phi||
+    doubled = [Field(g, 2.0 * f.values) for f in exact]
+    assert oracle_gap(basis, ts, coeffs, doubled) == pytest.approx(0.5, rel=1e-14)
+    with pytest.raises(ComparisonError):
+        oracle_gap(basis, ts[:3], coeffs, exact)
+    with pytest.raises(DimensionError):
+        oracle_gap(basis, ts, coeffs, [Field.constant(GridSpec(1, (1.0,), (64,)), 0.0)] * 4)
 
 
 def test_coefficient_csv(tmp_path, setup128):
