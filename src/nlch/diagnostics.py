@@ -56,17 +56,18 @@ def energy(state, bundle: KernelBundle, spec: PotentialSpec) -> float:
 
 
 def lyapunov(state, params, bundle: KernelBundle, spec: PotentialSpec,
-             e_nl: float | None = None) -> float:
+             e_nl: float | None = None, prox: np.ndarray | None = None) -> float:
     """Discrete Lyapunov functional of the source-free flow.
 
     (eps/2) ||mu||^2 + interaction energy + int F_lam(phi) + ||sigma||^2 / 2,
     with F_lam the Yosida-regularized potential at the run's lambda.
-    ``e_nl`` is the interaction energy when the caller already has it.
+    ``e_nl`` is the interaction energy and ``prox`` the resolvent of phi
+    when the caller already has them.
     """
     if e_nl is None:
         e_nl = nonlocal_energy_density(bundle, state.phi)
     cellvol = state.phi.grid.cell_volume
-    flam = f_lambda_eval(spec, params.lam_eff, state.phi.values)
+    flam = f_lambda_eval(spec, params.lam_eff, state.phi.values, prox)
     return (
         0.5 * params.eps * norm_h(state.mu) ** 2
         + e_nl
@@ -75,13 +76,14 @@ def lyapunov(state, params, bundle: KernelBundle, spec: PotentialSpec,
     )
 
 
-def make_record(state, params, bundle, spec, mass_defect: float,
-                newton_iters: int) -> DiagnosticsRecord:
-    e_nl = nonlocal_energy_density(bundle, state.phi)
+def make_record(state, params, bundle, spec, mass_defect: float, newton_iters: int,
+                conv_phi: np.ndarray, prox: np.ndarray) -> DiagnosticsRecord:
+    """Diagnostics row of a stepped state from its J*phi and its resolvent of phi."""
+    e_nl = nonlocal_energy_density(bundle, state.phi, conv_phi)
     return DiagnosticsRecord(
         t=state.t,
         mass_balance_residual=mass_defect,
-        lyapunov=lyapunov(state, params, bundle, spec, e_nl),
+        lyapunov=lyapunov(state, params, bundle, spec, e_nl, prox),
         sigma_min=float(state.sigma.values.min()),
         sigma_max=float(state.sigma.values.max()),
         phi_supnorm=float(np.max(np.abs(state.phi.values))),

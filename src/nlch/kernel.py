@@ -234,14 +234,18 @@ def convolve_direct(bundle: KernelBundle, v: Field) -> Field:
     return Field(grid, out.reshape(-1))
 
 
-def nonlocal_energy_density(bundle: KernelBundle, phi: Field) -> float:
+def nonlocal_energy_density(bundle: KernelBundle, phi: Field,
+                            conv_phi: np.ndarray | None = None) -> float:
     """Interaction energy 0.5 * int (a phi - J*phi) phi.
 
     Equals the double integral (1/4) iint J(x-y) |phi(x)-phi(y)|^2 for
     even kernels; zero for constants, and bounded below by
-    (a_star - a_sup)/2 * ||phi||_H^2.
+    (a_star - a_sup)/2 * ||phi||_H^2. ``conv_phi`` is the array J*phi
+    when the caller already has it.
     """
-    interact = bundle.a_field.values * phi.values - convolve(bundle, phi).values
+    if conv_phi is None:
+        conv_phi = convolve(bundle, phi).values
+    interact = bundle.a_field.values * phi.values - conv_phi
     return 0.5 * inner_h(Field(bundle.grid, interact, check=False), phi)
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import diagnostics
-from .errors import AssumptionError, ConfigError, StepError
+from .errors import AssumptionError, ConfigError, SolverError, StepError
 from .grid import (
     Field,
     GridSpec,
@@ -264,9 +264,14 @@ class StepStats:
     mass_defect: float
 
 
-def _step_arrays(t, phi, mu, sig, params: ModelParams, bundle: KernelBundle,
-                 spec: PotentialSpec):
-    """One IMEX step on raw arrays; returns new arrays and step statistics."""
+def _step_arrays(t, phi, mu, sig, conv_phi, yos, params: ModelParams,
+                 bundle: KernelBundle, spec: PotentialSpec):
+    """One IMEX step on raw arrays; returns new arrays and step statistics.
+
+    ``conv_phi`` is J*phi and ``yos`` the (value, derivative, resolvent)
+    triple of yosida_with_derivative at phi; the triple of the new phi
+    is returned in the same place, ready for the next step.
+    """
     grid = bundle.grid
     dt = params.dt
     eps, tau = params.eps, params.tau
@@ -276,7 +281,6 @@ def _step_arrays(t, phi, mu, sig, params: ModelParams, bundle: KernelBundle,
 
     h_old = params.h(phi)
     g = (params.P * sig - params.A) * h_old
-    conv_phi = bundle.convolve_array(phi)
     w = np.asarray(f2_prime(spec, phi)) - conv_phi - params.chi * sig
 
     phi_new = phi.copy()
@@ -289,8 +293,17 @@ def _step_arrays(t, phi, mu, sig, params: ModelParams, bundle: KernelBundle,
         r2 = m - tau * (p - phi) / dt - a * p - y - w
         return r1, r2
 
-    y, dy = yosida_with_derivative(spec, lam, phi_new)
     history = []
+
+    def solve(phase, diag, rhs):
+        # a failed linear solve fails the step, so callers keep the partial run
+        try:
+            return solve_shifted_diffusion(grid, diag, dt, rhs)
+        except SolverError as err:
+            raise StepError(f"{phase} linear solve failed: {err}",
+                            residual_history=history) from err
+
+    y, dy, s = yos
     best = None
     tol_floor = None
     for it in range(params.newton_cap + 1):
@@ -298,7 +311,7 @@ def _step_arrays(t, phi, mu, sig, params: ModelParams, bundle: KernelBundle,
         res = float(np.sqrt((np.dot(r1, r1) + np.dot(r2, r2)) * cellvol))
         history.append(res)
         if best is None or res < best[0]:
-            best = (res, phi_new, mu_new, y)
+            best = (res, phi_new, mu_new, (y, dy, s))
         if tol_floor is None:
             tol_floor = 1e-14 * (1.0 + res)
         if res <= tol_floor:
@@ -317,13 +330,13 @@ def _step_arrays(t, phi, mu, sig, params: ModelParams, bundle: KernelBundle,
                 residual_history=history,
             )
         rhs = -(r1 + r2 / diag)
-        dmu = solve_shifted_diffusion(grid, eps + 1.0 / diag, dt, rhs)
+        dmu = solve("Newton", eps + 1.0 / diag, rhs)
         dphi = (dmu + r2) / diag
         phi_new = phi_new + dphi
         mu_new = mu_new + dmu
-        y, dy = yosida_with_derivative(spec, lam, phi_new)
+        y, dy, s = yosida_with_derivative(spec, lam, phi_new)
 
-    res, phi_new, mu_new, y = best
+    res, phi_new, mu_new, yos = best
     if res > accept_tol:
         raise StepError(
             f"Newton failed to converge: residual {res:.3e} after {len(history) - 1} iterations",
@@ -344,21 +357,23 @@ def _step_arrays(t, phi, mu, sig, params: ModelParams, bundle: KernelBundle,
     sig_s = _sigma_s_array(params.sigma_s, grid, t + dt)
     rhs_sig = sig + dt * (params.B * sig_s - params.eta * _lap_array(phi_eta, grid))
     diag_sig = 1.0 + dt * (params.B + params.C * h_sig)
-    sig_new = solve_shifted_diffusion(grid, diag_sig, dt, rhs_sig)
+    sig_new = solve("nutrient", diag_sig, rhs_sig)
 
     mass_defect = abs(
         (np.sum(eps * mu_new + phi_new) - np.sum(eps * mu + phi) - dt * np.sum(g))
         * cellvol / grid.measure
     )
     stats = StepStats(newton_iters=len(history) - 1, residual=res, mass_defect=mass_defect)
-    return phi_new, mu_new, sig_new, y, stats
+    return phi_new, mu_new, sig_new, yos, stats
 
 
 def step(state: State, params: ModelParams, bundle: KernelBundle,
          spec: PotentialSpec) -> State:
     """Advance one time step; see the module docstring for the scheme."""
-    phi, mu, sig, y, _ = _step_arrays(
-        state.t, state.phi.values, state.mu.values, state.sigma.values, params, bundle, spec
+    phi = state.phi.values
+    phi, mu, sig, yos, _ = _step_arrays(
+        state.t, phi, state.mu.values, state.sigma.values, bundle.convolve_array(phi),
+        yosida_with_derivative(spec, params.lam_eff, phi), params, bundle, spec,
     )
     grid = bundle.grid
     return State(
@@ -366,7 +381,7 @@ def step(state: State, params: ModelParams, bundle: KernelBundle,
         phi=Field(grid, phi),
         mu=Field(grid, mu),
         sigma=Field(grid, sig),
-        xi=Field(grid, y),
+        xi=Field(grid, yos[0]),
     )
 
 
@@ -404,22 +419,28 @@ def run(init: InitialData, params: ModelParams, bundle: KernelBundle,
         if abs(actual - params.dt) > 1e-9 * params.dt:
             params = params.with_params(dt=actual)
 
-    state = initial_state(init, params, spec)
+    # each state's J*phi and Yosida triple (value, derivative, resolvent)
+    # are computed once, shared by its record and the step leaving it
+    yos = yosida_with_derivative(spec, params.lam_eff, init.phi0.values)
+    state = State(t=0.0, phi=init.phi0, mu=init.mu0, sigma=init.sigma0,
+                  xi=Field(grid, yos[0]))
+    conv = bundle.convolve_array(state.phi.values)
     traj = Trajectory(params=params)
     traj.times.append(0.0)
     traj.phis.append(state.phi)
     traj.mus.append(state.mu)
     traj.sigmas.append(state.sigma)
     if record_diagnostics:
-        rec0 = diagnostics.make_record(state, params, bundle, spec,
-                                       mass_defect=0.0, newton_iters=0)
+        rec0 = diagnostics.make_record(state, params, bundle, spec, mass_defect=0.0,
+                                       newton_iters=0, conv_phi=conv, prox=yos[2])
         traj.records.append(rec0)
 
     phi, mu, sig = state.phi.values, state.mu.values, state.sigma.values
     t = 0.0
     for k in range(1, n_steps + 1):
         try:
-            phi, mu, sig, y, stats = _step_arrays(t, phi, mu, sig, params, bundle, spec)
+            phi, mu, sig, yos, stats = _step_arrays(t, phi, mu, sig, conv, yos,
+                                                    params, bundle, spec)
         except StepError as err:
             traj.complete = False
             err.partial = traj
@@ -430,13 +451,15 @@ def run(init: InitialData, params: ModelParams, bundle: KernelBundle,
             phi=Field(grid, phi),
             mu=Field(grid, mu),
             sigma=Field(grid, sig),
-            xi=Field(grid, y),
+            xi=Field(grid, yos[0]),
         )
+        conv = bundle.convolve_array(phi)
         rec = None
         if record_diagnostics:
             rec = diagnostics.make_record(state, params, bundle, spec,
                                           mass_defect=stats.mass_defect,
-                                          newton_iters=stats.newton_iters)
+                                          newton_iters=stats.newton_iters,
+                                          conv_phi=conv, prox=yos[2])
             traj.records.append(rec)
         if k % snapshot_stride == 0 or k == n_steps:
             traj.times.append(t)

@@ -131,10 +131,6 @@ def double_obstacle_potential(c: float) -> PotentialSpec:
     )
 
 
-def custom_potential(**kwargs) -> PotentialSpec:
-    return PotentialSpec(family="custom", **kwargs)
-
-
 def _resolvent_newton(spec: PotentialSpec, lam: float, r: np.ndarray) -> np.ndarray:
     """Vectorized safeguarded Newton for s + lam * F1'(s) = r.
 
@@ -190,18 +186,18 @@ def yosida(spec: PotentialSpec, lam: float, r):
 
 
 def yosida_with_derivative(spec: PotentialSpec, lam: float, r):
-    """Yosida value and its (sub)derivative, sharing one resolvent solve."""
+    """Yosida value, its (sub)derivative and the resolvent, from one resolvent solve."""
     arr = np.atleast_1d(np.asarray(r, dtype=float))
     if spec.is_obstacle:
         s = np.clip(arr, -spec.ell, spec.ell)
         y = (arr - s) / lam
         dy = np.where(np.abs(arr) > spec.ell, 1.0 / lam, 0.0)
-        return y, dy
+        return y, dy, s
     s = _resolvent_newton(spec, lam, arr.copy())
     y = (arr - s) / lam
     f1pp = spec.f1_second(s)
     dy = f1pp / (1.0 + lam * f1pp)
-    return y, dy
+    return y, dy, s
 
 
 def moreau(spec: PotentialSpec, lam: float, r: float) -> float:
@@ -219,14 +215,15 @@ def moreau(spec: PotentialSpec, lam: float, r: float) -> float:
     return f1_at_0 + val
 
 
-def moreau_envelope(spec: PotentialSpec, lam: float, r):
+def moreau_envelope(spec: PotentialSpec, lam: float, r, prox=None):
     """Closed-form envelope F1(prox) + |r - prox|^2 / (2 lam), vectorized.
 
     Identical to moreau() but cheap on whole fields; used by the energy
     diagnostics. The quadrature route stays as the independent check.
+    ``prox`` is the resolvent of ``r`` when the caller already has it.
     """
     arr = np.asarray(r, dtype=float)
-    s = resolvent(spec, lam, arr)
+    s = resolvent(spec, lam, arr) if prox is None else prox
     return np.asarray(spec.f1(s)) + (arr - s) ** 2 / (2.0 * lam)
 
 
@@ -247,9 +244,9 @@ def f_prime_regularized(spec: PotentialSpec, lam: float, r):
     return yosida(spec, lam, r) + f2_prime(spec, r)
 
 
-def f_lambda_eval(spec: PotentialSpec, lam: float, r):
-    """Regularized potential F_lam = envelope + F2, vectorized."""
-    return moreau_envelope(spec, lam, r) + np.asarray(spec.f2(np.asarray(r, dtype=float)))
+def f_lambda_eval(spec: PotentialSpec, lam: float, r, prox=None):
+    """Regularized potential F_lam = envelope + F2, vectorized; ``prox`` as in moreau_envelope."""
+    return moreau_envelope(spec, lam, r, prox) + np.asarray(spec.f2(np.asarray(r, dtype=float)))
 
 
 def check_dominance(spec: PotentialSpec, a_star: float, mesh_points: int = 20001) -> float:
@@ -286,22 +283,30 @@ def check_dominance(spec: PotentialSpec, a_star: float, mesh_points: int = 20001
     return c0
 
 
-def check_growth(spec: PotentialSpec, sample_range: tuple[float, float] = (-10.0, 10.0),
-                 mesh_points: int = 200001) -> float:
-    """Growth constant sup |dF1(r)| / (F1(r) + 1) over the sample range.
+def check_growth(spec: PotentialSpec) -> float:
+    """Growth constant sup |dF1(r)| / (F1(r) + 1) over |r| <= 10, in closed form.
 
     Only potentials with D(dF1) = R qualify; barrier families are
     rejected, which in turn blocks the vanishing-relaxation sweeps that
-    need this bound.
+    need this bound. For the polynomial well with convexity shift s the
+    ratio is even, vanishes at 0 and at infinity, and is stationary
+    where u = r^2 solves u^3 + 2s u^2 - (15 - 8s^2) u - 10s = 0; the
+    cubic has exactly one positive root (one sign change), which is the
+    root of largest real part (the roots sum to -2s <= 0).
     """
     if not spec.full_domain:
         raise InapplicabilityError(
             f"{spec.family} potential has a bounded barrier domain; "
             "the growth condition requires D(dF1) = R"
         )
-    rs = np.linspace(sample_range[0], sample_range[1], mesh_points)
-    ratio = np.abs(spec.f1_prime(rs)) / (np.asarray(spec.f1(rs)) + 1.0)
-    return float(np.max(ratio))
+    if spec.family != "polynomial":
+        raise InapplicabilityError(
+            f"no closed-form growth constant for the {spec.family} potential"
+        )
+    s = spec.params["shift"]
+    u = float(np.max(np.roots([1.0, 2.0 * s, 8.0 * s * s - 15.0, -10.0 * s]).real))
+    r = min(math.sqrt(u), 10.0)
+    return float(abs(spec.f1_prime(r)) / (spec.f1(r) + 1.0))
 
 
 def barrier_margin_values(spec: PotentialSpec, chi_eta: float, deltas) -> list[float]:

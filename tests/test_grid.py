@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
-from nlch.errors import CompatibilityError, ConfigError, DimensionError
+from nlch.errors import CompatibilityError, ConfigError, DimensionError, SolverError
 from nlch.grid import (
     Field,
     GridSpec,
@@ -19,6 +20,7 @@ from nlch.grid import (
     norm_vstar,
     read_field,
     solve_neumann_poisson,
+    solve_shifted_diffusion,
     write_field,
     write_field_csv,
 )
@@ -225,3 +227,35 @@ def test_norm_h_grad_2d():
     X, _ = g.meshgrid()
     f = Field(g, np.cos(np.pi * X))
     assert norm_h_grad(f) == pytest.approx(np.pi / np.sqrt(2.0), rel=2e-3)
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+def test_shifted_diffusion_1d_matches_solve_banded_bitwise(n):
+    g = GridSpec(1, (1.0,), (n,))
+    rng = np.random.default_rng(n)
+    d = rng.uniform(0.1, 10.0, n)
+    rhs = rng.standard_normal(n)
+    lap_coeff = 1e-3
+    c = lap_coeff / g.spacing[0] ** 2
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -c
+    ab[2, :-1] = -c
+    ab[1, :] = d + 2.0 * c
+    ab[1, 0] -= c
+    ab[1, -1] -= c
+    expected = solve_banded((1, 1), ab, rhs)
+    assert np.array_equal(solve_shifted_diffusion(g, d, lap_coeff, rhs), expected)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, (1.0,), (64,)), GridSpec(2, (1.0, 1.0), (8, 8))])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_shifted_diffusion_rejects_non_finite_input(grid, bad):
+    d = np.ones(grid.size)
+    rhs = np.ones(grid.size)
+    d_bad, rhs_bad = d.copy(), rhs.copy()
+    d_bad[3] = bad
+    rhs_bad[5] = -bad
+    with pytest.raises(SolverError, match="non-finite"):
+        solve_shifted_diffusion(grid, d_bad, 1e-3, rhs)
+    with pytest.raises(SolverError, match="non-finite"):
+        solve_shifted_diffusion(grid, d, 1e-3, rhs_bad)

@@ -193,7 +193,7 @@ def test_yosida_value_in_subdifferential_at_resolvent():
 def test_yosida_derivative_consistency():
     spec = polynomial_potential(0.5)
     r = np.linspace(-2.0, 2.0, 41)
-    y, dy = yosida_with_derivative(spec, 0.1, r)
+    y, dy, _ = yosida_with_derivative(spec, 0.1, r)
     dr = 1e-6
     y_plus = yosida(spec, 0.1, r + dr)
     y_minus = yosida(spec, 0.1, r - dr)
