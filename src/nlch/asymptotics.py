@@ -231,8 +231,9 @@ def _limit_params(plan: SweepPlan) -> ModelParams:
 def sweep(plan: SweepPlan, constants: DerivedConstants | None = None) -> ErrorReport:
     """Run the sweep and fit the observed convergence rate.
 
-    Hypothesis violations raise before anything runs; a member run
-    failure yields a partial report flagged incomplete.
+    Hypothesis violations raise before anything runs. A member whose run
+    fails is left out with a note naming it, the other members still
+    run, and the report is flagged incomplete.
     """
     if constants is None:
         constants = derive_constants(plan.bundle, plan.spec)
@@ -254,11 +255,15 @@ def sweep(plan: SweepPlan, constants: DerivedConstants | None = None) -> ErrorRe
                          components=set(weights)).total(weights)
 
     def one_member(value):
+        """The member's distance to the reference, or the StepError that failed its run."""
         params, init = _member_setup(plan, value)
         _check_monitors(plan, params, init)
-        traj = run(init, params, plan.bundle, plan.spec,
-                   snapshot_stride=plan.snapshot_stride, constants=constants,
-                   record_diagnostics=False)
+        try:
+            traj = run(init, params, plan.bundle, plan.spec,
+                       snapshot_stride=plan.snapshot_stride, constants=constants,
+                       record_diagnostics=False)
+        except StepError as err:
+            return err
         return distance(traj, reference, eps=params.eps, components=set(weights))
 
     report = ErrorReport(
@@ -269,18 +274,19 @@ def sweep(plan: SweepPlan, constants: DerivedConstants | None = None) -> ErrorRe
         theoretical_slope=MODE_THEORY_SLOPE[plan.mode],
         floor=floor,
     )
+    if plan.workers > 1:
+        with ThreadPoolExecutor(max_workers=plan.workers) as pool:
+            outcomes = list(pool.map(one_member, plan.values))
+    else:
+        outcomes = [one_member(v) for v in plan.values]
     results: dict[float, TrajectoryDistance] = {}
-    try:
-        if plan.workers > 1:
-            with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-                for v, d in zip(plan.values, pool.map(one_member, plan.values)):
-                    results[v] = d
+    for v, outcome in zip(plan.values, outcomes):
+        if isinstance(outcome, StepError):
+            report.incomplete = True
+            report.notes.append(f"member {plan.mode} = {v:g} failed at step "
+                                f"{outcome.step}: {outcome}")
         else:
-            for v in plan.values:
-                results[v] = one_member(v)
-    except StepError as err:
-        report.incomplete = True
-        report.notes.append(f"member run failed: {err}")
+            results[v] = outcome
 
     for v in plan.values:
         if v not in results:

@@ -124,8 +124,9 @@ def _cmd_simulate(args) -> int:
             files.append(f"phi_{k:05d}.csv")
     _write_manifest(out, "simulate", args.seed, files)
     if failure is not None:
-        print(f"step failed at t = {traj.times[-1]:.6g}: {failure}; "
-              f"partial trajectory persisted in {out}", file=sys.stderr)
+        print(f"step {failure.step} failed in the {failure.phase} phase at "
+              f"t = {failure.t:.6g}: {failure}; partial trajectory persisted in {out}",
+              file=sys.stderr)
         return 1
     print(f"simulated T = {traj.times[-1]:.6g} with {len(traj.records) - 1} steps; "
           f"{len(traj.times)} snapshots in {out}")

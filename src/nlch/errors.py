@@ -18,7 +18,7 @@ class CompatibilityError(NlchError):
 
 
 class SolverError(NlchError):
-    """A linear solver failed to reach its target residual."""
+    """A linear solver or the resolvent iteration failed to reach its target residual."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)
@@ -26,11 +26,19 @@ class SolverError(NlchError):
 
 
 class StepError(NlchError):
-    """The nonlinear time-step iteration diverged or produced an invalid state."""
+    """The nonlinear time-step iteration diverged or produced an invalid state.
 
-    def __init__(self, message, residual_history=None):
+    ``phase`` names the failed part of the step (Newton, resolvent,
+    nutrient, convergence or barrier). ``model.run`` sets ``step``, the
+    1-based index of the failed step, and ``t``, the time it advanced to.
+    """
+
+    def __init__(self, message, residual_history=None, phase=None):
         super().__init__(message)
         self.residual_history = list(residual_history or [])
+        self.phase = phase
+        self.step = None
+        self.t = None
 
 
 class AssumptionError(NlchError):

@@ -301,7 +301,7 @@ def _step_arrays(t, phi, mu, sig, conv_phi, yos, params: ModelParams,
             return solve_shifted_diffusion(grid, diag, dt, rhs)
         except SolverError as err:
             raise StepError(f"{phase} linear solve failed: {err}",
-                            residual_history=history) from err
+                            residual_history=history, phase=phase) from err
 
     y, dy, s = yos
     best = None
@@ -327,27 +327,31 @@ def _step_arrays(t, phi, mu, sig, conv_phi, yos, params: ModelParams,
             raise StepError(
                 f"implicit diagonal lost positivity (min {np.min(diag):.3e}); "
                 "the configuration lacks coercivity (tau = 0 with inf a <= 0)",
-                residual_history=history,
+                residual_history=history, phase="Newton",
             )
         rhs = -(r1 + r2 / diag)
         dmu = solve("Newton", eps + 1.0 / diag, rhs)
         dphi = (dmu + r2) / diag
         phi_new = phi_new + dphi
         mu_new = mu_new + dmu
-        y, dy, s = yosida_with_derivative(spec, lam, phi_new)
+        try:
+            y, dy, s = yosida_with_derivative(spec, lam, phi_new)
+        except SolverError as err:
+            raise StepError(f"resolvent failed: {err}", residual_history=history,
+                            phase="resolvent") from err
 
     res, phi_new, mu_new, yos = best
     if res > accept_tol:
         raise StepError(
             f"Newton failed to converge: residual {res:.3e} after {len(history) - 1} iterations",
-            residual_history=history,
+            residual_history=history, phase="convergence",
         )
     if spec.has_barrier:
         sup = float(np.max(np.abs(phi_new)))
         if sup >= spec.ell:
             raise StepError(
                 f"phi left the barrier interval: ||phi||_inf = {sup:.6g} >= ell = {spec.ell}",
-                residual_history=history,
+                residual_history=history, phase="barrier",
             )
 
     if params.ordering == "jacobi":
@@ -407,7 +411,8 @@ def run(init: InitialData, params: ModelParams, bundle: KernelBundle,
 
     Observers are called as observer(step_index, state, record) after
     every accepted step. A failing step aborts with the partial
-    trajectory attached to the raised StepError as .partial.
+    trajectory attached to the raised StepError as .partial, and the
+    failed step's index and target time as .step and .t.
     """
     if validate:
         constants = validate_params(params, bundle, spec, constants)
@@ -444,6 +449,7 @@ def run(init: InitialData, params: ModelParams, bundle: KernelBundle,
         except StepError as err:
             traj.complete = False
             err.partial = traj
+            err.step, err.t = k, k * params.dt
             raise
         t = k * params.dt
         state = State(

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import xlogy
 
-from .errors import AssumptionError, ConfigError, InapplicabilityError
+from .errors import AssumptionError, ConfigError, InapplicabilityError, SolverError
 
 RESOLVENT_RTOL = 1e-13
 _MAX_NEWTON = 300
@@ -40,6 +40,7 @@ class PotentialSpec:
     f2_second: Callable
     f1_prime: Callable | None = None
     f1_second: Callable | None = None
+    resolvent_root: Callable | None = None
     is_obstacle: bool = False
     params: dict = field(default_factory=dict)
 
@@ -53,10 +54,19 @@ def polynomial_potential(shift: float = 0.5) -> PotentialSpec:
 
     F1 = r^4/4 + shift*r^2 + 1/4 and F2 = -(1/2 + shift) r^2; the shift
     moves quadratic convexity into the implicitly treated part.
+    The resolvent equation s + lam (s^3 + 2 shift s) = r is the depressed
+    cubic s^3 + q s = r / lam with q = (1 + 2 shift lam) / lam > 0, whose
+    one real root is c sinh(asinh(3 r / (lam q c)) / 3), c = 2 sqrt(q/3).
     """
     s = float(shift)
     if s < 0:
         raise ConfigError("convexity shift must be nonnegative to keep F1 convex")
+
+    def resolvent_root(lam, r):
+        q = (1.0 + 2.0 * s * lam) / lam
+        c = 2.0 * math.sqrt(q / 3.0)
+        return c * np.sinh(np.arcsinh(3.0 * r / (lam * q * c)) / 3.0)
+
     return PotentialSpec(
         family="polynomial",
         ell=math.inf,
@@ -67,6 +77,7 @@ def polynomial_potential(shift: float = 0.5) -> PotentialSpec:
         f2=lambda r: -(0.5 + s) * np.asarray(r) ** 2,
         f2_prime=lambda r: -(1.0 + 2.0 * s) * np.asarray(r),
         f2_second=lambda r: np.full_like(np.asarray(r, dtype=float), -(1.0 + 2.0 * s)),
+        resolvent_root=resolvent_root,
         params={"shift": s},
     )
 
@@ -134,10 +145,15 @@ def double_obstacle_potential(c: float) -> PotentialSpec:
 def _resolvent_newton(spec: PotentialSpec, lam: float, r: np.ndarray) -> np.ndarray:
     """Vectorized safeguarded Newton for s + lam * F1'(s) = r.
 
-    Keeps a per-element bracket; falls back to bisection whenever the
-    Newton step leaves it. For barrier families the bracket is the open
+    Starts from the family's closed-form ``resolvent_root`` when it has
+    one (then the first residual check already passes, so RESOLVENT_RTOL
+    is still verified on every call), otherwise from r. Keeps a
+    per-element bracket; falls back to bisection whenever the Newton
+    step leaves it. For barrier families the bracket is the open
     interval, and the root may saturate at the closest representable
-    point to the barrier when the true root underflows.
+    point to the barrier when the true root underflows. Raises
+    SolverError when elements are still unconverged after _MAX_NEWTON
+    steps.
     """
     f1p, f1pp = spec.f1_prime, spec.f1_second
     if spec.has_barrier:
@@ -146,7 +162,8 @@ def _resolvent_newton(spec: PotentialSpec, lam: float, r: np.ndarray) -> np.ndar
     else:
         lo = np.minimum(r, 0.0)
         hi = np.maximum(r, 0.0)
-    s = np.clip(r, lo, hi)
+    start = r if spec.resolvent_root is None else spec.resolvent_root(lam, r)
+    s = np.clip(start, lo, hi)
     tol = RESOLVENT_RTOL * (1.0 + np.abs(r))
     for _ in range(_MAX_NEWTON):
         g = s + lam * f1p(s) - r
@@ -154,14 +171,19 @@ def _resolvent_newton(spec: PotentialSpec, lam: float, r: np.ndarray) -> np.ndar
         hi = np.where(g > 0, s, hi)
         active = (np.abs(g) > tol) & ((hi - lo) > 1e-16 * (1.0 + np.abs(s)))
         if not np.any(active):
-            break
+            return s
         dg = 1.0 + lam * f1pp(s)
         with np.errstate(all="ignore"):
             snew = s - g / dg
         bad = ~np.isfinite(snew) | (snew <= lo) | (snew >= hi)
         snew = np.where(bad, 0.5 * (lo + hi), snew)
         s = np.where(active, snew, s)
-    return s
+    worst = float(np.max(np.abs(g[active])))
+    raise SolverError(
+        f"{spec.family} resolvent: {int(np.count_nonzero(active))} of {r.size} elements "
+        f"unconverged after {_MAX_NEWTON} Newton steps (residual {worst:.3e})",
+        residual=worst,
+    )
 
 
 def resolvent(spec: PotentialSpec, lam: float, r):
@@ -178,15 +200,31 @@ def resolvent(spec: PotentialSpec, lam: float, r):
     return float(out[0]) if scalar else out
 
 
+def _yosida_value(spec: PotentialSpec, lam: float, r, s):
+    """Yosida value at r from its resolvent s.
+
+    Full-domain families use F1'(s), which equals (r - s) / lam at the
+    root; the quotient would cancel about log10(1/lam) digits. Barrier
+    families keep the quotient, since F1' is ill-conditioned at the
+    barrier.
+    """
+    if spec.full_domain:
+        return spec.f1_prime(s)
+    return (r - s) / lam
+
+
 def yosida(spec: PotentialSpec, lam: float, r):
-    """Yosida quotient (r - resolvent(r)) / lam, the Lipschitz surrogate of dF1."""
+    """Yosida approximation of dF1 at r: F1'(resolvent) or (r - resolvent) / lam."""
     arr = np.asarray(r, dtype=float)
-    out = (arr - np.asarray(resolvent(spec, lam, arr))) / lam
+    out = _yosida_value(spec, lam, arr, np.asarray(resolvent(spec, lam, arr)))
     return float(out) if arr.ndim == 0 else out
 
 
 def yosida_with_derivative(spec: PotentialSpec, lam: float, r):
-    """Yosida value, its (sub)derivative and the resolvent, from one resolvent solve."""
+    """Yosida value, its (sub)derivative and the resolvent, from one resolvent solve.
+
+    The value is computed as in yosida().
+    """
     arr = np.atleast_1d(np.asarray(r, dtype=float))
     if spec.is_obstacle:
         s = np.clip(arr, -spec.ell, spec.ell)
@@ -194,7 +232,7 @@ def yosida_with_derivative(spec: PotentialSpec, lam: float, r):
         dy = np.where(np.abs(arr) > spec.ell, 1.0 / lam, 0.0)
         return y, dy, s
     s = _resolvent_newton(spec, lam, arr.copy())
-    y = (arr - s) / lam
+    y = _yosida_value(spec, lam, arr, s)
     f1pp = spec.f1_second(s)
     dy = f1pp / (1.0 + lam * f1pp)
     return y, dy, s

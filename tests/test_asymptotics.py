@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nlch.model
 from nlch.asymptotics import (
     ErrorReport,
     StabilityRow,
@@ -12,7 +13,7 @@ from nlch.asymptotics import (
     write_rates_csv,
 )
 from nlch.diagnostics import distance
-from nlch.errors import AssumptionError, ConfigError, FitError, InapplicabilityError
+from nlch.errors import AssumptionError, ConfigError, FitError, InapplicabilityError, StepError
 from nlch.grid import Field
 from nlch.model import InitialData, ModelParams, run
 from nlch.potential import logarithmic_potential
@@ -124,6 +125,29 @@ def test_small_eps_sweep(grid64, bundle64, poly, tmp_path):
     write_rates_csv(tmp_path / "rates.csv", rep)
     text = (tmp_path / "rates.csv").read_text()
     assert "fitted_slope" in text and "parameter," in text
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_continues_after_a_member_fails(grid64, bundle64, poly, monkeypatch, workers):
+    original = nlch.model._step_arrays
+
+    def failing(t, *args):
+        # args[5] is the member's ModelParams; step 21 starts at t = 0.02
+        if args[5].eps == 1e-2 and t > 0.0195:
+            raise StepError("injected failure", phase="Newton")
+        return original(t, *args)
+
+    monkeypatch.setattr(nlch.model, "_step_arrays", failing)
+    init, base = small_problem(grid64, bundle64)
+    plan = SweepPlan(mode="eps", values=(3e-2, 1e-2, 3e-3, 1e-3), base_params=base,
+                     init=init, bundle=bundle64, spec=poly, check_floor=False,
+                     workers=workers)
+    rep = sweep(plan)
+    assert rep.incomplete
+    assert rep.parameter_values == [3e-2, 3e-3, 1e-3]
+    assert len(rep.distances) == len(rep.totals) == 3
+    assert rep.slope is not None and rep.slope > 0.15
+    assert any("eps = 0.01 failed at step 21: injected failure" in n for n in rep.notes)
 
 
 def test_small_joint_sweep(grid64, bundle64, poly):

@@ -9,7 +9,7 @@ import nlch.audit
 import nlch.model
 from nlch.cli import main
 from nlch.config import RunConfig, build_problem, default_config, load_config, parse_config
-from nlch.errors import ConfigError
+from nlch.errors import ConfigError, StepError
 from nlch.grid import read_field
 
 FAST = [
@@ -125,6 +125,29 @@ def test_cli_simulate_deterministic(tmp_path):
     last1 = sorted(out1.glob("phi_*.nlchf"))[-1]
     last2 = sorted(out2.glob("phi_*.nlchf"))[-1]
     assert last1.read_bytes() == last2.read_bytes()
+
+
+def test_cli_simulate_reports_the_failed_step(tmp_path, monkeypatch, capsys):
+    # step 40 fails; the last snapshot (stride 25) is at t = 0.025
+    original = nlch.model._step_arrays
+    calls = []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 40:
+            raise StepError("injected failure", phase="Newton")
+        return original(*args)
+
+    monkeypatch.setattr(nlch.model, "_step_arrays", failing)
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "step 40 failed in the Newton phase at t = 0.04: injected failure" in err
+    rows = (tmp_path / "diagnostics.csv").read_text().splitlines()
+    assert len(rows) == 1 + 40  # header, the initial state and 39 accepted steps
+    assert sorted(p.name for p in tmp_path.glob("phi_*.nlchf")) == ["phi_00000.nlchf",
+                                                                   "phi_00001.nlchf"]
 
 
 def test_cli_simulate_gated_on_audit(tmp_path, capsys):

@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from nlch.errors import AssumptionError, ConfigError, StepError
+import nlch.potential
+from nlch.config import build_problem, load_config
+from nlch.errors import AssumptionError, ConfigError, SolverError, StepError
 from nlch.grid import Field, GridSpec, mean, norm_h
 from nlch.kernel import KernelSpec, build
 from nlch.model import (
@@ -14,12 +18,20 @@ from nlch.model import (
     h_one,
     h_tanh,
     initial_state,
+    _step_arrays,
     make_smoothed_ic,
     run,
     step,
     validate_params,
 )
-from nlch.potential import f_prime_regularized, logarithmic_potential, yosida
+from nlch.potential import (
+    f_prime_regularized,
+    logarithmic_potential,
+    yosida,
+    yosida_with_derivative,
+)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def coupled_params(**kw):
@@ -303,3 +315,26 @@ def test_step_error_without_coercivity(grid64):
     st = initial_state(init, params, flat)
     with pytest.raises(StepError, match="coercivity"):
         step(st, params, zero_bundle, flat)
+
+
+def test_default_cfg_takes_at_most_two_newton_iterations_per_step():
+    # the exact polynomial resolvent and the cancellation-free Yosida value
+    # keep the residual floor low enough for the second iterate to stop
+    problem = build_problem(load_config(str(CONFIGS / "default.cfg"), ["model.T=0.05"]))
+    traj = run(problem.init, problem.params, problem.bundle, problem.spec)
+    iters = [rec.newton_iters for rec in traj.records[1:]]
+    assert len(iters) == 50
+    assert max(iters) <= 2
+
+
+def test_unconverged_resolvent_fails_the_step_in_the_resolvent_phase(monkeypatch):
+    problem = build_problem(load_config(str(CONFIGS / "separation.cfg"), ["model.T=0.01"]))
+    params, bundle, spec = problem.params, problem.bundle, problem.spec
+    phi, mu, sig = (f.values for f in (problem.init.phi0, problem.init.mu0, problem.init.sigma0))
+    yos = yosida_with_derivative(spec, params.lam_eff, phi)
+    monkeypatch.setattr(nlch.potential, "_MAX_NEWTON", 1)
+    with pytest.raises(StepError, match="resolvent failed") as err:
+        _step_arrays(0.0, phi, mu, sig, bundle.convolve_array(phi), yos, params, bundle, spec)
+    assert err.value.phase == "resolvent"
+    assert isinstance(err.value.__cause__, SolverError)
+    assert len(err.value.residual_history) == 1

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from nlch.errors import AssumptionError, ConfigError, InapplicabilityError
+import nlch.potential
+from nlch.errors import AssumptionError, ConfigError, InapplicabilityError, SolverError
 from nlch.potential import (
     barrier_margin_values,
     check_dominance,
@@ -89,6 +92,61 @@ def test_resolvent_residual_contract():
             s = resolvent(spec, lam, r)
             res = np.abs(s + lam * np.asarray(spec.f1_prime(s)) - r)
             assert np.max(res / (1.0 + np.abs(r))) <= 1e-12
+
+
+def _scale_sweep_inputs():
+    tiny = np.array([5e-324, 1e-300, 1e-100, 1e-20])
+    wide = np.logspace(-12.0, 4.0, 400)
+    return np.concatenate([np.linspace(-1e4, 1e4, 2001), wide, -wide, tiny, -tiny, [0.0, -0.0]])
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.5, 3.0])
+def test_polynomial_resolvent_exact_root_across_scales(shift):
+    spec = polynomial_potential(shift)
+    r = _scale_sweep_inputs()
+    for lam in np.logspace(-8.0, 4.0, 25):
+        s = resolvent(spec, lam, r)
+        res = np.abs(s + lam * np.asarray(spec.f1_prime(s)) - r)
+        assert np.max(res / (1.0 + np.abs(r))) <= 1e-14
+        # the root lies between 0 and r
+        assert np.all(s * r >= 0.0) and np.all(np.abs(s) <= np.abs(r))
+
+
+def test_polynomial_resolvent_evaluates_f1_prime_once():
+    # the closed-form root passes the first residual check, so the
+    # safeguarded loop never takes a Newton step
+    calls = []
+    base = polynomial_potential(0.5)
+
+    def counted(s):
+        calls.append(1)
+        return base.f1_prime(s)
+
+    spec = dataclasses.replace(base, f1_prime=counted)
+    rng = np.random.default_rng(4)
+    for lam in (1e-6, 1e-3, 0.1, 10.0):
+        for r in (rng.uniform(-2.0, 2.0, 256), rng.uniform(-1e3, 1e3, 256), 0.7):
+            calls.clear()
+            resolvent(spec, lam, r)
+            assert len(calls) == 1
+
+
+def test_polynomial_yosida_is_f1_prime_of_resolvent():
+    spec = polynomial_potential(0.5)
+    r = np.random.default_rng(5).uniform(-3.0, 3.0, 256)
+    for lam in (1e-3, 0.1):
+        f1p_at_s = np.asarray(spec.f1_prime(resolvent(spec, lam, r)))
+        assert np.array_equal(yosida(spec, lam, r), f1p_at_s)
+        y, _, s = yosida_with_derivative(spec, lam, r)
+        assert np.array_equal(y, spec.f1_prime(s))
+        assert yosida(spec, lam, 0.7) == float(spec.f1_prime(resolvent(spec, lam, 0.7)))
+
+
+def test_unconverged_resolvent_raises(monkeypatch):
+    monkeypatch.setattr(nlch.potential, "_MAX_NEWTON", 1)
+    with pytest.raises(SolverError, match="unconverged after 1 Newton steps") as err:
+        resolvent(logarithmic_potential(0.3, 0.6), 1e-3, np.linspace(-0.9, 0.9, 7))
+    assert err.value.residual > 0.0
 
 
 def test_yosida_examples():

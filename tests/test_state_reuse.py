@@ -79,3 +79,4 @@ def test_failed_linear_solve_fails_the_step_with_the_partial_run():
         run(problem.init, params, problem.bundle, problem.spec, validate=False)
     assert isinstance(err.value.__cause__, SolverError)
     assert err.value.partial.times == [0.0]
+    assert (err.value.phase, err.value.step, err.value.t) == ("Newton", 1, params.dt)

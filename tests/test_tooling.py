@@ -4,16 +4,36 @@ import importlib
 from pathlib import Path
 
 import nlch.grid
+from nlch.config import build_problem, load_config
+from nlch.model import run
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def _tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("tracing")
 
 
 def test_tracer_installs_and_restores_every_site(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    tracing = importlib.import_module("tracing")
+    tracing = _tracing(monkeypatch)
     originals = {name: nlch.grid.__dict__[name] for name in ("_cg_solve", "cg", "norm_vstar")}
     # a call site that a refactor removed raises KeyError here
     with tracing.Tracer().installed():
         assert nlch.grid._cg_solve is not originals["_cg_solve"]
     for name, fn in originals.items():
         assert nlch.grid.__dict__[name] is fn
+
+
+def test_tracer_sees_one_polynomial_resolvent_per_newton_iterate(monkeypatch):
+    # the closed-form root still goes through _resolvent_newton, so the
+    # per-layer resolvent metrics keep counting real calls
+    tracing = _tracing(monkeypatch)
+    problem = build_problem(load_config(str(ROOT / "configs" / "default.cfg"), ["model.T=0.02"]))
+    with tracing.Tracer().installed() as tracer:
+        traj = run(problem.init, problem.params, problem.bundle, problem.spec)
+    newton_iters = sum(rec.newton_iters for rec in traj.records)
+    labels = [span[0] for span in tracer.spans]
+    assert labels.count("potential.resolvent.polynomial") == newton_iters + 1
+    assert tracer.layer_totals()["model.step"]["calls"] == 20
