@@ -5,6 +5,7 @@ Subpackages:
   kernel       FFT convolution operator and its structural constants
   potential    double-well splits with resolvent/Yosida/Moreau calculus
   model        IMEX time stepper for all relaxation regimes (eps, tau >= 0)
+  audit        the one table of admission gates, derived constants, audit report
   diagnostics  observables, trajectory distances, theorem probes
   galerkin     spectral Faedo-Galerkin oracle (1D cross-validation)
   asymptotics  relaxation-limit sweeps, rate fits, stability probe

@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from .audit import DerivedConstants, derive_constants
 from .diagnostics import (
     EPS_RATE_WEIGHTS,
     JOINT_RATE_WEIGHTS,
@@ -29,15 +30,7 @@ from .diagnostics import (
 from .errors import AssumptionError, ConfigError, FitError, StepError
 from .grid import Field, norm_h, norm_v, norm_vstar
 from .kernel import KernelBundle
-from .model import (
-    DerivedConstants,
-    InitialData,
-    ModelParams,
-    check_ip_chi,
-    derive_constants,
-    make_smoothed_ic,
-    run,
-)
+from .model import InitialData, ModelParams, make_smoothed_ic, run, validate_params
 from .potential import PotentialSpec, check_growth, f_eval, yosida
 
 MODE_WEIGHTS = {"eps": EPS_RATE_WEIGHTS, "tau": TAU_RATE_WEIGHTS, "joint": JOINT_RATE_WEIGHTS}
@@ -198,14 +191,8 @@ def _check_monitors(plan: SweepPlan, params: ModelParams, init: InitialData):
 
 
 def _validate_plan(plan: SweepPlan, constants: DerivedConstants):
+    """Plan-only gates, then the limit system through the gate table."""
     base = plan.base_params
-    if plan.mode in ("eps", "joint"):
-        if base.eta != 0.0:
-            raise AssumptionError("eta = 0", "vanishing-relaxation sweeps need eta = 0",
-                                  value=base.eta)
-        check_growth(plan.spec)  # raises InapplicabilityError for barrier families
-    if plan.mode in ("tau", "joint"):
-        check_ip_chi(base.chi, base.eta, plan.bundle.c_a, constants.c0)
     if plan.mode == "eps" and not 0 < base.tau < 1:
         raise AssumptionError("tau in (0, tau0)", f"eps sweep needs fixed tau in (0, 1), got {base.tau}")
     if plan.mode == "tau" and base.eps <= 0:
@@ -217,6 +204,9 @@ def _validate_plan(plan: SweepPlan, constants: DerivedConstants):
                 "limsup", f"joint scaling sup eps^1/2/tau = {max(ratios):.3g} is unbounded",
                 value=max(ratios),
             )
+    if plan.mode in ("eps", "joint"):
+        check_growth(plan.spec)  # raises InapplicabilityError for barrier families
+    validate_params(_limit_params(plan), plan.bundle, plan.spec, constants)
 
 
 def _limit_params(plan: SweepPlan) -> ModelParams:

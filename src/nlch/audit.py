@@ -1,26 +1,23 @@
-"""Assumption audit: every run is gated on the structural hypotheses.
+"""Assumption audit: the one table of admission gates.
 
-The audit evaluates each named assumption against the computed kernel
-and potential constants and reports pass/fail with the offending values.
-Results are never emitted without a persisted audit verdict.
+Every hypothesis a run depends on is one row of ``GATES``, a named
+function that returns an ``AuditCheck``. ``audit`` renders every row;
+``model.validate_params`` raises the first failing row that reads the
+parameters, so run admission and the audit verdict cannot disagree;
+``config.build_params`` and the sweeps reach their gates through the same
+rows. Results are never emitted without a persisted audit verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import AssumptionError, InapplicabilityError
-from .grid import norm_h
-from .model import (
-    EPS0_SAFETY,
-    DerivedConstants,
-    InitialData,
-    ModelParams,
-    _sigma_s_array,
-    derive_constants,
-)
+from .grid import estimate_inclusion_constant, estimate_poincare_constant, norm_h
+from .kernel import EpsilonZero, KernelBundle, epsilon_zero
 from .potential import (
     PotentialSpec,
     barrier_margin_values,
@@ -30,6 +27,33 @@ from .potential import (
     normalization_offset,
     validate_split,
 )
+
+if TYPE_CHECKING:
+    from .model import InitialData, ModelParams
+
+EPS0_SAFETY = 0.9
+
+
+@dataclass(frozen=True)
+class DerivedConstants:
+    """Geometry and kernel constants consumed by the admission gates."""
+
+    c0: float
+    k0: float
+    c_omega: float
+    eps0: EpsilonZero
+    c_f: float | None = None
+
+
+def derive_constants(bundle: KernelBundle, spec: PotentialSpec) -> DerivedConstants:
+    c0 = check_dominance(spec, bundle.a_star)
+    k0 = estimate_inclusion_constant(bundle.grid)
+    c_omega = estimate_poincare_constant(bundle.grid)
+    eps0 = epsilon_zero(bundle, c0, k0)
+    c_f = None
+    if spec.full_domain:
+        c_f = check_growth(spec)
+    return DerivedConstants(c0=c0, k0=k0, c_omega=c_omega, eps0=eps0, c_f=c_f)
 
 
 @dataclass
@@ -73,133 +97,200 @@ class AuditReport:
         return "\n".join(lines) + "\n"
 
 
-def audit(params: ModelParams, bundle, spec: PotentialSpec,
-          init: InitialData | None = None) -> AuditReport:
-    """Evaluate A1-A7 plus the parameter gates; never raises on failures."""
-    checks: list[AuditCheck] = []
+@dataclass(frozen=True)
+class GateInput:
+    """What the gates read. ``constants`` holds the AssumptionError that
+    derive_constants raised when the dominance constant is not positive."""
 
-    bad = [n for n in ("P", "A", "B", "C", "chi", "eta") if getattr(params, n) < 0]
-    checks.append(AuditCheck(
+    params: ModelParams
+    bundle: KernelBundle | None = None
+    spec: PotentialSpec | None = None
+    constants: DerivedConstants | AssumptionError | None = None
+    init: InitialData | None = None
+
+
+def a1_coefficients(g: GateInput) -> AuditCheck:
+    bad = [n for n in ("P", "A", "B", "C", "chi", "eta") if getattr(g.params, n) < 0]
+    return AuditCheck(
         "A1 nonnegative coefficients", True, not bad,
         "all of P, A, B, C, chi, eta >= 0" if not bad
-        else f"negative: {', '.join(f'{n} = {getattr(params, n)}' for n in bad)}",
-    ))
+        else f"negative: {', '.join(f'{n} = {getattr(g.params, n)}' for n in bad)}",
+    )
 
-    rs = np.linspace(-50.0, 50.0, 401)
-    hv = np.asarray(params.h(rs), dtype=float)
-    slopes = np.abs(np.diff(hv) / np.diff(rs))
-    h_ok = bool(np.all(np.isfinite(hv)) and np.all(hv >= 0) and hv.max() <= 1e6
-                and slopes.max() <= 1e6)
-    checks.append(AuditCheck(
-        "A2 h bounded and Lipschitz", True, h_ok,
-        f"sampled range [{hv.min():.3g}, {hv.max():.3g}], max slope {slopes.max():.3g}",
-    ))
 
-    ss = _sigma_s_array(params.sigma_s, bundle.grid, 0.0)
-    ss_ok = bool(np.all(ss >= 0.0) and np.all(ss <= 1.0))
-    checks.append(AuditCheck(
-        "A3 sigma_S in [0, 1]", True, ss_ok, f"range [{ss.min():.3g}, {ss.max():.3g}]",
-    ))
+_H_SAMPLES = np.linspace(-50.0, 50.0, 401)
+_H_STEPS = np.diff(_H_SAMPLES)
 
-    split = validate_split(spec)
-    split_ok = all(split.values())
-    offset = normalization_offset(spec)
-    checks.append(AuditCheck(
-        "A4 potential split", True, split_ok,
-        f"F1 convex >= 0, F2'(0) = 0, 0 in dF1(0); F >= {-offset:.4g} "
-        "(normalization offset immaterial to the dynamics)" if split_ok
+
+def a2_h(g: GateInput) -> AuditCheck:
+    hv = np.asarray(g.params.h(_H_SAMPLES), dtype=float)
+    lo, hi = hv.min(), hv.max()
+    slope = np.abs(np.diff(hv) / _H_STEPS).max()
+    # a NaN or infinite sample fails these comparisons
+    return AuditCheck(
+        "A2 h bounded and Lipschitz", True, bool(lo >= 0 and hi <= 1e6 and slope <= 1e6),
+        f"sampled range [{lo:.3g}, {hi:.3g}], max slope {slope:.3g}",
+    )
+
+
+def a3_sigma_s(g: GateInput) -> AuditCheck:
+    lo, hi = g.params.sigma_s_range()
+    return AuditCheck("A3 sigma_S in [0, 1]", True, bool(0.0 <= lo and hi <= 1.0),
+                      f"range [{lo:.3g}, {hi:.3g}]")
+
+
+def a4_split(g: GateInput) -> AuditCheck:
+    split = validate_split(g.spec)
+    ok = all(split.values())
+    return AuditCheck(
+        "A4 potential split", True, ok,
+        f"F1 convex >= 0, F2'(0) = 0, 0 in dF1(0); F >= {-normalization_offset(g.spec):.4g} "
+        "(normalization offset immaterial to the dynamics)" if ok
         else "failed: " + ", ".join(k for k, v in split.items() if not v),
-    ))
+    )
 
-    kernel_ok = all(np.isfinite(x) for x in (bundle.a_star, bundle.a_sup, bundle.b_sup))
-    checks.append(AuditCheck(
-        "A5 kernel constants", True, kernel_ok,
-        f"a_* = {bundle.a_star:.6g}, a^* = {bundle.a_sup:.6g}, "
-        f"b^* = {bundle.b_sup:.6g}, c_a = {bundle.c_a:.6g}",
-    ))
 
-    constants = None
+def a5_kernel(g: GateInput) -> AuditCheck:
+    b = g.bundle
+    return AuditCheck(
+        "A5 kernel constants", True, all(np.isfinite(x) for x in (b.a_star, b.a_sup, b.b_sup)),
+        f"a_* = {b.a_star:.6g}, a^* = {b.a_sup:.6g}, b^* = {b.b_sup:.6g}, c_a = {b.c_a:.6g}",
+    )
+
+
+def a5_dominance(g: GateInput) -> AuditCheck:
+    name = "A5 dominance a_* + F'' >= C0 > 0"
+    if isinstance(g.constants, AssumptionError):
+        return AuditCheck(name, True, False, str(g.constants))
+    return AuditCheck(name, True, True, f"C0 estimate {g.constants.c0:.6g}")
+
+
+def a6_barrier(g: GateInput) -> AuditCheck:
+    name = "A6 barrier divergence of F' - chi eta r"
+    spec = g.spec
+    if not spec.has_barrier:
+        return AuditCheck(name, False, True, "not applicable (no barrier)")
+    if spec.f1_prime is None:
+        return AuditCheck(name, False, True, "double obstacle excluded from A6")
+    margins = barrier_margin_values(spec, g.params.chi * g.params.eta, [1e-2, 1e-4, 1e-6])
+    return AuditCheck(
+        name, True, bool(margins[0] < margins[1] < margins[2] and margins[2] > 0),
+        "margins at ell - {1e-2, 1e-4, 1e-6}: " + ", ".join(f"{m:.4g}" for m in margins),
+    )
+
+
+def a7_kernel_flag(g: GateInput) -> AuditCheck:
+    return AuditCheck(
+        "A7 kernel admissibility flag", True, g.bundle.spec.is_radially_nonincreasing(),
+        "radial and non-increasing (W^2,1 regularity is user-asserted)",
+    )
+
+
+def eps_below_eps0(g: GateInput) -> AuditCheck:
+    eps = g.params.eps
+    if eps < 0:
+        return AuditCheck("eps < eps0", True, False, f"eps = {eps:.6g} is negative")
+    if eps == 0:
+        return AuditCheck("eps < eps0", False, True, "not applicable (eps = 0)")
+    if not isinstance(g.constants, DerivedConstants):
+        return AuditCheck("eps < eps0", True, True, "skipped")
+    gate = EPS0_SAFETY * g.constants.eps0.value
+    return AuditCheck("eps < eps0", True, eps < gate,
+                      f"eps = {eps:.6g} vs {EPS0_SAFETY} * eps0 = {gate:.6g}")
+
+
+def tau_below_tau0(g: GateInput) -> AuditCheck:
+    tau = g.params.tau
+    return AuditCheck("tau < tau0 = 1", tau != 0.0, 0.0 <= tau < 1.0, f"tau = {tau:.6g}")
+
+
+def ip_chi(g: GateInput) -> AuditCheck:
+    """Chemotaxis compatibility of the vanishing-viscosity limit (tau = 0)."""
+    p = g.params
+    if p.tau != 0.0:
+        return AuditCheck("ip_chi", False, True, "not applicable (tau > 0 or eps = 0)")
+    if not isinstance(g.constants, DerivedConstants):
+        return AuditCheck("ip_chi", True, True, "skipped")
+    chi, eta, c_a, c0 = p.chi, p.eta, g.bundle.c_a, g.constants.c0
+    lhs = (chi + eta + 4.0 * c_a * chi) ** 2
+    rhs = 8.0 * c_a * c0 + 4.0 * chi * eta
+    return AuditCheck(
+        "ip_chi", True, bool(chi < np.sqrt(c_a) and lhs < rhs),
+        f"chi = {chi:.4g} vs sqrt(c_a) = {np.sqrt(c_a):.4g}; "
+        f"(chi+eta+4 c_a chi)^2 = {lhs:.6g} vs 8 c_a C0 + 4 chi eta = {rhs:.6g}",
+    )
+
+
+def pol_growth(g: GateInput) -> AuditCheck:
+    if g.params.eps != 0.0:
+        return AuditCheck("pol_growth", False, True, "not applicable (eps > 0)")
+    try:
+        return AuditCheck("pol_growth", True, True, f"C_F estimate {check_growth(g.spec):.6g}")
+    except InapplicabilityError as err:
+        return AuditCheck("pol_growth", True, False, str(err))
+
+
+def eta_zero(g: GateInput) -> AuditCheck | None:
+    """Row shown only in the eps = 0 limit."""
+    if g.params.eps != 0.0:
+        return None
+    return AuditCheck("eta = 0 for eps = 0", True, g.params.eta == 0.0, f"eta = {g.params.eta}")
+
+
+def ip_init(g: GateInput) -> AuditCheck:
+    fvals = f_eval(g.spec, g.init.phi0.values)
+    return AuditCheck(
+        "ip_init F(phi0) integrable", True, bool(np.all(np.isfinite(fvals))),
+        f"max F(phi0) = {np.max(fvals):.6g}, ||mu0||_H = {norm_h(g.init.mu0):.4g}",
+    )
+
+
+def ip_infty(g: GateInput) -> AuditCheck:
+    lo, hi = float(g.init.sigma0.values.min()), float(g.init.sigma0.values.max())
+    return AuditCheck(
+        "ip_infty sigma0 in [0, 1]", g.params.eta == 0.0, 0.0 <= lo and hi <= 1.0,
+        f"range [{lo:.4g}, {hi:.4g}] (gates the maximum principle when eta = 0)",
+    )
+
+
+# The ordered table. The second column marks the rows that run admission
+# (model.validate_params) evaluates. It skips the spec/kernel-only rows,
+# which read nothing a run changes (A4's sampling alone costs
+# milliseconds), and the initial-data rows; model.run checks ip_init.
+GATES = (
+    (a1_coefficients, True),
+    (a2_h, True),
+    (a3_sigma_s, True),
+    (a4_split, False),
+    (a5_kernel, False),
+    (a5_dominance, True),
+    (a6_barrier, False),
+    (a7_kernel_flag, False),
+    (eps_below_eps0, True),
+    (tau_below_tau0, True),
+    (ip_chi, True),
+    (pol_growth, True),
+    (eta_zero, True),
+    (ip_init, False),
+    (ip_infty, False),
+)
+RUN_GATES = tuple(gate for gate, on_run in GATES if on_run)
+
+
+def admit(checks) -> None:
+    """Raise AssumptionError(name, detail) for the first failing applicable check."""
+    for check in checks:
+        if check is not None and check.applicable and not check.passed:
+            raise AssumptionError(check.name, check.detail)
+
+
+def audit(params: ModelParams, bundle, spec: PotentialSpec, init: InitialData) -> AuditReport:
+    """Evaluate every row of the gate table; never raises on failures."""
     try:
         constants = derive_constants(bundle, spec)
-        checks.append(AuditCheck(
-            "A5 dominance a_* + F'' >= C0 > 0", True, True, f"C0 estimate {constants.c0:.6g}",
-        ))
     except AssumptionError as err:
-        checks.append(AuditCheck("A5 dominance a_* + F'' >= C0 > 0", True, False, str(err)))
-
-    if spec.has_barrier and spec.f1_prime is not None:
-        margins = barrier_margin_values(spec, params.chi * params.eta, [1e-2, 1e-4, 1e-6])
-        diverging = bool(margins[0] < margins[1] < margins[2] and margins[2] > 0)
-        checks.append(AuditCheck(
-            "A6 barrier divergence of F' - chi eta r", True, diverging,
-            "margins at ell - {1e-2, 1e-4, 1e-6}: " + ", ".join(f"{m:.4g}" for m in margins),
-        ))
-    else:
-        checks.append(AuditCheck(
-            "A6 barrier divergence of F' - chi eta r",
-            False, True,
-            "not applicable (no barrier)" if not spec.has_barrier
-            else "double obstacle excluded from A6",
-        ))
-
-    checks.append(AuditCheck(
-        "A7 kernel admissibility flag", True, bundle.spec.is_radially_nonincreasing(),
-        "radial and non-increasing (W^2,1 regularity is user-asserted)",
-    ))
-
-    if constants is not None and params.eps > 0:
-        gate = EPS0_SAFETY * constants.eps0.value
-        ok = params.eps < gate
-        checks.append(AuditCheck(
-            "eps < eps0", True, ok,
-            f"eps = {params.eps:.6g} vs {EPS0_SAFETY} * eps0 = {gate:.6g}",
-        ))
-    else:
-        checks.append(AuditCheck("eps < eps0", params.eps > 0, True,
-                                 "not applicable (eps = 0)" if params.eps == 0 else "skipped"))
-
-    checks.append(AuditCheck(
-        "tau < tau0 = 1", params.tau > 0, params.tau < 1.0,
-        f"tau = {params.tau:.6g}",
-    ))
-
-    if params.tau == 0.0 and params.eps > 0 and constants is not None:
-        chi, eta, c_a, c0 = params.chi, params.eta, bundle.c_a, constants.c0
-        cond1 = chi < np.sqrt(c_a)
-        lhs = (chi + eta + 4.0 * c_a * chi) ** 2
-        rhs = 8.0 * c_a * c0 + 4.0 * chi * eta
-        checks.append(AuditCheck(
-            "ip_chi", True, bool(cond1 and lhs < rhs),
-            f"chi = {chi:.4g} vs sqrt(c_a) = {np.sqrt(c_a):.4g}; "
-            f"(chi+eta+4 c_a chi)^2 = {lhs:.6g} vs 8 c_a C0 + 4 chi eta = {rhs:.6g}",
-        ))
-    else:
-        checks.append(AuditCheck("ip_chi", False, True, "not applicable (tau > 0 or eps = 0)"))
-
-    if params.eps == 0.0:
-        try:
-            cf = check_growth(spec)
-            checks.append(AuditCheck(
-                "pol_growth", True, True, f"C_F estimate {cf:.6g}",
-            ))
-        except InapplicabilityError as err:
-            checks.append(AuditCheck("pol_growth", True, False, str(err)))
-        checks.append(AuditCheck(
-            "eta = 0 for eps = 0", True, params.eta == 0.0, f"eta = {params.eta}",
-        ))
-    else:
-        checks.append(AuditCheck("pol_growth", False, True, "not applicable (eps > 0)"))
-
-    if init is not None:
-        fvals = f_eval(spec, init.phi0.values)
-        checks.append(AuditCheck(
-            "ip_init F(phi0) integrable", True, bool(np.all(np.isfinite(fvals))),
-            f"max F(phi0) = {np.max(fvals):.6g}, ||mu0||_H = {norm_h(init.mu0):.4g}",
-        ))
-        lo, hi = float(init.sigma0.values.min()), float(init.sigma0.values.max())
-        checks.append(AuditCheck(
-            "ip_infty sigma0 in [0, 1]", params.eta == 0.0, 0.0 <= lo and hi <= 1.0,
-            f"range [{lo:.4g}, {hi:.4g}] (gates the maximum principle when eta = 0)",
-        ))
-
-    return AuditReport(checks=checks, constants=constants)
+        constants = err
+    g = GateInput(params, bundle, spec, constants, init)
+    checks = [check for check in (gate(g) for gate, _ in GATES) if check is not None]
+    return AuditReport(checks=checks,
+                       constants=constants if isinstance(constants, DerivedConstants) else None)

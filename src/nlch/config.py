@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .audit import GateInput, a1_coefficients, a3_sigma_s
 from .errors import ConfigError
 from .grid import Field, GridSpec, read_field
 from .kernel import KernelSpec, build
@@ -216,15 +217,7 @@ def build_params(cfg: RunConfig) -> ModelParams:
     ordering = cfg["scheme.ordering"]
     if ordering not in ("gauss-seidel", "jacobi"):
         raise ConfigError(f"scheme.ordering must be gauss-seidel or jacobi, got {ordering!r}")
-    for key in ("model.P", "model.A", "model.B", "model.C", "model.chi", "model.eta",
-                "model.eps", "model.tau"):
-        if cfg[key] < 0:
-            raise ConfigError(f"{key} must be nonnegative, got {cfg[key]}")
-    if not 0.0 <= cfg["model.sigma_s"] <= 1.0:
-        raise ConfigError(f"model.sigma_s must lie in [0, 1], got {cfg['model.sigma_s']}")
-    if cfg["model.dt"] <= 0 or cfg["model.T"] < 0:
-        raise ConfigError("model.dt must be positive and model.T nonnegative")
-    return ModelParams(
+    params = ModelParams(
         eps=cfg["model.eps"],
         tau=cfg["model.tau"],
         P=cfg["model.P"],
@@ -242,6 +235,12 @@ def build_params(cfg: RunConfig) -> ModelParams:
         newton_tol=cfg["model.newton_tol"],
         newton_cap=cfg["model.newton_cap"],
     )
+    # the sign and range rules are rows of the gate table
+    for gate in (a1_coefficients, a3_sigma_s):
+        check = gate(GateInput(params))
+        if not check.passed:
+            raise ConfigError(f"{check.name}: {check.detail}")
+    return params
 
 
 def _cosine_field(grid: GridSpec, mean_value: float, amplitude: float,

@@ -18,34 +18,18 @@ kernel keeps inf a > 0 (or tau > 0 provides the viscosity).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import diagnostics
+from .audit import RUN_GATES, DerivedConstants, GateInput, admit, derive_constants, ip_init
 from .errors import AssumptionError, ConfigError, SolverError, StepError
-from .grid import (
-    Field,
-    GridSpec,
-    estimate_inclusion_constant,
-    estimate_poincare_constant,
-    solve_helmholtz,
-    solve_shifted_diffusion,
-    _lap_array,
-)
-from .kernel import KernelBundle, EpsilonZero, epsilon_zero
-from .potential import (
-    PotentialSpec,
-    check_dominance,
-    check_growth,
-    f2_prime,
-    f_eval,
-    yosida,
-    yosida_with_derivative,
-)
-
-EPS0_SAFETY = 0.9
+from .grid import Field, GridSpec, solve_helmholtz, solve_shifted_diffusion, _lap_array
+from .kernel import KernelBundle
+from .potential import PotentialSpec, f2_prime, yosida, yosida_with_derivative
 
 
 def h_default(r):
@@ -111,6 +95,29 @@ class ModelParams:
     newton_tol: float = 1e-10
     newton_cap: int = 50
 
+    def __post_init__(self):
+        """Reject numerical settings no run can use; the model's hypotheses
+        are the rows of the gate table in nlch.audit."""
+        for name in ("eps", "tau", "P", "A", "B", "C", "chi", "eta", "lam", "dt", "T",
+                     "newton_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for name, rule, ok in (("dt", "> 0", self.dt > 0), ("T", ">= 0", self.T >= 0),
+                               ("lam", "> 0", self.lam > 0),
+                               ("newton_tol", "> 0", self.newton_tol > 0),
+                               ("newton_cap", ">= 1", self.newton_cap >= 1)):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
+
+    def sigma_s_range(self) -> tuple[float, float]:
+        """Extremes of sigma_S over every value it takes on [0, T]."""
+        s = self.sigma_s
+        values = [s]
+        if isinstance(s, SigmaSchedule):
+            values = [s.at(0.0)] + [v for start, v in s.entries if 0.0 < start <= self.T]
+        vals = np.concatenate([np.ravel(v.values if isinstance(v, Field) else v) for v in values])
+        return float(vals.min()), float(vals.max())
+
     @property
     def lam_eff(self) -> float:
         """Per-step Yosida parameter: the user value capped by dt."""
@@ -135,126 +142,27 @@ class InitialData:
     mu0: Field
     sigma0: Field
 
-    def check(self, spec: PotentialSpec, require_sigma_range: bool = False,
-              separation_r0: float | None = None):
-        """Admissibility of the data: integrable F(phi0), optional range gates."""
-        fvals = f_eval(spec, self.phi0.values)
-        if not np.all(np.isfinite(fvals)):
-            raise AssumptionError(
-                "ip_init", "F(phi0) is not finite on all samples", value=float(np.max(fvals))
-            )
-        if require_sigma_range:
-            lo, hi = float(self.sigma0.values.min()), float(self.sigma0.values.max())
-            if lo < 0.0 or hi > 1.0:
-                raise AssumptionError(
-                    "ip_infty", f"sigma0 range [{lo:.3g}, {hi:.3g}] leaves [0, 1]", value=(lo, hi)
-                )
-        if separation_r0 is not None:
-            sup = float(np.max(np.abs(self.phi0.values)))
-            if sup > separation_r0:
-                raise AssumptionError(
-                    "ip_init_sep", f"||phi0||_inf = {sup:.6g} exceeds r0 = {separation_r0}", value=sup
-                )
-
 
 def initial_state(init: InitialData, params: ModelParams, spec: PotentialSpec) -> State:
     xi = Field(init.phi0.grid, yosida(spec, params.lam_eff, init.phi0.values))
     return State(t=0.0, phi=init.phi0, mu=init.mu0, sigma=init.sigma0, xi=xi)
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Geometry and kernel constants consumed by the admission gates."""
-
-    c0: float
-    k0: float
-    c_omega: float
-    eps0: EpsilonZero
-    c_f: float | None = None
-
-
-def derive_constants(bundle: KernelBundle, spec: PotentialSpec) -> DerivedConstants:
-    c0 = check_dominance(spec, bundle.a_star)
-    k0 = estimate_inclusion_constant(bundle.grid)
-    c_omega = estimate_poincare_constant(bundle.grid)
-    eps0 = epsilon_zero(bundle, c0, k0)
-    c_f = None
-    if spec.full_domain:
-        c_f = check_growth(spec)
-    return DerivedConstants(c0=c0, k0=k0, c_omega=c_omega, eps0=eps0, c_f=c_f)
-
-
 def validate_params(params: ModelParams, bundle: KernelBundle, spec: PotentialSpec,
                     constants: DerivedConstants | None = None) -> DerivedConstants:
-    """Enforce the structural assumptions and the parameter admission gates.
+    """Admit a run through the gate table of nlch.audit.
 
-    Raises AssumptionError naming the first violated hypothesis. Returns
-    the derived constants for reuse.
+    Raises AssumptionError for the first failing row that reads the
+    parameters. Returns the derived constants for reuse.
     """
-    for name in ("P", "A", "B", "C", "chi", "eta"):
-        if getattr(params, name) < 0:
-            raise AssumptionError("A1", f"coefficient {name} must be nonnegative",
-                                  value=getattr(params, name))
-    if params.dt <= 0:
-        raise ConfigError(f"dt must be positive, got {params.dt}")
-    if params.T < 0:
-        raise ConfigError(f"T must be nonnegative, got {params.T}")
-    if params.lam <= 0:
-        raise ConfigError(f"Yosida parameter must be positive, got {params.lam}")
-    hs = params.h(np.linspace(-50.0, 50.0, 101))
-    if np.any(hs < 0) or np.any(~np.isfinite(hs)) or np.max(hs) > 1e6:
-        raise AssumptionError("A2", "h must be nonnegative, finite, and bounded")
-    for t_probe in (0.0, params.T):
-        ss = _sigma_s_array(params.sigma_s, bundle.grid, t_probe)
-        if np.any(ss < 0.0) or np.any(ss > 1.0):
-            raise AssumptionError(
-                "A3", f"sigma_S must lie in [0, 1], range is [{ss.min():.3g}, {ss.max():.3g}]"
-            )
     if constants is None:
-        constants = derive_constants(bundle, spec)
-    if params.eps < 0 or params.tau < 0:
-        raise AssumptionError("A1", "relaxation parameters must be nonnegative")
-    if params.eps > 0 and params.eps >= EPS0_SAFETY * constants.eps0.value:
-        raise AssumptionError(
-            "eps < eps0",
-            f"eps = {params.eps:.6g} exceeds the admission threshold "
-            f"{EPS0_SAFETY:.2f} * eps0 = {EPS0_SAFETY * constants.eps0.value:.6g}",
-            value=(params.eps, constants.eps0.value),
-        )
-    if params.tau > 0 and params.tau >= 1.0:
-        raise AssumptionError("tau < tau0", f"tau = {params.tau} must lie below tau0 = 1")
-    if params.tau == 0.0 and params.eps > 0:
-        check_ip_chi(params.chi, params.eta, bundle.c_a, constants.c0)
-    if params.eps == 0.0:
-        if params.eta != 0.0:
-            raise AssumptionError(
-                "eta = 0", "the eps = 0 limit requires no active transport", value=params.eta
-            )
-        if not spec.full_domain:
-            raise AssumptionError(
-                "pol_growth",
-                f"the eps = 0 limit needs D(dF1) = R; {spec.family} has a barrier",
-            )
-        if params.tau == 0.0:
-            check_ip_chi(params.chi, params.eta, bundle.c_a, constants.c0)
+        try:
+            constants = derive_constants(bundle, spec)
+        except AssumptionError as err:
+            constants = err  # the A5 dominance row reports it in table order
+    g = GateInput(params, bundle, spec, constants)
+    admit(gate(g) for gate in RUN_GATES)
     return constants
-
-
-def check_ip_chi(chi: float, eta: float, c_a: float, c0: float):
-    """Compatibility condition for the vanishing-viscosity limit."""
-    if not chi < np.sqrt(c_a):
-        raise AssumptionError(
-            "ip_chi", f"need chi < sqrt(c_a): chi = {chi}, sqrt(c_a) = {np.sqrt(c_a):.6g}",
-            value=chi,
-        )
-    lhs = (chi + eta + 4.0 * c_a * chi) ** 2
-    rhs = 8.0 * c_a * c0 + 4.0 * chi * eta
-    if not lhs < rhs:
-        raise AssumptionError(
-            "ip_chi",
-            f"need (chi+eta+4 c_a chi)^2 < 8 c_a C0 + 4 chi eta: {lhs:.6g} >= {rhs:.6g}",
-            value=(lhs, rhs),
-        )
 
 
 @dataclass
@@ -416,7 +324,7 @@ def run(init: InitialData, params: ModelParams, bundle: KernelBundle,
     """
     if validate:
         constants = validate_params(params, bundle, spec, constants)
-        init.check(spec)
+        admit([ip_init(GateInput(params, spec=spec, init=init))])
     grid = bundle.grid
     n_steps = 0 if params.T == 0 else max(1, int(round(params.T / params.dt)))
     if params.T > 0:

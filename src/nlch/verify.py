@@ -1,9 +1,10 @@
 """Self-contained property suite behind the `verify` CLI subcommand.
 
 Each check exercises one module invariant on a small deterministic
-problem and returns (name, passed, detail). The suite complements the
-pytest tests: it ships with the package so a production install can be
-verified without the test tree.
+problem and returns (passed, detail); ALL_CHECKS names them. The suite
+ships with the package so a production install can be verified without
+the test tree, and the pytest suite runs the same checks, so each
+property has one copy.
 """
 
 from __future__ import annotations
@@ -28,21 +29,15 @@ def check_grid_laplacian_symmetry():
     lf, lh = grid.laplacian_neumann(f), grid.laplacian_neumann(h)
     sym = abs(grid.inner_h(lf, h) - grid.inner_h(f, lh))
     nsd = grid.inner_h(lf, f)
-    ok = sym <= 1e-10 and nsd <= 1e-12
+    ok = sym <= 1e-10 and nsd <= 0.0
     return ok, f"symmetry defect {sym:.2e}, quadratic form {nsd:.3e}"
-
-
-def check_grid_poincare_stable():
-    vals = [grid.estimate_poincare_constant(grid.GridSpec(1, (1.0,), (n,))) for n in (64, 128, 256)]
-    spread = max(vals) / min(vals) - 1.0
-    return spread <= 0.02, f"C_Omega across refinements: {[f'{v:.5f}' for v in vals]}"
 
 
 def check_grid_norm_chain():
     g, _, _ = _small_setup()
     k0 = grid.estimate_inclusion_constant(g)
     rng = np.random.default_rng(2)
-    ok = True
+    ok = abs(k0 - 1.0) <= 1e-8
     worst = 0.0
     for _ in range(20):
         f = grid.Field(g, rng.standard_normal(g.size))
@@ -91,14 +86,19 @@ def check_kernel_norm_bounds():
     return ok, f"a^* = {b.a_sup:.4f}, b^* = {b.b_sup:.4f} bounds hold on random fields"
 
 
+# every potential family, each with a sampling range past its barriers if it has any
+FAMILIES = (
+    (potential.polynomial_potential(0.5), -10.0, 10.0),
+    (potential.polynomial_potential(0.0), -10.0, 10.0),
+    (potential.logarithmic_potential(0.3, 0.6), -1.5, 1.5),
+    (potential.double_obstacle_potential(0.25), -5.0, 5.0),
+)
+
+
 def check_potential_lipschitz():
     rng = np.random.default_rng(6)
     ok = True
-    for spec, lo, hi in (
-        (potential.polynomial_potential(0.5), -10.0, 10.0),
-        (potential.logarithmic_potential(0.3, 0.6), -1.2, 1.2),
-        (potential.double_obstacle_potential(0.25), -5.0, 5.0),
-    ):
+    for spec, lo, hi in FAMILIES:
         for lam in (1.0, 0.1, 0.01):
             r = rng.uniform(lo, hi, 1000)
             s = rng.uniform(lo, hi, 1000)
@@ -110,18 +110,14 @@ def check_potential_lipschitz():
             ok = ok and np.all(np.abs(rr - rs) <= np.abs(r - s) * (1 + 1e-10) + 1e-13)
             order = np.argsort(r)
             ok = ok and np.all(np.diff(yr[order]) >= -1e-11)
-    return ok, "resolvent 1-Lipschitz, Yosida 1/lam-Lipschitz and monotone (3 families)"
+    return ok, f"resolvent 1-Lipschitz, Yosida 1/lam-Lipschitz and monotone ({len(FAMILIES)} families)"
 
 
 def check_potential_moreau():
     ok = True
-    for spec, pts in (
-        (potential.polynomial_potential(0.5), np.linspace(-2, 2, 9)),
-        (potential.logarithmic_potential(0.3, 0.6), np.linspace(-0.95, 0.95, 9)),
-        (potential.double_obstacle_potential(0.25), np.linspace(-0.9, 0.9, 9)),
-    ):
-        for lam in (0.1, 0.01):
-            for r in pts:
+    for spec, lo, hi in FAMILIES:
+        for lam in (0.5, 0.1, 0.05, 0.01):
+            for r in np.linspace(max(lo, -3.0), min(hi, 3.0), 7):
                 m = potential.moreau(spec, lam, float(r))
                 env = float(np.asarray(potential.moreau_envelope(spec, lam, float(r))))
                 f1 = float(np.asarray(spec.f1(float(r))))
@@ -130,12 +126,17 @@ def check_potential_moreau():
 
 
 def check_potential_graph_convergence():
-    spec = potential.logarithmic_potential(0.3, 0.6)
-    r = 0.7
-    res = [abs(potential.resolvent(spec, lam, r) - r) for lam in (1e-1, 1e-2, 1e-3)]
-    y = [abs(potential.yosida(spec, lam, r) - float(spec.f1_prime(r))) for lam in (1e-1, 1e-2, 1e-3)]
-    ok = res[0] > res[1] > res[2] and y[0] > y[1] > y[2]
-    return ok, f"resolvent gap {res[0]:.2e} -> {res[2]:.2e}, yosida gap {y[0]:.2e} -> {y[2]:.2e}"
+    ok = True
+    details = []
+    for spec, r in ((potential.polynomial_potential(0.5), 1.5),
+                    (potential.logarithmic_potential(0.3, 0.6), 0.7)):
+        res = [abs(potential.resolvent(spec, lam, r) - r) for lam in (1e-1, 1e-2, 1e-3)]
+        y = [abs(potential.yosida(spec, lam, r) - float(np.asarray(spec.f1_prime(r))))
+             for lam in (1e-1, 1e-2, 1e-3)]
+        ok = ok and res[0] > res[1] > res[2] and y[0] > y[1] > y[2]
+        details.append(f"{spec.family}: resolvent gap {res[0]:.2e} -> {res[2]:.2e}, "
+                       f"yosida gap {y[0]:.2e} -> {y[2]:.2e}")
+    return ok, "; ".join(details)
 
 
 def check_model_mass_balance():
@@ -209,7 +210,8 @@ def check_galerkin_conv_symmetry():
     params = model.ModelParams(eps=0.1, tau=0.1, dt=1e-3, T=0.1, lam=1e-3)
     op = galerkin.build_operator(basis, b, p, params)
     err = float(np.max(np.abs(op.mat_conv - op.mat_conv.T)))
-    return err <= 1e-10, f"convolution matrix asymmetry {err:.2e}"
+    err_a = float(np.max(np.abs(op.mat_a - op.mat_a.T)))
+    return max(err, err_a) <= 1e-10, f"asymmetry: convolution {err:.2e}, a-matrix {err_a:.2e}"
 
 
 def check_distance_triangle():
@@ -225,16 +227,18 @@ def check_distance_triangle():
             grid.Field(g, 0.5 + amp * np.cos(np.pi * x)),
         )
         trajs.append(model.run(init, params, b, p, record_diagnostics=False))
-    d01 = diagnostics.distance(trajs[0], trajs[1]).total()
-    d12 = diagnostics.distance(trajs[1], trajs[2]).total()
-    d02 = diagnostics.distance(trajs[0], trajs[2]).total()
-    ok = d02 <= d01 + d12 + 1e-10
-    return ok, f"d02 = {d02:.4e} <= d01 + d12 = {d01 + d12:.4e}"
+    d01 = diagnostics.distance(trajs[0], trajs[1])
+    d12 = diagnostics.distance(trajs[1], trajs[2])
+    d02 = diagnostics.distance(trajs[0], trajs[2])
+    ok = d02.total() <= d01.total() + d12.total() + 1e-10
+    for name in ("linf_h_phi", "l2_v_mu", "linf_vstar_combo", "l2_h_phi"):
+        ok = ok and getattr(d02, name) <= getattr(d01, name) + getattr(d12, name) + 1e-12
+    return ok, (f"d02 = {d02.total():.4e} <= d01 + d12 = {d01.total() + d12.total():.4e}, "
+                "and per component")
 
 
 ALL_CHECKS = [
     ("grid.laplacian_symmetric_nsd", check_grid_laplacian_symmetry),
-    ("grid.poincare_constant_stable", check_grid_poincare_stable),
     ("grid.norm_chain", check_grid_norm_chain),
     ("grid.interpolation_inequality", check_grid_interpolation_inequality),
     ("kernel.fast_equals_direct", check_kernel_fast_equals_direct),

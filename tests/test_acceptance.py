@@ -115,7 +115,7 @@ def test_ac4_separation(bench):
         Field.constant(grid, 0.0),
         Field(grid, 0.6 + 0.2 * np.cos(np.pi * x)),
     )
-    init.check(logpot, separation_r0=0.8)
+    assert np.max(np.abs(init.phi0.values)) <= 0.8  # starts at the separation radius r0
     params = coupled(eps=0.05, tau=0.05, chi=0.5, eta=0.05, T=0.5, dt=1e-3)
     traj = run(init, params, bundle, logpot, constants=constants, record_diagnostics=False)
     passed, r_star = theorem_probe_separation(traj, ell=1.0)

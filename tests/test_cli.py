@@ -55,12 +55,12 @@ def test_build_problem_default():
 
 
 def test_config_rejects_bad_params():
-    with pytest.raises(ConfigError):
-        build_problem(parse_config("model.B = -1\n"))
-    with pytest.raises(ConfigError):
-        build_problem(parse_config("model.sigma_s = 2.0\n"))
-    with pytest.raises(ConfigError):
-        build_problem(parse_config("potential.family = bogus\n"))
+    for line in ("model.B = -1", "model.sigma_s = 2.0", "potential.family = bogus",
+                 "model.eps = nan", "model.T = inf", "potential.lambda = 0",
+                 "potential.lambda = -1e-3", "model.newton_cap = 0", "model.newton_cap = -1",
+                 "model.newton_tol = 0", "model.newton_tol = -1"):
+        with pytest.raises(ConfigError):
+            build_problem(parse_config(line + "\n"))
 
 
 def test_cli_audit_default(tmp_path, capsys):
@@ -187,12 +187,17 @@ def test_cli_sweep_smoke(tmp_path, capsys):
 
 
 def test_shipped_configs_audit_clean(tmp_path):
-    import pathlib
-
-    cfg_dir = pathlib.Path(__file__).resolve().parents[1] / "configs"
-    for cfg in sorted(cfg_dir.glob("*.cfg")):
-        rc = main(["audit", "--config", str(cfg), "--out", str(tmp_path / cfg.stem)])
-        assert rc == 0, cfg.name
+    # audit.txt is byte-identical to the golden file of each shipped config,
+    # and of one failing case
+    cfg_dir = Path(__file__).resolve().parents[1] / "configs"
+    golden = Path(__file__).resolve().parent / "golden"
+    cases = [(cfg, cfg.stem, [], 0) for cfg in sorted(cfg_dir.glob("*.cfg"))]
+    cases.append((cfg_dir / "default.cfg", "default-eps0.2", ["--set", "model.eps=0.2"], 1))
+    for cfg, name, extra, expected_rc in cases:
+        out = tmp_path / name
+        rc = main(["audit", "--config", str(cfg), "--out", str(out)] + extra)
+        assert rc == expected_rc, name
+        assert (out / "audit.txt").read_bytes() == (golden / f"audit-{name}.txt").read_bytes(), name
 
 
 def test_cli_oracle_compare_smoke(tmp_path, capsys):

@@ -17,7 +17,7 @@ from nlch.diagnostics import (
 from nlch.errors import ComparisonError
 from nlch.grid import Field, GridSpec, norm_h
 from nlch.kernel import KernelSpec, build
-from nlch.model import InitialData, ModelParams, State, Trajectory, run
+from nlch.model import ModelParams, State, Trajectory
 from nlch.potential import polynomial_potential
 
 
@@ -88,25 +88,6 @@ def test_distance_self_and_shift(grid64, bundle64, poly):
     assert d.linf_h_sigma == 0.0
     # the V* norm of a constant equals the constant's H norm
     assert d.linf_vstar_phi == pytest.approx(0.25 * np.sqrt(grid64.measure), rel=1e-8)
-
-
-def test_distance_triangle_inequality(grid64, bundle64, poly):
-    x = grid64.axis_coordinates(0)
-    params = ModelParams(eps=0.05, tau=0.1, P=0.3, B=0.4, sigma_s=0.6, dt=1e-3, T=0.02,
-                         lam=1e-3)
-    trajs = []
-    for amp in (0.1, 0.2, 0.3):
-        init = InitialData(
-            Field(grid64, amp * np.cos(np.pi * x)),
-            Field.constant(grid64, 0.0),
-            Field(grid64, 0.5 + amp * np.cos(np.pi * x)),
-        )
-        trajs.append(run(init, params, bundle64, poly, record_diagnostics=False))
-    for name in ("linf_h_phi", "l2_v_mu", "linf_vstar_combo", "l2_h_phi"):
-        d01 = getattr(distance(trajs[0], trajs[1]), name)
-        d12 = getattr(distance(trajs[1], trajs[2]), name)
-        d02 = getattr(distance(trajs[0], trajs[2]), name)
-        assert d02 <= d01 + d12 + 1e-12, name
 
 
 def test_distance_alignment_errors(grid64):

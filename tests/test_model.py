@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import nlch.potential
+from nlch.audit import GateInput, admit, ip_infty, ip_init
 from nlch.config import build_problem, load_config
 from nlch.errors import AssumptionError, ConfigError, SolverError, StepError
 from nlch.grid import Field, GridSpec, mean, norm_h
@@ -226,22 +227,20 @@ def test_initial_data_checks(grid64, logpot, poly):
         Field.constant(grid64, 0.5),
     )
     with pytest.raises(AssumptionError, match="ip_init"):
-        too_far.check(logpot)
+        admit([ip_init(GateInput(coupled_params(), spec=logpot, init=too_far))])
     ok = InitialData(
         Field.constant(grid64, 0.5),
         Field.constant(grid64, 0.0),
         Field.constant(grid64, 0.5),
     )
-    ok.check(logpot)
-    with pytest.raises(AssumptionError, match="ip_init_sep"):
-        ok.check(logpot, separation_r0=0.4)
+    admit([ip_init(GateInput(coupled_params(), spec=logpot, init=ok))])
     bad_sigma = InitialData(
         Field.constant(grid64, 0.0),
         Field.constant(grid64, 0.0),
         Field.constant(grid64, 1.2),
     )
     with pytest.raises(AssumptionError, match="ip_infty"):
-        bad_sigma.check(poly, require_sigma_range=True)
+        admit([ip_infty(GateInput(coupled_params(), spec=poly, init=bad_sigma))])
 
 
 def test_orderings_agree_to_first_order(grid64, bundle64, poly):

@@ -18,7 +18,6 @@ from nlch.potential import (
     f_prime_regularized,
     logarithmic_potential,
     moreau,
-    moreau_envelope,
     polynomial_potential,
     resolvent,
     validate_split,
@@ -154,20 +153,6 @@ def test_yosida_examples():
         assert yosida(spec, 0.7, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_yosida_lipschitz_and_monotone():
-    rng = np.random.default_rng(1)
-    for spec, (lo, hi) in FAMILIES:
-        for lam in (1.0, 0.1, 0.01):
-            r = rng.uniform(lo, hi, 1000)
-            s = rng.uniform(lo, hi, 1000)
-            yr, ys = yosida(spec, lam, r), yosida(spec, lam, s)
-            assert np.all(np.abs(yr - ys) <= np.abs(r - s) / lam * (1 + 1e-9) + 1e-12)
-            rr, rs = resolvent(spec, lam, r), resolvent(spec, lam, s)
-            assert np.all(np.abs(rr - rs) <= np.abs(r - s) * (1 + 1e-9) + 1e-12)
-            order = np.argsort(r)
-            assert np.all(np.diff(yr[order]) >= -1e-10)
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     st.floats(-8.0, 8.0), st.floats(-8.0, 8.0),
@@ -195,20 +180,6 @@ def test_moreau_double_obstacle_closed_form():
     # projection Yosida: integral of (s - 1)_+ from 0 to 3 equals 2
     dob = double_obstacle_potential(0.3)
     assert moreau(dob, 1.0, 3.0) == pytest.approx(2.0, abs=1e-10)
-
-
-def test_moreau_quadrature_matches_envelope():
-    rng = np.random.default_rng(2)
-    for spec, (lo, hi) in FAMILIES:
-        pts = rng.uniform(max(lo, -3), min(hi, 3), 6)
-        for lam in (0.5, 0.05):
-            for r in pts:
-                q = moreau(spec, lam, float(r))
-                env = float(np.asarray(moreau_envelope(spec, lam, float(r))))
-                assert q == pytest.approx(env, abs=1e-8)
-                assert -1e-12 <= q
-                f1r = float(np.asarray(spec.f1(float(r))))
-                assert q <= f1r + 1e-9
 
 
 def test_f_eval_examples():
@@ -300,15 +271,6 @@ def test_check_growth_oracle():
     for barrier in (logarithmic_potential(0.3, 0.6), double_obstacle_potential(0.2)):
         with pytest.raises(InapplicabilityError):
             check_growth(barrier)
-
-
-def test_graph_convergence_trend():
-    for spec, r in ((polynomial_potential(0.5), 1.5), (logarithmic_potential(0.3, 0.6), 0.7)):
-        res_gap = [abs(resolvent(spec, lam, r) - r) for lam in (1e-1, 1e-2, 1e-3)]
-        yos_gap = [abs(yosida(spec, lam, r) - float(np.asarray(spec.f1_prime(r))))
-                   for lam in (1e-1, 1e-2, 1e-3)]
-        assert res_gap[0] > res_gap[1] > res_gap[2]
-        assert yos_gap[0] > yos_gap[1] > yos_gap[2]
 
 
 def test_barrier_divergence_trend():
