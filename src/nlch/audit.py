@@ -208,7 +208,7 @@ def ip_chi(g: GateInput) -> AuditCheck:
     """Chemotaxis compatibility of the vanishing-viscosity limit (tau = 0)."""
     p = g.params
     if p.tau != 0.0:
-        return AuditCheck("ip_chi", False, True, "not applicable (tau > 0 or eps = 0)")
+        return AuditCheck("ip_chi", False, True, "not applicable (tau > 0)")
     if not isinstance(g.constants, DerivedConstants):
         return AuditCheck("ip_chi", True, True, "skipped")
     chi, eta, c_a, c0 = p.chi, p.eta, g.bundle.c_a, g.constants.c0
@@ -256,7 +256,7 @@ def ip_infty(g: GateInput) -> AuditCheck:
 # The ordered table. The second column marks the rows that run admission
 # (model.validate_params) evaluates. It skips the spec/kernel-only rows,
 # which read nothing a run changes (A4's sampling alone costs
-# milliseconds), and the initial-data rows; model.run checks ip_init.
+# milliseconds), and the initial-data rows, which model.run checks.
 GATES = (
     (a1_coefficients, True),
     (a2_h, True),

@@ -191,7 +191,7 @@ def _cmd_stability(args) -> int:
         return 1
     deltas = cfg["stability.deltas"]
     taus = cfg["stability.taus"]
-    params = problem.params.with_params(T=cfg["stability.t"], eta=0.0)
+    params = problem.params.with_params(T=cfg["stability.t"])
     lines = ["tau,delta,lhs,rhs,ratio"]
     ok = True
     tau_ratios = []

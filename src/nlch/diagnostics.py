@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ComparisonError
 from .grid import Field, norm_h, norm_v, norm_vstar
-from .kernel import KernelBundle, nonlocal_energy_density
+from .kernel import KernelBundle, nonlocal_energy_array, nonlocal_energy_density
 from .potential import PotentialSpec, f_eval, f_lambda_eval
 
 
@@ -55,38 +55,45 @@ def energy(state, bundle: KernelBundle, spec: PotentialSpec) -> float:
     return e_nl + float(np.sum(fvals)) * state.phi.grid.cell_volume
 
 
-def lyapunov(state, params, bundle: KernelBundle, spec: PotentialSpec,
-             e_nl: float | None = None, prox: np.ndarray | None = None) -> float:
+def _lyapunov_arrays(phi, mu, sigma, params, spec: PotentialSpec, cellvol: float,
+                     e_nl: float, prox: np.ndarray | None) -> float:
+    """Lyapunov functional from raw arrays; ``prox`` is the resolvent of phi or None."""
+    def norm_h_sq(v):
+        # squared as grid.norm_h(v) ** 2 is, so records match lyapunov() bit for bit
+        return math.sqrt(max(float(np.dot(v, v)) * cellvol, 0.0)) ** 2
+
+    flam = f_lambda_eval(spec, params.lam_eff, phi, prox)
+    return (
+        0.5 * params.eps * norm_h_sq(mu)
+        + e_nl
+        + float(flam.sum()) * cellvol
+        + 0.5 * norm_h_sq(sigma)
+    )
+
+
+def lyapunov(state, params, bundle: KernelBundle, spec: PotentialSpec) -> float:
     """Discrete Lyapunov functional of the source-free flow.
 
     (eps/2) ||mu||^2 + interaction energy + int F_lam(phi) + ||sigma||^2 / 2,
     with F_lam the Yosida-regularized potential at the run's lambda.
-    ``e_nl`` is the interaction energy and ``prox`` the resolvent of phi
-    when the caller already has them.
     """
-    if e_nl is None:
-        e_nl = nonlocal_energy_density(bundle, state.phi)
-    cellvol = state.phi.grid.cell_volume
-    flam = f_lambda_eval(spec, params.lam_eff, state.phi.values, prox)
-    return (
-        0.5 * params.eps * norm_h(state.mu) ** 2
-        + e_nl
-        + float(np.sum(flam)) * cellvol
-        + 0.5 * norm_h(state.sigma) ** 2
-    )
+    return _lyapunov_arrays(state.phi.values, state.mu.values, state.sigma.values, params,
+                            spec, state.phi.grid.cell_volume,
+                            nonlocal_energy_density(bundle, state.phi), None)
 
 
-def make_record(state, params, bundle, spec, mass_defect: float, newton_iters: int,
-                conv_phi: np.ndarray, prox: np.ndarray) -> DiagnosticsRecord:
-    """Diagnostics row of a stepped state from its J*phi and its resolvent of phi."""
-    e_nl = nonlocal_energy_density(bundle, state.phi, conv_phi)
+def make_record(t: float, phi, mu, sigma, params, bundle, spec, mass_defect: float,
+                newton_iters: int, conv_phi: np.ndarray, prox: np.ndarray) -> DiagnosticsRecord:
+    """Diagnostics row of a stepped state's arrays from its J*phi and its resolvent of phi."""
+    e_nl = nonlocal_energy_array(bundle, phi, conv_phi)
     return DiagnosticsRecord(
-        t=state.t,
+        t=t,
         mass_balance_residual=mass_defect,
-        lyapunov=lyapunov(state, params, bundle, spec, e_nl, prox),
-        sigma_min=float(state.sigma.values.min()),
-        sigma_max=float(state.sigma.values.max()),
-        phi_supnorm=float(np.max(np.abs(state.phi.values))),
+        lyapunov=_lyapunov_arrays(phi, mu, sigma, params, spec, bundle.grid.cell_volume,
+                                  e_nl, prox),
+        sigma_min=float(sigma.min()),
+        sigma_max=float(sigma.max()),
+        phi_supnorm=float(np.abs(phi).max()),
         energy_nonlocal=e_nl,
         newton_iters=newton_iters,
     )

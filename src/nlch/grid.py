@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import dctn, idctn
@@ -42,6 +42,11 @@ class GridSpec:
     dim: int
     extent: tuple[float, ...]
     cells: tuple[int, ...]
+    # derived once per grid: the stepper reads them on every call
+    spacing: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    size: int = field(init=False, repr=False, compare=False)
+    cell_volume: float = field(init=False, repr=False, compare=False)
+    measure: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -54,35 +59,19 @@ class GridSpec:
             raise ConfigError(f"extents must be positive, got {self.extent}")
         if any(c < 4 for c in self.cells):
             raise ConfigError(f"need at least 4 cells per axis, got {self.cells}")
-
-    @property
-    def spacing(self) -> tuple[float, ...]:
-        return tuple(e / c for e, c in zip(self.extent, self.cells))
+        spacing = tuple(e / c for e, c in zip(self.extent, self.cells))
+        size, cell_volume, measure = 1, 1.0, 1.0
+        for c, h, e in zip(self.cells, spacing, self.extent):
+            size *= c
+            cell_volume *= h
+            measure *= e
+        for name, value in (("spacing", spacing), ("size", size),
+                            ("cell_volume", cell_volume), ("measure", measure)):
+            object.__setattr__(self, name, value)
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.cells
-
-    @property
-    def size(self) -> int:
-        n = 1
-        for c in self.cells:
-            n *= c
-        return n
-
-    @property
-    def cell_volume(self) -> float:
-        v = 1.0
-        for h in self.spacing:
-            v *= h
-        return v
-
-    @property
-    def measure(self) -> float:
-        m = 1.0
-        for e in self.extent:
-            m *= e
-        return m
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         """Cell-center coordinates along one axis."""
@@ -155,6 +144,12 @@ def norm_h(f: Field) -> float:
 
 def _lap_array(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Mirrored-ghost five/three point Laplacian on the reshaped array."""
+    if grid.dim == 1:
+        d = np.empty_like(vals)
+        d[1:-1] = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
+        d[0] = vals[1] - vals[0]
+        d[-1] = vals[-2] - vals[-1]
+        return d / grid.spacing[0] ** 2
     v = vals.reshape(grid.shape)
     out = np.zeros_like(v)
     for axis in range(grid.dim):
@@ -334,6 +329,14 @@ def norm_vstar(f: Field) -> float:
     return float(np.sqrt(max(inner_h(f, u), 0.0)))
 
 
+@functools.lru_cache(maxsize=32)
+def _off_diagonal(n: int, c: float) -> np.ndarray:
+    """Read-only constant off-diagonal -c of an n-cell 1D diffusion matrix."""
+    off = np.full(n - 1, -c)
+    off.setflags(write=False)
+    return off
+
+
 def solve_shifted_diffusion(
     grid: GridSpec, diag: np.ndarray, lap_coeff: float, rhs: np.ndarray
 ) -> np.ndarray:
@@ -357,13 +360,11 @@ def solve_shifted_diffusion(
     if lap_coeff == 0.0:
         return rhs / d
     if grid.dim == 1:
-        n = grid.cells[0]
-        h2 = grid.spacing[0] ** 2
-        c = lap_coeff / h2
+        c = lap_coeff / grid.spacing[0] ** 2
         main = d + 2.0 * c
         main[0] -= c
         main[-1] -= c
-        off = np.full(n - 1, -c)
+        off = _off_diagonal(grid.cells[0], c)
         # gtsv copies its inputs, so one array serves as both off-diagonals
         _, _, _, x, info = dgtsv(off, main, off, rhs)
         if info != 0:

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import next_fast_len, rfftn, irfftn
+from scipy.fft import irfft, irfftn, next_fast_len, rfft, rfftn
 
 from .errors import ConfigError, DimensionError
-from .grid import Field, GridSpec, inner_h
+from .grid import Field, GridSpec
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,10 @@ class _FastConvolution:
         self._khat = rfftn(kpad)
 
     def apply(self, vals: np.ndarray) -> np.ndarray:
+        if len(self._shape) == 1:
+            # rfft zero-pads to n itself; bitwise equal to the padded rfftn path
+            (pad,), (shift,), (n,) = self._pad, self._shift, self._shape
+            return irfft(rfft(vals, n=pad) * self._khat, n=pad)[shift:shift + n]
         v = vals.reshape(self._shape)
         vpad = np.zeros(self._pad)
         vpad[tuple(slice(0, n) for n in self._shape)] = v
@@ -234,19 +238,20 @@ def convolve_direct(bundle: KernelBundle, v: Field) -> Field:
     return Field(grid, out.reshape(-1))
 
 
-def nonlocal_energy_density(bundle: KernelBundle, phi: Field,
-                            conv_phi: np.ndarray | None = None) -> float:
+def nonlocal_energy_density(bundle: KernelBundle, phi: Field) -> float:
     """Interaction energy 0.5 * int (a phi - J*phi) phi.
 
     Equals the double integral (1/4) iint J(x-y) |phi(x)-phi(y)|^2 for
     even kernels; zero for constants, and bounded below by
-    (a_star - a_sup)/2 * ||phi||_H^2. ``conv_phi`` is the array J*phi
-    when the caller already has it.
+    (a_star - a_sup)/2 * ||phi||_H^2.
     """
-    if conv_phi is None:
-        conv_phi = convolve(bundle, phi).values
-    interact = bundle.a_field.values * phi.values - conv_phi
-    return 0.5 * inner_h(Field(bundle.grid, interact, check=False), phi)
+    return nonlocal_energy_array(bundle, phi.values, convolve(bundle, phi).values)
+
+
+def nonlocal_energy_array(bundle: KernelBundle, phi: np.ndarray, conv_phi: np.ndarray) -> float:
+    """nonlocal_energy_density on the sample array phi, given its J*phi."""
+    interact = bundle.a_field.values * phi - conv_phi
+    return 0.5 * (float(np.dot(interact, phi)) * bundle.grid.cell_volume)
 
 
 class EpsilonZero(NamedTuple):

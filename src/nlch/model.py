@@ -25,7 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import diagnostics
-from .audit import RUN_GATES, DerivedConstants, GateInput, admit, derive_constants, ip_init
+from .audit import (RUN_GATES, DerivedConstants, GateInput, admit, derive_constants, ip_infty,
+                    ip_init)
 from .errors import AssumptionError, ConfigError, SolverError, StepError
 from .grid import Field, GridSpec, solve_helmholtz, solve_shifted_diffusion, _lap_array
 from .kernel import KernelBundle
@@ -34,7 +35,8 @@ from .potential import PotentialSpec, f2_prime, yosida, yosida_with_derivative
 
 def h_default(r):
     """Proliferation profile clamp((1+r)/2, 0, 1): bounded, 1/2-Lipschitz."""
-    return np.clip((1.0 + np.asarray(r, dtype=float)) / 2.0, 0.0, 1.0)
+    # np.clip without its Python-level wrapper
+    return np.minimum(np.maximum((1.0 + np.asarray(r, dtype=float)) / 2.0, 0.0), 1.0)
 
 
 def h_one(r):
@@ -193,7 +195,8 @@ def _step_arrays(t, phi, mu, sig, conv_phi, yos, params: ModelParams,
 
     phi_new = phi.copy()
     mu_new = mu.copy()
-    const1 = eps * mu + phi + dt * g
+    mass_old = eps * mu + phi
+    const1 = mass_old + dt * g
     accept_tol = params.newton_tol * (1.0 + float(np.sqrt(np.dot(const1, const1) * cellvol)))
 
     def residuals(p, m, y):
@@ -231,9 +234,9 @@ def _step_arrays(t, phi, mu, sig, conv_phi, yos, params: ModelParams,
         if it == params.newton_cap:
             break
         diag = tau / dt + a + dy
-        if np.min(diag) <= 0.0:
+        if diag.min() <= 0.0:
             raise StepError(
-                f"implicit diagonal lost positivity (min {np.min(diag):.3e}); "
+                f"implicit diagonal lost positivity (min {diag.min():.3e}); "
                 "the configuration lacks coercivity (tau = 0 with inf a <= 0)",
                 residual_history=history, phase="Newton",
             )
@@ -249,6 +252,10 @@ def _step_arrays(t, phi, mu, sig, conv_phi, yos, params: ModelParams,
                             phase="resolvent") from err
 
     res, phi_new, mu_new, yos = best
+    # a finite residual has finite phi, mu and Yosida value in every term
+    if not math.isfinite(res):
+        raise StepError(f"Newton residual is not finite ({res})",
+                        residual_history=history, phase="Newton")
     if res > accept_tol:
         raise StepError(
             f"Newton failed to converge: residual {res:.3e} after {len(history) - 1} iterations",
@@ -270,9 +277,12 @@ def _step_arrays(t, phi, mu, sig, conv_phi, yos, params: ModelParams,
     rhs_sig = sig + dt * (params.B * sig_s - params.eta * _lap_array(phi_eta, grid))
     diag_sig = 1.0 + dt * (params.B + params.C * h_sig)
     sig_new = solve("nutrient", diag_sig, rhs_sig)
+    if not np.isfinite(sig_new).all():
+        raise StepError("nutrient solve returned non-finite values",
+                        residual_history=history, phase="nutrient")
 
     mass_defect = abs(
-        (np.sum(eps * mu_new + phi_new) - np.sum(eps * mu + phi) - dt * np.sum(g))
+        ((eps * mu_new + phi_new).sum() - mass_old.sum() - dt * g.sum())
         * cellvol / grid.measure
     )
     stats = StepStats(newton_iters=len(history) - 1, residual=res, mass_defect=mass_defect)
@@ -311,20 +321,18 @@ class Trajectory:
 
 
 def run(init: InitialData, params: ModelParams, bundle: KernelBundle,
-        spec: PotentialSpec, observers: Sequence[Callable] = (),
-        snapshot_stride: int = 1, validate: bool = True,
+        spec: PotentialSpec, snapshot_stride: int = 1, validate: bool = True,
         constants: DerivedConstants | None = None,
         record_diagnostics: bool = True) -> Trajectory:
     """Integrate from t = 0 to T, recording snapshots and diagnostics.
 
-    Observers are called as observer(step_index, state, record) after
-    every accepted step. A failing step aborts with the partial
-    trajectory attached to the raised StepError as .partial, and the
-    failed step's index and target time as .step and .t.
+    A failing step aborts with the partial trajectory attached to the
+    raised StepError as .partial, and the failed step's index and target
+    time as .step and .t.
     """
     if validate:
         constants = validate_params(params, bundle, spec, constants)
-        admit([ip_init(GateInput(params, spec=spec, init=init))])
+        admit(gate(GateInput(params, spec=spec, init=init)) for gate in (ip_init, ip_infty))
     grid = bundle.grid
     n_steps = 0 if params.T == 0 else max(1, int(round(params.T / params.dt)))
     if params.T > 0:
@@ -334,21 +342,19 @@ def run(init: InitialData, params: ModelParams, bundle: KernelBundle,
 
     # each state's J*phi and Yosida triple (value, derivative, resolvent)
     # are computed once, shared by its record and the step leaving it
-    yos = yosida_with_derivative(spec, params.lam_eff, init.phi0.values)
-    state = State(t=0.0, phi=init.phi0, mu=init.mu0, sigma=init.sigma0,
-                  xi=Field(grid, yos[0]))
-    conv = bundle.convolve_array(state.phi.values)
+    phi, mu, sig = init.phi0.values, init.mu0.values, init.sigma0.values
+    yos = yosida_with_derivative(spec, params.lam_eff, phi)
+    conv = bundle.convolve_array(phi)
     traj = Trajectory(params=params)
     traj.times.append(0.0)
-    traj.phis.append(state.phi)
-    traj.mus.append(state.mu)
-    traj.sigmas.append(state.sigma)
+    traj.phis.append(init.phi0)
+    traj.mus.append(init.mu0)
+    traj.sigmas.append(init.sigma0)
     if record_diagnostics:
-        rec0 = diagnostics.make_record(state, params, bundle, spec, mass_defect=0.0,
-                                       newton_iters=0, conv_phi=conv, prox=yos[2])
-        traj.records.append(rec0)
+        traj.records.append(diagnostics.make_record(
+            0.0, phi, mu, sig, params, bundle, spec, mass_defect=0.0, newton_iters=0,
+            conv_phi=conv, prox=yos[2]))
 
-    phi, mu, sig = state.phi.values, state.mu.values, state.sigma.values
     t = 0.0
     for k in range(1, n_steps + 1):
         try:
@@ -360,28 +366,18 @@ def run(init: InitialData, params: ModelParams, bundle: KernelBundle,
             err.step, err.t = k, k * params.dt
             raise
         t = k * params.dt
-        state = State(
-            t=t,
-            phi=Field(grid, phi),
-            mu=Field(grid, mu),
-            sigma=Field(grid, sig),
-            xi=Field(grid, yos[0]),
-        )
         conv = bundle.convolve_array(phi)
-        rec = None
         if record_diagnostics:
-            rec = diagnostics.make_record(state, params, bundle, spec,
-                                          mass_defect=stats.mass_defect,
-                                          newton_iters=stats.newton_iters,
-                                          conv_phi=conv, prox=yos[2])
-            traj.records.append(rec)
+            traj.records.append(diagnostics.make_record(
+                t, phi, mu, sig, params, bundle, spec, mass_defect=stats.mass_defect,
+                newton_iters=stats.newton_iters, conv_phi=conv, prox=yos[2]))
         if k % snapshot_stride == 0 or k == n_steps:
+            # _step_arrays fails a step whose residual or nutrient is not
+            # finite, so snapshots skip the finiteness scan
             traj.times.append(t)
-            traj.phis.append(state.phi)
-            traj.mus.append(state.mu)
-            traj.sigmas.append(state.sigma)
-        for obs in observers:
-            obs(k, state, rec)
+            traj.phis.append(Field(grid, phi, check=False))
+            traj.mus.append(Field(grid, mu, check=False))
+            traj.sigmas.append(Field(grid, sig, check=False))
     return traj
 
 

@@ -171,6 +171,18 @@ def test_cli_stability_smoke(tmp_path, capsys):
     assert "lhs/rhs" in out
 
 
+def test_cli_stability_runs_the_configured_eta(tmp_path, capsys):
+    # the stability estimate needs eta = 0; a configured eta > 0 is refused,
+    # not silently replaced by 0
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "rate-study.cfg"
+    rc = main(["stability", "--config", str(cfg), "--out", str(tmp_path),
+               "--set", "model.eta=0.1"])
+    assert rc == 2
+    assert "eta = 0" in capsys.readouterr().err
+    assert (tmp_path / "audit.txt").exists()
+    assert not (tmp_path / "stability.csv").exists()
+
+
 def test_cli_sweep_smoke(tmp_path, capsys):
     rc = main([
         "sweep-eps", "--out", str(tmp_path),
@@ -198,6 +210,32 @@ def test_shipped_configs_audit_clean(tmp_path):
         rc = main(["audit", "--config", str(cfg), "--out", str(out)] + extra)
         assert rc == expected_rc, name
         assert (out / "audit.txt").read_bytes() == (golden / f"audit-{name}.txt").read_bytes(), name
+
+
+@pytest.mark.parametrize("name, cfg, extra", [
+    ("default", "default.cfg", []),
+    ("separation", "separation.cfg", []),
+    ("double-obstacle", "default.cfg", ["--set", "potential.family=double-obstacle"]),
+])
+def test_simulate_diagnostics_match_golden(tmp_path, name, cfg, extra):
+    # the golden rows were written before the stepper's hot path was trimmed;
+    # only the polynomial well's F1' = r*r*r (within 1 ulp of r**3) may move
+    # the last bits, so default.cfg is compared to 1e-12 and the rest exactly
+    cfg_dir = Path(__file__).resolve().parents[1] / "configs"
+    golden = Path(__file__).resolve().parent / "golden" / f"diagnostics-{name}.csv"
+    rc = main(["simulate", "--config", str(cfg_dir / cfg), "--out", str(tmp_path),
+               "--set", "model.T=0.05"] + extra)
+    assert rc == 0
+    out = tmp_path / "diagnostics.csv"
+    if name != "default":
+        assert out.read_bytes() == golden.read_bytes()
+        return
+    got = np.genfromtxt(out, delimiter=",", names=True)
+    want = np.genfromtxt(golden, delimiter=",", names=True)
+    assert got.dtype.names == want.dtype.names and got.shape == want.shape == (51,)
+    for col in want.dtype.names:
+        assert np.max(np.abs(got[col] - want[col])) <= 1e-12, col
+    assert np.array_equal(got["newton_iters"], want["newton_iters"])
 
 
 def test_cli_oracle_compare_smoke(tmp_path, capsys):

@@ -83,6 +83,18 @@ def test_laplacian_zero_mean_random(grid64):
         assert abs(mean(laplacian_neumann(f))) <= 1e-12
 
 
+def test_laplacian_1d_equals_the_general_path_bitwise():
+    # the 1D slicing path against the per-axis path of a 2D grid on a field
+    # constant along y, whose y differences are exact zeros
+    n = 64
+    g1 = GridSpec(1, (1.0,), (n,))
+    g2 = GridSpec(2, (1.0, 1.0), (n, 4))
+    v = np.random.default_rng(3).standard_normal(n)
+    lap1 = laplacian_neumann(Field(g1, v)).values
+    lap2 = laplacian_neumann(Field(g2, np.repeat(v, 4))).values.reshape(n, 4)
+    assert all(np.array_equal(lap1, lap2[:, j]) for j in range(4))
+
+
 def test_laplacian_2d_eigenfunction():
     g = GridSpec(2, (1.0, 2.0), (64, 64))
     X, Y = g.meshgrid()

@@ -58,6 +58,19 @@ def test_omega_restriction_brute_force():
         assert np.max(np.abs(got - expected)) <= 1e-12
 
 
+def test_1d_convolution_equals_the_padded_rfftn_path_bitwise(grid256):
+    from scipy.fft import irfftn, rfftn
+
+    b = build(KernelSpec("gaussian", width=0.3, normalization=1.5), grid256)
+    fast = b._fast
+    v = np.random.default_rng(4).standard_normal(grid256.size)
+    vpad = np.zeros(fast._pad)
+    vpad[:grid256.size] = v
+    shift = fast._shift[0]
+    expected = irfftn(rfftn(vpad) * fast._khat, s=fast._pad)[shift:shift + grid256.size]
+    assert np.array_equal(b.convolve_array(v), expected)
+
+
 def test_convolve_basics(grid64):
     b = build(KernelSpec("gaussian", width=0.3, normalization=1.5), grid64)
     zero = Field.constant(grid64, 0.0)

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nlch.model
 import nlch.potential
 from nlch.audit import GateInput, admit, ip_infty, ip_init
 from nlch.config import build_problem, load_config
@@ -243,6 +244,20 @@ def test_initial_data_checks(grid64, logpot, poly):
         admit([ip_infty(GateInput(coupled_params(), spec=poly, init=bad_sigma))])
 
 
+def test_run_admits_sigma0_through_ip_infty(grid64, bundle64, poly):
+    # with eta = 0 the audit fails sigma0 outside [0, 1], so a direct run must too
+    bad_sigma = InitialData(
+        Field.constant(grid64, 0.0),
+        Field.constant(grid64, 0.0),
+        Field.constant(grid64, 1.2),
+    )
+    with pytest.raises(AssumptionError, match="ip_infty"):
+        run(bad_sigma, coupled_params(eta=0.0, T=0.01), bundle64, poly)
+    # the row does not apply with active transport
+    traj = run(bad_sigma, coupled_params(eta=0.05, T=0.002), bundle64, poly)
+    assert traj.complete and len(traj.records) == 3
+
+
 def test_orderings_agree_to_first_order(grid64, bundle64, poly):
     x = grid64.axis_coordinates(0)
     init = InitialData(
@@ -337,3 +352,35 @@ def test_unconverged_resolvent_fails_the_step_in_the_resolvent_phase(monkeypatch
     assert err.value.phase == "resolvent"
     assert isinstance(err.value.__cause__, SolverError)
     assert len(err.value.residual_history) == 1
+
+
+def _first_step(problem, params, sig):
+    phi, mu = problem.init.phi0.values, problem.init.mu0.values
+    yos = yosida_with_derivative(problem.spec, params.lam_eff, phi)
+    return _step_arrays(0.0, phi, mu, sig, problem.bundle.convolve_array(phi), yos, params,
+                        problem.bundle, problem.spec)
+
+
+def test_non_finite_newton_residual_fails_the_step():
+    # P sigma overflows the source term: the residual and its tolerance are
+    # both infinite, which no accepted state may have
+    problem = build_problem(load_config(str(CONFIGS / "default.cfg"), ["model.T=0.01"]))
+    sig = np.full(problem.grid.size, 1e308)
+    with np.errstate(over="ignore"), pytest.raises(StepError, match="not finite") as err:
+        _first_step(problem, problem.params.with_params(P=4.0), sig)
+    assert err.value.phase == "Newton"
+
+
+def test_non_finite_nutrient_fails_the_step(monkeypatch):
+    problem = build_problem(load_config(str(CONFIGS / "default.cfg"), ["model.T=0.01"]))
+    solve = nlch.model.solve_shifted_diffusion
+
+    def nan_nutrient(grid, diag, lap_coeff, rhs):
+        # the nutrient diagonal 1 + dt (B + C h) is the only one >= 1 here
+        x = solve(grid, diag, lap_coeff, rhs)
+        return np.full_like(x, np.nan) if np.min(diag) >= 1.0 else x
+
+    monkeypatch.setattr(nlch.model, "solve_shifted_diffusion", nan_nutrient)
+    with pytest.raises(StepError, match="non-finite") as err:
+        _first_step(problem, problem.params, problem.init.sigma0.values)
+    assert err.value.phase == "nutrient"

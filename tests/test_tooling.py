@@ -26,14 +26,24 @@ def test_tracer_installs_and_restores_every_site(monkeypatch):
         assert nlch.grid.__dict__[name] is fn
 
 
-def test_tracer_sees_one_polynomial_resolvent_per_newton_iterate(monkeypatch):
-    # the closed-form root still goes through _resolvent_newton, so the
-    # per-layer resolvent metrics keep counting real calls
+def _assert_one_resolvent_span_per_newton_iterate(monkeypatch, config, family):
     tracing = _tracing(monkeypatch)
-    problem = build_problem(load_config(str(ROOT / "configs" / "default.cfg"), ["model.T=0.02"]))
+    problem = build_problem(load_config(str(ROOT / "configs" / config), ["model.T=0.02"]))
     with tracing.Tracer().installed() as tracer:
         traj = run(problem.init, problem.params, problem.bundle, problem.spec)
     newton_iters = sum(rec.newton_iters for rec in traj.records)
     labels = [span[0] for span in tracer.spans]
-    assert labels.count("potential.resolvent.polynomial") == newton_iters + 1
+    assert labels.count(f"potential.resolvent.{family}") == newton_iters + 1
     assert tracer.layer_totals()["model.step"]["calls"] == 20
+
+
+def test_tracer_sees_one_polynomial_resolvent_per_newton_iterate(monkeypatch):
+    # the closed-form root still goes through _resolvent_newton, so the
+    # per-layer resolvent metrics keep counting real calls
+    _assert_one_resolvent_span_per_newton_iterate(monkeypatch, "default.cfg", "polynomial")
+
+
+def test_tracer_sees_one_logarithmic_resolvent_per_newton_iterate(monkeypatch):
+    # the logarithmic iteration's early return on a converged residual
+    # still leaves one span per Newton iterate
+    _assert_one_resolvent_span_per_newton_iterate(monkeypatch, "separation.cfg", "logarithmic")
