@@ -27,7 +27,7 @@ from .errors import (
 )
 from .grid import Field, GridSpec
 from .kernel import KernelBundle, KernelSpec, build, convolve
-from .model import InitialData, ModelParams, State, Trajectory, run, step
+from .model import InitialData, ModelParams, State, Trajectory, run
 from .potential import (
     PotentialSpec,
     double_obstacle_potential,

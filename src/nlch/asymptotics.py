@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
 
 import numpy as np
 
@@ -30,7 +28,7 @@ from .diagnostics import (
 from .errors import AssumptionError, ConfigError, FitError, StepError
 from .grid import Field, norm_h, norm_v, norm_vstar
 from .kernel import KernelBundle
-from .model import InitialData, ModelParams, make_smoothed_ic, run, validate_params
+from .model import InitialData, ModelParams, admit_run, make_smoothed_ic, run
 from .potential import PotentialSpec, check_growth, f_eval, yosida
 
 MODE_WEIGHTS = {"eps": EPS_RATE_WEIGHTS, "tau": TAU_RATE_WEIGHTS, "joint": JOINT_RATE_WEIGHTS}
@@ -42,7 +40,7 @@ class SweepPlan:
     """One relaxation-limit experiment.
 
     mode 'eps' drives eps -> 0 at fixed tau, 'tau' drives tau -> 0 at
-    fixed eps, 'joint' drives both along eps_k = coupling(tau_k). The
+    fixed eps, 'joint' drives both along eps_k = tau_k^2. The
     values sequence lists the swept parameter (eps for mode 'eps', tau
     otherwise), strictly decreasing and at least 1e-8.
     """
@@ -53,10 +51,7 @@ class SweepPlan:
     init: InitialData
     bundle: KernelBundle
     spec: PotentialSpec
-    coupling: Callable[[float], float] | None = None
     m0_cap: float = 100.0
-    workers: int = 1
-    snapshot_stride: int = 1
     check_floor: bool = True
 
     def __post_init__(self):
@@ -68,8 +63,6 @@ class SweepPlan:
         if any(b >= a for a, b in zip(vals, vals[1:])):
             raise ConfigError("sweep values must be strictly decreasing")
         self.values = vals
-        if self.mode == "joint" and self.coupling is None:
-            self.coupling = lambda tau: tau * tau
 
 
 @dataclass
@@ -144,7 +137,7 @@ def _member_setup(plan: SweepPlan, value: float):
             sigma0=make_smoothed_ic(plan.init.sigma0, value),
         )
     else:
-        params = base.with_params(tau=value, eps=plan.coupling(value))
+        params = base.with_params(tau=value, eps=value * value)
         init = InitialData(
             phi0=make_smoothed_ic(plan.init.phi0, value),
             mu0=plan.init.mu0,
@@ -190,23 +183,27 @@ def _check_monitors(plan: SweepPlan, params: ModelParams, init: InitialData):
             )
 
 
-def _validate_plan(plan: SweepPlan, constants: DerivedConstants):
-    """Plan-only gates, then the limit system through the gate table."""
+def _admit_plan(plan: SweepPlan, constants: DerivedConstants):
+    """Plan-only gates, then the limit system and every member through
+    the gate table, with the members' boundedness monitors.
+
+    Returns (value, params, initial data) for each member.
+    """
     base = plan.base_params
     if plan.mode == "eps" and not 0 < base.tau < 1:
         raise AssumptionError("tau in (0, tau0)", f"eps sweep needs fixed tau in (0, 1), got {base.tau}")
     if plan.mode == "tau" and base.eps <= 0:
         raise AssumptionError("eps > 0", "tau sweep needs fixed eps > 0", value=base.eps)
-    if plan.mode == "joint":
-        ratios = [math.sqrt(plan.coupling(t)) / t for t in plan.values]
-        if max(ratios) > 100.0:
-            raise AssumptionError(
-                "limsup", f"joint scaling sup eps^1/2/tau = {max(ratios):.3g} is unbounded",
-                value=max(ratios),
-            )
     if plan.mode in ("eps", "joint"):
         check_growth(plan.spec)  # raises InapplicabilityError for barrier families
-    validate_params(_limit_params(plan), plan.bundle, plan.spec, constants)
+    admit_run(plan.init, _limit_params(plan), plan.bundle, plan.spec, constants)
+    members = []
+    for value in plan.values:
+        params, init = _member_setup(plan, value)
+        _check_monitors(plan, params, init)
+        admit_run(init, params, plan.bundle, plan.spec, constants)
+        members.append((value, params, init))
+    return members
 
 
 def _limit_params(plan: SweepPlan) -> ModelParams:
@@ -227,64 +224,43 @@ def sweep(plan: SweepPlan, constants: DerivedConstants | None = None) -> ErrorRe
     """
     if constants is None:
         constants = derive_constants(plan.bundle, plan.spec)
-    _validate_plan(plan, constants)
+    members = _admit_plan(plan, constants)
     weights = MODE_WEIGHTS[plan.mode]
 
+    # every run below was admitted by _admit_plan, except the dt/2 floor
     ref_params = _limit_params(plan)
-    reference = run(plan.init, ref_params, plan.bundle, plan.spec,
-                    snapshot_stride=plan.snapshot_stride, constants=constants,
+    reference = run(plan.init, ref_params, plan.bundle, plan.spec, validate=False,
                     record_diagnostics=False)
 
     floor = None
     if plan.check_floor:
         half = ref_params.with_params(dt=ref_params.dt / 2.0)
-        ref_half = run(plan.init, half, plan.bundle, plan.spec,
-                       snapshot_stride=2 * plan.snapshot_stride, constants=constants,
-                       record_diagnostics=False)
+        ref_half = run(plan.init, half, plan.bundle, plan.spec, snapshot_stride=2,
+                       constants=constants, record_diagnostics=False)
         floor = distance(reference, ref_half, eps=plan.base_params.eps,
                          components=set(weights)).total(weights)
 
-    def one_member(value):
-        """The member's distance to the reference, or the StepError that failed its run."""
-        params, init = _member_setup(plan, value)
-        _check_monitors(plan, params, init)
-        try:
-            traj = run(init, params, plan.bundle, plan.spec,
-                       snapshot_stride=plan.snapshot_stride, constants=constants,
-                       record_diagnostics=False)
-        except StepError as err:
-            return err
-        return distance(traj, reference, eps=params.eps, components=set(weights))
-
     report = ErrorReport(
         mode=plan.mode,
-        parameter_values=list(plan.values),
+        parameter_values=[],
         distances=[],
         totals=[],
         theoretical_slope=MODE_THEORY_SLOPE[plan.mode],
         floor=floor,
     )
-    if plan.workers > 1:
-        with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-            outcomes = list(pool.map(one_member, plan.values))
-    else:
-        outcomes = [one_member(v) for v in plan.values]
-    results: dict[float, TrajectoryDistance] = {}
-    for v, outcome in zip(plan.values, outcomes):
-        if isinstance(outcome, StepError):
+    for value, params, init in members:
+        try:
+            traj = run(init, params, plan.bundle, plan.spec, validate=False,
+                       record_diagnostics=False)
+        except StepError as err:
             report.incomplete = True
-            report.notes.append(f"member {plan.mode} = {v:g} failed at step "
-                                f"{outcome.step}: {outcome}")
-        else:
-            results[v] = outcome
-
-    for v in plan.values:
-        if v not in results:
+            report.notes.append(f"member {plan.mode} = {value:g} failed at step "
+                                f"{err.step}: {err}")
             continue
-        d = results[v]
+        d = distance(traj, reference, eps=params.eps, components=set(weights))
+        report.parameter_values.append(value)
         report.distances.append(d)
         report.totals.append(d.total(weights))
-    report.parameter_values = [v for v in plan.values if v in results]
 
     totals = np.asarray(report.totals)
     report.used_in_fit = [True] * len(totals)

@@ -46,17 +46,9 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override one configuration key (repeatable)")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--seed", type=int, default=0, help="seed for random-smoothed ICs")
         p.add_argument("--snapshots", type=int, default=None, help="snapshot stride")
     return ap
-
-
-def _prepare_outdir(args, cfg) -> Path:
-    out = Path(args.out if args.out is not None else cfg["output.dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.resolved").write_text(cfg.resolved_text())
-    return out
 
 
 def _write_manifest(out: Path, command: str, seed: int, files: list[str]):
@@ -70,34 +62,38 @@ def _write_manifest(out: Path, command: str, seed: int, files: list[str]):
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _gate_on_audit(problem, out: Path):
-    """Mandatory audit; the verdict is persisted before any results.
+def _prologue(args, command: str, cfg=None):
+    """Configuration, problem, output directory and the mandatory audit.
 
-    Returns the report, whose derived constants the run reuses.
+    The directory receives config.resolved, the audit verdict and a
+    manifest of those two files before any results; a command that goes
+    on to write results rewrites the manifest. Returns (cfg, problem,
+    out, audit report); the report's derived constants are reused by
+    the runs.
     """
+    if cfg is None:
+        cfg = load_config(args.config, args.set)
+    problem = build_problem(cfg, seed=args.seed)
+    out = Path(args.out if args.out is not None else cfg["output.dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.resolved").write_text(cfg.resolved_text())
     report = run_audit(problem.params, problem.bundle, problem.spec, problem.init)
     (out / "audit.txt").write_text(report.render())
     print(report.render(), end="")
-    return report
+    _write_manifest(out, command, args.seed, ["config.resolved", "audit.txt"])
+    if not report.passed:
+        print(f"audit failed; {out} holds the verdict and no results", file=sys.stderr)
+    return cfg, problem, out, report
 
 
 def _cmd_audit(args) -> int:
-    cfg = load_config(args.config, args.set)
-    problem = build_problem(cfg, seed=args.seed)
-    out = _prepare_outdir(args, cfg)
-    ok = _gate_on_audit(problem, out).passed
-    _write_manifest(out, "audit", args.seed, ["config.resolved", "audit.txt"])
-    return 0 if ok else 1
+    *_, report = _prologue(args, "audit")
+    return 0 if report.passed else 1
 
 
 def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config, args.set)
-    problem = build_problem(cfg, seed=args.seed)
-    out = _prepare_outdir(args, cfg)
-    report = _gate_on_audit(problem, out)
+    cfg, problem, out, report = _prologue(args, "simulate")
     if not report.passed:
-        _write_manifest(out, "simulate", args.seed, ["config.resolved", "audit.txt"])
-        print("audit failed; no results emitted", file=sys.stderr)
         return 1
     stride = args.snapshots if args.snapshots is not None else cfg["output.snapshot_stride"]
     failure = None
@@ -134,10 +130,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _sweep_command(args, mode: str) -> int:
-    cfg = load_config(args.config, args.set)
-    problem = build_problem(cfg, seed=args.seed)
-    out = _prepare_outdir(args, cfg)
-    audit_report = _gate_on_audit(problem, out)
+    cfg, problem, out, audit_report = _prologue(args, f"sweep-{mode}")
     if not audit_report.passed:
         return 1
     base = problem.params.with_params(T=cfg["sweep.t"], dt=cfg["sweep.dt"])
@@ -149,7 +142,6 @@ def _sweep_command(args, mode: str) -> int:
         bundle=problem.bundle,
         spec=problem.spec,
         m0_cap=cfg["sweep.m0"],
-        workers=args.workers,
         check_floor=cfg["sweep.check_floor"],
     )
     report = asymptotics.sweep(plan, constants=audit_report.constants)
@@ -183,10 +175,7 @@ def _sweep_command(args, mode: str) -> int:
 
 
 def _cmd_stability(args) -> int:
-    cfg = load_config(args.config, args.set)
-    problem = build_problem(cfg, seed=args.seed)
-    out = _prepare_outdir(args, cfg)
-    report = _gate_on_audit(problem, out)
+    cfg, problem, out, report = _prologue(args, "stability")
     if not report.passed:
         return 1
     deltas = cfg["stability.deltas"]
@@ -227,15 +216,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle_compare(args) -> int:
     cfg = load_config(args.config, args.set)
-    overrides = {
+    cfg.entries.update({
         "model.eps": 0.1, "model.tau": 0.1,
         "model.dt": cfg["oracle.dt"], "model.T": cfg["oracle.t"],
-    }
-    for k, v in overrides.items():
-        cfg.entries[k] = v
-    problem = build_problem(cfg, seed=args.seed)
-    out = _prepare_outdir(args, cfg)
-    report = _gate_on_audit(problem, out)
+    })
+    cfg, problem, out, report = _prologue(args, "oracle-compare", cfg)
     if not report.passed:
         return 1
     n = cfg["oracle.modes"]

@@ -71,7 +71,6 @@ SCHEMA: dict[str, tuple] = {
     "model.T": (float, 0.25),
     "model.newton_tol": (float, 1e-10),
     "model.newton_cap": (int, 50),
-    "scheme.ordering": (str, "gauss-seidel"),
     "ic.family": (str, "cosine"),
     "ic.phi_mean": (float, 0.0),
     "ic.phi_amplitude": (float, 0.3),
@@ -214,9 +213,6 @@ def build_params(cfg: RunConfig) -> ModelParams:
     h_name = cfg["model.h"]
     if h_name not in H_FAMILIES:
         raise ConfigError(f"unknown proliferation profile {h_name!r}")
-    ordering = cfg["scheme.ordering"]
-    if ordering not in ("gauss-seidel", "jacobi"):
-        raise ConfigError(f"scheme.ordering must be gauss-seidel or jacobi, got {ordering!r}")
     params = ModelParams(
         eps=cfg["model.eps"],
         tau=cfg["model.tau"],
@@ -231,7 +227,6 @@ def build_params(cfg: RunConfig) -> ModelParams:
         lam=cfg["potential.lambda"],
         dt=cfg["model.dt"],
         T=cfg["model.T"],
-        ordering=ordering,
         newton_tol=cfg["model.newton_tol"],
         newton_cap=cfg["model.newton_cap"],
     )

@@ -111,10 +111,6 @@ class Field:
     def constant(cls, grid: GridSpec, c: float) -> "Field":
         return cls(grid, np.full(grid.size, float(c)))
 
-    @classmethod
-    def from_function(cls, grid: GridSpec, fn) -> "Field":
-        return cls(grid, fn(*grid.meshgrid()))
-
     def reshaped(self) -> np.ndarray:
         return self.values.reshape(self.grid.shape)
 
@@ -440,15 +436,9 @@ def read_field(path) -> Field:
 
 def write_field_csv(path, f: Field):
     """CSV export with cell-center coordinates, for plotting."""
-    coords = f.grid.meshgrid()
+    columns = [c.reshape(-1) for c in f.grid.meshgrid()] + [f.values]
+    header = ",".join("xy"[:f.grid.dim]) + ",value\n"
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    values = np.column_stack(columns).ravel().tolist()
     with open(path, "w") as fh:
-        if f.grid.dim == 1:
-            fh.write("x,value\n")
-            for x, v in zip(coords[0].reshape(-1), f.values):
-                fh.write(f"{x:.17g},{v:.17g}\n")
-        else:
-            fh.write("x,y,value\n")
-            xs = coords[0].reshape(-1)
-            ys = coords[1].reshape(-1)
-            for x, y, v in zip(xs, ys, f.values):
-                fh.write(f"{x:.17g},{y:.17g},{v:.17g}\n")
+        fh.write(header + row * f.grid.size % tuple(values))

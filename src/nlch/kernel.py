@@ -107,8 +107,7 @@ class KernelSpec:
 class _FastConvolution:
     """Cached zero-padded real FFT plan for one (kernel, grid) pair.
 
-    The plan is read-only after construction, so concurrent convolve
-    calls on a shared bundle are safe.
+    The plan is read-only after construction.
     """
 
     def __init__(self, kernel_table: np.ndarray, grid: GridSpec):
@@ -159,9 +158,6 @@ class KernelBundle:
     b_sup: float
     c_a: float
     _fast: _FastConvolution = field(repr=False)
-
-    def convolve(self, v: Field) -> Field:
-        return convolve(self, v)
 
     def convolve_array(self, vals: np.ndarray) -> np.ndarray:
         """Fast path on raw sample arrays (same quadrature as convolve)."""

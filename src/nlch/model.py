@@ -8,7 +8,8 @@ One step advances (phi, mu, sigma) by a first-order IMEX scheme:
        by Newton iteration with the diagonal Yosida derivative; diffusion,
        the local non-local coefficient a, and the Yosida term are implicit,
        while the convolution, F2', h, and the couplings are explicit;
-  (ii) the nutrient is updated by one linear implicit solve;
+  (ii) the nutrient is updated by one linear implicit solve that reads the
+       new phi+ through h(phi+) and the transport term eta lap phi+;
   (iii) the recorded selection xi+ is the Yosida value at phi+.
 
 The degenerate regimes eps = 0 and/or tau = 0 use the same Newton system,
@@ -30,7 +31,7 @@ from .audit import (RUN_GATES, DerivedConstants, GateInput, admit, derive_consta
 from .errors import AssumptionError, ConfigError, SolverError, StepError
 from .grid import Field, GridSpec, solve_helmholtz, solve_shifted_diffusion, _lap_array
 from .kernel import KernelBundle
-from .potential import PotentialSpec, f2_prime, yosida, yosida_with_derivative
+from .potential import PotentialSpec, f2_prime, yosida_with_derivative
 
 
 def h_default(r):
@@ -93,7 +94,6 @@ class ModelParams:
     lam: float = 1e-3
     dt: float = 1e-3
     T: float = 1.0
-    ordering: str = "gauss-seidel"
     newton_tol: float = 1e-10
     newton_cap: int = 50
 
@@ -131,11 +131,11 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class State:
-    t: float
+    """The fields diagnostics.energy and diagnostics.lyapunov read."""
+
     phi: Field
     mu: Field
     sigma: Field
-    xi: Field
 
 
 @dataclass(frozen=True)
@@ -143,11 +143,6 @@ class InitialData:
     phi0: Field
     mu0: Field
     sigma0: Field
-
-
-def initial_state(init: InitialData, params: ModelParams, spec: PotentialSpec) -> State:
-    xi = Field(init.phi0.grid, yosida(spec, params.lam_eff, init.phi0.values))
-    return State(t=0.0, phi=init.phi0, mu=init.mu0, sigma=init.sigma0, xi=xi)
 
 
 def validate_params(params: ModelParams, bundle: KernelBundle, spec: PotentialSpec,
@@ -165,6 +160,13 @@ def validate_params(params: ModelParams, bundle: KernelBundle, spec: PotentialSp
     g = GateInput(params, bundle, spec, constants)
     admit(gate(g) for gate in RUN_GATES)
     return constants
+
+
+def admit_run(init: InitialData, params: ModelParams, bundle: KernelBundle,
+              spec: PotentialSpec, constants: DerivedConstants | None = None):
+    """Admit the parameters, then the initial data (ip_init, ip_infty)."""
+    validate_params(params, bundle, spec, constants)
+    admit(gate(GateInput(params, spec=spec, init=init)) for gate in (ip_init, ip_infty))
 
 
 @dataclass
@@ -269,13 +271,9 @@ def _step_arrays(t, phi, mu, sig, conv_phi, yos, params: ModelParams,
                 residual_history=history, phase="barrier",
             )
 
-    if params.ordering == "jacobi":
-        h_sig, phi_eta = h_old, phi
-    else:
-        h_sig, phi_eta = params.h(phi_new), phi_new
     sig_s = _sigma_s_array(params.sigma_s, grid, t + dt)
-    rhs_sig = sig + dt * (params.B * sig_s - params.eta * _lap_array(phi_eta, grid))
-    diag_sig = 1.0 + dt * (params.B + params.C * h_sig)
+    rhs_sig = sig + dt * (params.B * sig_s - params.eta * _lap_array(phi_new, grid))
+    diag_sig = 1.0 + dt * (params.B + params.C * params.h(phi_new))
     sig_new = solve("nutrient", diag_sig, rhs_sig)
     if not np.isfinite(sig_new).all():
         raise StepError("nutrient solve returned non-finite values",
@@ -287,24 +285,6 @@ def _step_arrays(t, phi, mu, sig, conv_phi, yos, params: ModelParams,
     )
     stats = StepStats(newton_iters=len(history) - 1, residual=res, mass_defect=mass_defect)
     return phi_new, mu_new, sig_new, yos, stats
-
-
-def step(state: State, params: ModelParams, bundle: KernelBundle,
-         spec: PotentialSpec) -> State:
-    """Advance one time step; see the module docstring for the scheme."""
-    phi = state.phi.values
-    phi, mu, sig, yos, _ = _step_arrays(
-        state.t, phi, state.mu.values, state.sigma.values, bundle.convolve_array(phi),
-        yosida_with_derivative(spec, params.lam_eff, phi), params, bundle, spec,
-    )
-    grid = bundle.grid
-    return State(
-        t=state.t + params.dt,
-        phi=Field(grid, phi),
-        mu=Field(grid, mu),
-        sigma=Field(grid, sig),
-        xi=Field(grid, yos[0]),
-    )
 
 
 @dataclass
@@ -331,8 +311,7 @@ def run(init: InitialData, params: ModelParams, bundle: KernelBundle,
     time as .step and .t.
     """
     if validate:
-        constants = validate_params(params, bundle, spec, constants)
-        admit(gate(GateInput(params, spec=spec, init=init)) for gate in (ip_init, ip_infty))
+        admit_run(init, params, bundle, spec, constants)
     grid = bundle.grid
     n_steps = 0 if params.T == 0 else max(1, int(round(params.T / params.dt)))
     if params.T > 0:

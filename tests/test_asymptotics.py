@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nlch.asymptotics
 import nlch.model
 from nlch.asymptotics import (
     ErrorReport,
@@ -127,8 +128,7 @@ def test_small_eps_sweep(grid64, bundle64, poly, tmp_path):
     assert "fitted_slope" in text and "parameter," in text
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_continues_after_a_member_fails(grid64, bundle64, poly, monkeypatch, workers):
+def test_sweep_continues_after_a_member_fails(grid64, bundle64, poly, monkeypatch):
     original = nlch.model._step_arrays
 
     def failing(t, *args):
@@ -140,8 +140,7 @@ def test_sweep_continues_after_a_member_fails(grid64, bundle64, poly, monkeypatc
     monkeypatch.setattr(nlch.model, "_step_arrays", failing)
     init, base = small_problem(grid64, bundle64)
     plan = SweepPlan(mode="eps", values=(3e-2, 1e-2, 3e-3, 1e-3), base_params=base,
-                     init=init, bundle=bundle64, spec=poly, check_floor=False,
-                     workers=workers)
+                     init=init, bundle=bundle64, spec=poly, check_floor=False)
     rep = sweep(plan)
     assert rep.incomplete
     assert rep.parameter_values == [3e-2, 3e-3, 1e-3]
@@ -160,12 +159,36 @@ def test_small_joint_sweep(grid64, bundle64, poly):
     assert rep.slope is not None and rep.slope > 0.3
 
 
-def test_monitor_cap_enforced(grid64, bundle64, poly):
+@pytest.fixture
+def run_calls(monkeypatch):
+    calls = []
+    original = nlch.asymptotics.run
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nlch.asymptotics, "run", counted)
+    return calls
+
+
+def test_monitor_cap_enforced(grid64, bundle64, poly, run_calls):
     init, base = small_problem(grid64, bundle64)
     plan = SweepPlan(mode="eps", values=(1e-2, 3e-3, 1e-3), base_params=base,
                      init=init, bundle=bundle64, spec=poly, m0_cap=1e-9)
     with pytest.raises(AssumptionError, match="init-boundedness"):
         sweep(plan)
+    assert run_calls == []  # raised before the reference runs
+
+
+def test_member_admission_precedes_every_run(grid64, bundle64, poly, run_calls):
+    # the limit system is admissible; the first member is above the eps threshold
+    init, base = small_problem(grid64, bundle64)
+    plan = SweepPlan(mode="eps", values=(0.5, 1e-2, 1e-3), base_params=base,
+                     init=init, bundle=bundle64, spec=poly)
+    with pytest.raises(AssumptionError, match="eps < eps0"):
+        sweep(plan)
+    assert run_calls == []
 
 
 def test_stability_probe(grid64, bundle64, poly):

@@ -157,6 +157,30 @@ def test_cli_simulate_gated_on_audit(tmp_path, capsys):
     assert not list(tmp_path.glob("*.nlchf"))  # no results without a passing audit
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep-tau", "stability"])
+def test_cli_failed_audit_writes_the_manifest(tmp_path, capsys, command):
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "rate-study.cfg"
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path),
+               "--set", "model.eps=0.2"] + FAST)
+    assert rc == 1
+    files = ["audit.txt", "config.resolved", "manifest.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["files"] == files[:2]
+
+
+@pytest.mark.parametrize("command", ["audit", "simulate", "sweep-eps", "sweep-tau",
+                                     "sweep-joint", "stability", "verify", "oracle-compare"])
+def test_cli_removed_knobs_are_rejected(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", str(tmp_path), "--workers", "1"])
+    assert exc.value.code == 2
+    rc = main([command, "--out", str(tmp_path), "--set", "scheme.ordering=jacobi"])
+    assert rc == 2
+    assert "unknown key 'scheme.ordering'" in capsys.readouterr().err
+
+
 def test_cli_stability_smoke(tmp_path, capsys):
     rc = main([
         "stability", "--out", str(tmp_path),

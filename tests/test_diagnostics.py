@@ -23,11 +23,9 @@ from nlch.potential import polynomial_potential
 
 def make_state(grid, phi, mu=0.0, sigma=0.5):
     return State(
-        t=0.0,
         phi=phi if isinstance(phi, Field) else Field.constant(grid, phi),
         mu=Field.constant(grid, mu),
         sigma=sigma if isinstance(sigma, Field) else Field.constant(grid, sigma),
-        xi=Field.constant(grid, 0.0),
     )
 
 

@@ -208,6 +208,15 @@ def test_field_io_roundtrip(tmp_path, grid64):
     assert lines[0] == "x,value"
     assert len(lines) == grid64.size + 1
 
+    # the one-write CSV equals formatting each row on its own, byte for byte
+    g16 = GridSpec(2, (1.0, 3.0), (16, 24))
+    wide = Field(g16, rng.standard_normal(g16.size) * 10.0 ** rng.uniform(-20, 20, g16.size))
+    write_field_csv(tmp_path / "snap2.csv", wide)
+    xs, ys = (c.reshape(-1) for c in g16.meshgrid())
+    expected = "x,y,value\n" + "".join(f"{x:.17g},{y:.17g},{v:.17g}\n"
+                                       for x, y, v in zip(xs, ys, wide.values))
+    assert (tmp_path / "snap2.csv").read_bytes() == expected.encode()
+
     (tmp_path / "bad.nlchf").write_bytes(b"NOPE!!" + b"\0" * 64)
     with pytest.raises(ConfigError):
         read_field(tmp_path / "bad.nlchf")

@@ -63,10 +63,8 @@ def test_reused_record_values_equal_recomputation(name, overrides):
     problem = _problem(name, *overrides)
     traj = run(problem.init, problem.params, problem.bundle, problem.spec, snapshot_stride=1)
     assert len(traj.records) == len(traj.phis) > 1
-    for rec, t, phi, mu, sigma in zip(traj.records, traj.times, traj.phis, traj.mus,
-                                      traj.sigmas):
-        # lyapunov reads phi, mu and sigma only; xi is a placeholder
-        state = State(t=t, phi=phi, mu=mu, sigma=sigma, xi=phi)
+    for rec, phi, mu, sigma in zip(traj.records, traj.phis, traj.mus, traj.sigmas):
+        state = State(phi=phi, mu=mu, sigma=sigma)
         assert rec.lyapunov == diagnostics.lyapunov(state, traj.params, problem.bundle,
                                                     problem.spec)
         assert rec.energy_nonlocal == nonlocal_energy_density(problem.bundle, phi)
