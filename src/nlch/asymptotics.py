@@ -13,36 +13,120 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
+from typing import Callable
 
 import numpy as np
 
 from .audit import DerivedConstants, derive_constants
-from .diagnostics import (
-    EPS_RATE_WEIGHTS,
-    JOINT_RATE_WEIGHTS,
-    TAU_RATE_WEIGHTS,
-    TrajectoryDistance,
-    distance,
-    stability_weights,
-)
+from .diagnostics import TrajectoryDistance, distance
 from .errors import AssumptionError, ConfigError, FitError, StepError
 from .grid import Field, norm_h, norm_v, norm_vstar
 from .kernel import KernelBundle
 from .model import InitialData, ModelParams, admit_run, make_smoothed_ic, run
-from .potential import PotentialSpec, check_growth, f_eval, yosida
+from .potential import PotentialSpec, f_eval
 
-MODE_WEIGHTS = {"eps": EPS_RATE_WEIGHTS, "tau": TAU_RATE_WEIGHTS, "joint": JOINT_RATE_WEIGHTS}
-MODE_THEORY_SLOPE = {"eps": 0.25, "tau": 0.5, "joint": 0.5}
+
+def _f_prime_norm(spec: PotentialSpec, phi: Field) -> float:
+    # only reached for the polynomial well, which the eps = 0 limit admits
+    vals = np.asarray(spec.f1_prime(phi.values)) + np.asarray(spec.f2_prime(phi.values))
+    return norm_h(Field(phi.grid, vals, check=False))
+
+
+def _f_mass(spec: PotentialSpec, phi: Field) -> float:
+    vals = f_eval(spec, phi.values)
+    return float(np.sum(vals)) * phi.grid.cell_volume
+
+
+def _eps_monitors(p: ModelParams, spec: PotentialSpec, init: InitialData) -> dict:
+    e = p.eps
+    return {
+        "eps^1/2 |mu0|_H + |F(phi0)|_L1": (
+            math.sqrt(e) * norm_h(init.mu0) + _f_mass(spec, init.phi0)
+        ),
+        "eps^1/4 (|mu0|_V + |sigma0|_V + |F'(phi0)|_H)": e ** 0.25 * (
+            norm_v(init.mu0) + norm_v(init.sigma0) + _f_prime_norm(spec, init.phi0)
+        ),
+    }
+
+
+def _tau_monitors(p: ModelParams, spec: PotentialSpec, init: InitialData) -> dict:
+    return {
+        "tau^1/2 |phi0|_V + |F(phi0)|_L1": (
+            math.sqrt(p.tau) * norm_v(init.phi0) + _f_mass(spec, init.phi0)
+        ),
+    }
+
+
+def _joint_monitors(p: ModelParams, spec: PotentialSpec, init: InitialData) -> dict:
+    e, tau = p.eps, p.tau
+    return {
+        "tau^1/2 |phi0|_V + eps^1/2 |mu0|_H + |F(phi0)|_L1": (
+            math.sqrt(tau) * norm_v(init.phi0)
+            + math.sqrt(e) * norm_h(init.mu0)
+            + _f_mass(spec, init.phi0)
+        ),
+        "eps^1/4/tau^1/2 (|mu0|_H + |F'(phi0)|_H) + eps^1/4 (|mu0|_V + |sigma0|_V)": (
+            e ** 0.25 / math.sqrt(tau) * (norm_h(init.mu0) + _f_prime_norm(spec, init.phi0))
+            + e ** 0.25 * (norm_v(init.mu0) + norm_v(init.sigma0))
+        ),
+    }
+
+
+@dataclass(frozen=True)
+class Limit:
+    """One relaxation limit of the paper and the sweep that measures it.
+
+    ``zeroed`` names the parameters the limit system sets to zero;
+    ``member`` gives a member's parameter values at a swept value v, and
+    ``smoothing`` the scale of the elliptic smoothing of its initial data
+    (mu0 only when ``smooth_mu0``). ``positive`` names the relaxation
+    parameter held fixed, which must stay positive. ``monitors`` returns
+    the boundedness monitors of a member's data, ``weights`` selects the
+    norms of the error estimate, ``theory_slope`` is its rate.
+    """
+
+    zeroed: tuple[str, ...]
+    member: Callable[[float], dict]
+    smoothing: Callable[[float], float]
+    smooth_mu0: bool
+    positive: str | None
+    monitors: Callable[[ModelParams, PotentialSpec, InitialData], dict]
+    weights: dict
+    theory_slope: float
+
+
+# eps -> 0 at fixed tau, tau -> 0 at fixed eps, and both along eps = tau^2
+LIMITS = {
+    "eps": Limit(
+        zeroed=("eps",), member=lambda v: {"eps": v}, smoothing=math.sqrt,
+        smooth_mu0=False, positive="tau", monitors=_eps_monitors,
+        weights={"linf_h_phi": 1.0, "l2_v_mu": 1.0, "linf_h_sigma": 1.0, "l2_v_sigma": 1.0},
+        theory_slope=0.25,
+    ),
+    "tau": Limit(
+        zeroed=("tau",), member=lambda v: {"tau": v}, smoothing=lambda v: v,
+        smooth_mu0=True, positive="eps", monitors=_tau_monitors,
+        weights={"linf_vstar_combo": 1.0, "l2_h_phi": 1.0, "l2_h_mu": 1.0,
+                 "linf_h_sigma": 1.0, "l2_v_sigma": 1.0},
+        theory_slope=0.5,
+    ),
+    "joint": Limit(
+        zeroed=("eps", "tau"), member=lambda v: {"tau": v, "eps": v * v},
+        smoothing=lambda v: v, smooth_mu0=False, positive=None, monitors=_joint_monitors,
+        weights={"linf_vstar_phi": 1.0, "l2_h_phi": 1.0, "linf_h_sigma": 1.0,
+                 "l2_v_sigma": 1.0},
+        theory_slope=0.5,
+    ),
+}
 
 
 @dataclass
 class SweepPlan:
     """One relaxation-limit experiment.
 
-    mode 'eps' drives eps -> 0 at fixed tau, 'tau' drives tau -> 0 at
-    fixed eps, 'joint' drives both along eps_k = tau_k^2. The
-    values sequence lists the swept parameter (eps for mode 'eps', tau
-    otherwise), strictly decreasing and at least 1e-8.
+    mode names an entry of LIMITS. The values sequence lists the swept
+    parameter (eps for mode 'eps', tau otherwise), strictly decreasing
+    and at least 1e-8.
     """
 
     mode: str
@@ -52,17 +136,23 @@ class SweepPlan:
     bundle: KernelBundle
     spec: PotentialSpec
     m0_cap: float = 100.0
-    check_floor: bool = True
 
     def __post_init__(self):
-        if self.mode not in MODE_WEIGHTS:
-            raise ConfigError(f"sweep mode must be eps, tau, or joint; got {self.mode!r}")
+        if self.mode not in LIMITS:
+            raise ConfigError(f"sweep mode must be one of {', '.join(LIMITS)}; got {self.mode!r}")
         vals = tuple(float(v) for v in self.values)
         if len(vals) < 1 or any(v < 1e-8 for v in vals):
             raise ConfigError("sweep values must be >= 1e-8")
         if any(b >= a for a, b in zip(vals, vals[1:])):
             raise ConfigError("sweep values must be strictly decreasing")
         self.values = vals
+
+    @property
+    def limit(self) -> Limit:
+        return LIMITS[self.mode]
+
+    def limit_params(self) -> ModelParams:
+        return self.base_params.with_params(**dict.fromkeys(self.limit.zeroed, 0.0))
 
 
 @dataclass
@@ -74,11 +164,11 @@ class ErrorReport:
     distances: list[TrajectoryDistance]
     totals: list[float]
     theoretical_slope: float
+    floor: float
     slope: float | None = None
     intercept: float | None = None
     fit_residual: float | None = None
     used_in_fit: list[bool] = dc_field(default_factory=list)
-    floor: float | None = None
     monotone_ok: bool = True
     incomplete: bool = False
     notes: list[str] = dc_field(default_factory=list)
@@ -105,114 +195,42 @@ def fit_rate(values, errors) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), resid
 
 
-def _f_prime_norm(spec: PotentialSpec, lam: float, phi: Field) -> float:
-    if spec.f1_prime is not None:
-        vals = np.asarray(spec.f1_prime(phi.values)) + np.asarray(spec.f2_prime(phi.values))
-    else:
-        vals = yosida(spec, lam, phi.values) + np.asarray(spec.f2_prime(phi.values))
-    return norm_h(Field(phi.grid, vals, check=False))
-
-
-def _f_mass(spec: PotentialSpec, phi: Field) -> float:
-    vals = f_eval(spec, phi.values)
-    return float(np.sum(vals)) * phi.grid.cell_volume
-
-
 def _member_setup(plan: SweepPlan, value: float):
     """Parameters and smoothed initial data for one sweep member."""
-    base = plan.base_params
-    if plan.mode == "eps":
-        params = base.with_params(eps=value)
-        s = math.sqrt(value)
-        init = InitialData(
-            phi0=make_smoothed_ic(plan.init.phi0, s),
-            mu0=plan.init.mu0,
-            sigma0=make_smoothed_ic(plan.init.sigma0, s),
-        )
-    elif plan.mode == "tau":
-        params = base.with_params(tau=value)
-        init = InitialData(
-            phi0=make_smoothed_ic(plan.init.phi0, value),
-            mu0=make_smoothed_ic(plan.init.mu0, value),
-            sigma0=make_smoothed_ic(plan.init.sigma0, value),
-        )
-    else:
-        params = base.with_params(tau=value, eps=value * value)
-        init = InitialData(
-            phi0=make_smoothed_ic(plan.init.phi0, value),
-            mu0=plan.init.mu0,
-            sigma0=make_smoothed_ic(plan.init.sigma0, value),
-        )
-    return params, init
-
-
-def _check_monitors(plan: SweepPlan, params: ModelParams, init: InitialData):
-    """Boundedness monitors on the approximating data (abort on blowup)."""
-    spec = plan.spec
-    lam = params.lam_eff
-    quantities = {}
-    if plan.mode == "eps":
-        e = params.eps
-        quantities["eps^1/2 |mu0|_H + |F(phi0)|_L1"] = (
-            math.sqrt(e) * norm_h(init.mu0) + _f_mass(spec, init.phi0)
-        )
-        quantities["eps^1/4 (|mu0|_V + |sigma0|_V + |F'(phi0)|_H)"] = e ** 0.25 * (
-            norm_v(init.mu0) + norm_v(init.sigma0) + _f_prime_norm(spec, lam, init.phi0)
-        )
-    elif plan.mode == "tau":
-        quantities["tau^1/2 |phi0|_V + |F(phi0)|_L1"] = (
-            math.sqrt(params.tau) * norm_v(init.phi0) + _f_mass(spec, init.phi0)
-        )
-    else:
-        e, tau = params.eps, params.tau
-        quantities["tau^1/2 |phi0|_V + eps^1/2 |mu0|_H + |F(phi0)|_L1"] = (
-            math.sqrt(tau) * norm_v(init.phi0)
-            + math.sqrt(e) * norm_h(init.mu0)
-            + _f_mass(spec, init.phi0)
-        )
-        quantities["eps^1/4/tau^1/2 (|mu0|_H + |F'(phi0)|_H) + eps^1/4 (|mu0|_V + |sigma0|_V)"] = (
-            e ** 0.25 / math.sqrt(tau) * (norm_h(init.mu0) + _f_prime_norm(spec, lam, init.phi0))
-            + e ** 0.25 * (norm_v(init.mu0) + norm_v(init.sigma0))
-        )
-    for name, q in quantities.items():
-        if not q <= plan.m0_cap:
-            raise AssumptionError(
-                "init-boundedness",
-                f"monitored quantity {name} = {q:.6g} exceeds M0 = {plan.m0_cap}",
-                value=q,
-            )
+    lim = plan.limit
+    s = lim.smoothing(value)
+    init = InitialData(
+        phi0=make_smoothed_ic(plan.init.phi0, s),
+        mu0=make_smoothed_ic(plan.init.mu0, s) if lim.smooth_mu0 else plan.init.mu0,
+        sigma0=make_smoothed_ic(plan.init.sigma0, s),
+    )
+    return plan.base_params.with_params(**lim.member(value)), init
 
 
 def _admit_plan(plan: SweepPlan, constants: DerivedConstants):
-    """Plan-only gates, then the limit system and every member through
-    the gate table, with the members' boundedness monitors.
+    """The fixed parameter's sign, then the limit system and every member
+    through the gate table, with the members' boundedness monitors.
 
     Returns (value, params, initial data) for each member.
     """
-    base = plan.base_params
-    if plan.mode == "eps" and not 0 < base.tau < 1:
-        raise AssumptionError("tau in (0, tau0)", f"eps sweep needs fixed tau in (0, 1), got {base.tau}")
-    if plan.mode == "tau" and base.eps <= 0:
-        raise AssumptionError("eps > 0", "tau sweep needs fixed eps > 0", value=base.eps)
-    if plan.mode in ("eps", "joint"):
-        check_growth(plan.spec)  # raises InapplicabilityError for barrier families
-    admit_run(plan.init, _limit_params(plan), plan.bundle, plan.spec, constants)
+    fixed = plan.limit.positive
+    if fixed is not None and not getattr(plan.base_params, fixed) > 0:
+        raise AssumptionError(f"{fixed} > 0", f"{plan.mode} sweep needs fixed {fixed} > 0",
+                              value=getattr(plan.base_params, fixed))
+    admit_run(plan.init, plan.limit_params(), plan.bundle, plan.spec, constants)
     members = []
     for value in plan.values:
         params, init = _member_setup(plan, value)
-        _check_monitors(plan, params, init)
+        for name, q in plan.limit.monitors(params, plan.spec, init).items():
+            if not q <= plan.m0_cap:
+                raise AssumptionError(
+                    "init-boundedness",
+                    f"monitored quantity {name} = {q:.6g} exceeds M0 = {plan.m0_cap}",
+                    value=q,
+                )
         admit_run(init, params, plan.bundle, plan.spec, constants)
         members.append((value, params, init))
     return members
-
-
-def _limit_params(plan: SweepPlan) -> ModelParams:
-    base = plan.base_params
-    if plan.mode == "eps":
-        return base.with_params(eps=0.0)
-    if plan.mode == "tau":
-        return base.with_params(tau=0.0)
-    return base.with_params(eps=0.0, tau=0.0)
 
 
 def sweep(plan: SweepPlan, constants: DerivedConstants | None = None) -> ErrorReport:
@@ -225,27 +243,24 @@ def sweep(plan: SweepPlan, constants: DerivedConstants | None = None) -> ErrorRe
     if constants is None:
         constants = derive_constants(plan.bundle, plan.spec)
     members = _admit_plan(plan, constants)
-    weights = MODE_WEIGHTS[plan.mode]
+    weights = plan.limit.weights
 
     # every run below was admitted by _admit_plan, except the dt/2 floor
-    ref_params = _limit_params(plan)
+    ref_params = plan.limit_params()
     reference = run(plan.init, ref_params, plan.bundle, plan.spec, validate=False,
                     record_diagnostics=False)
-
-    floor = None
-    if plan.check_floor:
-        half = ref_params.with_params(dt=ref_params.dt / 2.0)
-        ref_half = run(plan.init, half, plan.bundle, plan.spec, snapshot_stride=2,
-                       constants=constants, record_diagnostics=False)
-        floor = distance(reference, ref_half, eps=plan.base_params.eps,
-                         components=set(weights)).total(weights)
+    half = ref_params.with_params(dt=ref_params.dt / 2.0)
+    ref_half = run(plan.init, half, plan.bundle, plan.spec, snapshot_stride=2,
+                   constants=constants, record_diagnostics=False)
+    floor = distance(reference, ref_half, eps=plan.base_params.eps,
+                     components=set(weights)).total(weights)
 
     report = ErrorReport(
         mode=plan.mode,
         parameter_values=[],
         distances=[],
         totals=[],
-        theoretical_slope=MODE_THEORY_SLOPE[plan.mode],
+        theoretical_slope=plan.limit.theory_slope,
         floor=floor,
     )
     for value, params, init in members:
@@ -264,14 +279,13 @@ def sweep(plan: SweepPlan, constants: DerivedConstants | None = None) -> ErrorRe
 
     totals = np.asarray(report.totals)
     report.used_in_fit = [True] * len(totals)
-    if floor is not None:
-        for i, tot in enumerate(totals):
-            if tot <= 3.0 * floor:
-                report.used_in_fit[i] = False
-                report.notes.append(
-                    f"value {report.parameter_values[i]:.3g} is within 3x of the "
-                    f"dt-refinement floor {floor:.3e}; excluded from the fit"
-                )
+    for i, tot in enumerate(totals):
+        if tot <= 3.0 * floor:
+            report.used_in_fit[i] = False
+            report.notes.append(
+                f"value {report.parameter_values[i]:.3g} is within 3x of the "
+                f"dt-refinement floor {floor:.3e}; excluded from the fit"
+            )
 
     # Non-increasing along the decreasing parameter sequence, tolerating
     # one inversion of at most 5 percent (discretization floor noise).
@@ -309,8 +323,7 @@ def write_rates_csv(path, report: ErrorReport):
             fh.write(f"# fitted_slope,{report.slope:.17g}\n")
             fh.write(f"# intercept,{report.intercept:.17g}\n")
             fh.write(f"# fit_residual,{report.fit_residual:.17g}\n")
-        if report.floor is not None:
-            fh.write(f"# dt_floor,{report.floor:.17g}\n")
+        fh.write(f"# dt_floor,{report.floor:.17g}\n")
         fh.write(f"# monotone_ok,{int(report.monotone_ok)}\n")
         fh.write(f"# incomplete,{int(report.incomplete)}\n")
 
@@ -327,7 +340,7 @@ class StabilityRow:
 
 
 def stability_probe(init: InitialData, params: ModelParams, bundle: KernelBundle,
-                    spec: PotentialSpec, deltas, bump: Field | None = None,
+                    spec: PotentialSpec, deltas,
                     constants: DerivedConstants | None = None) -> list[StabilityRow]:
     """Continuous-dependence ratios for perturbed initial data.
 
@@ -341,9 +354,10 @@ def stability_probe(init: InitialData, params: ModelParams, bundle: KernelBundle
     if constants is None:
         constants = derive_constants(bundle, spec)
     grid = bundle.grid
-    if bump is None:
-        x = grid.meshgrid()[0]
-        bump = Field(grid, np.cos(np.pi * x / grid.extent[0]))
+    bump = Field(grid, np.cos(np.pi * grid.meshgrid()[0] / grid.extent[0]))
+    # left-hand side of the continuous-dependence estimate
+    weights = {"linf_vstar_combo": 1.0, "l2_h_mu": 1.0, "linf_h_phi": math.sqrt(params.tau),
+               "l2_h_phi": 1.0, "linf_h_sigma": 1.0, "l2_v_sigma": 1.0}
 
     base = run(init, params, bundle, spec, constants=constants, record_diagnostics=False)
     rows = []
@@ -356,9 +370,8 @@ def stability_probe(init: InitialData, params: ModelParams, bundle: KernelBundle
             sigma0=Field(grid, init.sigma0.values + delta * bump.values),
         )
         traj = run(pert, params, bundle, spec, constants=constants, record_diagnostics=False)
-        wts = stability_weights(params.tau)
-        d = distance(traj, base, eps=params.eps, components=set(wts))
-        lhs = d.total(wts)
+        d = distance(traj, base, eps=params.eps, components=set(weights))
+        lhs = d.total(weights)
         dphi = Field(grid, pert.phi0.values - init.phi0.values, check=False)
         dmu = Field(grid, pert.mu0.values - init.mu0.values, check=False)
         dsig = Field(grid, pert.sigma0.values - init.sigma0.values, check=False)

@@ -39,15 +39,17 @@ def _parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--version", action="version", version=f"nlch {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("audit", "simulate", "sweep-eps", "sweep-tau", "sweep-joint",
+    for name in ("audit", "simulate", *(f"sweep-{mode}" for mode in asymptotics.LIMITS),
                  "stability", "verify", "oracle-compare"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key=value configuration file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override one configuration key (repeatable)")
-        p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=0, help="seed for random-smoothed ICs")
-        p.add_argument("--snapshots", type=int, default=None, help="snapshot stride")
+        if name != "verify":
+            p.add_argument("--out", default=None, help="output directory")
+        if name == "simulate":
+            p.add_argument("--snapshots", type=int, default=None, help="snapshot stride")
     return ap
 
 
@@ -129,8 +131,9 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _sweep_command(args, mode: str) -> int:
-    cfg, problem, out, audit_report = _prologue(args, f"sweep-{mode}")
+def _sweep_command(args) -> int:
+    mode = args.command.removeprefix("sweep-")
+    cfg, problem, out, audit_report = _prologue(args, args.command)
     if not audit_report.passed:
         return 1
     base = problem.params.with_params(T=cfg["sweep.t"], dt=cfg["sweep.dt"])
@@ -142,7 +145,6 @@ def _sweep_command(args, mode: str) -> int:
         bundle=problem.bundle,
         spec=problem.spec,
         m0_cap=cfg["sweep.m0"],
-        check_floor=cfg["sweep.check_floor"],
     )
     report = asymptotics.sweep(plan, constants=audit_report.constants)
     asymptotics.write_rates_csv(out / "rates.csv", report)
@@ -151,14 +153,13 @@ def _sweep_command(args, mode: str) -> int:
         [(f"{mode}={v:g}_vs_limit", d)
          for v, d in zip(report.parameter_values, report.distances)],
     )
-    _write_manifest(out, f"sweep-{mode}", args.seed,
+    _write_manifest(out, args.command, args.seed,
                     ["config.resolved", "audit.txt", "rates.csv", "distances.csv"])
     print(f"{mode}-sweep over {report.parameter_values}")
     for v, tot, use in zip(report.parameter_values, report.totals, report.used_in_fit):
         note = "" if use else "  (floored, excluded from fit)"
         print(f"  {v:10.4g}  error {tot:.6e}{note}")
-    if report.floor is not None:
-        print(f"  dt-refinement floor: {report.floor:.3e}")
+    print(f"  dt-refinement floor: {report.floor:.3e}")
     ok = not report.incomplete and report.monotone_ok
     if report.slope is not None:
         target = report.theoretical_slope - 0.05
@@ -247,9 +248,7 @@ def main(argv=None) -> int:
     handlers = {
         "audit": _cmd_audit,
         "simulate": _cmd_simulate,
-        "sweep-eps": lambda a: _sweep_command(a, "eps"),
-        "sweep-tau": lambda a: _sweep_command(a, "tau"),
-        "sweep-joint": lambda a: _sweep_command(a, "joint"),
+        **dict.fromkeys((f"sweep-{mode}" for mode in asymptotics.LIMITS), _sweep_command),
         "stability": _cmd_stability,
         "verify": _cmd_verify,
         "oracle-compare": _cmd_oracle_compare,

@@ -89,7 +89,6 @@ SCHEMA: dict[str, tuple] = {
     "sweep.t": (float, 0.25),
     "sweep.dt": (float, 2e-4),
     "sweep.m0": (float, 100.0),
-    "sweep.check_floor": (_parse_bool, True),
     "stability.deltas": (_parse_floats, (1e-2, 1e-3)),
     "stability.taus": (_parse_floats, (0.1, 0.01)),
     "stability.t": (float, 0.25),
@@ -125,6 +124,18 @@ def default_config() -> RunConfig:
     return RunConfig({k: v for k, (_, v) in SCHEMA.items()})
 
 
+def _typed(key: str, val: str, where: str):
+    """The schema-typed value of one entry; ``where`` prefixes the errors."""
+    if key not in SCHEMA:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    try:
+        return SCHEMA[key][0](val)
+    except ConfigError:
+        raise
+    except Exception as err:
+        raise ConfigError(f"{where}: bad value for {key}: {err}") from None
+
+
 def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
     """Parse key=value text plus --set overrides; unknown keys are errors."""
     entries = {k: v for k, (_, v) in SCHEMA.items()}
@@ -135,27 +146,12 @@ def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, val = (p.strip() for p in line.split("=", 1))
-        if key not in SCHEMA:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        parser = SCHEMA[key][0]
-        try:
-            entries[key] = parser(val)
-        except ConfigError:
-            raise
-        except Exception as err:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {err}") from None
+        entries[key] = _typed(key, val, f"line {lineno}")
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"--set needs key=value, got {item!r}")
         key, val = (p.strip() for p in item.split("=", 1))
-        if key not in SCHEMA:
-            raise ConfigError(f"--set: unknown key {key!r}")
-        try:
-            entries[key] = SCHEMA[key][0](val)
-        except ConfigError:
-            raise
-        except Exception as err:
-            raise ConfigError(f"--set: bad value for {key}: {err}") from None
+        entries[key] = _typed(key, val, "--set")
     return RunConfig(entries)
 
 

@@ -122,36 +122,6 @@ class TrajectoryDistance:
         return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
 
 
-# Norm bundles of the error estimates (weights select the components
-# entering each theorem's left-hand side).
-EPS_RATE_WEIGHTS = {"linf_h_phi": 1.0, "l2_v_mu": 1.0, "linf_h_sigma": 1.0, "l2_v_sigma": 1.0}
-TAU_RATE_WEIGHTS = {
-    "linf_vstar_combo": 1.0,
-    "l2_h_phi": 1.0,
-    "l2_h_mu": 1.0,
-    "linf_h_sigma": 1.0,
-    "l2_v_sigma": 1.0,
-}
-JOINT_RATE_WEIGHTS = {
-    "linf_vstar_phi": 1.0,
-    "l2_h_phi": 1.0,
-    "linf_h_sigma": 1.0,
-    "l2_v_sigma": 1.0,
-}
-
-
-def stability_weights(tau: float) -> dict:
-    """Left-hand-side bundle of the continuous-dependence estimate."""
-    return {
-        "linf_vstar_combo": 1.0,
-        "l2_h_mu": 1.0,
-        "linf_h_phi": math.sqrt(tau),
-        "l2_h_phi": 1.0,
-        "linf_h_sigma": 1.0,
-        "l2_v_sigma": 1.0,
-    }
-
-
 def _check_alignment(traj1, traj2) -> np.ndarray:
     t1 = np.asarray(traj1.times)
     t2 = np.asarray(traj2.times)

@@ -151,7 +151,7 @@ def ode_rhs(t: float, y: np.ndarray, op: GalerkinOperator) -> np.ndarray:
 
 
 def integrate(init_coeffs: np.ndarray, op: GalerkinOperator, T: float,
-              t_eval=None, rtol: float = 1e-8, atol: float = 1e-10):
+              t_eval, rtol: float = 1e-8, atol: float = 1e-10):
     """Implicit BDF integration; returns (times, coefficient matrix).
 
     The Newton iterations use a Jacobian that scipy forms by finite
@@ -169,7 +169,6 @@ def integrate(init_coeffs: np.ndarray, op: GalerkinOperator, T: float,
         rtol=rtol,
         atol=atol,
         t_eval=t_eval,
-        dense_output=t_eval is None,
     )
     if not sol.success:
         raise StiffnessError(

@@ -27,13 +27,13 @@ from .errors import AssumptionError, ConfigError, InapplicabilityError, SolverEr
 
 RESOLVENT_RTOL = 1e-13
 _MAX_NEWTON = 300
+_DOMINANCE_MESH = 20001
 
 
 @dataclass(frozen=True)
 class PotentialSpec:
     family: str
     ell: float
-    full_domain: bool
     f1: Callable
     f2: Callable
     f2_prime: Callable
@@ -41,12 +41,21 @@ class PotentialSpec:
     f1_prime: Callable | None = None
     f1_second: Callable | None = None
     resolvent_root: Callable | None = None
-    is_obstacle: bool = False
     params: dict = field(default_factory=dict)
 
     @property
     def has_barrier(self) -> bool:
-        return np.isfinite(self.ell)
+        return math.isfinite(self.ell)
+
+    @property
+    def full_domain(self) -> bool:
+        """D(dF1) = R."""
+        return not self.has_barrier
+
+    @property
+    def is_obstacle(self) -> bool:
+        """F1 is an indicator: no pointwise F1', only its subdifferential."""
+        return self.f1_prime is None
 
 
 def polynomial_potential(shift: float = 0.5) -> PotentialSpec:
@@ -75,7 +84,6 @@ def polynomial_potential(shift: float = 0.5) -> PotentialSpec:
     return PotentialSpec(
         family="polynomial",
         ell=math.inf,
-        full_domain=True,
         f1=lambda r: 0.25 * np.asarray(r) ** 4 + s * np.asarray(r) ** 2 + 0.25,
         f1_prime=f1_prime,
         f1_second=lambda r: 3.0 * np.asarray(r) ** 2 + 2.0 * s,
@@ -112,7 +120,6 @@ def logarithmic_potential(theta: float, theta0: float) -> PotentialSpec:
     return PotentialSpec(
         family="logarithmic",
         ell=1.0,
-        full_domain=False,
         f1=f1,
         f1_prime=f1_prime,
         f1_second=f1_second,
@@ -135,14 +142,12 @@ def double_obstacle_potential(c: float) -> PotentialSpec:
     return PotentialSpec(
         family="double-obstacle",
         ell=1.0,
-        full_domain=False,
         f1=f1,
         f1_prime=None,
         f1_second=None,
         f2=lambda r: c * (1.0 - np.asarray(r) ** 2),
         f2_prime=lambda r: -2.0 * c * np.asarray(r),
         f2_second=lambda r: np.full_like(np.asarray(r, dtype=float), -2.0 * c),
-        is_obstacle=True,
         params={"c": c},
     )
 
@@ -294,7 +299,7 @@ def f_lambda_eval(spec: PotentialSpec, lam: float, r, prox=None):
     return moreau_envelope(spec, lam, r, prox) + np.asarray(spec.f2(np.asarray(r, dtype=float)))
 
 
-def check_dominance(spec: PotentialSpec, a_star: float, mesh_points: int = 20001) -> float:
+def check_dominance(spec: PotentialSpec, a_star: float) -> float:
     """Estimate C0 = inf over the domain interior of a_* + F''(r).
 
     Uses closed-form second derivatives where the family provides them,
@@ -304,9 +309,9 @@ def check_dominance(spec: PotentialSpec, a_star: float, mesh_points: int = 20001
     """
     if spec.has_barrier:
         margin = 1e-3 * spec.ell
-        rs = np.linspace(-spec.ell + margin, spec.ell - margin, mesh_points)
+        rs = np.linspace(-spec.ell + margin, spec.ell - margin, _DOMINANCE_MESH)
     else:
-        rs = np.linspace(-10.0, 10.0, mesh_points)
+        rs = np.linspace(-10.0, 10.0, _DOMINANCE_MESH)
     if spec.f1_second is not None:
         fpp = np.asarray(spec.f1_second(rs)) + np.asarray(spec.f2_second(rs))
     elif spec.is_obstacle:

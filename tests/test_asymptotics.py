@@ -14,7 +14,7 @@ from nlch.asymptotics import (
     write_rates_csv,
 )
 from nlch.diagnostics import distance
-from nlch.errors import AssumptionError, ConfigError, FitError, InapplicabilityError, StepError
+from nlch.errors import AssumptionError, ConfigError, FitError, StepError
 from nlch.grid import Field
 from nlch.model import InitialData, ModelParams, run
 from nlch.potential import logarithmic_potential
@@ -84,7 +84,7 @@ def test_plan_validation(grid64, bundle64, poly):
         sweep(plan)
 
     logpot = logarithmic_potential(0.3, 0.6)
-    with pytest.raises(InapplicabilityError):
+    with pytest.raises(AssumptionError, match="pol_growth"):
         plan = SweepPlan(mode="eps", values=(1e-2, 3e-3, 1e-3), base_params=base,
                          init=init, bundle=bundle64, spec=logpot)
         sweep(plan)
@@ -116,7 +116,7 @@ def test_identical_systems_have_zero_distance(grid64, bundle64, poly):
 def test_small_eps_sweep(grid64, bundle64, poly, tmp_path):
     init, base = small_problem(grid64, bundle64)
     plan = SweepPlan(mode="eps", values=(3e-2, 1e-2, 3e-3, 1e-3), base_params=base,
-                     init=init, bundle=bundle64, spec=poly, check_floor=True)
+                     init=init, bundle=bundle64, spec=poly)
     rep = sweep(plan)
     assert not rep.incomplete
     assert rep.monotone_ok
@@ -140,7 +140,7 @@ def test_sweep_continues_after_a_member_fails(grid64, bundle64, poly, monkeypatc
     monkeypatch.setattr(nlch.model, "_step_arrays", failing)
     init, base = small_problem(grid64, bundle64)
     plan = SweepPlan(mode="eps", values=(3e-2, 1e-2, 3e-3, 1e-3), base_params=base,
-                     init=init, bundle=bundle64, spec=poly, check_floor=False)
+                     init=init, bundle=bundle64, spec=poly)
     rep = sweep(plan)
     assert rep.incomplete
     assert rep.parameter_values == [3e-2, 3e-3, 1e-3]
@@ -152,7 +152,7 @@ def test_sweep_continues_after_a_member_fails(grid64, bundle64, poly, monkeypatc
 def test_small_joint_sweep(grid64, bundle64, poly):
     init, base = small_problem(grid64, bundle64)
     plan = SweepPlan(mode="joint", values=(1e-1, 3e-2, 1e-2), base_params=base,
-                     init=init, bundle=bundle64, spec=poly, check_floor=False)
+                     init=init, bundle=bundle64, spec=poly)
     rep = sweep(plan)
     assert not rep.incomplete
     # coupling eps = tau^2 satisfies the joint-scaling bound with ratio 1

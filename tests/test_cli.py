@@ -173,12 +173,35 @@ def test_cli_failed_audit_writes_the_manifest(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["audit", "simulate", "sweep-eps", "sweep-tau",
                                      "sweep-joint", "stability", "verify", "oracle-compare"])
 def test_cli_removed_knobs_are_rejected(tmp_path, capsys, command):
+    out = [] if command == "verify" else ["--out", str(tmp_path)]
     with pytest.raises(SystemExit) as exc:
-        main([command, "--out", str(tmp_path), "--workers", "1"])
+        main([command, *out, "--workers", "1"])
     assert exc.value.code == 2
-    rc = main([command, "--out", str(tmp_path), "--set", "scheme.ordering=jacobi"])
+    rc = main([command, *out, "--set", "scheme.ordering=jacobi"])
     assert rc == 2
     assert "unknown key 'scheme.ordering'" in capsys.readouterr().err
+    rc = main([command, *out, "--set", "sweep.check_floor=true"])
+    assert rc == 2
+    assert "unknown key 'sweep.check_floor'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["sweep-tau", "--snapshots", "5"], ["verify", "--out", "d"]])
+def test_cli_rejects_flags_the_command_ignores(argv):
+    # --snapshots strides simulate's output only, and verify writes no directory
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["sweep-eps", "sweep-joint"])
+def test_cli_barrier_well_sweep_is_a_configuration_error(tmp_path, capsys, command):
+    # the eps = 0 limit system fails the pol_growth row of the gate table
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "rate-study.cfg"
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path),
+               "--set", "potential.family=logarithmic"] + FAST)
+    assert rc == 2
+    assert "configuration error: pol_growth: logarithmic potential" in capsys.readouterr().err
+    assert not (tmp_path / "rates.csv").exists()
 
 
 def test_cli_stability_smoke(tmp_path, capsys):
@@ -260,6 +283,24 @@ def test_simulate_diagnostics_match_golden(tmp_path, name, cfg, extra):
     for col in want.dtype.names:
         assert np.max(np.abs(got[col] - want[col])) <= 1e-12, col
     assert np.array_equal(got["newton_iters"], want["newton_iters"])
+
+
+@pytest.mark.parametrize("command, files", [
+    ("sweep-eps", {"rates.csv": "rates-eps.csv", "distances.csv": "distances-eps.csv"}),
+    ("sweep-tau", {"rates.csv": "rates-tau.csv", "distances.csv": "distances-tau.csv"}),
+    ("sweep-joint", {"rates.csv": "rates-joint.csv", "distances.csv": "distances-joint.csv"}),
+    ("stability", {"stability.csv": "stability-rate-study.csv"}),
+])
+def test_sweep_outputs_match_golden(tmp_path, command, files):
+    # short horizons on rate-study.cfg; every file is compared byte for byte
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "rate-study.cfg"
+    golden = Path(__file__).resolve().parent / "golden"
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path),
+               "--set", "grid.cells=64", "--set", "sweep.t=0.01",
+               "--set", "sweep.dt=5e-4", "--set", "stability.t=0.02"])
+    assert rc == 0
+    for name, golden_name in files.items():
+        assert (tmp_path / name).read_bytes() == (golden / golden_name).read_bytes(), name
 
 
 def test_cli_oracle_compare_smoke(tmp_path, capsys):

@@ -158,7 +158,7 @@ def test_integrate_failure_raises_stiffness_error(setup128, monkeypatch):
     op = build_operator(make_basis(g, 1), b, p, ModelParams(eps=0.1, tau=0.1, dt=1e-3, lam=1e-3))
     monkeypatch.setattr(nlch.galerkin, "ode_rhs", lambda t, y, op: y * y)
     with pytest.raises(StiffnessError, match="BDF integrator"):
-        integrate(np.ones(3), op, 2.0)
+        integrate(np.ones(3), op, 2.0, t_eval=[2.0])
 
 
 def test_integrate_tolerance_consistency(setup128):
