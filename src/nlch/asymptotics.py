@@ -18,11 +18,12 @@ from typing import Callable
 import numpy as np
 
 from .audit import DerivedConstants, derive_constants
-from .diagnostics import TrajectoryDistance, distance
+from .diagnostics import TrajectoryDistance, check_alignment, difference_norms, time_norms
+from .diagnostics import distance  # noqa: F401  a traced call site
 from .errors import AssumptionError, ConfigError, FitError, StepError
 from .grid import Field, norm_h, norm_v, norm_vstar
 from .kernel import KernelBundle
-from .model import InitialData, ModelParams, admit_run, make_smoothed_ic, run
+from .model import InitialData, ModelParams, admit_run, make_smoothed_ic, run, run_rows
 from .potential import PotentialSpec, f_eval
 
 
@@ -233,12 +234,58 @@ def _admit_plan(plan: SweepPlan, constants: DerivedConstants):
     return members
 
 
+class _ReferenceDistances:
+    """Distances of lockstep runs to run 0, their reference.
+
+    Called at every snapshot of the run (as run_rows' ``observe``), it
+    norms each live run's difference to the reference, and with a
+    ``floor`` trajectory the reference's difference to it, in one batched
+    pass, and keeps only the norms. ``eps`` holds each run's weight of
+    mu in the conserved combination, ``floor_eps`` the floor's.
+    """
+
+    def __init__(self, grid, components, eps, floor=None, floor_eps: float = 0.0):
+        self.grid, self.components = grid, components
+        self.eps, self.floor, self.floor_eps = eps, floor, floor_eps
+        self.times = []
+        self.norms = {run: {name: [] for name in components} for run in range(len(eps))}
+
+    def __call__(self, t, runs, phi, mu, sig):
+        if runs[0] != 0:
+            return  # the reference failed; the caller raises its error
+        k = len(self.times)
+        self.times.append(t)
+        diffs = [rows[1:] - rows[0] for rows in (phi, mu, sig)]
+        compared = list(runs[1:])
+        eps = [self.eps[run] for run in compared]
+        # a misaligned floor fails check_alignment once the run is over
+        if self.floor is not None and k < len(self.floor.times):
+            floor = (self.floor.phis[k], self.floor.mus[k], self.floor.sigmas[k])
+            diffs = [np.concatenate([d, (rows[0] - f.values)[None]])
+                     for d, rows, f in zip(diffs, (phi, mu, sig), floor)]
+            compared.append(0)
+            eps.append(self.floor_eps)
+        if not compared:
+            return
+        norms = difference_norms(self.grid, *diffs, np.array(eps)[:, None], self.components)
+        for j, run in enumerate(compared):
+            for name, values in norms.items():
+                self.norms[run][name].append(values[j])
+
+    def distance(self, run: int) -> TrajectoryDistance:
+        """Distance of a run to the reference; run 0 gives the reference's to the floor."""
+        return time_norms(np.asarray(self.times), self.norms[run])
+
+
 def sweep(plan: SweepPlan, constants: DerivedConstants | None = None) -> ErrorReport:
     """Run the sweep and fit the observed convergence rate.
 
-    Hypothesis violations raise before anything runs. A member whose run
-    fails is left out with a note naming it, the other members still
-    run, and the report is flagged incomplete.
+    Hypothesis violations raise before anything runs. The limit
+    reference and the members step in lockstep, and each member's
+    distance to the reference is taken snapshot by snapshot, so no
+    member trajectory is kept. A member whose run fails is left out
+    with a note naming it, the other members still run, and the report
+    is flagged incomplete.
     """
     if constants is None:
         constants = derive_constants(plan.bundle, plan.spec)
@@ -247,13 +294,18 @@ def sweep(plan: SweepPlan, constants: DerivedConstants | None = None) -> ErrorRe
 
     # every run below was admitted by _admit_plan, except the dt/2 floor
     ref_params = plan.limit_params()
-    reference = run(plan.init, ref_params, plan.bundle, plan.spec, validate=False,
-                    record_diagnostics=False)
     half = ref_params.with_params(dt=ref_params.dt / 2.0)
     ref_half = run(plan.init, half, plan.bundle, plan.spec, snapshot_stride=2,
                    constants=constants, record_diagnostics=False)
-    floor = distance(reference, ref_half, eps=plan.base_params.eps,
-                     components=set(weights)).total(weights)
+    params = [ref_params] + [p for _, p, _ in members]
+    tracker = _ReferenceDistances(plan.bundle.grid, set(weights), [p.eps for p in params],
+                                  ref_half, plan.base_params.eps)
+    results = run_rows([plan.init] + [init for _, _, init in members], params, plan.bundle,
+                       plan.spec, validate=False, record_diagnostics=False, observe=tracker)
+    if isinstance(results[0], StepError):
+        raise results[0]
+    check_alignment(tracker.times, ref_half.times, min(results[0].params.dt, ref_half.params.dt))
+    floor = tracker.distance(0).total(weights)
 
     report = ErrorReport(
         mode=plan.mode,
@@ -263,16 +315,14 @@ def sweep(plan: SweepPlan, constants: DerivedConstants | None = None) -> ErrorRe
         theoretical_slope=plan.limit.theory_slope,
         floor=floor,
     )
-    for value, params, init in members:
-        try:
-            traj = run(init, params, plan.bundle, plan.spec, validate=False,
-                       record_diagnostics=False)
-        except StepError as err:
+    for run_index, (value, _, _) in enumerate(members, start=1):
+        err = results[run_index]
+        if isinstance(err, StepError):
             report.incomplete = True
             report.notes.append(f"member {plan.mode} = {value:g} failed at step "
                                 f"{err.step}: {err}")
             continue
-        d = distance(traj, reference, eps=params.eps, components=set(weights))
+        d = tracker.distance(run_index)
         report.parameter_values.append(value)
         report.distances.append(d)
         report.totals.append(d.total(weights))
@@ -359,25 +409,29 @@ def stability_probe(init: InitialData, params: ModelParams, bundle: KernelBundle
     weights = {"linf_vstar_combo": 1.0, "l2_h_mu": 1.0, "linf_h_phi": math.sqrt(params.tau),
                "l2_h_phi": 1.0, "linf_h_sigma": 1.0, "l2_v_sigma": 1.0}
 
-    base = run(init, params, bundle, spec, constants=constants, record_diagnostics=False)
+    # the base run and the perturbed runs step in lockstep, and only their
+    # distances to the base run are kept
+    deltas = [float(delta) for delta in deltas if delta != 0.0]
+    perturbed = [InitialData(
+        phi0=Field(grid, init.phi0.values + delta * bump.values),
+        mu0=Field(grid, init.mu0.values + delta * bump.values),
+        sigma0=Field(grid, init.sigma0.values + delta * bump.values),
+    ) for delta in deltas]
+    tracker = _ReferenceDistances(grid, set(weights), [params.eps] * (1 + len(deltas)))
+    results = run_rows([init] + perturbed, [params] * (1 + len(deltas)), bundle, spec,
+                       constants=constants, record_diagnostics=False, observe=tracker)
+    for result in results:
+        if isinstance(result, StepError):
+            raise result
     rows = []
-    for delta in deltas:
-        if delta == 0.0:
-            continue
-        pert = InitialData(
-            phi0=Field(grid, init.phi0.values + delta * bump.values),
-            mu0=Field(grid, init.mu0.values + delta * bump.values),
-            sigma0=Field(grid, init.sigma0.values + delta * bump.values),
-        )
-        traj = run(pert, params, bundle, spec, constants=constants, record_diagnostics=False)
-        d = distance(traj, base, eps=params.eps, components=set(weights))
-        lhs = d.total(weights)
+    for run_index, (delta, pert) in enumerate(zip(deltas, perturbed), start=1):
+        lhs = tracker.distance(run_index).total(weights)
         dphi = Field(grid, pert.phi0.values - init.phi0.values, check=False)
         dmu = Field(grid, pert.mu0.values - init.mu0.values, check=False)
         dsig = Field(grid, pert.sigma0.values - init.sigma0.values, check=False)
         combo = Field(grid, params.eps * dmu.values + dphi.values, check=False)
         rhs = norm_vstar(combo) + math.sqrt(params.tau) * norm_h(dphi) + norm_h(dsig)
-        rows.append(StabilityRow(delta=float(delta), lhs=lhs, rhs=rhs))
+        rows.append(StabilityRow(delta=delta, lhs=lhs, rhs=rhs))
     return rows
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, fields as dataclass_fields
 import numpy as np
 
 from .errors import ComparisonError
-from .grid import Field, norm_h, norm_v, norm_vstar
+from .grid import GridSpec, dual_norms, h_norms, v_norms
+from .grid import norm_vstar  # noqa: F401  a traced call site
 from .kernel import KernelBundle, nonlocal_energy_array, nonlocal_energy_density
 from .potential import PotentialSpec, f_eval, f_lambda_eval
 
@@ -122,17 +123,60 @@ class TrajectoryDistance:
         return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
 
 
-def _check_alignment(traj1, traj2) -> np.ndarray:
-    t1 = np.asarray(traj1.times)
-    t2 = np.asarray(traj2.times)
+def check_alignment(t1, t2, dt: float):
+    """Raise ComparisonError unless two snapshot time grids match within dt/2."""
+    t1, t2 = np.asarray(t1), np.asarray(t2)
     if t1.size != t2.size:
         raise ComparisonError(
             f"trajectories store {t1.size} vs {t2.size} snapshots; resample or match strides"
         )
-    dt = min(traj1.params.dt, traj2.params.dt)
     if np.max(np.abs(t1 - t2)) > 0.5 * dt:
         raise ComparisonError("snapshot times misaligned by more than half a step")
-    return t1
+
+
+def difference_norms(grid: GridSpec, dphi: np.ndarray, dmu: np.ndarray, dsig: np.ndarray,
+                     eps, components) -> dict[str, list[float]]:
+    """The spatial norms behind each TrajectoryDistance component, per row.
+
+    dphi, dmu and dsig are (rows, cells) stacks of snapshot differences;
+    eps (a float, or one value per row as a (rows, 1) column) weights the
+    conserved combination eps*dmu + dphi. Each row's norms equal those
+    of grid.norm_h, norm_v and norm_vstar on the row alone; the dual
+    norms of all rows come from one batched solve.
+    """
+    norms = {
+        "linf_h_phi": lambda: h_norms(grid, dphi),
+        "l2_h_phi": lambda: h_norms(grid, dphi),
+        "l2_v_mu": lambda: v_norms(grid, dmu),
+        "l2_h_mu": lambda: h_norms(grid, dmu),
+        "linf_h_sigma": lambda: h_norms(grid, dsig),
+        "l2_v_sigma": lambda: v_norms(grid, dsig),
+        "linf_vstar_combo": lambda: dual_norms(grid, eps * dmu + dphi),
+        "linf_vstar_phi": lambda: dual_norms(grid, dphi),
+    }
+    return {name: norms[name]() for name in components}
+
+
+def time_norms(ts, norms: dict) -> TrajectoryDistance:
+    """Combine per-snapshot spatial norms into a TrajectoryDistance.
+
+    L-infinity in time is the maximum over snapshots, L2 in time the
+    trapezoid rule on the squares; components missing from ``norms``
+    are nan.
+    """
+    def l2t(vals):
+        v = np.asarray(vals)
+        return float(np.sqrt(np.trapezoid(v * v, ts)))
+
+    out = {}
+    for name in (f.name for f in dataclass_fields(TrajectoryDistance)):
+        if name not in norms:
+            out[name] = math.nan
+        elif name.startswith("linf"):
+            out[name] = float(np.max(norms[name]))
+        else:
+            out[name] = l2t(norms[name])
+    return TrajectoryDistance(**out)
 
 
 def distance(traj1, traj2, eps: float | None = None,
@@ -141,52 +185,20 @@ def distance(traj1, traj2, eps: float | None = None,
 
     eps weights the conserved combination eps*mu + phi; it defaults to
     the first trajectory's relaxation parameter. When components is
-    given, only those norms are computed (the dual norms need one linear
-    solve per snapshot); the rest are reported as nan.
+    given, only those norms are computed (the dual norms need a linear
+    solve); the rest are reported as nan. The snapshots' differences are
+    stacked as rows and normed in one pass.
     """
-    ts = _check_alignment(traj1, traj2)
+    check_alignment(traj1.times, traj2.times, min(traj1.params.dt, traj2.params.dt))
     if eps is None:
         eps = traj1.params.eps
     if components is None:
         components = {f.name for f in dataclass_fields(TrajectoryDistance)}
-    grid = traj1.phis[0].grid
-
-    acc = {name: [] for name in components}
-    for k in range(len(ts)):
-        dphi = Field(grid, traj1.phis[k].values - traj2.phis[k].values, check=False)
-        dmu = Field(grid, traj1.mus[k].values - traj2.mus[k].values, check=False)
-        dsig = Field(grid, traj1.sigmas[k].values - traj2.sigmas[k].values, check=False)
-        if "linf_h_phi" in acc:
-            acc["linf_h_phi"].append(norm_h(dphi))
-        if "l2_h_phi" in acc:
-            acc["l2_h_phi"].append(norm_h(dphi))
-        if "l2_v_mu" in acc:
-            acc["l2_v_mu"].append(norm_v(dmu))
-        if "l2_h_mu" in acc:
-            acc["l2_h_mu"].append(norm_h(dmu))
-        if "linf_h_sigma" in acc:
-            acc["linf_h_sigma"].append(norm_h(dsig))
-        if "l2_v_sigma" in acc:
-            acc["l2_v_sigma"].append(norm_v(dsig))
-        if "linf_vstar_combo" in acc:
-            combo = Field(grid, eps * dmu.values + dphi.values, check=False)
-            acc["linf_vstar_combo"].append(norm_vstar(combo))
-        if "linf_vstar_phi" in acc:
-            acc["linf_vstar_phi"].append(norm_vstar(dphi))
-
-    def l2t(vals):
-        v = np.asarray(vals)
-        return float(np.sqrt(np.trapezoid(v * v, ts)))
-
-    out = {}
-    for name in (f.name for f in dataclass_fields(TrajectoryDistance)):
-        if name not in acc:
-            out[name] = math.nan
-        elif name.startswith("linf"):
-            out[name] = float(np.max(acc[name]))
-        else:
-            out[name] = l2t(acc[name])
-    return TrajectoryDistance(**out)
+    diffs = [np.stack([a.values - b.values for a, b in zip(f1, f2)])
+             for f1, f2 in ((traj1.phis, traj2.phis), (traj1.mus, traj2.mus),
+                            (traj1.sigmas, traj2.sigmas))]
+    norms = difference_norms(traj1.phis[0].grid, *diffs, eps, components)
+    return time_norms(np.asarray(traj1.times), norms)
 
 
 def theorem_probe_max_principle(traj, tol: float = 1e-10):

@@ -121,12 +121,15 @@ def ode_rhs(t: float, y: np.ndarray, op: GalerkinOperator) -> np.ndarray:
     """Time derivatives (alpha', beta', gamma') of the projected system.
 
     The mu-relation is algebraic in alpha' and is solved first; the
-    result feeds the mass and nutrient equations.
+    result feeds the mass and nutrient equations. ``y`` is one state of
+    3n coefficients, or a (3n, k) block of k states, one per column.
     """
     basis, params, spec = op.basis, op.params, op.spec
     n = basis.n
     alpha, beta, gamma = split_coeffs(y, n)
-    E, w, l = basis.functions, basis.weight, basis.eigenvalues
+    E, w = basis.functions, basis.weight
+    # eigenvalues and the nutrient source as columns, to scale a block row-wise
+    l = basis.eigenvalues.reshape((n,) + (1,) * (y.ndim - 1))
 
     phi = E @ alpha
     sig = E @ gamma
@@ -141,7 +144,7 @@ def ode_rhs(t: float, y: np.ndarray, op: GalerkinOperator) -> np.ndarray:
     beta_dot = (source - l * beta - alpha_dot) / params.eps
 
     sig_s = _sigma_s_array(params.sigma_s, basis.grid, t)
-    ss_coeff = E.T @ sig_s * w
+    ss_coeff = (E.T @ sig_s * w).reshape(l.shape)
     consume = E.T @ (h_phi * sig) * w
     gamma_dot = (
         -l * gamma - params.B * (gamma - ss_coeff) - params.C * consume
@@ -150,13 +153,34 @@ def ode_rhs(t: float, y: np.ndarray, op: GalerkinOperator) -> np.ndarray:
     return np.concatenate([alpha_dot, beta_dot, gamma_dot])
 
 
+# relative forward-difference step of the oracle's Jacobian: the square
+# root of the unit roundoff balances truncation against cancellation
+_FD_STEP = float(np.sqrt(np.finfo(float).eps))
+
+
+def fd_jacobian(t: float, y: np.ndarray, op: GalerkinOperator) -> np.ndarray:
+    """Forward-difference Jacobian of ode_rhs, all columns from one call.
+
+    Column j perturbs y_j by h_j = sqrt(eps) max(|y_j|, 1), rounded so
+    that y_j + h_j - y_j is exact; one ode_rhs call evaluates the
+    unperturbed state and every perturbed one as columns of a block.
+    """
+    y = np.asarray(y, dtype=float)
+    h = _FD_STEP * np.maximum(np.abs(y), 1.0)
+    h = (y + h) - y
+    block = np.repeat(y[:, None], y.size + 1, axis=1)
+    block[np.arange(y.size), np.arange(1, y.size + 1)] += h
+    f = ode_rhs(t, block, op)
+    return (f[:, 1:] - f[:, :1]) / h
+
+
 def integrate(init_coeffs: np.ndarray, op: GalerkinOperator, T: float,
               t_eval, rtol: float = 1e-8, atol: float = 1e-10):
     """Implicit BDF integration; returns (times, coefficient matrix).
 
-    The Newton iterations use a Jacobian that scipy forms by finite
-    differences of ode_rhs, so the oracle shares no linearization with
-    the finite-difference stepper. The coefficient matrix has one row per
+    The Newton iterations use fd_jacobian, a finite difference of
+    ode_rhs, so the oracle shares no linearization with the
+    finite-difference stepper. The coefficient matrix has one row per
     output time. Integrator failure raises StiffnessError suggesting
     larger eps/tau or fewer modes.
     """
@@ -166,6 +190,7 @@ def integrate(init_coeffs: np.ndarray, op: GalerkinOperator, T: float,
         np.asarray(init_coeffs, dtype=float),
         args=(op,),
         method="BDF",
+        jac=fd_jacobian,
         rtol=rtol,
         atol=atol,
         t_eval=t_eval,
@@ -216,7 +241,7 @@ def write_coefficients_csv(path, times, coeffs, n: int):
         + [f"beta_{j}" for j in range(n)]
         + [f"gamma_{j}" for j in range(n)]
     )
+    table = np.column_stack([np.asarray(times, dtype=float), np.asarray(coeffs, dtype=float)])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for t, row in zip(times, coeffs):
-            fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write(",".join(header) + "\n" + row * len(table) % tuple(table.ravel().tolist()))

@@ -135,18 +135,29 @@ def inner_h(f: Field, g: Field) -> float:
 
 
 def norm_h(f: Field) -> float:
-    return float(np.sqrt(max(inner_h(f, f), 0.0)))
+    return h_norms(f.grid, f.values[None])[0]
+
+
+def h_norms(grid: GridSpec, rows: np.ndarray) -> list[float]:
+    """norm_h of each row of a (rows, cells) array."""
+    return [float(np.sqrt(max(float(np.dot(v, v)) * grid.cell_volume, 0.0))) for v in rows]
 
 
 def _lap_array(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Mirrored-ghost five/three point Laplacian on the reshaped array."""
+    """Mirrored-ghost five/three point Laplacian of flat samples.
+
+    Leading axes of ``vals`` are rows, each a field of its own: every row
+    gets the arithmetic of a call on that row alone.
+    """
     if grid.dim == 1:
+        # the transposes put the cells first, so rows need no ellipsis indexing
         d = np.empty_like(vals)
-        d[1:-1] = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
-        d[0] = vals[1] - vals[0]
-        d[-1] = vals[-2] - vals[-1]
+        vc, dc = vals.T, d.T
+        dc[1:-1] = vc[2:] - 2.0 * vc[1:-1] + vc[:-2]
+        dc[0] = vc[1] - vc[0]
+        dc[-1] = vc[-2] - vc[-1]
         return d / grid.spacing[0] ** 2
-    v = vals.reshape(grid.shape)
+    v = vals.reshape(vals.shape[:-1] + grid.shape)
     out = np.zeros_like(v)
     for axis in range(grid.dim):
         h2 = grid.spacing[axis] ** 2
@@ -156,13 +167,13 @@ def _lap_array(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
         def sl(a, b):
             s = list(inner)
             s[axis] = slice(a, b)
-            return tuple(s)
+            return (Ellipsis, *s)
 
         d[sl(1, -1)] = v[sl(2, None)] - 2.0 * v[sl(1, -1)] + v[sl(None, -2)]
         d[sl(0, 1)] = v[sl(1, 2)] - v[sl(0, 1)]
         d[sl(-1, None)] = v[sl(-2, -1)] - v[sl(-1, None)]
         out += d / h2
-    return out.reshape(-1)
+    return out.reshape(vals.shape)
 
 
 def laplacian_neumann(f: Field) -> Field:
@@ -178,13 +189,17 @@ def grad_sq_integral(f: Field) -> float:
     between its two cells, which makes the result identical to the
     summation-by-parts identity inner_h(-laplacian_neumann(f), f).
     """
-    v = f.reshaped()
-    total = 0.0
-    for axis in range(f.grid.dim):
-        h = f.grid.spacing[axis]
-        d = np.diff(v, axis=axis) / h
-        total += float(np.sum(d * d))
-    return total * f.grid.cell_volume
+    return _grad_sq_sums(f.grid, f.values[None])[0] * f.grid.cell_volume
+
+
+def _grad_sq_sums(grid: GridSpec, rows: np.ndarray) -> list[float]:
+    """grad_sq_integral of each row of a (rows, cells) array, over the cell volume."""
+    blocks = rows.reshape((len(rows),) + grid.shape)
+    totals = [0.0] * len(rows)
+    for axis in range(grid.dim):
+        d = np.diff(blocks, axis=axis + 1) / grid.spacing[axis]
+        totals = [total + float(np.sum(row)) for total, row in zip(totals, d * d)]
+    return totals
 
 
 def norm_h_grad(f: Field) -> float:
@@ -193,7 +208,14 @@ def norm_h_grad(f: Field) -> float:
 
 def norm_v(f: Field) -> float:
     """Full H1 norm: (||f||_H^2 + ||grad f||_H^2)^(1/2)."""
-    return float(np.sqrt(max(inner_h(f, f) + grad_sq_integral(f), 0.0)))
+    return v_norms(f.grid, f.values[None])[0]
+
+
+def v_norms(grid: GridSpec, rows: np.ndarray) -> list[float]:
+    """norm_v of each row of a (rows, cells) array."""
+    cellvol = grid.cell_volume
+    return [float(np.sqrt(max(float(np.dot(v, v)) * cellvol + g * cellvol, 0.0)))
+            for v, g in zip(rows, _grad_sq_sums(grid, rows))]
 
 
 @functools.lru_cache(maxsize=32)
@@ -218,15 +240,18 @@ def _spectral_solve(grid: GridSpec, vals: np.ndarray, alpha: float, beta: float)
     """Apply (alpha*I - beta*lap)^(-1) through the cached DCT-II spectrum.
 
     With alpha = 0 the constant mode is dropped, which returns the
-    zero-mean solution of the singular Neumann problem.
+    zero-mean solution of the singular Neumann problem. Leading axes of
+    ``vals`` are rows, transformed along the grid axes in one call; each
+    row's result is bitwise that of a call on the row alone.
     """
-    coef = dctn(vals.reshape(grid.shape), type=2, norm="ortho")
+    axes = tuple(range(-grid.dim, 0))
+    coef = dctn(vals.reshape(vals.shape[:-1] + grid.shape), type=2, norm="ortho", axes=axes)
     denom = alpha + beta * _neumann_spectrum(grid)
     if alpha == 0.0:
         denom = denom.copy()
         denom.flat[0] = 1.0
-        coef.flat[0] = 0.0
-    return idctn(coef / denom, type=2, norm="ortho").reshape(-1)
+        coef[(Ellipsis,) + (0,) * grid.dim] = 0.0
+    return idctn(coef / denom, type=2, norm="ortho", axes=axes).reshape(vals.shape)
 
 
 def _lap_inf_norm(grid: GridSpec) -> float:
@@ -240,17 +265,19 @@ def _checked_spectral_solve(grid: GridSpec, b: np.ndarray, alpha: float, beta: f
     The relative residual ||A x - b|| / ||b|| of a backward-stable solve
     in floating point grows with ||A|| ||x|| / ||b||, about h^-2 for
     smooth data, so it is no reachable target on fine grids; the
-    normwise backward error is.
+    normwise backward error is. Rows of ``b`` are checked one by one.
     """
     x = _spectral_solve(grid, b, alpha, beta)
-    res = float(np.linalg.norm(alpha * x - beta * _lap_array(x, grid) - b))
+    res = np.linalg.norm(alpha * x - beta * _lap_array(x, grid) - b, axis=-1)
     anorm = abs(alpha) + beta * _lap_inf_norm(grid)
-    bnorm = float(np.linalg.norm(b))
-    bound = BACKWARD_TOL * (bnorm + anorm * float(np.linalg.norm(x)))
-    if res > bound:
+    bnorm = np.linalg.norm(b, axis=-1)
+    bound = BACKWARD_TOL * (bnorm + anorm * np.linalg.norm(x, axis=-1))
+    if np.any(res > bound):
+        worst = int(np.argmax(res - bound))
         raise SolverError(
-            f"spectral solve residual {res:.3e} > backward-error bound {bound:.3e}",
-            residual=res / bnorm,
+            f"spectral solve residual {float(np.ravel(res)[worst]):.3e} > backward-error bound "
+            f"{float(np.ravel(bound)[worst]):.3e}",
+            residual=float(np.ravel(res / bnorm)[worst]),
         )
     return x
 
@@ -321,14 +348,26 @@ def riesz_inverse(f: Field) -> Field:
 
 def norm_vstar(f: Field) -> float:
     """Dual norm ||f||_* = inner_h(f, (I - lap)^(-1) f)^(1/2)."""
-    u = riesz_inverse(f)
-    return float(np.sqrt(max(inner_h(f, u), 0.0)))
+    return dual_norms(f.grid, f.values[None])[0]
+
+
+def dual_norms(grid: GridSpec, rows: np.ndarray) -> list[float]:
+    """norm_vstar of each row of a (rows, cells) array, from one batched Riesz solve."""
+    u = _checked_spectral_solve(grid, rows, 1.0, 1.0)
+    return [float(np.sqrt(max(float(np.dot(v, w)) * grid.cell_volume, 0.0)))
+            for v, w in zip(rows, u)]
 
 
 @functools.lru_cache(maxsize=32)
-def _off_diagonal(n: int, c: float) -> np.ndarray:
-    """Read-only constant off-diagonal -c of an n-cell 1D diffusion matrix."""
-    off = np.full(n - 1, -c)
+def _off_diagonal(rows: int, n: int, c: float) -> np.ndarray:
+    """Read-only off-diagonal of ``rows`` stacked n-cell 1D diffusion matrices.
+
+    It is -c within each matrix and zero at the joins, so the stacked
+    system is block diagonal; LAPACK's elimination then passes each join
+    unchanged, and every block's solution is bitwise that of its own solve.
+    """
+    off = np.full(rows * n - 1, -c)
+    off[n - 1::n] = 0.0
     off.setflags(write=False)
     return off
 
@@ -338,16 +377,19 @@ def solve_shifted_diffusion(
 ) -> np.ndarray:
     """Solve (diag(d) - c*lap) u = rhs for d > 0 pointwise, c >= 0.
 
-    1D calls LAPACK's tridiagonal gtsv on the three diagonals (the
-    routine scipy's solve_banded dispatches to for one band each side);
-    2D uses CG preconditioned by the spectral inverse at the mean
-    diagonal, converged to a normwise backward error of 1e-13. This is
-    the workhorse for the implicit pieces of the time stepper, so it is
-    solved to near machine precision. Non-finite input raises SolverError.
+    ``rhs`` holds one system or a (rows, cells) stack of them, with
+    ``diag`` of the same shape (or one that broadcasts to it). 1D calls
+    LAPACK's tridiagonal gtsv once on the block-diagonal system of all
+    rows (the routine scipy's solve_banded dispatches to for one band
+    each side); 2D uses CG per row, preconditioned by the spectral
+    inverse at the row's mean diagonal, converged to a normwise backward
+    error of 1e-13. This is the workhorse for the implicit pieces of the
+    time stepper, so it is solved to near machine precision. Non-finite
+    input raises SolverError.
     """
-    d = np.asarray(diag, dtype=float).reshape(-1)
-    if d.size == 1:
-        d = np.full(grid.size, d[0])
+    d = np.asarray(diag, dtype=float)
+    if d.shape != rhs.shape:
+        d = np.broadcast_to(d, rhs.shape)
     if not (np.isfinite(d).all() and np.isfinite(rhs).all()):
         raise SolverError("diffusion system has a non-finite diagonal or right-hand side")
     d_min = d.min()
@@ -356,16 +398,20 @@ def solve_shifted_diffusion(
     if lap_coeff == 0.0:
         return rhs / d
     if grid.dim == 1:
+        n = grid.cells[0]
         c = lap_coeff / grid.spacing[0] ** 2
         main = d + 2.0 * c
-        main[0] -= c
-        main[-1] -= c
-        off = _off_diagonal(grid.cells[0], c)
+        ends = main.T
+        ends[0] -= c
+        ends[-1] -= c
+        off = _off_diagonal(rhs.size // n, n, c)
         # gtsv copies its inputs, so one array serves as both off-diagonals
-        _, _, _, x, info = dgtsv(off, main, off, rhs)
+        _, _, _, x, info = dgtsv(off, main.ravel(), off, rhs.ravel())
         if info != 0:
             raise SolverError(f"tridiagonal solve failed: LAPACK gtsv info {info}")
-        return x
+        return x if rhs.ndim == 1 else x.reshape(rhs.shape)
+    if rhs.ndim > 1:
+        return np.stack([solve_shifted_diffusion(grid, dr, lap_coeff, r) for dr, r in zip(d, rhs)])
 
     def apply_op(x):
         return d * x - lap_coeff * _lap_array(x, grid)

@@ -123,16 +123,21 @@ class _FastConvolution:
         self._khat = rfftn(kpad)
 
     def apply(self, vals: np.ndarray) -> np.ndarray:
+        """J*v of flat samples; leading axes are rows, transformed in one call.
+
+        Each row's result is bitwise that of a call on the row alone.
+        """
         if len(self._shape) == 1:
             # rfft zero-pads to n itself; bitwise equal to the padded rfftn path
             (pad,), (shift,), (n,) = self._pad, self._shift, self._shape
-            return irfft(rfft(vals, n=pad) * self._khat, n=pad)[shift:shift + n]
-        v = vals.reshape(self._shape)
-        vpad = np.zeros(self._pad)
-        vpad[tuple(slice(0, n) for n in self._shape)] = v
-        out = irfftn(rfftn(vpad) * self._khat, s=self._pad)
-        sl = tuple(slice(s, s + n) for s, n in zip(self._shift, self._shape))
-        return out[sl].reshape(-1)
+            return irfft(rfft(vals, n=pad) * self._khat, n=pad)[..., shift:shift + n]
+        lead = vals.shape[:-1]
+        axes = tuple(range(-len(self._shape), 0))
+        vpad = np.zeros(lead + self._pad)
+        vpad[(Ellipsis, *(slice(0, n) for n in self._shape))] = vals.reshape(lead + self._shape)
+        out = irfftn(rfftn(vpad, axes=axes) * self._khat, s=self._pad, axes=axes)
+        sl = (Ellipsis, *(slice(s, s + n) for s, n in zip(self._shift, self._shape)))
+        return out[sl].reshape(vals.shape)
 
 
 def _offset_radii(grid: GridSpec) -> np.ndarray:

@@ -15,12 +15,16 @@ One step advances (phi, mu, sigma) by a first-order IMEX scheme:
 The degenerate regimes eps = 0 and/or tau = 0 use the same Newton system,
 whose implicit diagonal tau/dt + a + Y' stays positive as long as the
 kernel keeps inf a > 0 (or tau > 0 provides the viscosity).
+
+Runs that differ only in eps and tau step in lockstep as the rows of one
+batch (run_rows); every row's arithmetic is that of its run alone, and a
+single run (run) is the one-row batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -171,120 +175,257 @@ def admit_run(init: InitialData, params: ModelParams, bundle: KernelBundle,
 
 @dataclass
 class StepStats:
+    """One row's step: its Newton iterations, final residual and mass defect."""
+
     newton_iters: int
     residual: float
     mass_defect: float
 
 
-def _step_arrays(t, phi, mu, sig, conv_phi, yos, params: ModelParams,
-                 bundle: KernelBundle, spec: PotentialSpec):
-    """One IMEX step on raw arrays; returns new arrays and step statistics.
+@dataclass
+class StepOutcome:
+    """One lockstep step: each row's StepStats, or the StepError that failed the row."""
 
-    ``conv_phi`` is J*phi and ``yos`` the (value, derivative, resolvent)
-    triple of yosida_with_derivative at phi; the triple of the new phi
-    is returned in the same place, ready for the next step.
+    rows: list
+
+    @property
+    def newton_iters(self) -> int:
+        """Newton iterations summed over the rows that completed the step."""
+        return sum(r.newton_iters for r in self.rows if isinstance(r, StepStats))
+
+
+def _batch(arrays) -> np.ndarray:
+    """A lockstep batch: one run keeps its flat samples, several are stacked as rows.
+
+    Numpy's elementwise calls cost less on flat arrays than on (1, n)
+    ones, so one run stays flat; code that reads a row goes through _rows.
     """
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _rows(x: np.ndarray):
+    """The rows of a batch: a flat array is its one row."""
+    return (x,) if x.ndim == 1 else x
+
+
+def _column(values):
+    """A per-row parameter: one float when the rows share it, else an (M, 1) column."""
+    if values.count(values[0]) == len(values):
+        return values[0]
+    return np.array(values, dtype=float)[:, None]
+
+
+def _take(keep, arrays):
+    """The rows ``keep`` of (M, n) batches and (M, 1) columns; shared values pass through."""
+    return [v[keep] if isinstance(v, np.ndarray) else v for v in arrays]
+
+
+def _row_error(message, history, phase, cause=None) -> StepError:
+    err = StepError(message, residual_history=history, phase=phase)
+    err.__cause__ = cause
+    return err
+
+
+def _solve_rows(grid, diag, dt, rhs, phase, histories, failed):
+    """Every row's shifted diffusion solve in one call, else row by row.
+
+    A batch that fails, or returns a non-finite value, is solved again
+    row by row, so that only the rows that fail on their own fail: each
+    gets a StepError in ``failed``, keyed by its row and carrying its
+    residual history from ``histories()``, and a zero solution. A row
+    whose own solution is not finite keeps it, for the caller's checks.
+    """
+    try:
+        x = solve_shifted_diffusion(grid, diag, dt, rhs)
+        # a row that overflows spreads through the joins of the block system
+        if rhs.ndim == 1 or np.isfinite(x).all():
+            return x
+    except SolverError:
+        pass
+    x = np.zeros_like(rhs)
+    for j, (x_row, diag_row, rhs_row) in enumerate(zip(_rows(x), _rows(diag), _rows(rhs))):
+        try:
+            x_row[...] = solve_shifted_diffusion(grid, diag_row, dt, rhs_row)
+        except SolverError as err:
+            failed.setdefault(j, _row_error(f"{phase} linear solve failed: {err}",
+                                            histories()[j], phase, err))
+    return x
+
+
+def _yosida_rows(spec, lam, phi, histories, failed):
+    """yosida_with_derivative of every row in one call, else row by row (as _solve_rows)."""
+    try:
+        return yosida_with_derivative(spec, lam, phi)
+    except SolverError:
+        pass
+    out = tuple(np.zeros_like(phi) for _ in range(3))
+    for j, phi_row in enumerate(_rows(phi)):
+        try:
+            for arr, row in zip(out, yosida_with_derivative(spec, lam, phi_row)):
+                _rows(arr)[j][...] = row
+        except SolverError as err:
+            failed.setdefault(j, _row_error(f"resolvent failed: {err}", histories()[j],
+                                            "resolvent", err))
+    return out
+
+
+def _step_arrays(t, phi, mu, sig, conv_phi, yos, params: Sequence[ModelParams],
+                 bundle: KernelBundle, spec: PotentialSpec):
+    """One IMEX step of M runs in lockstep, on a batch of one row per run.
+
+    The batch is (M, n) arrays, flat for M = 1 (see _batch). ``params``
+    holds each row's ModelParams; the rows share every setting but eps
+    and tau. ``conv_phi`` is J*phi and ``yos`` the (value, derivative,
+    resolvent) triple of yosida_with_derivative at phi; the triple of
+    the new phi is returned in the same place, ready for the next step.
+    Each row iterates its own Newton loop: a row that stops leaves the
+    batch while the others go on. A row that fails gets its StepError in
+    the returned StepOutcome, and its arrays hold no state of its run;
+    the other rows complete the step. Every row's arithmetic is that of
+    a step of its own: the batched Laplacian, solves and transforms are
+    bitwise equal per row, and each residual norm is np.dot on its row.
+    """
+    p0 = params[0]
     grid = bundle.grid
-    dt = params.dt
-    eps, tau = params.eps, params.tau
-    lam = params.lam_eff
+    dt = p0.dt
+    eps = _column([p.eps for p in params])
+    tau = _column([p.tau for p in params])
+    lam = p0.lam_eff
     a = bundle.a_field.values
     cellvol = grid.cell_volume
+    M = len(params)
 
-    h_old = params.h(phi)
-    g = (params.P * sig - params.A) * h_old
-    w = np.asarray(f2_prime(spec, phi)) - conv_phi - params.chi * sig
+    h_old = p0.h(phi)
+    g = (p0.P * sig - p0.A) * h_old
+    w = np.asarray(f2_prime(spec, phi)) - conv_phi - p0.chi * sig
 
-    phi_new = phi.copy()
-    mu_new = mu.copy()
     mass_old = eps * mu + phi
     const1 = mass_old + dt * g
-    accept_tol = params.newton_tol * (1.0 + float(np.sqrt(np.dot(const1, const1) * cellvol)))
+    accept_tol = [p0.newton_tol * (1.0 + float(np.sqrt(np.dot(c, c) * cellvol)))
+                  for c in _rows(const1)]
+    histories = [[] for _ in range(M)]
+    # each row's best iterate: (residual, phi, mu, y, dy, s, its row in those arrays)
+    best = [None] * M
+    tol_floor = [None] * M
+    outcome = [None] * M
 
-    def residuals(p, m, y):
-        r1 = eps * m + p - dt * _lap_array(m, grid) - const1
-        r2 = m - tau * (p - phi) / dt - a * p - y - w
-        return r1, r2
+    # the iterates and per-row constants of the rows still iterating;
+    # ``rows`` maps their array rows to the M rows
+    rows = list(range(M))
+    p, m, (y, dy, s) = phi, mu, yos
+    c1, ph, wr, er, tr = const1, phi, w, eps, tau
 
-    history = []
+    def row_histories():
+        return [histories[i] for i in rows]
 
-    def solve(phase, diag, rhs):
-        # a failed linear solve fails the step, so callers keep the partial run
-        try:
-            return solve_shifted_diffusion(grid, diag, dt, rhs)
-        except SolverError as err:
-            raise StepError(f"{phase} linear solve failed: {err}",
-                            residual_history=history, phase=phase) from err
+    def drop(failed, arrays):
+        """Record the failed rows' errors; the other rows of ``arrays``."""
+        for j, err in failed.items():
+            outcome[rows[j]] = err
+        keep = [j for j in range(len(rows)) if j not in failed]
+        if not keep:
+            return [], arrays
+        return [rows[j] for j in keep], _take(keep, arrays)
 
-    y, dy, s = yos
-    best = None
-    tol_floor = None
-    for it in range(params.newton_cap + 1):
-        r1, r2 = residuals(phi_new, mu_new, y)
-        res = float(np.sqrt((np.dot(r1, r1) + np.dot(r2, r2)) * cellvol))
-        history.append(res)
-        if best is None or res < best[0]:
-            best = (res, phi_new, mu_new, (y, dy, s))
-        if tol_floor is None:
-            tol_floor = 1e-14 * (1.0 + res)
-        if res <= tol_floor:
+    for it in range(p0.newton_cap + 1):
+        r1 = er * m + p - dt * _lap_array(m, grid) - c1
+        r2 = m - tr * (p - ph) / dt - a * p - y - wr
+        stop = {}
+        for j, i, q1, q2 in zip(range(len(rows)), rows, _rows(r1), _rows(r2)):
+            history = histories[i]
+            res = float(np.sqrt((np.dot(q1, q1) + np.dot(q2, q2)) * cellvol))
+            history.append(res)
+            if it == 0:
+                best[i] = (res, p, m, y, dy, s, j)
+                tol_floor[i] = 1e-14 * (1.0 + res)
+            elif res < best[i][0]:
+                best[i] = (res, p, m, y, dy, s, j)
+            # stop at the floor, at the cap, or below the acceptance
+            # tolerance once no longer contracting: the residual has hit
+            # its floating-point floor
+            if (res <= tol_floor[i] or it == p0.newton_cap
+                    or (it > 0 and res <= accept_tol[i] and res > 0.25 * history[-2])):
+                stop[j] = None
+        if len(stop) == len(rows):
             break
-        # below the acceptance tolerance and no longer contracting: the
-        # residual has hit its floating-point floor
-        if it > 0 and res <= accept_tol and res > 0.25 * history[-2]:
-            break
-        if it == params.newton_cap:
-            break
-        diag = tau / dt + a + dy
+        if stop:
+            rows, (p, m, y, dy, s, r1, r2, c1, ph, wr, er, tr) = drop(
+                stop, [p, m, y, dy, s, r1, r2, c1, ph, wr, er, tr])
+        diag = tr / dt + a + dy
         if diag.min() <= 0.0:
-            raise StepError(
-                f"implicit diagonal lost positivity (min {diag.min():.3e}); "
+            failed = {j: _row_error(
+                f"implicit diagonal lost positivity (min {low:.3e}); "
                 "the configuration lacks coercivity (tau = 0 with inf a <= 0)",
-                residual_history=history, phase="Newton",
-            )
+                histories[rows[j]], "Newton")
+                for j, low in enumerate(r.min() for r in _rows(diag)) if low <= 0.0}
+            rows, (p, m, y, dy, s, r1, r2, diag, c1, ph, wr, er, tr) = drop(
+                failed, [p, m, y, dy, s, r1, r2, diag, c1, ph, wr, er, tr])
+            if not rows:
+                break
+        failed = {}
         rhs = -(r1 + r2 / diag)
-        dmu = solve("Newton", eps + 1.0 / diag, rhs)
+        dmu = _solve_rows(grid, er + 1.0 / diag, dt, rhs, "Newton", row_histories, failed)
         dphi = (dmu + r2) / diag
-        phi_new = phi_new + dphi
-        mu_new = mu_new + dmu
-        try:
-            y, dy, s = yosida_with_derivative(spec, lam, phi_new)
-        except SolverError as err:
-            raise StepError(f"resolvent failed: {err}", residual_history=history,
-                            phase="resolvent") from err
+        p = p + dphi
+        m = m + dmu
+        y, dy, s = _yosida_rows(spec, lam, p, row_histories, failed)
+        if failed:
+            rows, (p, m, y, dy, s, c1, ph, wr, er, tr) = drop(
+                failed, [p, m, y, dy, s, c1, ph, wr, er, tr])
+            if not rows:
+                break
 
-    res, phi_new, mu_new, yos = best
-    # a finite residual has finite phi, mu and Yosida value in every term
-    if not math.isfinite(res):
-        raise StepError(f"Newton residual is not finite ({res})",
-                        residual_history=history, phase="Newton")
-    if res > accept_tol:
-        raise StepError(
-            f"Newton failed to converge: residual {res:.3e} after {len(history) - 1} iterations",
-            residual_history=history, phase="convergence",
-        )
-    if spec.has_barrier:
-        sup = float(np.max(np.abs(phi_new)))
-        if sup >= spec.ell:
-            raise StepError(
-                f"phi left the barrier interval: ||phi||_inf = {sup:.6g} >= ell = {spec.ell}",
-                residual_history=history, phase="barrier",
-            )
+    # each row that did not fail takes its best iterate, a failed row the old state
+    picks = []
+    for i in range(M):
+        if outcome[i] is not None:
+            picks.append((None, phi, mu, *yos, i))
+            continue
+        pick = best[i]
+        picks.append(pick)
+        res, history = pick[0], histories[i]
+        # a finite residual has finite phi, mu and Yosida value in every term
+        if not math.isfinite(res):
+            outcome[i] = _row_error(f"Newton residual is not finite ({res})", history, "Newton")
+        elif res > accept_tol[i]:
+            outcome[i] = _row_error(
+                f"Newton failed to converge: residual {res:.3e} after {len(history) - 1} "
+                "iterations", history, "convergence")
+        elif spec.has_barrier:
+            sup = float(np.max(np.abs(_rows(pick[1])[pick[6]])))
+            if sup >= spec.ell:
+                outcome[i] = _row_error(
+                    f"phi left the barrier interval: ||phi||_inf = {sup:.6g} >= ell = {spec.ell}",
+                    history, "barrier")
+    first = picks[0]
+    if M == 1 or all(pick[1] is first[1] and pick[6] == i for i, pick in enumerate(picks)):
+        phi_new, mu_new, *yos_new = first[1:6]
+    else:
+        phi_new, mu_new, *yos_new = (
+            np.stack([_rows(pick[k])[pick[6]] for pick in picks]) for k in range(1, 6))
 
-    sig_s = _sigma_s_array(params.sigma_s, grid, t + dt)
-    rhs_sig = sig + dt * (params.B * sig_s - params.eta * _lap_array(phi_new, grid))
-    diag_sig = 1.0 + dt * (params.B + params.C * params.h(phi_new))
-    sig_new = solve("nutrient", diag_sig, rhs_sig)
+    sig_s = _sigma_s_array(p0.sigma_s, grid, t + dt)
+    rhs_sig = sig + dt * (p0.B * sig_s - p0.eta * _lap_array(phi_new, grid))
+    diag_sig = 1.0 + dt * (p0.B + p0.C * p0.h(phi_new))
+    failed = {}
+    sig_new = _solve_rows(grid, diag_sig, dt, rhs_sig, "nutrient", lambda: histories, failed)
     if not np.isfinite(sig_new).all():
-        raise StepError("nutrient solve returned non-finite values",
-                        residual_history=history, phase="nutrient")
+        for i, row in enumerate(_rows(sig_new)):
+            if not np.isfinite(row).all():
+                failed.setdefault(i, _row_error("nutrient solve returned non-finite values",
+                                                histories[i], "nutrient"))
+    for i, err in failed.items():
+        if outcome[i] is None:
+            outcome[i] = err
 
-    mass_defect = abs(
-        ((eps * mu_new + phi_new).sum() - mass_old.sum() - dt * g.sum())
-        * cellvol / grid.measure
-    )
-    stats = StepStats(newton_iters=len(history) - 1, residual=res, mass_defect=mass_defect)
-    return phi_new, mu_new, sig_new, yos, stats
+    for i, (new_mass, old_mass, source) in enumerate(zip(
+            _rows(eps * mu_new + phi_new), _rows(mass_old), _rows(g))):
+        if outcome[i] is None:
+            mass_defect = abs((new_mass.sum() - old_mass.sum() - dt * source.sum()) * cellvol
+                              / grid.measure)
+            outcome[i] = StepStats(newton_iters=len(histories[i]) - 1, residual=best[i][0],
+                                   mass_defect=mass_defect)
+    return phi_new, mu_new, sig_new, tuple(yos_new), StepOutcome(outcome)
 
 
 @dataclass
@@ -300,64 +441,110 @@ class Trajectory:
     complete: bool = True
 
 
+# the parameters that runs stepped in lockstep share: all but eps and tau
+_SHARED = [f.name for f in fields(ModelParams) if f.name not in ("eps", "tau")]
+
+
+def run_rows(inits: Sequence[InitialData], params: Sequence[ModelParams], bundle: KernelBundle,
+             spec: PotentialSpec, snapshot_stride: int = 1, validate: bool = True,
+             constants: DerivedConstants | None = None, record_diagnostics: bool = True,
+             observe: Callable | None = None) -> list:
+    """Integrate several runs in lockstep from t = 0 to T, one batch row each.
+
+    The runs share every parameter but eps and tau. Returns, for each run,
+    its Trajectory, or the StepError that stopped it, carrying the partial
+    trajectory as .partial and the failed step's index and target time as
+    .step and .t; the other runs go on. With ``observe`` the trajectories
+    store no snapshots: at every snapshot time, observe(t, runs, phi, mu,
+    sig) receives the indices of the runs still going and their (runs, n)
+    rows.
+    """
+    if validate:
+        for init, p in zip(inits, params):
+            admit_run(init, p, bundle, spec, constants)
+    shared = [[getattr(p, name) for name in _SHARED] for p in params]
+    if any(other != shared[0] for other in shared[1:]):
+        raise ConfigError("lockstep runs must share every parameter but eps and tau")
+    p0 = params[0]
+    n_steps = 0 if p0.T == 0 else max(1, int(round(p0.T / p0.dt)))
+    if p0.T > 0:
+        actual = p0.T / n_steps
+        if abs(actual - p0.dt) > 1e-9 * p0.dt:
+            params = [p.with_params(dt=actual) for p in params]
+    dt = params[0].dt
+    grid = bundle.grid
+
+    # each state's J*phi and Yosida triple (value, derivative, resolvent)
+    # are computed once, shared by its record and the step leaving it
+    phi = _batch([init.phi0.values for init in inits])
+    mu = _batch([init.mu0.values for init in inits])
+    sig = _batch([init.sigma0.values for init in inits])
+    yos = yosida_with_derivative(spec, p0.lam_eff, phi)
+    conv = bundle.convolve_array(phi)
+    trajs = [Trajectory(params=p) for p in params]
+    results = list(trajs)
+    runs, live = list(range(len(trajs))), list(params)
+    stats = [StepStats(newton_iters=0, residual=0.0, mass_defect=0.0)] * len(runs)
+
+    t = 0.0
+    for k in range(n_steps + 1):
+        if k > 0:
+            phi, mu, sig, yos, outcome = _step_arrays(t, phi, mu, sig, conv, yos, live,
+                                                      bundle, spec)
+            stats = outcome.rows
+            failed = {j: err for j, err in enumerate(stats) if isinstance(err, StepError)}
+            for j, err in failed.items():
+                traj = trajs[runs[j]]
+                traj.complete = False
+                err.partial = traj
+                err.step, err.t = k, k * dt
+                results[runs[j]] = err
+            if failed:
+                keep = [j for j in range(len(runs)) if j not in failed]
+                if not keep:
+                    break
+                phi, mu, sig, *yos = _take(keep, [phi, mu, sig, *yos])
+                runs, stats = [runs[j] for j in keep], [stats[j] for j in keep]
+                live = [params[i] for i in runs]
+            t = k * dt
+            conv = bundle.convolve_array(phi)
+        rows = [_rows(v) for v in (phi, mu, sig)]
+        if record_diagnostics:
+            conv_rows, prox_rows = _rows(conv), _rows(yos[2])
+            for j, i in enumerate(runs):
+                trajs[i].records.append(diagnostics.make_record(
+                    t, rows[0][j], rows[1][j], rows[2][j], params[i], bundle, spec,
+                    mass_defect=stats[j].mass_defect, newton_iters=stats[j].newton_iters,
+                    conv_phi=conv_rows[j], prox=prox_rows[j]))
+        if k % snapshot_stride == 0 or k == n_steps:
+            if observe is not None:
+                observe(t, runs, *(v.reshape(len(runs), -1) for v in (phi, mu, sig)))
+                continue
+            for j, i in enumerate(runs):
+                traj = trajs[i]
+                traj.times.append(t)
+                # _step_arrays fails a step whose residual or nutrient is
+                # not finite, so snapshots skip the finiteness scan
+                for fields_, row in zip((traj.phis, traj.mus, traj.sigmas), rows):
+                    fields_.append(Field(grid, row[j], check=False))
+    return results
+
+
 def run(init: InitialData, params: ModelParams, bundle: KernelBundle,
         spec: PotentialSpec, snapshot_stride: int = 1, validate: bool = True,
         constants: DerivedConstants | None = None,
         record_diagnostics: bool = True) -> Trajectory:
     """Integrate from t = 0 to T, recording snapshots and diagnostics.
 
-    A failing step aborts with the partial trajectory attached to the
-    raised StepError as .partial, and the failed step's index and target
-    time as .step and .t.
+    The one-run case of run_rows. A failing step aborts with the partial
+    trajectory attached to the raised StepError as .partial, and the
+    failed step's index and target time as .step and .t.
     """
-    if validate:
-        admit_run(init, params, bundle, spec, constants)
-    grid = bundle.grid
-    n_steps = 0 if params.T == 0 else max(1, int(round(params.T / params.dt)))
-    if params.T > 0:
-        actual = params.T / n_steps
-        if abs(actual - params.dt) > 1e-9 * params.dt:
-            params = params.with_params(dt=actual)
-
-    # each state's J*phi and Yosida triple (value, derivative, resolvent)
-    # are computed once, shared by its record and the step leaving it
-    phi, mu, sig = init.phi0.values, init.mu0.values, init.sigma0.values
-    yos = yosida_with_derivative(spec, params.lam_eff, phi)
-    conv = bundle.convolve_array(phi)
-    traj = Trajectory(params=params)
-    traj.times.append(0.0)
-    traj.phis.append(init.phi0)
-    traj.mus.append(init.mu0)
-    traj.sigmas.append(init.sigma0)
-    if record_diagnostics:
-        traj.records.append(diagnostics.make_record(
-            0.0, phi, mu, sig, params, bundle, spec, mass_defect=0.0, newton_iters=0,
-            conv_phi=conv, prox=yos[2]))
-
-    t = 0.0
-    for k in range(1, n_steps + 1):
-        try:
-            phi, mu, sig, yos, stats = _step_arrays(t, phi, mu, sig, conv, yos,
-                                                    params, bundle, spec)
-        except StepError as err:
-            traj.complete = False
-            err.partial = traj
-            err.step, err.t = k, k * params.dt
-            raise
-        t = k * params.dt
-        conv = bundle.convolve_array(phi)
-        if record_diagnostics:
-            traj.records.append(diagnostics.make_record(
-                t, phi, mu, sig, params, bundle, spec, mass_defect=stats.mass_defect,
-                newton_iters=stats.newton_iters, conv_phi=conv, prox=yos[2]))
-        if k % snapshot_stride == 0 or k == n_steps:
-            # _step_arrays fails a step whose residual or nutrient is not
-            # finite, so snapshots skip the finiteness scan
-            traj.times.append(t)
-            traj.phis.append(Field(grid, phi, check=False))
-            traj.mus.append(Field(grid, mu, check=False))
-            traj.sigmas.append(Field(grid, sig, check=False))
-    return traj
+    (result,) = run_rows([init], [params], bundle, spec, snapshot_stride, validate,
+                         constants, record_diagnostics)
+    if isinstance(result, StepError):
+        raise result
+    return result
 
 
 def make_smoothed_ic(target: Field, s: float) -> Field:

@@ -302,25 +302,20 @@ def f_lambda_eval(spec: PotentialSpec, lam: float, r, prox=None):
 def check_dominance(spec: PotentialSpec, a_star: float) -> float:
     """Estimate C0 = inf over the domain interior of a_* + F''(r).
 
-    Uses closed-form second derivatives where the family provides them,
-    otherwise a Yosida-smoothed second difference. Raises AssumptionError
-    (naming the minimizing r) when the infimum is not positive, since the
-    well-posedness theory needs C0 > 0.
+    Uses the family's closed-form second derivatives (F2'' alone for the
+    obstacle, whose F1'' vanishes inside the interval). Raises
+    AssumptionError (naming the minimizing r) when the infimum is not
+    positive, since the well-posedness theory needs C0 > 0.
     """
     if spec.has_barrier:
         margin = 1e-3 * spec.ell
         rs = np.linspace(-spec.ell + margin, spec.ell - margin, _DOMINANCE_MESH)
     else:
         rs = np.linspace(-10.0, 10.0, _DOMINANCE_MESH)
-    if spec.f1_second is not None:
-        fpp = np.asarray(spec.f1_second(rs)) + np.asarray(spec.f2_second(rs))
-    elif spec.is_obstacle:
+    if spec.is_obstacle:
         fpp = np.asarray(spec.f2_second(rs))
     else:
-        lam = 1e-6
-        dr = rs[1] - rs[0]
-        fp = f_prime_regularized(spec, lam, rs)
-        fpp = np.gradient(fp, dr)
+        fpp = np.asarray(spec.f1_second(rs)) + np.asarray(spec.f2_second(rs))
     vals = a_star + fpp
     i = int(np.argmin(vals))
     c0 = float(vals[i])

@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import nlch.asymptotics
 import nlch.model
 from nlch.asymptotics import (
+    LIMITS,
     ErrorReport,
     StabilityRow,
     SweepPlan,
@@ -12,12 +15,16 @@ from nlch.asymptotics import (
     stability_probe,
     sweep,
     write_rates_csv,
+    _member_setup,
 )
+from nlch.config import build_problem, load_config
 from nlch.diagnostics import distance
 from nlch.errors import AssumptionError, ConfigError, FitError, StepError
 from nlch.grid import Field
-from nlch.model import InitialData, ModelParams, run
+from nlch.model import InitialData, ModelParams, run, run_rows
 from nlch.potential import logarithmic_potential
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_problem(grid64, bundle64):
@@ -132,10 +139,12 @@ def test_sweep_continues_after_a_member_fails(grid64, bundle64, poly, monkeypatc
     original = nlch.model._step_arrays
 
     def failing(t, *args):
-        # args[5] is the member's ModelParams; step 21 starts at t = 0.02
-        if args[5].eps == 1e-2 and t > 0.0195:
-            raise StepError("injected failure", phase="Newton")
-        return original(t, *args)
+        step = original(t, *args)
+        # args[5] holds the rows' ModelParams; step 21 starts at t = 0.02
+        for row, params in enumerate(args[5]):
+            if params.eps == 1e-2 and t > 0.0195:
+                step[4].rows[row] = StepError("injected failure", phase="Newton")
+        return step
 
     monkeypatch.setattr(nlch.model, "_step_arrays", failing)
     init, base = small_problem(grid64, bundle64)
@@ -209,3 +218,69 @@ def test_ratios_consistent_edges():
             StabilityRow(delta=1e-3, lhs=4.0, rhs=1.0)]
     assert not ratios_consistent(rows, factor=3.0)
     assert ratios_consistent(rows, factor=5.0)
+
+
+GOLDEN = ["grid.cells=64", "sweep.t=0.01", "sweep.dt=5e-4", "stability.t=0.02"]
+
+
+def _golden():
+    cfg = load_config(str(CONFIGS / "rate-study.cfg"), GOLDEN)
+    return cfg, build_problem(cfg)
+
+
+def _assert_same_snapshots(got, want):
+    assert got.times == want.times
+    for name in ("phis", "mus", "sigmas"):
+        for a, b in zip(getattr(got, name), getattr(want, name), strict=True):
+            assert a.values.tobytes() == b.values.tobytes()
+
+
+@pytest.mark.parametrize("mode", sorted(LIMITS))
+def test_lockstep_sweep_rows_equal_their_own_runs(mode):
+    # the golden sweep settings: each lockstep row is bitwise its own run,
+    # and the sweep's distances and floor are those of the separate runs
+    cfg, problem = _golden()
+    plan = SweepPlan(mode=mode, values=cfg["sweep.values"],
+                     base_params=problem.params.with_params(T=cfg["sweep.t"], dt=cfg["sweep.dt"]),
+                     init=problem.init, bundle=problem.bundle, spec=problem.spec)
+    members = [_member_setup(plan, v) for v in plan.values]
+    params = [plan.limit_params()] + [p for p, _ in members]
+    inits = [plan.init] + [init for _, init in members]
+    rows = run_rows(inits, params, plan.bundle, plan.spec, validate=False,
+                    record_diagnostics=False)
+    alone = [run(init, p, plan.bundle, plan.spec, validate=False, record_diagnostics=False)
+             for init, p in zip(inits, params)]
+    for got, want in zip(rows, alone, strict=True):
+        _assert_same_snapshots(got, want)
+
+    rep = sweep(plan)
+    components = set(plan.limit.weights)
+    assert rep.parameter_values == list(plan.values)
+    for d, traj, p in zip(rep.distances, alone[1:], params[1:], strict=True):
+        assert repr(d) == repr(distance(traj, alone[0], eps=p.eps, components=components))
+    half = params[0].with_params(dt=params[0].dt / 2.0)
+    ref_half = run(plan.init, half, plan.bundle, plan.spec, snapshot_stride=2,
+                   record_diagnostics=False)
+    floor = distance(alone[0], ref_half, eps=plan.base_params.eps, components=components)
+    assert rep.floor == floor.total(plan.limit.weights)
+
+
+def test_lockstep_stability_probe_equals_separate_runs():
+    cfg, problem = _golden()
+    grid = problem.grid
+    bump = np.cos(np.pi * grid.meshgrid()[0] / grid.extent[0])
+    for tau in cfg["stability.taus"]:
+        params = problem.params.with_params(T=cfg["stability.t"], tau=tau)
+        rows = stability_probe(problem.init, params, problem.bundle, problem.spec,
+                               cfg["stability.deltas"])
+        base = run(problem.init, params, problem.bundle, problem.spec,
+                   record_diagnostics=False)
+        weights = {"linf_vstar_combo": 1.0, "l2_h_mu": 1.0, "linf_h_phi": np.sqrt(tau),
+                   "l2_h_phi": 1.0, "linf_h_sigma": 1.0, "l2_v_sigma": 1.0}
+        for row, delta in zip(rows, cfg["stability.deltas"], strict=True):
+            init = problem.init
+            pert = InitialData(*(Field(grid, f.values + delta * bump)
+                                 for f in (init.phi0, init.mu0, init.sigma0)))
+            traj = run(pert, params, problem.bundle, problem.spec, record_diagnostics=False)
+            d = distance(traj, base, eps=params.eps, components=set(weights))
+            assert row.lhs == d.total(weights)

@@ -134,9 +134,10 @@ def test_cli_simulate_reports_the_failed_step(tmp_path, monkeypatch, capsys):
 
     def failing(*args):
         calls.append(1)
+        step = original(*args)
         if len(calls) == 40:
-            raise StepError("injected failure", phase="Newton")
-        return original(*args)
+            step[4].rows[0] = StepError("injected failure", phase="Newton")
+        return step
 
     monkeypatch.setattr(nlch.model, "_step_arrays", failing)
     cfg = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"

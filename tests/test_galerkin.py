@@ -15,6 +15,7 @@ from nlch.errors import (
 )
 from nlch.galerkin import (
     build_operator,
+    fd_jacobian,
     integrate,
     make_basis,
     ode_rhs,
@@ -268,8 +269,8 @@ def test_bdf_matches_tight_explicit_reference(setup128):
 def test_oracle_right_hand_side_budget(tmp_path, monkeypatch):
     # the rate-study oracle setting (256 cells, 32 modes) over T = 0.01:
     # explicit RK45 needs about 2000 right-hand sides, held to small
-    # steps by the lambda_n / eps stiffness; BDF needs a few hundred,
-    # finite-difference Jacobian columns included
+    # steps by the lambda_n / eps stiffness; BDF needs under 200, since
+    # each finite-difference Jacobian is one call on a block of columns
     calls = []
     original = nlch.galerkin.ode_rhs
 
@@ -282,7 +283,7 @@ def test_oracle_right_hand_side_budget(tmp_path, monkeypatch):
     rc = main(["oracle-compare", "--config", str(cfg), "--set", "oracle.t=0.01",
                "--out", str(tmp_path)])
     assert rc == 0
-    assert 0 < len(calls) < 600
+    assert 0 < len(calls) < 300
 
 
 def test_oracle_gap_examples(setup128):
@@ -307,3 +308,62 @@ def test_coefficient_csv(tmp_path, setup128):
     lines = (tmp_path / "c.csv").read_text().splitlines()
     assert lines[0] == "t,alpha_0,alpha_1,alpha_2,beta_0,beta_1,beta_2,gamma_0,gamma_1,gamma_2"
     assert len(lines) == 3
+
+
+def test_ode_rhs_block_columns_are_single_states(setup128):
+    # a (3n, k) block is k states: each column matches its own call (the
+    # block's matrix products may sum in another order)
+    g, b, p = setup128
+    params = ModelParams(eps=0.1, tau=0.1, P=0.5, A=0.25, B=0.5, C=0.5, chi=0.2,
+                         sigma_s=0.8, eta=0.3, dt=1e-3, lam=1e-3)
+    basis = make_basis(g, 8)
+    op = build_operator(basis, b, p, params)
+    init = _cosine_init(g)
+    y0 = project_initial_data(init.phi0, init.mu0, init.sigma0, basis)
+    block = y0[:, None] + 0.01 * np.random.default_rng(5).standard_normal((y0.size, 4))
+    got = ode_rhs(0.0, block, op)
+    assert got.shape == block.shape
+    for j in range(block.shape[1]):
+        want = ode_rhs(0.0, block[:, j], op)
+        assert np.max(np.abs(got[:, j] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_fd_jacobian_is_one_call_of_forward_differences(setup128, monkeypatch):
+    g, b, p = setup128
+    params = ModelParams(eps=0.1, tau=0.1, P=0.5, A=0.25, B=0.5, C=0.5, chi=0.2,
+                         sigma_s=0.8, dt=1e-3, lam=1e-3)
+    basis = make_basis(g, 8)
+    op = build_operator(basis, b, p, params)
+    init = _cosine_init(g)
+    y0 = project_initial_data(init.phi0, init.mu0, init.sigma0, basis)
+    calls = []
+    original = nlch.galerkin.ode_rhs
+
+    def counted(t, y, op):
+        calls.append(y.shape)
+        return original(t, y, op)
+
+    monkeypatch.setattr(nlch.galerkin, "ode_rhs", counted)
+    jac = fd_jacobian(0.0, y0, op)
+    assert calls == [(24, 25)]
+    # against central differences of single calls
+    f = lambda y: original(0.0, y, op)  # noqa: E731
+    for j in range(y0.size):
+        e = np.zeros_like(y0)
+        e[j] = 1e-5
+        col = (f(y0 + e) - f(y0 - e)) / 2e-5
+        assert np.max(np.abs(jac[:, j] - col)) <= 1e-5 * (1.0 + np.max(np.abs(col)))
+
+
+def test_coefficient_csv_matches_the_row_by_row_writer(tmp_path):
+    # the one-format writer against the f-string writer it replaced,
+    # with a signed zero and extreme exponents
+    times = [0.0, 0.1, 1.0 / 3.0]
+    coeffs = np.array([[-0.0, 1e-300, 1e300, -2.5, np.pi, 1.0],
+                       [0.0, -1e-300, -1e300, 5e-324, 1e308, -np.e],
+                       [1.0 / 7.0, 2.0 / 3.0, 0.1, 0.2, 0.3, -0.0]])
+    write_coefficients_csv(tmp_path / "c.csv", times, coeffs, 2)
+    expected = "t,alpha_0,alpha_1,beta_0,beta_1,gamma_0,gamma_1\n" + "".join(
+        f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n"
+        for t, row in zip(times, coeffs))
+    assert (tmp_path / "c.csv").read_bytes() == expected.encode()

@@ -21,6 +21,7 @@ from nlch.model import (
     _step_arrays,
     make_smoothed_ic,
     run,
+    run_rows,
     validate_params,
 )
 from nlch.potential import (
@@ -171,6 +172,14 @@ def test_make_smoothed_ic(grid256):
         make_smoothed_ic(target, -1.0)
 
 
+def _one_row(step):
+    """The result of a one-row step, raising the row's StepError as model.run does."""
+    (row,) = step[4].rows
+    if isinstance(row, StepError):
+        raise row
+    return step
+
+
 def test_barrier_safety_and_xi_invariant(grid64, bundle64, logpot):
     x = grid64.axis_coordinates(0)
     params = coupled_params(chi=0.5, T=0.05)
@@ -182,9 +191,9 @@ def test_barrier_safety_and_xi_invariant(grid64, bundle64, logpot):
     phi, mu, sig = init.phi0.values, init.mu0.values, init.sigma0.values
     yos = yosida_with_derivative(logpot, params.lam_eff, phi)
     for k in range(20):
-        phi, mu, sig, yos, _ = _step_arrays(k * params.dt, phi, mu, sig,
-                                            bundle64.convolve_array(phi), yos, params,
-                                            bundle64, logpot)
+        phi, mu, sig, yos, _ = _one_row(_step_arrays(k * params.dt, phi, mu, sig,
+                                                     bundle64.convolve_array(phi), yos,
+                                                     [params], bundle64, logpot))
         assert np.max(np.abs(phi)) < 1.0
         expected = yosida_with_derivative(logpot, params.lam_eff, phi)
         for got, want in zip(yos, expected):
@@ -334,7 +343,8 @@ def test_unconverged_resolvent_fails_the_step_in_the_resolvent_phase(monkeypatch
     yos = yosida_with_derivative(spec, params.lam_eff, phi)
     monkeypatch.setattr(nlch.potential, "_MAX_NEWTON", 1)
     with pytest.raises(StepError, match="resolvent failed") as err:
-        _step_arrays(0.0, phi, mu, sig, bundle.convolve_array(phi), yos, params, bundle, spec)
+        _one_row(_step_arrays(0.0, phi, mu, sig, bundle.convolve_array(phi), yos, [params],
+                              bundle, spec))
     assert err.value.phase == "resolvent"
     assert isinstance(err.value.__cause__, SolverError)
     assert len(err.value.residual_history) == 1
@@ -343,8 +353,8 @@ def test_unconverged_resolvent_fails_the_step_in_the_resolvent_phase(monkeypatch
 def _first_step(problem, params, sig):
     phi, mu = problem.init.phi0.values, problem.init.mu0.values
     yos = yosida_with_derivative(problem.spec, params.lam_eff, phi)
-    return _step_arrays(0.0, phi, mu, sig, problem.bundle.convolve_array(phi), yos, params,
-                        problem.bundle, problem.spec)
+    return _one_row(_step_arrays(0.0, phi, mu, sig, problem.bundle.convolve_array(phi), yos,
+                                 [params], problem.bundle, problem.spec))
 
 
 def test_non_finite_newton_residual_fails_the_step():
@@ -370,3 +380,78 @@ def test_non_finite_nutrient_fails_the_step(monkeypatch):
     with pytest.raises(StepError, match="non-finite") as err:
         _first_step(problem, problem.params, problem.init.sigma0.values)
     assert err.value.phase == "nutrient"
+
+
+def _assert_same_run(got, want):
+    # bit for bit: byte equality also tells -0.0 from 0.0
+    assert got.times == want.times
+    for name in ("phis", "mus", "sigmas"):
+        fields_got, fields_want = getattr(got, name), getattr(want, name)
+        assert len(fields_got) == len(fields_want)
+        for a, b in zip(fields_got, fields_want):
+            assert a.values.tobytes() == b.values.tobytes()
+    assert [r.csv_row() for r in got.records] == [r.csv_row() for r in want.records]
+
+
+def _eps_rows(grid64):
+    # the limit system and three eps values, as an eps sweep steps them
+    x = grid64.axis_coordinates(0)
+    init = InitialData(
+        Field(grid64, 0.2 * np.cos(np.pi * x)),
+        Field(grid64, 0.1 * np.cos(np.pi * x)),
+        Field(grid64, 0.6 + 0.2 * np.cos(np.pi * x)),
+    )
+    base = coupled_params()
+    return [init] * 4, [base.with_params(eps=e) for e in (0.0, 3e-2, 1e-2, 1e-3)]
+
+
+def test_a_failed_row_leaves_the_other_rows_bit_identical(grid64, bundle64, poly, monkeypatch):
+    inits, params = _eps_rows(grid64)
+    original = nlch.model._step_arrays
+
+    def failing(t, *args):
+        step = original(t, *args)
+        # args[5] holds the rows' ModelParams; step 21 starts at t = 0.02
+        for row, p in enumerate(args[5]):
+            if p.eps == 1e-2 and t > 0.0195:
+                step[4].rows[row] = StepError("injected failure", phase="Newton")
+        return step
+
+    monkeypatch.setattr(nlch.model, "_step_arrays", failing)
+    results = run_rows(inits, params, bundle64, poly)
+    monkeypatch.setattr(nlch.model, "_step_arrays", original)
+    err = results[2]
+    assert isinstance(err, StepError) and str(err) == "injected failure"
+    assert err.step == 21 and err.t == pytest.approx(0.021)
+    assert not err.partial.complete and len(err.partial.times) == 21
+    _assert_same_run(err.partial, _truncated(run(inits[2], params[2], bundle64, poly), 21))
+    for i in (0, 1, 3):
+        assert results[i].complete
+        _assert_same_run(results[i], run(inits[i], params[i], bundle64, poly))
+
+
+def _truncated(traj, count):
+    return nlch.model.Trajectory(params=traj.params, times=traj.times[:count],
+                                 phis=traj.phis[:count], mus=traj.mus[:count],
+                                 sigmas=traj.sigmas[:count], records=traj.records[:count])
+
+
+def test_a_row_whose_residual_overflows_fails_alone(grid64, bundle64, poly):
+    # P sigma overflows only the middle row's source term; its step fails
+    # in the Newton phase while the others step as runs of their own
+    inits, params = _eps_rows(grid64)
+    params = [p.with_params(P=4.0, T=0.01) for p in params[1:]]
+    inits = inits[1:]
+    inits[1] = InitialData(inits[1].phi0, inits[1].mu0, Field.constant(grid64, 1e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = run_rows(inits, params, bundle64, poly, validate=False)
+    assert isinstance(results[1], StepError) and results[1].phase == "Newton"
+    assert results[1].step == 1 and "not finite" in str(results[1])
+    for i in (0, 2):
+        _assert_same_run(results[i], run(inits[i], params[i], bundle64, poly, validate=False))
+
+
+def test_lockstep_rows_must_share_all_but_eps_and_tau(grid64, bundle64, poly):
+    inits, params = _eps_rows(grid64)
+    with pytest.raises(ConfigError, match="share"):
+        run_rows(inits[:2], [params[0], params[1].with_params(dt=5e-4)], bundle64, poly)

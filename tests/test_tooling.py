@@ -4,6 +4,8 @@ import importlib
 from pathlib import Path
 
 import nlch.grid
+from nlch.asymptotics import SweepPlan, _member_setup
+from nlch.cli import main
 from nlch.config import build_problem, load_config
 from nlch.model import run
 
@@ -47,3 +49,28 @@ def test_tracer_sees_one_logarithmic_resolvent_per_newton_iterate(monkeypatch):
     # the logarithmic iteration's early return on a converged residual
     # still leaves one span per Newton iterate
     _assert_one_resolvent_span_per_newton_iterate(monkeypatch, "separation.cfg", "logarithmic")
+
+
+def test_traced_lockstep_sweep_counts_every_rows_newton_iterations(monkeypatch, tmp_path):
+    # the benchmark's sweep-tau settings: the dt/2 floor takes 20 steps of
+    # its own, the limit reference and the five members 10 lockstep steps
+    tracing = _tracing(monkeypatch)
+    settings = ["grid.cells=64", "sweep.t=0.004", "sweep.dt=4e-4"]
+    cfg = load_config(str(ROOT / "configs" / "rate-study.cfg"), settings)
+    with tracing.Tracer().installed() as tracer:
+        rc = main(["sweep-tau", "--config", str(ROOT / "configs" / "rate-study.cfg"),
+                   "--out", str(tmp_path)] + [a for s in settings for a in ("--set", s)])
+    assert rc == 0
+    assert tracer.layer_totals()["model.step"]["calls"] == 30
+
+    # each run alone records its own per-step iteration counts
+    problem = build_problem(cfg)
+    plan = SweepPlan(mode="tau", values=cfg["sweep.values"],
+                     base_params=problem.params.with_params(T=cfg["sweep.t"], dt=cfg["sweep.dt"]),
+                     init=problem.init, bundle=problem.bundle, spec=problem.spec)
+    limit = plan.limit_params()
+    runs = [(plan.init, limit), (plan.init, limit.with_params(dt=limit.dt / 2.0))]
+    runs += [_member_setup(plan, v)[::-1] for v in plan.values]
+    per_row = sum(rec.newton_iters for init, params in runs
+                  for rec in run(init, params, plan.bundle, plan.spec, validate=False).records)
+    assert tracer.counts["model.step.newton_iters"] == per_row
