@@ -15,7 +15,6 @@ Subpackages:
 from .errors import (
     AssumptionError,
     ComparisonError,
-    CompatibilityError,
     ConfigError,
     DimensionError,
     FitError,

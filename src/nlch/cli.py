@@ -225,16 +225,10 @@ def _cmd_oracle_compare(args) -> int:
     if not report.passed:
         return 1
     n = cfg["oracle.modes"]
-    basis = galerkin.make_basis(problem.grid, n)
-    op = galerkin.build_operator(basis, problem.bundle, problem.spec, problem.params)
     traj = run(problem.init, problem.params, problem.bundle, problem.spec,
                constants=report.constants, record_diagnostics=False)
-    y0 = galerkin.project_initial_data(problem.init.phi0, problem.init.mu0,
-                                       problem.init.sigma0, basis)
-    ts, coeffs = galerkin.integrate(y0, op, problem.params.T, t_eval=np.array(traj.times))
+    ts, coeffs, rel = galerkin.compare(traj, problem.bundle, problem.spec, n)
     galerkin.write_coefficients_csv(out / "oracle_coefficients.csv", ts, coeffs, n)
-
-    rel = galerkin.oracle_gap(basis, ts, coeffs, traj.phis)
     _write_manifest(out, "oracle-compare", args.seed,
                     ["config.resolved", "audit.txt", "oracle_coefficients.csv"])
     ok = rel <= 5e-3

@@ -13,10 +13,6 @@ class DimensionError(NlchError):
     """Fields or operators living on incompatible grids."""
 
 
-class CompatibilityError(NlchError):
-    """Right-hand side violates a solvability constraint (e.g. nonzero mean)."""
-
-
 class SolverError(NlchError):
     """A linear solver or the resolvent iteration failed to reach its target residual."""
 

@@ -226,6 +226,21 @@ def oracle_gap(basis: SpectralBasis, times, coeffs: np.ndarray, phis) -> float:
     return float(np.sqrt(np.trapezoid(diff_sq, ts)) / np.sqrt(np.trapezoid(norm_sq, ts)))
 
 
+def compare(traj, bundle: KernelBundle, spec: PotentialSpec, modes: int):
+    """The oracle against a stepper trajectory: (times, coefficients, gap).
+
+    Integrates the projected system with ``modes`` modes from the
+    trajectory's first snapshot, with its parameters, to its snapshot
+    times, and returns those times, the coefficient matrix and the
+    oracle_gap of the trajectory's phi snapshots.
+    """
+    basis = make_basis(bundle.grid, modes)
+    op = build_operator(basis, bundle, spec, traj.params)
+    y0 = project_initial_data(traj.phis[0], traj.mus[0], traj.sigmas[0], basis)
+    times, coeffs = integrate(y0, op, traj.params.T, t_eval=np.array(traj.times))
+    return times, coeffs, oracle_gap(basis, times, coeffs, traj.phis)
+
+
 def project_initial_data(phi0: Field, mu0: Field, sigma0: Field,
                          basis: SpectralBasis) -> np.ndarray:
     return np.concatenate(

@@ -6,12 +6,11 @@ boundary face, which makes the discrete Laplacian symmetric, negative
 semidefinite, and exactly conservative (its output sums to zero).
 
 The module also provides the functional-analytic machinery built on the
-Laplacian: the inverse Neumann Laplacian on zero-mean fields, the dual
-(V*) norm through the Riesz map I - Laplacian, and the Poincare and
-inclusion constants of the geometry in closed form. The type-II
-discrete cosine transform diagonalizes the mirrored-ghost Laplacian
-exactly, so every constant-coefficient Neumann solve is two transforms
-against one cached per-grid spectrum.
+Laplacian: the dual (V*) norm through the Riesz map I - Laplacian, and
+the Poincare and inclusion constants of the geometry in closed form.
+The type-II discrete cosine transform diagonalizes the mirrored-ghost
+Laplacian exactly, so every constant-coefficient Neumann solve is two
+transforms against one cached per-grid spectrum.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from scipy.fft import dctn, idctn
 from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .errors import CompatibilityError, ConfigError, DimensionError, SolverError
+from .errors import ConfigError, DimensionError, SolverError
 
 # normwise backward-error target of every checked linear solve:
 # ||A x - b|| <= BACKWARD_TOL (||b|| + ||A||_inf ||x||)
@@ -237,20 +236,14 @@ def _neumann_spectrum(grid: GridSpec) -> np.ndarray:
 
 
 def _spectral_solve(grid: GridSpec, vals: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Apply (alpha*I - beta*lap)^(-1) through the cached DCT-II spectrum.
+    """Apply (alpha*I - beta*lap)^(-1), alpha > 0, through the cached DCT-II spectrum.
 
-    With alpha = 0 the constant mode is dropped, which returns the
-    zero-mean solution of the singular Neumann problem. Leading axes of
-    ``vals`` are rows, transformed along the grid axes in one call; each
-    row's result is bitwise that of a call on the row alone.
+    Leading axes of ``vals`` are rows, transformed along the grid axes in
+    one call; each row's result is bitwise that of a call on the row alone.
     """
     axes = tuple(range(-grid.dim, 0))
     coef = dctn(vals.reshape(vals.shape[:-1] + grid.shape), type=2, norm="ortho", axes=axes)
     denom = alpha + beta * _neumann_spectrum(grid)
-    if alpha == 0.0:
-        denom = denom.copy()
-        denom.flat[0] = 1.0
-        coef[(Ellipsis,) + (0,) * grid.dim] = 0.0
     return idctn(coef / denom, type=2, norm="ortho", axes=axes).reshape(vals.shape)
 
 
@@ -269,7 +262,7 @@ def _checked_spectral_solve(grid: GridSpec, b: np.ndarray, alpha: float, beta: f
     """
     x = _spectral_solve(grid, b, alpha, beta)
     res = np.linalg.norm(alpha * x - beta * _lap_array(x, grid) - b, axis=-1)
-    anorm = abs(alpha) + beta * _lap_inf_norm(grid)
+    anorm = alpha + beta * _lap_inf_norm(grid)
     bnorm = np.linalg.norm(b, axis=-1)
     bound = BACKWARD_TOL * (bnorm + anorm * np.linalg.norm(x, axis=-1))
     if np.any(res > bound):
@@ -312,25 +305,6 @@ def _cg_solve(grid: GridSpec, apply_op, rhs: np.ndarray, rtol: float,
     return x
 
 
-def solve_neumann_poisson(rhs: Field) -> Field:
-    """Solve -lap(u) = rhs with Neumann conditions, both sides zero-mean.
-
-    Raises CompatibilityError when the right-hand side carries mass, and
-    SolverError when the solution misses the residual target.
-    """
-    m = mean(rhs)
-    nh = norm_h(rhs)
-    if abs(m) > 1e-10 * nh:
-        raise CompatibilityError(
-            f"poisson rhs must have zero mean, got mean {m:.3e} vs norm {nh:.3e}"
-        )
-    grid = rhs.grid
-    b = rhs.values - np.mean(rhs.values)
-    x = _checked_spectral_solve(grid, b, 0.0, 1.0)
-    x -= np.mean(x)
-    return Field(grid, x)
-
-
 def solve_helmholtz(f: Field, alpha: float, beta: float) -> Field:
     """Solve (alpha*I - beta*lap) u = f with Neumann conditions (alpha > 0, beta >= 0)."""
     if alpha <= 0 or beta < 0:
@@ -339,11 +313,6 @@ def solve_helmholtz(f: Field, alpha: float, beta: float) -> Field:
     if beta == 0.0:
         return Field(grid, f.values / alpha)
     return Field(grid, _checked_spectral_solve(grid, f.values, alpha, beta))
-
-
-def riesz_inverse(f: Field) -> Field:
-    """Apply the inverse Riesz map (I - lap)^(-1)."""
-    return solve_helmholtz(f, 1.0, 1.0)
 
 
 def norm_vstar(f: Field) -> float:

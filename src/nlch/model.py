@@ -215,11 +215,6 @@ def _column(values):
     return np.array(values, dtype=float)[:, None]
 
 
-def _take(keep, arrays):
-    """The rows ``keep`` of (M, n) batches and (M, 1) columns; shared values pass through."""
-    return [v[keep] if isinstance(v, np.ndarray) else v for v in arrays]
-
-
 def _row_error(message, history, phase, cause=None) -> StepError:
     err = StepError(message, residual_history=history, phase=phase)
     err.__cause__ = cause
@@ -232,7 +227,7 @@ def _solve_rows(grid, diag, dt, rhs, phase, histories, failed):
     A batch that fails, or returns a non-finite value, is solved again
     row by row, so that only the rows that fail on their own fail: each
     gets a StepError in ``failed``, keyed by its row and carrying its
-    residual history from ``histories()``, and a zero solution. A row
+    residual history from ``histories``, and a zero solution. A row
     whose own solution is not finite keeps it, for the caller's checks.
     """
     try:
@@ -248,7 +243,7 @@ def _solve_rows(grid, diag, dt, rhs, phase, histories, failed):
             x_row[...] = solve_shifted_diffusion(grid, diag_row, dt, rhs_row)
         except SolverError as err:
             failed.setdefault(j, _row_error(f"{phase} linear solve failed: {err}",
-                                            histories()[j], phase, err))
+                                            histories[j], phase, err))
     return x
 
 
@@ -264,7 +259,7 @@ def _yosida_rows(spec, lam, phi, histories, failed):
             for arr, row in zip(out, yosida_with_derivative(spec, lam, phi_row)):
                 _rows(arr)[j][...] = row
         except SolverError as err:
-            failed.setdefault(j, _row_error(f"resolvent failed: {err}", histories()[j],
+            failed.setdefault(j, _row_error(f"resolvent failed: {err}", histories[j],
                                             "resolvent", err))
     return out
 
@@ -278,12 +273,18 @@ def _step_arrays(t, phi, mu, sig, conv_phi, yos, params: Sequence[ModelParams],
     and tau. ``conv_phi`` is J*phi and ``yos`` the (value, derivative,
     resolvent) triple of yosida_with_derivative at phi; the triple of
     the new phi is returned in the same place, ready for the next step.
-    Each row iterates its own Newton loop: a row that stops leaves the
-    batch while the others go on. A row that fails gets its StepError in
-    the returned StepOutcome, and its arrays hold no state of its run;
-    the other rows complete the step. Every row's arithmetic is that of
-    a step of its own: the batched Laplacian, solves and transforms are
-    bitwise equal per row, and each residual norm is np.dot on its row.
+    Each row iterates its own Newton loop and keeps its place in the
+    batch for the whole step: the loop runs on all M rows until each has
+    stopped or failed, and only a row still going records a residual,
+    updates its best iterate and can fail. The iterates of the other
+    rows are computed but never read. A row that fails gets its StepError
+    in the returned StepOutcome, and its rows of the returned arrays are
+    no state of its run; the other rows complete the step. A failed row's
+    iterates may be non-finite, which can send each later block solve of
+    the step through the row-by-row fallback and make numpy warn; only a
+    step that fails pays this. Every row's arithmetic is that of a step
+    of its own: the batched Laplacian, solves and transforms are bitwise
+    equal per row, and each residual norm is np.dot on its row.
     """
     p0 = params[0]
     grid = bundle.grid
@@ -304,86 +305,63 @@ def _step_arrays(t, phi, mu, sig, conv_phi, yos, params: Sequence[ModelParams],
     accept_tol = [p0.newton_tol * (1.0 + float(np.sqrt(np.dot(c, c) * cellvol)))
                   for c in _rows(const1)]
     histories = [[] for _ in range(M)]
-    # each row's best iterate: (residual, phi, mu, y, dy, s, its row in those arrays)
+    # each row's best iterate: (residual, phi, mu, y, dy, s) as whole batches, read at the row
     best = [None] * M
     tol_floor = [None] * M
     outcome = [None] * M
+    going = [True] * M
 
-    # the iterates and per-row constants of the rows still iterating;
-    # ``rows`` maps their array rows to the M rows
-    rows = list(range(M))
     p, m, (y, dy, s) = phi, mu, yos
-    c1, ph, wr, er, tr = const1, phi, w, eps, tau
-
-    def row_histories():
-        return [histories[i] for i in rows]
-
-    def drop(failed, arrays):
-        """Record the failed rows' errors; the other rows of ``arrays``."""
-        for j, err in failed.items():
-            outcome[rows[j]] = err
-        keep = [j for j in range(len(rows)) if j not in failed]
-        if not keep:
-            return [], arrays
-        return [rows[j] for j in keep], _take(keep, arrays)
-
     for it in range(p0.newton_cap + 1):
-        r1 = er * m + p - dt * _lap_array(m, grid) - c1
-        r2 = m - tr * (p - ph) / dt - a * p - y - wr
-        stop = {}
-        for j, i, q1, q2 in zip(range(len(rows)), rows, _rows(r1), _rows(r2)):
+        r1 = eps * m + p - dt * _lap_array(m, grid) - const1
+        r2 = m - tau * (p - phi) / dt - a * p - y - w
+        for i, (q1, q2) in enumerate(zip(_rows(r1), _rows(r2))):
+            if not going[i]:
+                continue
             history = histories[i]
             res = float(np.sqrt((np.dot(q1, q1) + np.dot(q2, q2)) * cellvol))
             history.append(res)
             if it == 0:
-                best[i] = (res, p, m, y, dy, s, j)
+                best[i] = (res, p, m, y, dy, s)
                 tol_floor[i] = 1e-14 * (1.0 + res)
             elif res < best[i][0]:
-                best[i] = (res, p, m, y, dy, s, j)
+                best[i] = (res, p, m, y, dy, s)
             # stop at the floor, at the cap, or below the acceptance
             # tolerance once no longer contracting: the residual has hit
             # its floating-point floor
             if (res <= tol_floor[i] or it == p0.newton_cap
                     or (it > 0 and res <= accept_tol[i] and res > 0.25 * history[-2])):
-                stop[j] = None
-        if len(stop) == len(rows):
+                going[i] = False
+        if not any(going):
             break
-        if stop:
-            rows, (p, m, y, dy, s, r1, r2, c1, ph, wr, er, tr) = drop(
-                stop, [p, m, y, dy, s, r1, r2, c1, ph, wr, er, tr])
-        diag = tr / dt + a + dy
+        diag = tau / dt + a + dy
         if diag.min() <= 0.0:
-            failed = {j: _row_error(
-                f"implicit diagonal lost positivity (min {low:.3e}); "
-                "the configuration lacks coercivity (tau = 0 with inf a <= 0)",
-                histories[rows[j]], "Newton")
-                for j, low in enumerate(r.min() for r in _rows(diag)) if low <= 0.0}
-            rows, (p, m, y, dy, s, r1, r2, diag, c1, ph, wr, er, tr) = drop(
-                failed, [p, m, y, dy, s, r1, r2, diag, c1, ph, wr, er, tr])
-            if not rows:
+            for i, low in enumerate(r.min() for r in _rows(diag)):
+                if low <= 0.0 and going[i]:
+                    going[i] = False
+                    outcome[i] = _row_error(
+                        f"implicit diagonal lost positivity (min {low:.3e}); "
+                        "the configuration lacks coercivity (tau = 0 with inf a <= 0)",
+                        histories[i], "Newton")
+            if not any(going):
                 break
         failed = {}
         rhs = -(r1 + r2 / diag)
-        dmu = _solve_rows(grid, er + 1.0 / diag, dt, rhs, "Newton", row_histories, failed)
+        dmu = _solve_rows(grid, eps + 1.0 / diag, dt, rhs, "Newton", histories, failed)
         dphi = (dmu + r2) / diag
         p = p + dphi
         m = m + dmu
-        y, dy, s = _yosida_rows(spec, lam, p, row_histories, failed)
-        if failed:
-            rows, (p, m, y, dy, s, c1, ph, wr, er, tr) = drop(
-                failed, [p, m, y, dy, s, c1, ph, wr, er, tr])
-            if not rows:
-                break
+        y, dy, s = _yosida_rows(spec, lam, p, histories, failed)
+        for i, err in failed.items():
+            if going[i]:
+                going[i] = False
+                outcome[i] = err
 
-    # each row that did not fail takes its best iterate, a failed row the old state
-    picks = []
-    for i in range(M):
+    # each row that did not fail takes its best iterate
+    for i, (res, pick, *_) in enumerate(best):
         if outcome[i] is not None:
-            picks.append((None, phi, mu, *yos, i))
             continue
-        pick = best[i]
-        picks.append(pick)
-        res, history = pick[0], histories[i]
+        history = histories[i]
         # a finite residual has finite phi, mu and Yosida value in every term
         if not math.isfinite(res):
             outcome[i] = _row_error(f"Newton residual is not finite ({res})", history, "Newton")
@@ -392,23 +370,22 @@ def _step_arrays(t, phi, mu, sig, conv_phi, yos, params: Sequence[ModelParams],
                 f"Newton failed to converge: residual {res:.3e} after {len(history) - 1} "
                 "iterations", history, "convergence")
         elif spec.has_barrier:
-            sup = float(np.max(np.abs(_rows(pick[1])[pick[6]])))
+            sup = float(np.max(np.abs(_rows(pick)[i])))
             if sup >= spec.ell:
                 outcome[i] = _row_error(
                     f"phi left the barrier interval: ||phi||_inf = {sup:.6g} >= ell = {spec.ell}",
                     history, "barrier")
-    first = picks[0]
-    if M == 1 or all(pick[1] is first[1] and pick[6] == i for i, pick in enumerate(picks)):
-        phi_new, mu_new, *yos_new = first[1:6]
+    if all(b[1] is best[0][1] for b in best):
+        phi_new, mu_new, *yos_new = best[0][1:]
     else:
         phi_new, mu_new, *yos_new = (
-            np.stack([_rows(pick[k])[pick[6]] for pick in picks]) for k in range(1, 6))
+            np.stack([_rows(b[k])[i] for i, b in enumerate(best)]) for k in range(1, 6))
 
     sig_s = _sigma_s_array(p0.sigma_s, grid, t + dt)
     rhs_sig = sig + dt * (p0.B * sig_s - p0.eta * _lap_array(phi_new, grid))
     diag_sig = 1.0 + dt * (p0.B + p0.C * p0.h(phi_new))
     failed = {}
-    sig_new = _solve_rows(grid, diag_sig, dt, rhs_sig, "nutrient", lambda: histories, failed)
+    sig_new = _solve_rows(grid, diag_sig, dt, rhs_sig, "nutrient", histories, failed)
     if not np.isfinite(sig_new).all():
         for i, row in enumerate(_rows(sig_new)):
             if not np.isfinite(row).all():
@@ -503,7 +480,7 @@ def run_rows(inits: Sequence[InitialData], params: Sequence[ModelParams], bundle
                 keep = [j for j in range(len(runs)) if j not in failed]
                 if not keep:
                     break
-                phi, mu, sig, *yos = _take(keep, [phi, mu, sig, *yos])
+                phi, mu, sig, *yos = (v[keep] for v in (phi, mu, sig, *yos))
                 runs, stats = [runs[j] for j in keep], [stats[j] for j in keep]
                 live = [params[i] for i in runs]
             t = k * dt

@@ -125,6 +125,15 @@ def test_separation_probe(grid64):
     ok, r_star = theorem_probe_separation(frozen_trajectory(grid64, close, sigs), ell=1.0)
     assert not ok and r_star == pytest.approx(1.0 - 1e-8)
 
+    # separated from the barrier, but by less than the margin 1e-3
+    inside = [Field.constant(grid64, 0.0), Field.constant(grid64, 1.0 - 1e-4)]
+    ok, r_star = theorem_probe_separation(frozen_trajectory(grid64, inside, sigs), ell=1.0)
+    assert not ok and r_star == pytest.approx(1.0 - 1e-4)
+
+    edge = [Field.constant(grid64, 0.0), Field.constant(grid64, -(1.0 - 1e-3))]
+    ok, r_star = theorem_probe_separation(frozen_trajectory(grid64, edge, sigs), ell=1.0)
+    assert ok and r_star == 1.0 - 1e-3
+
 
 def test_csv_writers(tmp_path, grid64):
     recs = [

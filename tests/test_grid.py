@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
-from nlch.errors import CompatibilityError, ConfigError, DimensionError, SolverError
+from nlch.errors import ConfigError, DimensionError, SolverError
 from nlch.grid import (
     Field,
     GridSpec,
@@ -18,7 +18,6 @@ from nlch.grid import (
     norm_v,
     norm_vstar,
     read_field,
-    solve_neumann_poisson,
     solve_shifted_diffusion,
     write_field,
     write_field_csv,
@@ -137,27 +136,6 @@ def test_grad_norm_matches_laplacian_quadratic_form(grid256):
         f = Field(grid256, rng.standard_normal(grid256.size))
         q = -inner_h(laplacian_neumann(f), f)
         assert grad_sq_integral(f) == pytest.approx(q, rel=1e-12)
-
-
-def test_poisson_examples(grid256):
-    zero = Field.constant(grid256, 0.0)
-    assert np.max(np.abs(solve_neumann_poisson(zero).values)) == 0.0
-
-    L = 1.0
-    x = grid256.axis_coordinates(0)
-    rhs = Field(grid256, np.cos(np.pi * x / L))
-    u = solve_neumann_poisson(rhs)
-    exact = (L / np.pi) ** 2 * np.cos(np.pi * x / L)
-    assert np.max(np.abs(u.values - exact)) <= 1e-4
-
-    rng = np.random.default_rng(3)
-    r = rng.standard_normal(grid256.size)
-    r -= r.mean()
-    rf = Field(grid256, r)
-    assert inner_h(solve_neumann_poisson(rf), rf) >= 0.0
-
-    with pytest.raises(CompatibilityError):
-        solve_neumann_poisson(Field.constant(grid256, 1.0))
 
 
 def test_vstar_examples(grid256):

@@ -451,6 +451,18 @@ def test_a_row_whose_residual_overflows_fails_alone(grid64, bundle64, poly):
         _assert_same_run(results[i], run(inits[i], params[i], bundle64, poly, validate=False))
 
 
+def test_rows_stopping_at_different_iterations_equal_their_own_runs(grid64, bundle64, logpot):
+    # on the barrier well the rows' Newton loops stop at different
+    # iterations, while every row keeps its place in the batch; the gate
+    # table refuses the eps = 0 row (pol_growth), which the stepper can run
+    inits, params = _eps_rows(grid64)
+    results = run_rows(inits, params, bundle64, logpot, validate=False)
+    for init, p, got in zip(inits, params, results):
+        _assert_same_run(got, run(init, p, bundle64, logpot, validate=False))
+    iters = [[rec.newton_iters for rec in traj.records[1:]] for traj in results]
+    assert any(len(set(step)) > 1 for step in zip(*iters))
+
+
 def test_lockstep_rows_must_share_all_but_eps_and_tau(grid64, bundle64, poly):
     inits, params = _eps_rows(grid64)
     with pytest.raises(ConfigError, match="share"):
