@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import irfft, irfftn, next_fast_len, rfft, rfftn
+from numpy.fft import irfft, rfft
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import ConfigError, DimensionError
 from .grid import Field, GridSpec
@@ -107,7 +108,9 @@ class KernelSpec:
 class _FastConvolution:
     """Cached zero-padded real FFT plan for one (kernel, grid) pair.
 
-    The plan is read-only after construction.
+    The plan is read-only after construction. 1D applies numpy's
+    rfft/irfft, bitwise equal to scipy.fft's without its dispatch cost;
+    2D keeps scipy's irfftn, from which numpy's differs in the last bits.
     """
 
     def __init__(self, kernel_table: np.ndarray, grid: GridSpec):

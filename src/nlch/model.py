@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -184,14 +184,18 @@ class StepStats:
 
 @dataclass
 class StepOutcome:
-    """One lockstep step: each row's StepStats, or the StepError that failed the row."""
+    """One lockstep step: each row's StepStats, and the StepError of each failed row.
 
-    rows: list
+    ``stats`` holds None for a failed row; ``errors`` is keyed by row.
+    """
+
+    stats: list
+    errors: dict
 
     @property
     def newton_iters(self) -> int:
         """Newton iterations summed over the rows that completed the step."""
-        return sum(r.newton_iters for r in self.rows if isinstance(r, StepStats))
+        return sum(s.newton_iters for s in self.stats if s is not None)
 
 
 def _batch(arrays) -> np.ndarray:
@@ -213,6 +217,22 @@ def _column(values):
     if values.count(values[0]) == len(values):
         return values[0]
     return np.array(values, dtype=float)[:, None]
+
+
+class _Lockstep(NamedTuple):
+    """The rows of a lockstep batch: their ModelParams and eps and tau columns.
+
+    Built once per set of rows that step together (see _lockstep).
+    """
+
+    params: list
+    eps: float | np.ndarray
+    tau: float | np.ndarray
+
+
+def _lockstep(params: Sequence[ModelParams]) -> _Lockstep:
+    return _Lockstep(list(params), _column([p.eps for p in params]),
+                     _column([p.tau for p in params]))
 
 
 def _row_error(message, history, phase, cause=None) -> StepError:
@@ -264,13 +284,13 @@ def _yosida_rows(spec, lam, phi, histories, failed):
     return out
 
 
-def _step_arrays(t, phi, mu, sig, conv_phi, yos, params: Sequence[ModelParams],
-                 bundle: KernelBundle, spec: PotentialSpec):
+def _step_arrays(t, phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: KernelBundle,
+                 spec: PotentialSpec):
     """One IMEX step of M runs in lockstep, on a batch of one row per run.
 
-    The batch is (M, n) arrays, flat for M = 1 (see _batch). ``params``
-    holds each row's ModelParams; the rows share every setting but eps
-    and tau. ``conv_phi`` is J*phi and ``yos`` the (value, derivative,
+    The batch is (M, n) arrays, flat for M = 1 (see _batch). ``rows``
+    holds each row's ModelParams and the eps and tau columns; the rows
+    share every setting but eps and tau. ``conv_phi`` is J*phi and ``yos`` the (value, derivative,
     resolvent) triple of yosida_with_derivative at phi; the triple of
     the new phi is returned in the same place, ready for the next step.
     Each row iterates its own Newton loop and keeps its place in the
@@ -286,15 +306,13 @@ def _step_arrays(t, phi, mu, sig, conv_phi, yos, params: Sequence[ModelParams],
     of its own: the batched Laplacian, solves and transforms are bitwise
     equal per row, and each residual norm is np.dot on its row.
     """
-    p0 = params[0]
+    p0, eps, tau = rows.params[0], rows.eps, rows.tau
     grid = bundle.grid
     dt = p0.dt
-    eps = _column([p.eps for p in params])
-    tau = _column([p.tau for p in params])
     lam = p0.lam_eff
     a = bundle.a_field.values
     cellvol = grid.cell_volume
-    M = len(params)
+    M = len(rows.params)
 
     h_old = p0.h(phi)
     g = (p0.P * sig - p0.A) * h_old
@@ -308,7 +326,7 @@ def _step_arrays(t, phi, mu, sig, conv_phi, yos, params: Sequence[ModelParams],
     # each row's best iterate: (residual, phi, mu, y, dy, s) as whole batches, read at the row
     best = [None] * M
     tol_floor = [None] * M
-    outcome = [None] * M
+    errors = {}
     going = [True] * M
 
     p, m, (y, dy, s) = phi, mu, yos
@@ -339,7 +357,7 @@ def _step_arrays(t, phi, mu, sig, conv_phi, yos, params: Sequence[ModelParams],
             for i, low in enumerate(r.min() for r in _rows(diag)):
                 if low <= 0.0 and going[i]:
                     going[i] = False
-                    outcome[i] = _row_error(
+                    errors[i] = _row_error(
                         f"implicit diagonal lost positivity (min {low:.3e}); "
                         "the configuration lacks coercivity (tau = 0 with inf a <= 0)",
                         histories[i], "Newton")
@@ -355,24 +373,24 @@ def _step_arrays(t, phi, mu, sig, conv_phi, yos, params: Sequence[ModelParams],
         for i, err in failed.items():
             if going[i]:
                 going[i] = False
-                outcome[i] = err
+                errors[i] = err
 
     # each row that did not fail takes its best iterate
     for i, (res, pick, *_) in enumerate(best):
-        if outcome[i] is not None:
+        if i in errors:
             continue
         history = histories[i]
         # a finite residual has finite phi, mu and Yosida value in every term
         if not math.isfinite(res):
-            outcome[i] = _row_error(f"Newton residual is not finite ({res})", history, "Newton")
+            errors[i] = _row_error(f"Newton residual is not finite ({res})", history, "Newton")
         elif res > accept_tol[i]:
-            outcome[i] = _row_error(
+            errors[i] = _row_error(
                 f"Newton failed to converge: residual {res:.3e} after {len(history) - 1} "
                 "iterations", history, "convergence")
         elif spec.has_barrier:
             sup = float(np.max(np.abs(_rows(pick)[i])))
             if sup >= spec.ell:
-                outcome[i] = _row_error(
+                errors[i] = _row_error(
                     f"phi left the barrier interval: ||phi||_inf = {sup:.6g} >= ell = {spec.ell}",
                     history, "barrier")
     if all(b[1] is best[0][1] for b in best):
@@ -384,25 +402,22 @@ def _step_arrays(t, phi, mu, sig, conv_phi, yos, params: Sequence[ModelParams],
     sig_s = _sigma_s_array(p0.sigma_s, grid, t + dt)
     rhs_sig = sig + dt * (p0.B * sig_s - p0.eta * _lap_array(phi_new, grid))
     diag_sig = 1.0 + dt * (p0.B + p0.C * p0.h(phi_new))
-    failed = {}
-    sig_new = _solve_rows(grid, diag_sig, dt, rhs_sig, "nutrient", histories, failed)
+    sig_new = _solve_rows(grid, diag_sig, dt, rhs_sig, "nutrient", histories, errors)
     if not np.isfinite(sig_new).all():
         for i, row in enumerate(_rows(sig_new)):
             if not np.isfinite(row).all():
-                failed.setdefault(i, _row_error("nutrient solve returned non-finite values",
+                errors.setdefault(i, _row_error("nutrient solve returned non-finite values",
                                                 histories[i], "nutrient"))
-    for i, err in failed.items():
-        if outcome[i] is None:
-            outcome[i] = err
 
+    stats = [None] * M
     for i, (new_mass, old_mass, source) in enumerate(zip(
             _rows(eps * mu_new + phi_new), _rows(mass_old), _rows(g))):
-        if outcome[i] is None:
+        if i not in errors:
             mass_defect = abs((new_mass.sum() - old_mass.sum() - dt * source.sum()) * cellvol
                               / grid.measure)
-            outcome[i] = StepStats(newton_iters=len(histories[i]) - 1, residual=best[i][0],
-                                   mass_defect=mass_defect)
-    return phi_new, mu_new, sig_new, tuple(yos_new), StepOutcome(outcome)
+            stats[i] = StepStats(newton_iters=len(histories[i]) - 1, residual=best[i][0],
+                                 mass_defect=mass_defect)
+    return phi_new, mu_new, sig_new, tuple(yos_new), StepOutcome(stats, errors)
 
 
 @dataclass
@@ -460,7 +475,7 @@ def run_rows(inits: Sequence[InitialData], params: Sequence[ModelParams], bundle
     conv = bundle.convolve_array(phi)
     trajs = [Trajectory(params=p) for p in params]
     results = list(trajs)
-    runs, live = list(range(len(trajs))), list(params)
+    runs, live = list(range(len(trajs))), _lockstep(params)
     stats = [StepStats(newton_iters=0, residual=0.0, mass_defect=0.0)] * len(runs)
 
     t = 0.0
@@ -468,21 +483,20 @@ def run_rows(inits: Sequence[InitialData], params: Sequence[ModelParams], bundle
         if k > 0:
             phi, mu, sig, yos, outcome = _step_arrays(t, phi, mu, sig, conv, yos, live,
                                                       bundle, spec)
-            stats = outcome.rows
-            failed = {j: err for j, err in enumerate(stats) if isinstance(err, StepError)}
-            for j, err in failed.items():
-                traj = trajs[runs[j]]
-                traj.complete = False
-                err.partial = traj
-                err.step, err.t = k, k * dt
-                results[runs[j]] = err
-            if failed:
-                keep = [j for j in range(len(runs)) if j not in failed]
+            stats = outcome.stats
+            if outcome.errors:
+                for j, err in outcome.errors.items():
+                    traj = trajs[runs[j]]
+                    traj.complete = False
+                    err.partial = traj
+                    err.step, err.t = k, k * dt
+                    results[runs[j]] = err
+                keep = [j for j in range(len(runs)) if j not in outcome.errors]
                 if not keep:
                     break
                 phi, mu, sig, *yos = (v[keep] for v in (phi, mu, sig, *yos))
                 runs, stats = [runs[j] for j in keep], [stats[j] for j in keep]
-                live = [params[i] for i in runs]
+                live = _lockstep([params[i] for i in runs])
             t = k * dt
             conv = bundle.convolve_array(phi)
         rows = [_rows(v) for v in (phi, mu, sig)]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -30,6 +30,16 @@ _MAX_NEWTON = 300
 _DOMINANCE_MESH = 20001
 
 
+class Chart(NamedTuple):
+    """Coordinate u of s in which _resolvent_newton solves s + lam F1'(s) = r:
+    the first iterate start(lam, r), (s, F1'(s)) = point(spec, u), and the
+    slope(spec, lam, u, s) of s + lam F1'(s) in u."""
+
+    start: Callable
+    point: Callable
+    slope: Callable
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     family: str
@@ -40,7 +50,7 @@ class PotentialSpec:
     f2_second: Callable
     f1_prime: Callable | None = None
     f1_second: Callable | None = None
-    resolvent_root: Callable | None = None
+    chart: Chart | None = None
     params: dict = field(default_factory=dict)
 
     @property
@@ -74,7 +84,9 @@ def polynomial_potential(shift: float = 0.5) -> PotentialSpec:
     def resolvent_root(lam, r):
         q = (1.0 + 2.0 * s * lam) / lam
         c = 2.0 * math.sqrt(q / 3.0)
-        return c * np.sinh(np.arcsinh(3.0 * r / (lam * q * c)) / 3.0)
+        root = c * np.sinh(np.arcsinh(3.0 * r / (lam * q * c)) / 3.0)
+        # the root lies between 0 and r, which rounding can leave by an ulp
+        return np.minimum(np.maximum(root, np.minimum(r, 0.0)), np.maximum(r, 0.0))
 
     def f1_prime(r):
         # r*r*r is within 1 ulp of r**3 at a tenth of its cost on arrays
@@ -90,7 +102,8 @@ def polynomial_potential(shift: float = 0.5) -> PotentialSpec:
         f2=lambda r: -(0.5 + s) * np.asarray(r) ** 2,
         f2_prime=lambda r: -(1.0 + 2.0 * s) * np.asarray(r),
         f2_second=lambda r: np.full_like(np.asarray(r, dtype=float), -(1.0 + 2.0 * s)),
-        resolvent_root=resolvent_root,
+        chart=Chart(resolvent_root, lambda spec, u: (u, spec.f1_prime(u)),
+                    lambda spec, lam, u, s: 1.0 + lam * spec.f1_second(u)),
         params={"shift": s},
     )
 
@@ -99,6 +112,13 @@ def logarithmic_potential(theta: float, theta0: float) -> PotentialSpec:
     """Entropy well on (-1, 1): F1 carries the logarithms, F2 = -theta0 r^2 / 2."""
     if not 0 < theta < theta0:
         raise ConfigError(f"logarithmic potential needs 0 < theta < theta0, got {theta}, {theta0}")
+
+    def start(lam, a):
+        # in the chart s = tanh(u), F1'(s) = theta u: the Newton step off
+        # atanh(b), b = min(a, 1 - ulp), lands left of the root for b <= a
+        b = np.minimum(a, 1.0 - 2.0**-53)
+        w = 1.0 - b * b
+        return np.arctanh(b) * w / (w + lam * theta)
 
     def f1(r):
         r = np.asarray(r, dtype=float)
@@ -126,6 +146,8 @@ def logarithmic_potential(theta: float, theta0: float) -> PotentialSpec:
         f2=lambda r: -0.5 * theta0 * np.asarray(r) ** 2,
         f2_prime=lambda r: -theta0 * np.asarray(r),
         f2_second=lambda r: np.full_like(np.asarray(r, dtype=float), -theta0),
+        chart=Chart(start, lambda spec, u: (np.tanh(u), theta * u),
+                    lambda spec, lam, u, s: (1.0 - s * s) + lam * theta),
         params={"theta": theta, "theta0": theta0},
     )
 
@@ -153,70 +175,47 @@ def double_obstacle_potential(c: float) -> PotentialSpec:
 
 
 def _resolvent_newton(spec: PotentialSpec, lam: float, r: np.ndarray):
-    """Vectorized safeguarded Newton for s + lam * F1'(s) = r.
+    """Masked Newton for s + lam * F1'(s) = r in the family's chart.
 
-    Returns the root s and F1'(s) from its last residual evaluation.
-    Starts from the family's closed-form ``resolvent_root`` when it has
-    one (then the first residual check already passes, so RESOLVENT_RTOL
-    is still verified on every call), otherwise from r. Each residual is
-    tested before the bracket is touched, so a converged iterate returns
-    at once. Keeps a per-element bracket; falls back to bisection
-    whenever the Newton step leaves it. For barrier families the bracket
-    is the open interval, and the root may saturate at the closest
-    representable point to the barrier when the true root underflows.
-    Raises SolverError when elements are still unconverged after
-    _MAX_NEWTON steps.
-    """
-    f1p, f1pp = spec.f1_prime, spec.f1_second
-    if spec.has_barrier:
-        # scalars broadcast until the first bracket update makes them arrays
-        lo = np.nextafter(-spec.ell, 0.0)
-        hi = np.nextafter(spec.ell, 0.0)
-    else:
-        lo = np.minimum(r, 0.0)
-        hi = np.maximum(r, 0.0)
-    start = r if spec.resolvent_root is None else spec.resolvent_root(lam, r)
-    # np.clip(start, lo, hi) without its Python-level wrapper
-    s = np.minimum(np.maximum(start, lo), hi)
-    tol = RESOLVENT_RTOL * (1.0 + np.abs(r))
+    Returns the root s and F1'(s) from its last residual evaluation. Every
+    residual is tested against RESOLVENT_RTOL before a step, so the
+    polynomial's closed-form start returns after one evaluation; converged
+    elements are frozen, so each result depends on its own input only. A
+    barrier family is solved for |r| on u >= 0, where its inclusion is
+    increasing and concave: from a start left of the root the iterates rise
+    to it with no bracket. Its s keeps inside the barrier, to which tanh
+    rounds past u = 19, and takes the sign of r. Raises SolverError when
+    elements are unconverged after _MAX_NEWTON steps."""
+    chart, odd = spec.chart, spec.has_barrier
+    a = np.abs(r)
+    x = a if odd else r
+    tol = RESOLVENT_RTOL * (1.0 + a)
+    u = chart.start(lam, x)
     for _ in range(_MAX_NEWTON):
-        fp = f1p(s)
-        g = s + lam * fp - r
-        abs_g = np.abs(g)
-        if (abs_g <= tol).all():
+        s, fp = chart.point(spec, u)
+        g = s + lam * fp - x
+        going = np.abs(g) > tol
+        if not going.any():
+            if odd:
+                s = np.minimum(s, math.nextafter(spec.ell, 0.0))
+                return np.copysign(s, r), np.copysign(fp, r)
             return s, fp
-        lo = np.where(g < 0, s, lo)
-        hi = np.where(g > 0, s, hi)
-        active = (abs_g > tol) & ((hi - lo) > 1e-16 * (1.0 + np.abs(s)))
-        if not active.any():
-            return s, fp
-        dg = 1.0 + lam * f1pp(s)
-        with np.errstate(all="ignore"):
-            snew = s - g / dg
-        bad = ~np.isfinite(snew) | (snew <= lo) | (snew >= hi)
-        snew = np.where(bad, 0.5 * (lo + hi), snew)
-        s = np.where(active, snew, s)
-    worst = float(np.max(np.abs(g[active])))
+        step = u - g / chart.slope(spec, lam, u, s)
+        u = np.where(going, np.maximum(step, 0.0) if odd else step, u)
+    worst = float(np.max(np.abs(g[going])))
     raise SolverError(
-        f"{spec.family} resolvent: {int(np.count_nonzero(active))} of {r.size} elements "
-        f"unconverged after {_MAX_NEWTON} Newton steps (residual {worst:.3e})",
-        residual=worst,
-    )
+        f"{spec.family} resolvent: {int(np.count_nonzero(going))} of {r.size} elements "
+        f"unconverged after {_MAX_NEWTON} Newton steps (residual {worst:.3e})", residual=worst)
 
 
 def _resolvent_and_yosida(spec: PotentialSpec, lam: float, r: np.ndarray):
-    """Resolvent s of an array r (at least 1-D) and the Yosida value at r.
-
-    Full-domain families take the value as F1'(s), which equals
-    (r - s) / lam at the root, from the resolvent's last residual; the
-    quotient would cancel about log10(1/lam) digits. Barrier families
-    keep the quotient, since F1' is ill-conditioned at the barrier.
-    """
+    """Resolvent s of an array r (at least 1-D) and the Yosida value at r: the
+    last F1'(s) of the resolvent, which is (r - s) / lam without the quotient's
+    cancellation of log10(1/lam) digits, except for the obstacle's clip."""
     if spec.is_obstacle:
         s = np.clip(r, -spec.ell, spec.ell)
         return s, (r - s) / lam
-    s, fp = _resolvent_newton(spec, lam, r)
-    return s, (fp if spec.full_domain else (r - s) / lam)
+    return _resolvent_newton(spec, lam, r)
 
 
 def resolvent(spec: PotentialSpec, lam: float, r):

@@ -140,10 +140,10 @@ def test_sweep_continues_after_a_member_fails(grid64, bundle64, poly, monkeypatc
 
     def failing(t, *args):
         step = original(t, *args)
-        # args[5] holds the rows' ModelParams; step 21 starts at t = 0.02
-        for row, params in enumerate(args[5]):
+        # args[5] holds the rows' _Lockstep; step 21 starts at t = 0.02
+        for row, params in enumerate(args[5].params):
             if params.eps == 1e-2 and t > 0.0195:
-                step[4].rows[row] = StepError("injected failure", phase="Newton")
+                step[4].errors[row] = StepError("injected failure", phase="Newton")
         return step
 
     monkeypatch.setattr(nlch.model, "_step_arrays", failing)

@@ -136,7 +136,7 @@ def test_cli_simulate_reports_the_failed_step(tmp_path, monkeypatch, capsys):
         calls.append(1)
         step = original(*args)
         if len(calls) == 40:
-            step[4].rows[0] = StepError("injected failure", phase="Newton")
+            step[4].errors[0] = StepError("injected failure", phase="Newton")
         return step
 
     monkeypatch.setattr(nlch.model, "_step_arrays", failing)

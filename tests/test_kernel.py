@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.fft
 
+import nlch.kernel
 from nlch.errors import ConfigError, DimensionError
 from nlch.grid import Field, GridSpec, inner_h, norm_h
 from nlch.kernel import (
@@ -29,6 +31,34 @@ def brute_force_energy(spec, grid, values):
         r = np.sqrt(np.sum((coords[i] - coords) ** 2, axis=1))
         total += np.sum(spec.profile(r) * (values[i] - values) ** 2) * grid.cell_volume**2
     return 0.25 * total
+
+
+_FAMILIES = [
+    KernelSpec("gaussian", width=0.3, normalization=1.5),
+    KernelSpec("newtonian", delta=0.05, cutoff=0.4, normalization=0.7),
+    KernelSpec("tabulated", table=((0.0, 0.2, 0.5, 1.0), (2.0, 1.2, 0.4, 0.1))),
+]
+
+
+@pytest.mark.parametrize("spec", _FAMILIES, ids=lambda s: s.family)
+@pytest.mark.parametrize("cells", [(256,), (64,), (24, 16)], ids=str)
+def test_numpy_fft_plan_is_bitwise_the_scipy_plan(monkeypatch, spec, cells):
+    # the plan built and applied with scipy.fft's transforms in place of
+    # numpy's gives the same bits, on one row and on a batch of rows (2D
+    # keeps scipy's irfftn: numpy's differs from it in the last bits)
+    grid = GridSpec(len(cells), (1.0,) * len(cells), cells)
+    rng = np.random.default_rng(7)
+    rows = [rng.standard_normal(grid.size), rng.uniform(-1.0, 1.0, grid.size),
+            np.ones(grid.size), 1e-3 * rng.standard_normal(grid.size)]
+    batch = np.stack(rows)
+    numpy_plan = build(spec, grid)._fast
+    got = [numpy_plan.apply(v) for v in rows] + [numpy_plan.apply(batch)]
+    for name in ("rfft", "irfft", "rfftn", "irfftn"):
+        monkeypatch.setattr(nlch.kernel, name, getattr(scipy.fft, name))
+    scipy_plan = build(spec, grid)._fast
+    want = [scipy_plan.apply(v) for v in rows] + [scipy_plan.apply(batch)]
+    for a, b in zip(got, want):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def test_a_field_is_convolved_one(grid64):

@@ -18,6 +18,7 @@ from nlch.model import (
     h_default,
     h_one,
     h_tanh,
+    _lockstep,
     _step_arrays,
     make_smoothed_ic,
     run,
@@ -174,9 +175,8 @@ def test_make_smoothed_ic(grid256):
 
 def _one_row(step):
     """The result of a one-row step, raising the row's StepError as model.run does."""
-    (row,) = step[4].rows
-    if isinstance(row, StepError):
-        raise row
+    if step[4].errors:
+        raise step[4].errors[0]
     return step
 
 
@@ -193,7 +193,7 @@ def test_barrier_safety_and_xi_invariant(grid64, bundle64, logpot):
     for k in range(20):
         phi, mu, sig, yos, _ = _one_row(_step_arrays(k * params.dt, phi, mu, sig,
                                                      bundle64.convolve_array(phi), yos,
-                                                     [params], bundle64, logpot))
+                                                     _lockstep([params]), bundle64, logpot))
         assert np.max(np.abs(phi)) < 1.0
         expected = yosida_with_derivative(logpot, params.lam_eff, phi)
         for got, want in zip(yos, expected):
@@ -343,8 +343,8 @@ def test_unconverged_resolvent_fails_the_step_in_the_resolvent_phase(monkeypatch
     yos = yosida_with_derivative(spec, params.lam_eff, phi)
     monkeypatch.setattr(nlch.potential, "_MAX_NEWTON", 1)
     with pytest.raises(StepError, match="resolvent failed") as err:
-        _one_row(_step_arrays(0.0, phi, mu, sig, bundle.convolve_array(phi), yos, [params],
-                              bundle, spec))
+        _one_row(_step_arrays(0.0, phi, mu, sig, bundle.convolve_array(phi), yos,
+                              _lockstep([params]), bundle, spec))
     assert err.value.phase == "resolvent"
     assert isinstance(err.value.__cause__, SolverError)
     assert len(err.value.residual_history) == 1
@@ -354,7 +354,7 @@ def _first_step(problem, params, sig):
     phi, mu = problem.init.phi0.values, problem.init.mu0.values
     yos = yosida_with_derivative(problem.spec, params.lam_eff, phi)
     return _one_row(_step_arrays(0.0, phi, mu, sig, problem.bundle.convolve_array(phi), yos,
-                                 [params], problem.bundle, problem.spec))
+                                 _lockstep([params]), problem.bundle, problem.spec))
 
 
 def test_non_finite_newton_residual_fails_the_step():
@@ -411,10 +411,10 @@ def test_a_failed_row_leaves_the_other_rows_bit_identical(grid64, bundle64, poly
 
     def failing(t, *args):
         step = original(t, *args)
-        # args[5] holds the rows' ModelParams; step 21 starts at t = 0.02
-        for row, p in enumerate(args[5]):
+        # args[5] holds the rows' _Lockstep; step 21 starts at t = 0.02
+        for row, p in enumerate(args[5].params):
             if p.eps == 1e-2 and t > 0.0195:
-                step[4].rows[row] = StepError("injected failure", phase="Newton")
+                step[4].errors[row] = StepError("injected failure", phase="Newton")
         return step
 
     monkeypatch.setattr(nlch.model, "_step_arrays", failing)
@@ -452,10 +452,16 @@ def test_a_row_whose_residual_overflows_fails_alone(grid64, bundle64, poly):
 
 
 def test_rows_stopping_at_different_iterations_equal_their_own_runs(grid64, bundle64, logpot):
-    # on the barrier well the rows' Newton loops stop at different
-    # iterations, while every row keeps its place in the batch; the gate
-    # table refuses the eps = 0 row (pol_growth), which the stepper can run
-    inits, params = _eps_rows(grid64)
+    # on the barrier well, with phi near separation, the three tau rows'
+    # Newton loops stop at different iterations on about half the steps,
+    # while every row keeps its place in the batch
+    x = grid64.axis_coordinates(0)
+    init = InitialData(
+        Field(grid64, 0.8 * np.cos(np.pi * x)),
+        Field(grid64, 0.1 * np.cos(np.pi * x)),
+        Field(grid64, 0.6 + 0.2 * np.cos(np.pi * x)),
+    )
+    inits, params = [init] * 3, [coupled_params(tau=tau) for tau in (0.1, 1e-2, 1e-3)]
     results = run_rows(inits, params, bundle64, logpot, validate=False)
     for init, p, got in zip(inits, params, results):
         _assert_same_run(got, run(init, p, bundle64, logpot, validate=False))

@@ -68,11 +68,12 @@ def test_resolvent_logarithmic_vs_bisection():
 
 
 def _sample_range(spec, lam):
-    """Where the scalar inclusion has a float64-representable root.
+    """Where the inclusion's residual, evaluated at s, is resolvable.
 
-    Near a log barrier the equation's slope grows like theta/(1 - s^2);
-    once it exceeds ~1/ulp no float can meet an absolute residual
-    tolerance, so the contract is exercised where roots are resolvable.
+    The logarithmic resolvent meets its tolerance in the chart u = atanh(s)
+    for every r; re-evaluated at s, the residual's slope
+    1 + lam theta / (1 - s^2) amplifies the rounding of s = tanh(u), and
+    once it exceeds ~1/ulp no float can meet an absolute tolerance there.
     """
     if spec.family == "logarithmic":
         theta = spec.params["theta"]
@@ -111,9 +112,31 @@ def test_polynomial_resolvent_exact_root_across_scales(shift):
         assert np.all(s * r >= 0.0) and np.all(np.abs(s) <= np.abs(r))
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_logarithmic_resolvent_across_scales_and_past_the_barrier():
+    # tanh(u) rounds to 1 past u = 19, which r = 1.006 reaches at lam = 1e-3:
+    # the root must stay strictly inside (-1, 1), where the Yosida
+    # derivative theta / (1 - s^2 + lam theta) is finite (1 / lam at the barrier)
+    spec = logarithmic_potential(0.3, 0.6)
+    one = np.array([1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)])
+    r = np.concatenate([_scale_sweep_inputs(), one, -one])
+    for lam in np.logspace(-8.0, 4.0, 25):
+        s = resolvent(spec, lam, r)
+        assert np.array_equal(_bits(resolvent(spec, lam, -r)), _bits(-s))
+        assert np.all(np.abs(s) < 1.0)
+        alone = np.concatenate([resolvent(spec, lam, r[i:i + 1]) for i in range(r.size)])
+        assert np.array_equal(_bits(alone), _bits(s))
+        y, dy, s_again = yosida_with_derivative(spec, lam, r)
+        assert np.array_equal(_bits(s_again), _bits(s))
+        assert np.all(np.isfinite(y)) and np.all(np.isfinite(dy))
+
+
 def test_polynomial_resolvent_evaluates_f1_prime_once():
     # the closed-form root passes the first residual check, so the
-    # safeguarded loop never takes a Newton step
+    # Newton loop never takes a step
     calls = []
     base = polynomial_potential(0.5)
 
