@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     ComparisonError,
@@ -184,6 +183,8 @@ def integrate(init_coeffs: np.ndarray, op: GalerkinOperator, T: float,
     output time. Integrator failure raises StiffnessError suggesting
     larger eps/tau or fewer modes.
     """
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(
         ode_rhs,
         (0.0, T),

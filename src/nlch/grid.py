@@ -20,9 +20,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dctn, idctn
 from scipy.linalg.lapack import dgtsv
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import ConfigError, DimensionError, SolverError
 
@@ -241,6 +239,8 @@ def _spectral_solve(grid: GridSpec, vals: np.ndarray, alpha: float, beta: float)
     Leading axes of ``vals`` are rows, transformed along the grid axes in
     one call; each row's result is bitwise that of a call on the row alone.
     """
+    from scipy.fft import dctn, idctn
+
     axes = tuple(range(-grid.dim, 0))
     coef = dctn(vals.reshape(vals.shape[:-1] + grid.shape), type=2, norm="ortho", axes=axes)
     denom = alpha + beta * _neumann_spectrum(grid)
@@ -275,6 +275,13 @@ def _checked_spectral_solve(grid: GridSpec, b: np.ndarray, alpha: float, beta: f
     return x
 
 
+def cg(*args, **kwargs):
+    """scipy.sparse.linalg.cg, imported on first use: only 2D solves call it."""
+    from scipy.sparse.linalg import cg
+
+    return cg(*args, **kwargs)
+
+
 def _cg_solve(grid: GridSpec, apply_op, rhs: np.ndarray, rtol: float,
               anorm: float, precond) -> np.ndarray:
     """Preconditioned CG with zero initial guess and a hard backward-error check.
@@ -283,6 +290,8 @@ def _cg_solve(grid: GridSpec, apply_op, rhs: np.ndarray, rtol: float,
     anorm an upper bound of ||A||_inf: the normwise backward error, which
     floating point can reach even when the right-hand side is tiny.
     """
+    from scipy.sparse.linalg import LinearOperator
+
     n = grid.size
     op = LinearOperator((n, n), matvec=apply_op, dtype=float)
     pre = LinearOperator((n, n), matvec=precond, dtype=float)

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from numpy.fft import irfft, rfft
-from scipy.fft import irfftn, next_fast_len, rfftn
+from numpy.fft import irfft, rfft, rfftn
 
 from .errors import ConfigError, DimensionError
 from .grid import Field, GridSpec
@@ -105,12 +104,33 @@ class KernelSpec:
         return bool(np.all(np.diff(vals) <= 1e-14))
 
 
+def irfftn(*args, **kwargs):
+    """scipy.fft.irfftn, imported on first use: only 2D plans call it."""
+    from scipy.fft import irfftn
+
+    return irfftn(*args, **kwargs)
+
+
+def next_fast_len(target: int) -> int:
+    """Smallest 11-smooth integer >= target, as scipy.fft.next_fast_len."""
+    n = target
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 class _FastConvolution:
     """Cached zero-padded real FFT plan for one (kernel, grid) pair.
 
-    The plan is read-only after construction. 1D applies numpy's
-    rfft/irfft, bitwise equal to scipy.fft's without its dispatch cost;
-    2D keeps scipy's irfftn, from which numpy's differs in the last bits.
+    The plan is read-only after construction. It is built and applied
+    with numpy's rfft/irfft/rfftn, bitwise equal to scipy.fft's without
+    its dispatch cost; 2D keeps scipy's irfftn, from which numpy's
+    differs in the last bits.
     """
 
     def __init__(self, kernel_table: np.ndarray, grid: GridSpec):

@@ -329,6 +329,7 @@ def _step_arrays(t, phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: Kernel
     errors = {}
     going = [True] * M
 
+    diag_lin = tau / dt + a
     p, m, (y, dy, s) = phi, mu, yos
     for it in range(p0.newton_cap + 1):
         r1 = eps * m + p - dt * _lap_array(m, grid) - const1
@@ -352,7 +353,7 @@ def _step_arrays(t, phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: Kernel
                 going[i] = False
         if not any(going):
             break
-        diag = tau / dt + a + dy
+        diag = diag_lin + dy
         if diag.min() <= 0.0:
             for i, low in enumerate(r.min() for r in _rows(diag)):
                 if low <= 0.0 and going[i]:
@@ -400,7 +401,10 @@ def _step_arrays(t, phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: Kernel
             np.stack([_rows(b[k])[i] for i, b in enumerate(best)]) for k in range(1, 6))
 
     sig_s = _sigma_s_array(p0.sigma_s, grid, t + dt)
-    rhs_sig = sig + dt * (p0.B * sig_s - p0.eta * _lap_array(phi_new, grid))
+    source_sig = p0.B * sig_s
+    if p0.eta != 0.0:
+        source_sig = source_sig - p0.eta * _lap_array(phi_new, grid)
+    rhs_sig = sig + dt * source_sig
     diag_sig = 1.0 + dt * (p0.B + p0.C * p0.h(phi_new))
     sig_new = _solve_rows(grid, diag_sig, dt, rhs_sig, "nutrient", histories, errors)
     if not np.isfinite(sig_new).all():

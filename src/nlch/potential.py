@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import xlogy
 
 from .errors import AssumptionError, ConfigError, InapplicabilityError, SolverError
 
@@ -88,6 +86,11 @@ def polynomial_potential(shift: float = 0.5) -> PotentialSpec:
         # the root lies between 0 and r, which rounding can leave by an ulp
         return np.minimum(np.maximum(root, np.minimum(r, 0.0)), np.maximum(r, 0.0))
 
+    def f1(r):
+        # (r*r)**2 is within 1 ulp of r**4 at a fraction of its cost on arrays
+        r2 = np.asarray(r) ** 2
+        return 0.25 * r2 ** 2 + s * r2 + 0.25
+
     def f1_prime(r):
         # r*r*r is within 1 ulp of r**3 at a tenth of its cost on arrays
         r = np.asarray(r)
@@ -96,7 +99,7 @@ def polynomial_potential(shift: float = 0.5) -> PotentialSpec:
     return PotentialSpec(
         family="polynomial",
         ell=math.inf,
-        f1=lambda r: 0.25 * np.asarray(r) ** 4 + s * np.asarray(r) ** 2 + 0.25,
+        f1=f1,
         f1_prime=f1_prime,
         f1_second=lambda r: 3.0 * np.asarray(r) ** 2 + 2.0 * s,
         f2=lambda r: -(0.5 + s) * np.asarray(r) ** 2,
@@ -121,6 +124,8 @@ def logarithmic_potential(theta: float, theta0: float) -> PotentialSpec:
         return np.arctanh(b) * w / (w + lam * theta)
 
     def f1(r):
+        from scipy.special import xlogy
+
         r = np.asarray(r, dtype=float)
         out = np.where(
             np.abs(r) <= 1.0,
@@ -255,6 +260,8 @@ def moreau(spec: PotentialSpec, lam: float, r: float) -> float:
     Evaluated by adaptive quadrature to 1e-10 absolute; the envelope
     satisfies 0 <= moreau <= F1 on the domain of F1.
     """
+    from scipy.integrate import quad
+
     if lam <= 0:
         raise ConfigError(f"moreau needs lam > 0, got {lam}")
     f1_at_0 = float(np.asarray(spec.f1(0.0)))

@@ -41,7 +41,8 @@ _FAMILIES = [
 
 
 @pytest.mark.parametrize("spec", _FAMILIES, ids=lambda s: s.family)
-@pytest.mark.parametrize("cells", [(256,), (64,), (24, 16)], ids=str)
+@pytest.mark.parametrize(
+    "cells", [(256,), (64,), (50,), (70,), (100,), (24, 16), (36, 50)], ids=str)
 def test_numpy_fft_plan_is_bitwise_the_scipy_plan(monkeypatch, spec, cells):
     # the plan built and applied with scipy.fft's transforms in place of
     # numpy's gives the same bits, on one row and on a batch of rows (2D
@@ -59,6 +60,11 @@ def test_numpy_fft_plan_is_bitwise_the_scipy_plan(monkeypatch, spec, cells):
     want = [scipy_plan.apply(v) for v in rows] + [scipy_plan.apply(batch)]
     for a, b in zip(got, want):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_next_fast_len_is_scipys():
+    ns = range(1, 5001)
+    assert [nlch.kernel.next_fast_len(n) for n in ns] == [scipy.fft.next_fast_len(n) for n in ns]
 
 
 def test_a_field_is_convolved_one(grid64):

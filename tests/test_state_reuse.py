@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import nlch.kernel
+import nlch.model
 import nlch.potential
 from nlch import diagnostics
 from nlch.config import build_problem, load_config
@@ -78,3 +79,18 @@ def test_failed_linear_solve_fails_the_step_with_the_partial_run():
     assert isinstance(err.value.__cause__, SolverError)
     assert err.value.partial.times == [0.0]
     assert (err.value.phase, err.value.step, err.value.t) == ("Newton", 1, params.dt)
+
+
+@pytest.mark.parametrize("name, transport", [("default.cfg", 0), ("separation.cfg", 1)])
+def test_nutrient_laplacian_only_with_active_transport(monkeypatch, name, transport):
+    # one Laplacian per Newton residual; the nutrient update adds eta lap(phi)
+    # only when eta != 0 (default.cfg: eta = 0, separation.cfg: eta = 0.05)
+    problem = _problem(name, "model.T=0.01")
+    laps = _counting(monkeypatch, nlch.model, "_lap_array")
+    traj = run(problem.init, problem.params, problem.bundle, problem.spec)
+    n_steps = len(traj.records) - 1
+    newton_iters = sum(rec.newton_iters for rec in traj.records)
+    assert n_steps == 10
+    assert len(laps) == newton_iters + n_steps * (1 + transport)
+    if name == "default.cfg":
+        assert len(laps) == 3 * n_steps

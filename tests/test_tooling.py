@@ -74,3 +74,15 @@ def test_traced_lockstep_sweep_counts_every_rows_newton_iterations(monkeypatch, 
     per_row = sum(rec.newton_iters for init, params in runs
                   for rec in run(init, params, plan.bundle, plan.spec, validate=False).records)
     assert tracer.counts["model.step.newton_iters"] == per_row
+
+
+def test_tracer_counts_cg_iterations_through_the_first_use_import(monkeypatch):
+    # nlch.grid.cg imports scipy's cg on its first call; the tracer's
+    # iteration counter wraps the module attribute and still sees each one
+    tracing = _tracing(monkeypatch)
+    problem = build_problem(load_config(str(ROOT / "configs" / "default.cfg"), [
+        "grid.dim=2", "grid.extent=1.0,1.0", "grid.cells=12,12", "model.T=0.002"]))
+    with tracing.Tracer().installed() as tracer:
+        run(problem.init, problem.params, problem.bundle, problem.spec)
+    solves = tracer.layer_totals()["grid.cg"]["calls"]
+    assert solves > 0 and tracer.counts["grid.cg.iters"] >= solves
