@@ -435,9 +435,13 @@ def stability_probe(init: InitialData, params: ModelParams, bundle: KernelBundle
     return rows
 
 
-def ratios_consistent(rows: list[StabilityRow], factor: float = 3.0) -> bool:
-    """True when all pairwise ratios of the per-delta ratios lie within factor."""
+# the per-delta stability ratios of one tau agree within this factor
+RATIO_FACTOR = 3.0
+
+
+def ratios_consistent(rows: list[StabilityRow]) -> bool:
+    """True when all pairwise ratios of the per-delta ratios lie within RATIO_FACTOR."""
     ratios = [r.ratio for r in rows if math.isfinite(r.ratio)]
     if len(ratios) < 2:
         return True
-    return max(ratios) <= factor * min(ratios)
+    return max(ratios) <= RATIO_FACTOR * min(ratios)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -22,14 +23,6 @@ from .potential import (
     logarithmic_potential,
     polynomial_potential,
 )
-
-
-def _parse_bool(s: str) -> bool:
-    if s.lower() in ("1", "true", "yes", "on"):
-        return True
-    if s.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {s!r}")
 
 
 def _parse_floats(s: str) -> tuple[float, ...]:
@@ -69,8 +62,6 @@ SCHEMA: dict[str, tuple] = {
     "model.h": (str, "default"),
     "model.dt": (float, 1e-3),
     "model.T": (float, 0.25),
-    "model.newton_tol": (float, 1e-10),
-    "model.newton_cap": (int, 50),
     "ic.family": (str, "cosine"),
     "ic.phi_mean": (float, 0.0),
     "ic.phi_amplitude": (float, 0.3),
@@ -84,7 +75,6 @@ SCHEMA: dict[str, tuple] = {
     "ic.sigma_file": (str, ""),
     "output.dir": (str, "out"),
     "output.snapshot_stride": (int, 10),
-    "output.csv": (_parse_bool, True),
     "sweep.values": (_parse_floats, (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)),
     "sweep.t": (float, 0.25),
     "sweep.dt": (float, 2e-4),
@@ -111,8 +101,6 @@ class RunConfig:
 
 
 def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, tuple):
         return ",".join(_format_value(x) for x in v)
     if isinstance(v, float):
@@ -130,8 +118,6 @@ def _typed(key: str, val: str, where: str):
         raise ConfigError(f"{where}: unknown key {key!r}")
     try:
         return SCHEMA[key][0](val)
-    except ConfigError:
-        raise
     except Exception as err:
         raise ConfigError(f"{where}: bad value for {key}: {err}") from None
 
@@ -155,11 +141,19 @@ def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
     return RunConfig(entries)
 
 
+def _read(what: str, path: str, reader):
+    """reader(path), with a missing or unparsable file as a ConfigError naming it."""
+    try:
+        return reader(path)
+    except (OSError, ValueError) as err:
+        reason = getattr(err, "strerror", None) or err
+        raise ConfigError(f"cannot read {what} {path}: {reason}") from None
+
+
 def load_config(path: str | None, overrides: list[str] | None = None) -> RunConfig:
     if path is None:
         return parse_config("", overrides)
-    with open(path) as fh:
-        return parse_config(fh.read(), overrides)
+    return parse_config(_read("config", path, lambda p: Path(p).read_text()), overrides)
 
 
 def build_grid(cfg: RunConfig) -> GridSpec:
@@ -180,7 +174,7 @@ def build_kernel_spec(cfg: RunConfig) -> KernelSpec:
         path = cfg["kernel.table"]
         if not path:
             raise ConfigError("tabulated kernel needs kernel.table = <csv path>")
-        data = np.loadtxt(path, delimiter=",", comments="#")
+        data = _read("kernel table", path, lambda p: np.loadtxt(p, delimiter=",", comments="#"))
         if data.ndim != 2 or data.shape[1] != 2:
             raise ConfigError("kernel table must be two-column CSV (radius, value)")
         table = (tuple(data[:, 0]), tuple(data[:, 1]))
@@ -223,8 +217,6 @@ def build_params(cfg: RunConfig) -> ModelParams:
         lam=cfg["potential.lambda"],
         dt=cfg["model.dt"],
         T=cfg["model.T"],
-        newton_tol=cfg["model.newton_tol"],
-        newton_cap=cfg["model.newton_cap"],
     )
     # the sign and range rules are rows of the gate table
     for gate in (a1_coefficients, a3_sigma_s):
@@ -253,7 +245,7 @@ def build_initial_data(cfg: RunConfig, grid: GridSpec, seed: int = 0) -> Initial
             path = cfg[f"ic.{name}_file"]
             if not path:
                 raise ConfigError(f"ic.family = file needs ic.{name}_file")
-            f = read_field(path)
+            f = _read("initial data", path, read_field)
             if f.grid != grid:
                 raise ConfigError(f"ic file {path} grid does not match the run grid")
             fields[name] = f

@@ -205,8 +205,12 @@ def distance(traj1, traj2, eps: float | None = None,
     return time_norms(np.asarray(traj1.times), norms)
 
 
-def theorem_probe_max_principle(traj, tol: float = 1e-10):
-    """Scan all snapshots for violations of 0 <= sigma <= 1.
+# the rounding allowed outside [0, 1] by the maximum principle probe
+MAX_PRINCIPLE_TOL = 1e-10
+
+
+def theorem_probe_max_principle(traj):
+    """Scan all snapshots for violations of 0 <= sigma <= 1 beyond MAX_PRINCIPLE_TOL.
 
     Returns (passed, info) where info carries the global extrema and the
     first violating (t, flat cell index) if any.
@@ -218,10 +222,10 @@ def theorem_probe_max_principle(traj, tol: float = 1e-10):
         lo = min(lo, float(vals.min()))
         hi = max(hi, float(vals.max()))
         if first is None:
-            bad = np.where((vals < -tol) | (vals > 1.0 + tol))[0]
+            bad = np.where((vals < -MAX_PRINCIPLE_TOL) | (vals > 1.0 + MAX_PRINCIPLE_TOL))[0]
             if bad.size:
                 first = (t, int(bad[0]), float(vals[bad[0]]))
-    passed = lo >= -tol and hi <= 1.0 + tol
+    passed = lo >= -MAX_PRINCIPLE_TOL and hi <= 1.0 + MAX_PRINCIPLE_TOL
     return passed, {"sigma_min": lo, "sigma_max": hi, "first_violation": first}
 
 

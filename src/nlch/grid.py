@@ -444,18 +444,22 @@ def write_field(path, f: Field):
 
 
 def read_field(path) -> Field:
+    """Read a write_field snapshot; a malformed file is a ConfigError naming it."""
     with open(path, "rb") as fh:
-        magic = fh.read(6)
-        if magic != _MAGIC:
-            raise ConfigError(f"bad field snapshot magic {magic!r}")
-        (dim,) = struct.unpack("<I", fh.read(4))
-        cells = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(dim))
-        extent = tuple(struct.unpack("<d", fh.read(8))[0] for _ in range(dim))
-        grid = GridSpec(dim=dim, extent=extent, cells=cells)
-        data = np.frombuffer(fh.read(8 * grid.size), dtype="<f8")
-        if data.size != grid.size:
-            raise ConfigError("truncated field snapshot")
-        return Field(grid, data)
+        raw = fh.read()
+    if raw[:6] != _MAGIC:
+        raise ConfigError(f"bad field snapshot magic {raw[:6]!r} in {path}")
+    try:
+        (dim,) = struct.unpack_from("<I", raw, 6)
+        cells = struct.unpack_from(f"<{dim}Q", raw, 10)
+        extent = struct.unpack_from(f"<{dim}d", raw, 10 + 8 * dim)
+    except struct.error:
+        raise ConfigError(f"truncated field snapshot header in {path}") from None
+    grid = GridSpec(dim=dim, extent=extent, cells=cells)
+    values = raw[10 + 16 * dim:]
+    if len(values) != 8 * grid.size:
+        raise ConfigError(f"field snapshot {path} does not hold {grid.size} values")
+    return Field(grid, np.frombuffer(values, dtype="<f8"))
 
 
 def write_field_csv(path, f: Field):

@@ -37,6 +37,10 @@ from .grid import Field, GridSpec, solve_helmholtz, solve_shifted_diffusion, _la
 from .kernel import KernelBundle
 from .potential import PotentialSpec, f2_prime, yosida_with_derivative
 
+# Newton acceptance tolerance, relative to 1 + ||eps mu + phi + dt g||_H, and iteration cap
+NEWTON_TOL = 1e-10
+NEWTON_CAP = 50
+
 
 def h_default(r):
     """Proliferation profile clamp((1+r)/2, 0, 1): bounded, 1/2-Lipschitz."""
@@ -98,20 +102,15 @@ class ModelParams:
     lam: float = 1e-3
     dt: float = 1e-3
     T: float = 1.0
-    newton_tol: float = 1e-10
-    newton_cap: int = 50
 
     def __post_init__(self):
         """Reject numerical settings no run can use; the model's hypotheses
         are the rows of the gate table in nlch.audit."""
-        for name in ("eps", "tau", "P", "A", "B", "C", "chi", "eta", "lam", "dt", "T",
-                     "newton_tol"):
+        for name in ("eps", "tau", "P", "A", "B", "C", "chi", "eta", "lam", "dt", "T"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         for name, rule, ok in (("dt", "> 0", self.dt > 0), ("T", ">= 0", self.T >= 0),
-                               ("lam", "> 0", self.lam > 0),
-                               ("newton_tol", "> 0", self.newton_tol > 0),
-                               ("newton_cap", ">= 1", self.newton_cap >= 1)):
+                               ("lam", "> 0", self.lam > 0)):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
 
@@ -320,7 +319,7 @@ def _step_arrays(t, phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: Kernel
 
     mass_old = eps * mu + phi
     const1 = mass_old + dt * g
-    accept_tol = [p0.newton_tol * (1.0 + float(np.sqrt(np.dot(c, c) * cellvol)))
+    accept_tol = [NEWTON_TOL * (1.0 + float(np.sqrt(np.dot(c, c) * cellvol)))
                   for c in _rows(const1)]
     histories = [[] for _ in range(M)]
     # each row's best iterate: (residual, phi, mu, y, dy, s) as whole batches, read at the row
@@ -331,7 +330,7 @@ def _step_arrays(t, phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: Kernel
 
     diag_lin = tau / dt + a
     p, m, (y, dy, s) = phi, mu, yos
-    for it in range(p0.newton_cap + 1):
+    for it in range(NEWTON_CAP + 1):
         r1 = eps * m + p - dt * _lap_array(m, grid) - const1
         r2 = m - tau * (p - phi) / dt - a * p - y - w
         for i, (q1, q2) in enumerate(zip(_rows(r1), _rows(r2))):
@@ -348,7 +347,7 @@ def _step_arrays(t, phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: Kernel
             # stop at the floor, at the cap, or below the acceptance
             # tolerance once no longer contracting: the residual has hit
             # its floating-point floor
-            if (res <= tol_floor[i] or it == p0.newton_cap
+            if (res <= tol_floor[i] or it == NEWTON_CAP
                     or (it > 0 and res <= accept_tol[i] and res > 0.25 * history[-2])):
                 going[i] = False
         if not any(going):

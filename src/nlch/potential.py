@@ -25,7 +25,8 @@ from .errors import AssumptionError, ConfigError, InapplicabilityError, SolverEr
 
 RESOLVENT_RTOL = 1e-13
 _MAX_NEWTON = 300
-_DOMINANCE_MESH = 20001
+# the Yosida parameter at which validate_split resolves 0
+SPLIT_LAM = 0.1
 
 
 class Chart(NamedTuple):
@@ -306,30 +307,21 @@ def f_lambda_eval(spec: PotentialSpec, lam: float, r, prox=None):
 
 
 def check_dominance(spec: PotentialSpec, a_star: float) -> float:
-    """Estimate C0 = inf over the domain interior of a_* + F''(r).
+    """C0 = inf over the domain of a_* + F''(r), in closed form: a_* + F''(0).
 
-    Uses the family's closed-form second derivatives (F2'' alone for the
-    obstacle, whose F1'' vanishes inside the interval). Raises
-    AssumptionError (naming the minimizing r) when the infimum is not
-    positive, since the well-posedness theory needs C0 > 0.
+    Every family's F'' is even and nondecreasing in |r| (3 r^2 - 1,
+    theta / (1 - r^2) - theta0, and -2c for the obstacle, whose F1''
+    vanishes inside the interval), so the infimum is taken at r = 0.
+    Raises AssumptionError when C0 is not positive, since the
+    well-posedness theory needs C0 > 0.
     """
-    if spec.has_barrier:
-        margin = 1e-3 * spec.ell
-        rs = np.linspace(-spec.ell + margin, spec.ell - margin, _DOMINANCE_MESH)
-    else:
-        rs = np.linspace(-10.0, 10.0, _DOMINANCE_MESH)
-    if spec.is_obstacle:
-        fpp = np.asarray(spec.f2_second(rs))
-    else:
-        fpp = np.asarray(spec.f1_second(rs)) + np.asarray(spec.f2_second(rs))
-    vals = a_star + fpp
-    i = int(np.argmin(vals))
-    c0 = float(vals[i])
+    fpp = spec.f2_second(0.0)
+    if not spec.is_obstacle:
+        fpp = spec.f1_second(0.0) + fpp
+    c0 = float(a_star + fpp)
     if c0 <= 0:
         raise AssumptionError(
-            "A5-dominance",
-            f"a_* + F''(r) has nonpositive infimum {c0:.6g} at r = {rs[i]:.6g}",
-            value=c0,
+            "A5-dominance", f"a_* + F''(r) has nonpositive infimum {c0:.6g} at r = 0", value=c0,
         )
     return c0
 
@@ -394,7 +386,7 @@ def normalization_offset(spec: PotentialSpec) -> float:
     return max(0.0, -fmin)
 
 
-def validate_split(spec: PotentialSpec, lam: float = 0.1) -> dict:
+def validate_split(spec: PotentialSpec) -> dict:
     """Sample-based audit of the structural split assumptions.
 
     Returns named booleans: F1 >= 0, F bounded below (nonnegative after
@@ -412,7 +404,7 @@ def validate_split(spec: PotentialSpec, lam: float = 0.1) -> dict:
             "F1_nonnegative": bool(np.all(f1v >= -1e-12)),
             "F_bounded_below": bool(np.min(fv) > -np.inf),
             "F2prime_zero_at_zero": abs(float(np.asarray(spec.f2_prime(0.0)))) <= 1e-12,
-            "zero_in_dF1_at_zero": abs(float(np.asarray(resolvent(spec, lam, 0.0)))) <= 1e-12,
+            "zero_in_dF1_at_zero": abs(float(resolvent(spec, SPLIT_LAM, 0.0))) <= 1e-12,
         }
     dp = np.diff(np.asarray(spec.f2_prime(rs))) / np.diff(rs)
     checks["F2prime_lipschitz_sampled"] = bool(np.all(np.isfinite(dp)))

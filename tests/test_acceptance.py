@@ -80,7 +80,7 @@ def test_ac2_maximum_principle(bench):
     )
     params = coupled(eta=0.0, T=1.0, dt=1e-3)
     traj = run(init, params, bundle, poly, constants=constants, record_diagnostics=False)
-    passed, info = theorem_probe_max_principle(traj, tol=1e-10)
+    passed, info = theorem_probe_max_principle(traj)
     report("AC-2 maximum principle", passed,
            f"sigma in [{info['sigma_min']:.3e}, {info['sigma_max']:.10f}] over 1000 steps")
 
@@ -92,7 +92,7 @@ def test_ac3_continuous_dependence(bench):
     for tau in (0.1, 0.01):
         rows = stability_probe(init, coupled(tau=tau, T=0.25), bundle, poly,
                                deltas=[1e-2, 1e-3], constants=constants)
-        all_consistent = all_consistent and ratios_consistent(rows, factor=3.0)
+        all_consistent = all_consistent and ratios_consistent(rows)
         mean_ratios.append(np.mean([r.ratio for r in rows]))
     tau_drift = max(mean_ratios) / min(mean_ratios)
     report("AC-3 continuous dependence", all_consistent and tau_drift <= 2.0,

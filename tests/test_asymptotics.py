@@ -206,18 +206,17 @@ def test_stability_probe(grid64, bundle64, poly):
                            deltas=[0.0, 1e-2, 1e-3])
     assert len(rows) == 2  # delta = 0 skipped
     assert all(r.lhs > 0 and r.rhs > 0 for r in rows)
-    assert ratios_consistent(rows, factor=3.0)
+    assert ratios_consistent(rows)
 
     with pytest.raises(AssumptionError, match="eta"):
         stability_probe(init, base.with_params(eta=0.1), bundle64, poly, deltas=[1e-2])
 
 
 def test_ratios_consistent_edges():
-    assert ratios_consistent([], factor=3.0)
+    assert ratios_consistent([])
     rows = [StabilityRow(delta=1e-2, lhs=1.0, rhs=1.0),
             StabilityRow(delta=1e-3, lhs=4.0, rhs=1.0)]
-    assert not ratios_consistent(rows, factor=3.0)
-    assert ratios_consistent(rows, factor=5.0)
+    assert not ratios_consistent(rows)
 
 
 GOLDEN = ["grid.cells=64", "sweep.t=0.01", "sweep.dt=5e-4", "stability.t=0.02"]

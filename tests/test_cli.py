@@ -57,8 +57,7 @@ def test_build_problem_default():
 def test_config_rejects_bad_params():
     for line in ("model.B = -1", "model.sigma_s = 2.0", "potential.family = bogus",
                  "model.eps = nan", "model.T = inf", "potential.lambda = 0",
-                 "potential.lambda = -1e-3", "model.newton_cap = 0", "model.newton_cap = -1",
-                 "model.newton_tol = 0", "model.newton_tol = -1"):
+                 "potential.lambda = -1e-3"):
         with pytest.raises(ConfigError):
             build_problem(parse_config(line + "\n"))
 
@@ -186,12 +185,74 @@ def test_cli_removed_knobs_are_rejected(tmp_path, capsys, command):
     assert "unknown key 'sweep.check_floor'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["sweep-tau", "--snapshots", "5"], ["verify", "--out", "d"]])
+@pytest.mark.parametrize("argv", [["sweep-tau", "--snapshots", "5"], ["verify", "--out", "d"],
+                                  ["simulate", "--snapshots", "5"]])
 def test_cli_rejects_flags_the_command_ignores(argv):
-    # --snapshots strides simulate's output only, and verify writes no directory
+    # no command takes --snapshots (output.snapshot_stride is the stride), and
+    # verify writes no directory
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("model.newton_tol=1e-8", "unknown key 'model.newton_tol'"),
+    ("model.newton_cap=10", "unknown key 'model.newton_cap'"),
+    ("output.csv=false", "unknown key 'output.csv'"),
+    ("output.snapshot_stride=0", "output.snapshot_stride must be >= 1, got 0"),
+    ("output.snapshot_stride=-3", "output.snapshot_stride must be >= 1, got -3"),
+])
+def test_cli_simulate_rejects_removed_and_invalid_settings(tmp_path, capsys, setting, message):
+    # the Newton tolerance and cap are model constants, simulate always writes
+    # its CSVs, and a stride below 1 is refused rather than read as 1
+    rc = main(["simulate", "--out", str(tmp_path), "--set", setting] + FAST)
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("case", ["config", "kernel-table-missing", "kernel-table-unparsable",
+                                  "ic-file-missing", "ic-file-magic-only"])
+def test_cli_unreadable_files_are_configuration_errors(tmp_path, capsys, case):
+    missing = tmp_path / "missing"
+    unparsable = tmp_path / "table.csv"
+    unparsable.write_text("a,b\n")
+    magic_only = tmp_path / "magic.nlchf"
+    magic_only.write_bytes(b"NLCHF1")
+    tabulated = ["--set", "kernel.family=tabulated", "--set"]
+    ic_file = ["--set", "ic.family=file", "--set"]
+    path, argv = {
+        "config": (missing, ["--config", str(missing)]),
+        "kernel-table-missing": (missing, tabulated + [f"kernel.table={missing}"]),
+        "kernel-table-unparsable": (unparsable, tabulated + [f"kernel.table={unparsable}"]),
+        "ic-file-missing": (missing, ic_file + [f"ic.phi_file={missing}"]),
+        "ic-file-magic-only": (magic_only, ic_file + [f"ic.phi_file={magic_only}"]),
+    }[case]
+    rc = main(["simulate", "--out", str(tmp_path / "out")] + argv + FAST)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and str(path) in err
+
+
+@pytest.mark.parametrize("name, settings", [
+    ("tabulated", ["kernel.family=tabulated", "kernel.table={table}"]),
+    ("newtonian", ["kernel.family=newtonian", "kernel.delta=0.1", "kernel.cutoff=0.5",
+                   "kernel.normalization=1.0", "model.eps=0.001"]),
+    ("h-one", ["model.h=one"]),
+    ("h-tanh", ["model.h=tanh"]),
+    ("random-smoothed", ["ic.family=random-smoothed", "ic.smooth=0.02"]),
+])
+def test_cli_simulate_runs_each_advertised_family(tmp_path, name, settings):
+    # the shipped eps = 0.01 fails eps < eps0 for the newtonian kernel
+    table = tmp_path / "kernel.csv"
+    radii = np.linspace(0.0, 1.5, 16)
+    np.savetxt(table, np.column_stack([radii, np.exp(-radii ** 2)]), delimiter=",",
+               header="radius,value")
+    argv = ["simulate", "--out", str(tmp_path / "out"), "--set", "model.T=0.01"]
+    for item in settings:
+        argv += ["--set", item.format(table=table)]
+    assert main(argv) == 0
+    assert len((tmp_path / "out" / "diagnostics.csv").read_text().splitlines()) == 1 + 11
 
 
 @pytest.mark.parametrize("command", ["sweep-eps", "sweep-joint"])
@@ -217,6 +278,20 @@ def test_cli_stability_smoke(tmp_path, capsys):
     assert (tmp_path / "stability.csv").exists()
     out = capsys.readouterr().out
     assert "lhs/rhs" in out
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("stability.deltas=0", "stability.deltas needs a nonzero delta"),
+    ("stability.deltas=", "stability.deltas needs a nonzero delta"),
+    ("stability.taus=", "stability.taus needs at least one tau"),
+])
+def test_cli_stability_with_nothing_to_probe_is_a_configuration_error(tmp_path, capsys,
+                                                                       setting, message):
+    # a probe of no delta or no tau would otherwise pass on an empty stability.csv
+    rc = main(["stability", "--out", str(tmp_path), "--set", setting])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "stability.csv").exists()
 
 
 def test_cli_stability_runs_the_configured_eta(tmp_path, capsys):

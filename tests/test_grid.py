@@ -199,6 +199,14 @@ def test_field_io_roundtrip(tmp_path, grid64):
     with pytest.raises(ConfigError):
         read_field(tmp_path / "bad.nlchf")
 
+    # a cut anywhere in the header or the values is a ConfigError naming the
+    # file, never a struct.error; so is a trailing byte
+    raw = path2.read_bytes()
+    for size in [*range(len(raw)), len(raw) + 1]:
+        (tmp_path / "cut.nlchf").write_bytes((raw + b"\0")[:size])
+        with pytest.raises(ConfigError, match="cut.nlchf"):
+            read_field(tmp_path / "cut.nlchf")
+
 
 def test_norm_h_grad_2d():
     g = GridSpec(2, (1.0, 1.0), (32, 32))

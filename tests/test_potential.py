@@ -274,6 +274,22 @@ def test_check_dominance():
     assert check_dominance(poly, 1.5 + 0.3) == pytest.approx(base + 0.3, abs=1e-12)
 
 
+@pytest.mark.parametrize("spec", [spec for spec, _ in FAMILIES] + [polynomial_potential(1.0)],
+                         ids=lambda spec: f"{spec.family}-{spec.params}")
+def test_check_dominance_is_the_dense_mesh_infimum(spec):
+    # reference: the infimum of a_* + F'' over 20001 points of the domain
+    # (its interior, 1e-3 ell from each barrier); F1'' vanishes inside the obstacle
+    if spec.has_barrier:
+        rs = np.linspace(-0.999 * spec.ell, 0.999 * spec.ell, 20001)
+    else:
+        rs = np.linspace(-10.0, 10.0, 20001)
+    fpp = np.asarray(spec.f2_second(rs))
+    if not spec.is_obstacle:
+        fpp = np.asarray(spec.f1_second(rs)) + fpp
+    for a_star in (1.2, 1.5, 2.05, 2.5):
+        assert check_dominance(spec, a_star) == np.min(a_star + fpp)
+
+
 def test_check_growth_oracle():
     # oracle first: maximize |r^3| / (r^4/4 + 5/4) over [-10, 10] to 1e-6
     res = minimize_scalar(

@@ -1,12 +1,14 @@
-"""The benchmark tracer must keep finding every call site it patches."""
+"""The benchmark tracer must keep finding every call site it patches, and the
+README must keep listing every configuration key."""
 
 import importlib
+import re
 from pathlib import Path
 
 import nlch.grid
 from nlch.asymptotics import SweepPlan, _member_setup
 from nlch.cli import main
-from nlch.config import build_problem, load_config
+from nlch.config import SCHEMA, build_problem, load_config
 from nlch.model import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,3 +88,12 @@ def test_tracer_counts_cg_iterations_through_the_first_use_import(monkeypatch):
         run(problem.init, problem.params, problem.bundle, problem.spec)
     solves = tracer.layer_totals()["grid.cg"]["calls"]
     assert solves > 0 and tracer.counts["grid.cg.iters"] >= solves
+
+
+def test_readme_configuration_list_is_the_schema():
+    # every key in README's Configuration list, spelled out, and no other
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    items = re.findall(r"^- .*(?:\n  .*)*", section, flags=re.M)
+    keys = re.findall(r"`([a-z]+\.[A-Za-z0-9_]+)`", "\n".join(items))
+    assert sorted(keys) == sorted(SCHEMA)
