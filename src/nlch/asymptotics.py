@@ -142,7 +142,9 @@ class SweepPlan:
         if self.mode not in LIMITS:
             raise ConfigError(f"sweep mode must be one of {', '.join(LIMITS)}; got {self.mode!r}")
         vals = tuple(float(v) for v in self.values)
-        if len(vals) < 1 or any(v < 1e-8 for v in vals):
+        if not vals:
+            raise ConfigError("sweep needs at least one value")
+        if any(v < 1e-8 for v in vals):
             raise ConfigError("sweep values must be >= 1e-8")
         if any(b >= a for a, b in zip(vals, vals[1:])):
             raise ConfigError("sweep values must be strictly decreasing")

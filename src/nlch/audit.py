@@ -134,9 +134,9 @@ def a2_h(g: GateInput) -> AuditCheck:
 
 
 def a3_sigma_s(g: GateInput) -> AuditCheck:
-    lo, hi = g.params.sigma_s_range()
-    return AuditCheck("A3 sigma_S in [0, 1]", True, bool(0.0 <= lo and hi <= 1.0),
-                      f"range [{lo:.3g}, {hi:.3g}]")
+    s = g.params.sigma_s
+    return AuditCheck("A3 sigma_S in [0, 1]", True, bool(0.0 <= s <= 1.0),
+                      f"range [{s:.3g}, {s:.3g}]")
 
 
 def a4_split(g: GateInput) -> AuditCheck:

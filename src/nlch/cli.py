@@ -129,12 +129,22 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _horizon(cfg, key: str) -> float:
+    """The final time cfg[key] of a command's runs; a run of no time is a ConfigError."""
+    t = cfg[key]
+    if not t > 0:
+        raise ConfigError(f"{key} must be > 0, got {t}")
+    return t
+
+
 def _sweep_command(args) -> int:
     mode = args.command.removeprefix("sweep-")
-    cfg, problem, out, audit_report = _prologue(args, args.command)
+    cfg = load_config(args.config, args.set)
+    T = _horizon(cfg, "sweep.t")
+    cfg, problem, out, audit_report = _prologue(args, args.command, cfg)
     if not audit_report.passed:
         return 1
-    base = problem.params.with_params(T=cfg["sweep.t"], dt=cfg["sweep.dt"])
+    base = problem.params.with_params(T=T, dt=cfg["sweep.dt"])
     plan = asymptotics.SweepPlan(
         mode=mode,
         values=cfg["sweep.values"],
@@ -181,10 +191,11 @@ def _cmd_stability(args) -> int:
         raise ConfigError("stability.deltas needs a nonzero delta")
     if not taus:
         raise ConfigError("stability.taus needs at least one tau")
+    T = _horizon(cfg, "stability.t")
     cfg, problem, out, report = _prologue(args, "stability", cfg)
     if not report.passed:
         return 1
-    params = problem.params.with_params(T=cfg["stability.t"])
+    params = problem.params.with_params(T=T)
     lines = ["tau,delta,lhs,rhs,ratio"]
     ok = True
     tau_ratios = []
@@ -222,7 +233,7 @@ def _cmd_oracle_compare(args) -> int:
     cfg = load_config(args.config, args.set)
     cfg.entries.update({
         "model.eps": 0.1, "model.tau": 0.1,
-        "model.dt": cfg["oracle.dt"], "model.T": cfg["oracle.t"],
+        "model.dt": cfg["oracle.dt"], "model.T": _horizon(cfg, "oracle.t"),
     })
     cfg, problem, out, report = _prologue(args, "oracle-compare", cfg)
     if not report.passed:

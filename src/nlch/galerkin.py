@@ -28,7 +28,7 @@ from .errors import (
 )
 from .grid import Field, GridSpec
 from .kernel import KernelBundle
-from .model import ModelParams, _sigma_s_array
+from .model import ModelParams
 from .potential import PotentialSpec, f_prime_regularized
 
 
@@ -90,6 +90,7 @@ class GalerkinOperator:
     params: ModelParams
     mat_a: np.ndarray  # int a e_i e_j
     mat_conv: np.ndarray  # int (J*e_j) e_i
+    ss_coeff: np.ndarray  # int sigma_S e_i
 
 
 def build_operator(basis: SpectralBasis, bundle: KernelBundle, spec: PotentialSpec,
@@ -107,8 +108,10 @@ def build_operator(basis: SpectralBasis, bundle: KernelBundle, spec: PotentialSp
     mat_a = E.T @ (a[:, None] * E) * w
     conv_cols = np.column_stack([bundle.convolve_array(E[:, j]) for j in range(basis.n)])
     mat_conv = E.T @ conv_cols * w
+    ss_coeff = E.T @ np.full(basis.grid.size, params.sigma_s) * w
     return GalerkinOperator(
-        basis=basis, bundle=bundle, spec=spec, params=params, mat_a=mat_a, mat_conv=mat_conv
+        basis=basis, bundle=bundle, spec=spec, params=params, mat_a=mat_a, mat_conv=mat_conv,
+        ss_coeff=ss_coeff,
     )
 
 
@@ -142,8 +145,7 @@ def ode_rhs(t: float, y: np.ndarray, op: GalerkinOperator) -> np.ndarray:
     source = E.T @ ((params.P * sig - params.A) * h_phi) * w
     beta_dot = (source - l * beta - alpha_dot) / params.eps
 
-    sig_s = _sigma_s_array(params.sigma_s, basis.grid, t)
-    ss_coeff = (E.T @ sig_s * w).reshape(l.shape)
+    ss_coeff = op.ss_coeff.reshape(l.shape)
     consume = E.T @ (h_phi * sig) * w
     gamma_dot = (
         -l * gamma - params.B * (gamma - ss_coeff) - params.C * consume

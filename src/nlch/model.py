@@ -33,7 +33,7 @@ from . import diagnostics
 from .audit import (RUN_GATES, DerivedConstants, GateInput, admit, derive_constants, ip_infty,
                     ip_init)
 from .errors import AssumptionError, ConfigError, SolverError, StepError
-from .grid import Field, GridSpec, solve_helmholtz, solve_shifted_diffusion, _lap_array
+from .grid import Field, solve_helmholtz, solve_shifted_diffusion, _lap_array
 from .kernel import KernelBundle
 from .potential import PotentialSpec, f2_prime, yosida_with_derivative
 
@@ -61,30 +61,6 @@ def h_tanh(r):
 H_FAMILIES = {"default": h_default, "one": h_one, "tanh": h_tanh}
 
 
-class SigmaSchedule:
-    """Piecewise-constant-in-time prescribed nutrient concentration."""
-
-    def __init__(self, entries: Sequence[tuple[float, object]]):
-        self.entries = sorted(entries, key=lambda e: e[0])
-        if not self.entries:
-            raise ConfigError("sigma_S schedule needs at least one entry")
-
-    def at(self, t: float):
-        current = self.entries[0][1]
-        for start, value in self.entries:
-            if t >= start:
-                current = value
-        return current
-
-
-def _sigma_s_array(sigma_s, grid: GridSpec, t: float) -> np.ndarray:
-    if isinstance(sigma_s, SigmaSchedule):
-        sigma_s = sigma_s.at(t)
-    if isinstance(sigma_s, Field):
-        return sigma_s.values
-    return np.full(grid.size, float(sigma_s))
-
-
 @dataclass
 class ModelParams:
     """Physical and numerical parameters of one run."""
@@ -97,7 +73,7 @@ class ModelParams:
     C: float = 0.0
     chi: float = 0.0
     eta: float = 0.0
-    sigma_s: object = 0.0
+    sigma_s: float = 0.0
     h: Callable = h_default
     lam: float = 1e-3
     dt: float = 1e-3
@@ -106,22 +82,13 @@ class ModelParams:
     def __post_init__(self):
         """Reject numerical settings no run can use; the model's hypotheses
         are the rows of the gate table in nlch.audit."""
-        for name in ("eps", "tau", "P", "A", "B", "C", "chi", "eta", "lam", "dt", "T"):
+        for name in ("eps", "tau", "P", "A", "B", "C", "chi", "eta", "sigma_s", "lam", "dt", "T"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         for name, rule, ok in (("dt", "> 0", self.dt > 0), ("T", ">= 0", self.T >= 0),
                                ("lam", "> 0", self.lam > 0)):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
-
-    def sigma_s_range(self) -> tuple[float, float]:
-        """Extremes of sigma_S over every value it takes on [0, T]."""
-        s = self.sigma_s
-        values = [s]
-        if isinstance(s, SigmaSchedule):
-            values = [s.at(0.0)] + [v for start, v in s.entries if 0.0 < start <= self.T]
-        vals = np.concatenate([np.ravel(v.values if isinstance(v, Field) else v) for v in values])
-        return float(vals.min()), float(vals.max())
 
     @property
     def lam_eff(self) -> float:
@@ -283,7 +250,7 @@ def _yosida_rows(spec, lam, phi, histories, failed):
     return out
 
 
-def _step_arrays(t, phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: KernelBundle,
+def _step_arrays(phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: KernelBundle,
                  spec: PotentialSpec):
     """One IMEX step of M runs in lockstep, on a batch of one row per run.
 
@@ -399,8 +366,7 @@ def _step_arrays(t, phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: Kernel
         phi_new, mu_new, *yos_new = (
             np.stack([_rows(b[k])[i] for i, b in enumerate(best)]) for k in range(1, 6))
 
-    sig_s = _sigma_s_array(p0.sigma_s, grid, t + dt)
-    source_sig = p0.B * sig_s
+    source_sig = p0.B * p0.sigma_s
     if p0.eta != 0.0:
         source_sig = source_sig - p0.eta * _lap_array(phi_new, grid)
     rhs_sig = sig + dt * source_sig
@@ -484,8 +450,7 @@ def run_rows(inits: Sequence[InitialData], params: Sequence[ModelParams], bundle
     t = 0.0
     for k in range(n_steps + 1):
         if k > 0:
-            phi, mu, sig, yos, outcome = _step_arrays(t, phi, mu, sig, conv, yos, live,
-                                                      bundle, spec)
+            phi, mu, sig, yos, outcome = _step_arrays(phi, mu, sig, conv, yos, live, bundle, spec)
             stats = outcome.stats
             if outcome.errors:
                 for j, err in outcome.errors.items():

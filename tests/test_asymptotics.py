@@ -77,8 +77,11 @@ def test_plan_validation(grid64, bundle64, poly):
     with pytest.raises(ConfigError):
         SweepPlan(mode="eps", values=(1e-2, 1e-1), base_params=base, init=init,
                   bundle=bundle64, spec=poly)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"must be >= 1e-8"):
         SweepPlan(mode="eps", values=(1e-2, 1e-9), base_params=base, init=init,
+                  bundle=bundle64, spec=poly)
+    with pytest.raises(ConfigError, match="sweep needs at least one value"):
+        SweepPlan(mode="eps", values=(), base_params=base, init=init,
                   bundle=bundle64, spec=poly)
     with pytest.raises(ConfigError):
         SweepPlan(mode="bogus", values=(1e-2,), base_params=base, init=init,
@@ -137,13 +140,16 @@ def test_small_eps_sweep(grid64, bundle64, poly, tmp_path):
 
 def test_sweep_continues_after_a_member_fails(grid64, bundle64, poly, monkeypatch):
     original = nlch.model._step_arrays
+    calls = []
 
-    def failing(t, *args):
-        step = original(t, *args)
-        # args[5] holds the rows' _Lockstep; step 21 starts at t = 0.02
+    def failing(*args):
+        step = original(*args)
+        # args[5] holds the rows' _Lockstep; the eps = 1e-2 row fails its step 21
         for row, params in enumerate(args[5].params):
-            if params.eps == 1e-2 and t > 0.0195:
-                step[4].errors[row] = StepError("injected failure", phase="Newton")
+            if params.eps == 1e-2:
+                calls.append(1)
+                if len(calls) == 21:
+                    step[4].errors[row] = StepError("injected failure", phase="Newton")
         return step
 
     monkeypatch.setattr(nlch.model, "_step_arrays", failing)

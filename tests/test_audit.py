@@ -5,7 +5,7 @@ import pytest
 from nlch.audit import audit
 from nlch.config import build_problem, load_config
 from nlch.errors import AssumptionError
-from nlch.model import SigmaSchedule, validate_params
+from nlch.model import validate_params
 from nlch.potential import logarithmic_potential
 
 DEFAULT_CFG = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
@@ -16,14 +16,12 @@ DEFAULT_CFG = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
     ({"eps": 0.0, "tau": 0.0, "chi": 10.0}, "ip_chi"),
     ({"eps": -0.01}, "eps < eps0"),
     ({"tau": -0.1}, "tau < tau0 = 1"),
-    ({"sigma_s": SigmaSchedule([(0.0, 0.8), (0.004, 1.7), (0.008, 0.8)])},
-     "A3 sigma_S in [0, 1]"),
-    ({"sigma_s": SigmaSchedule([(0.0, 0.8), (0.5, 1.7)])}, None),  # starts after T = 0.25
+    ({"sigma_s": 1.7}, "A3 sigma_S in [0, 1]"),
     ({"eps": 0.2}, "eps < eps0"),
     ({"eps": 0.0, "eta": 0.1}, "eta = 0 for eps = 0"),
     ({"eps": 0.0, "potential": "logarithmic"}, "pol_growth"),
-], ids=["default", "eps0-tau0-chi10", "eps-negative", "tau-negative", "sigma-schedule",
-        "sigma-schedule-after-T", "eps-0.2", "eps0-eta", "log-eps0"])
+], ids=["default", "eps0-tau0-chi10", "eps-negative", "tau-negative", "sigma-s-1.7",
+        "eps-0.2", "eps0-eta", "log-eps0"])
 def test_run_admission_agrees_with_the_audit(change, first_failure):
     problem = build_problem(load_config(str(DEFAULT_CFG)))
     change = dict(change)

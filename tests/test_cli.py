@@ -55,9 +55,9 @@ def test_build_problem_default():
 
 
 def test_config_rejects_bad_params():
-    for line in ("model.B = -1", "model.sigma_s = 2.0", "potential.family = bogus",
-                 "model.eps = nan", "model.T = inf", "potential.lambda = 0",
-                 "potential.lambda = -1e-3"):
+    for line in ("model.B = -1", "model.sigma_s = 2.0", "model.sigma_s = nan",
+                 "potential.family = bogus", "model.eps = nan", "model.T = inf",
+                 "potential.lambda = 0", "potential.lambda = -1e-3"):
         with pytest.raises(ConfigError):
             build_problem(parse_config(line + "\n"))
 
@@ -292,6 +292,39 @@ def test_cli_stability_with_nothing_to_probe_is_a_configuration_error(tmp_path, 
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "stability.csv").exists()
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("sweep-tau", "sweep.t=0"),
+    ("sweep-eps", "sweep.t=-0.1"),
+    ("stability", "stability.t=0"),
+    ("oracle-compare", "oracle.t=0"),
+])
+def test_cli_zero_horizons_are_configuration_errors(tmp_path, capsys, command, setting):
+    # a run of no time compares initial data alone: sweep-tau fitted a rate to
+    # it, stability read a ratio of 1 and oracle-compare crashed in the integrator
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "rate-study.cfg"
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path), "--set", setting])
+    assert rc == 2
+    key, value = setting.split("=")
+    assert f"{key} must be > 0, got {float(value)}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("amplitude", [0.999, 0.9999])
+def test_cli_simulate_steps_next_to_the_barrier(tmp_path, amplitude):
+    # the logarithmic well's stepper converges from data within 1e-3 and 1e-4
+    # of the barrier, conserves mass and keeps every state inside (-1, 1)
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "separation.cfg"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
+               "--set", "grid.cells=64", "--set", "model.T=0.02",
+               "--set", f"ic.phi_amplitude={amplitude}"])
+    assert rc == 0
+    rows = np.genfromtxt(tmp_path / "diagnostics.csv", delimiter=",", names=True)
+    assert len(rows) == 21
+    assert (rows["phi_supnorm"] < 1.0).all()
+    assert (rows["mass_balance_residual"] <= 1e-12).all()
+    assert (rows["newton_iters"] < nlch.model.NEWTON_CAP).all()
 
 
 def test_cli_stability_runs_the_configured_eta(tmp_path, capsys):

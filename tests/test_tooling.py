@@ -30,6 +30,25 @@ def test_tracer_installs_and_restores_every_site(monkeypatch):
         assert nlch.grid.__dict__[name] is fn
 
 
+def test_tracer_only_imports_are_traced_call_sites(monkeypatch):
+    # an import kept only for the tracer must name a (module, attribute) pair
+    # that SITES patches; once the tracer patches elsewhere, the import is dead
+    tracing = _tracing(monkeypatch)
+    patched = {site for sites in tracing.SITES.values() for site in sites}
+    marked = re.compile(r"^from \S+ import (.+?)  # noqa: F401  (?:(.+): )?a traced call site$")
+    found = []
+    for path in sorted((ROOT / "src" / "nlch").glob("*.py")):
+        for line in path.read_text().splitlines():
+            if "traced call site" not in line:
+                continue
+            match = marked.match(line)
+            assert match, f"{path.name}: unparsed tracer import {line!r}"
+            names = match.group(2) or match.group(1)
+            found += [(f"nlch.{path.stem}", name.strip()) for name in names.split(",")]
+    assert found
+    assert [site for site in found if site not in patched] == []
+
+
 def _assert_one_resolvent_span_per_newton_iterate(monkeypatch, config, family):
     tracing = _tracing(monkeypatch)
     problem = build_problem(load_config(str(ROOT / "configs" / config), ["model.T=0.02"]))
