@@ -32,6 +32,10 @@ from .grid import write_field, write_field_csv
 from .model import derive_constants, run  # noqa: F401  derive_constants: a traced call site
 
 MANIFEST_VERSION = 1
+ORACLE_NOTE = ("Runs the stepper and the oracle at eps = tau = 0.1, whatever model.eps and "
+               "model.tau say. The kernel must admit eps = 0.1 (0.1 < 0.9 eps0), as "
+               "configs/rate-study.cfg does; the built-in default kernel gives "
+               "0.9 eps0 = 0.0599, so without --config the audit fails (exit 1).")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -41,7 +45,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("audit", "simulate", *(f"sweep-{mode}" for mode in asymptotics.LIMITS),
                  "stability", "verify", "oracle-compare"):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, description=ORACLE_NOTE if name == "oracle-compare" else None)
         p.add_argument("--config", default=None, help="key=value configuration file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override one configuration key (repeatable)")

@@ -8,21 +8,54 @@ semidefinite, and exactly conservative (its output sums to zero).
 The module also provides the functional-analytic machinery built on the
 Laplacian: the dual (V*) norm through the Riesz map I - Laplacian, and
 the Poincare and inclusion constants of the geometry in closed form.
-The type-II discrete cosine transform diagonalizes the mirrored-ghost
-Laplacian exactly, so every constant-coefficient Neumann solve is two
-transforms against one cached per-grid spectrum.
+Every 1D Neumann solve is one call of LAPACK's tridiagonal gtsv. In 2D
+the type-II discrete cosine transform diagonalizes the mirrored-ghost
+Laplacian exactly, so a constant-coefficient solve is two transforms
+against one cached per-grid spectrum, and it preconditions the CG of
+the variable-coefficient solves.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import ConfigError, DimensionError, SolverError
+
+
+def _load_dgtsv():
+    """LAPACK's dgtsv from scipy's compiled _flapack, without importing scipy.linalg.
+
+    Importing the scipy.linalg package took about 0.3 s on a 2-vCPU VM,
+    most of a short 1D run; loading its extension module alone takes a
+    few milliseconds.
+    The module is registered under its own name, so a later scipy.linalg
+    import reuses it and scipy.linalg.lapack.dgtsv is this same function.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        finder = importlib.machinery.FileFinder(
+            os.path.join(root, "linalg"),
+            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+        if spec is None:
+            raise ImportError(f"scipy's LAPACK extension {name} is not in {root}")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module.dgtsv
+
+
+dgtsv = _load_dgtsv()
 
 # normwise backward-error target of every checked linear solve:
 # ||A x - b|| <= BACKWARD_TOL (||b|| + ||A||_inf ||x||)
@@ -236,8 +269,9 @@ def _neumann_spectrum(grid: GridSpec) -> np.ndarray:
 def _spectral_solve(grid: GridSpec, vals: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     """Apply (alpha*I - beta*lap)^(-1), alpha > 0, through the cached DCT-II spectrum.
 
-    Leading axes of ``vals`` are rows, transformed along the grid axes in
-    one call; each row's result is bitwise that of a call on the row alone.
+    Only 2D solves call it; 1D solves use gtsv. Leading axes of ``vals``
+    are rows, transformed along the grid axes in one call; each row's
+    result is bitwise that of a call on the row alone.
     """
     from scipy.fft import dctn, idctn
 
@@ -252,15 +286,20 @@ def _lap_inf_norm(grid: GridSpec) -> float:
     return sum(4.0 / h**2 for h in grid.spacing)
 
 
-def _checked_spectral_solve(grid: GridSpec, b: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Spectral solve of (alpha*I - beta*lap) x = b with a hard backward-error check.
+def _checked_neumann_solve(grid: GridSpec, b: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """Solve (alpha*I - beta*lap) x = b with a hard backward-error check.
+
+    1D solves by gtsv (solve_shifted_diffusion), 2D by the DCT.
 
     The relative residual ||A x - b|| / ||b|| of a backward-stable solve
     in floating point grows with ||A|| ||x|| / ||b||, about h^-2 for
     smooth data, so it is no reachable target on fine grids; the
     normwise backward error is. Rows of ``b`` are checked one by one.
     """
-    x = _spectral_solve(grid, b, alpha, beta)
+    if grid.dim == 1:
+        x = solve_shifted_diffusion(grid, alpha, beta, b)
+    else:
+        x = _spectral_solve(grid, b, alpha, beta)
     res = np.linalg.norm(alpha * x - beta * _lap_array(x, grid) - b, axis=-1)
     anorm = alpha + beta * _lap_inf_norm(grid)
     bnorm = np.linalg.norm(b, axis=-1)
@@ -268,7 +307,7 @@ def _checked_spectral_solve(grid: GridSpec, b: np.ndarray, alpha: float, beta: f
     if np.any(res > bound):
         worst = int(np.argmax(res - bound))
         raise SolverError(
-            f"spectral solve residual {float(np.ravel(res)[worst]):.3e} > backward-error bound "
+            f"Neumann solve residual {float(np.ravel(res)[worst]):.3e} > backward-error bound "
             f"{float(np.ravel(bound)[worst]):.3e}",
             residual=float(np.ravel(res / bnorm)[worst]),
         )
@@ -321,7 +360,7 @@ def solve_helmholtz(f: Field, alpha: float, beta: float) -> Field:
     grid = f.grid
     if beta == 0.0:
         return Field(grid, f.values / alpha)
-    return Field(grid, _checked_spectral_solve(grid, f.values, alpha, beta))
+    return Field(grid, _checked_neumann_solve(grid, f.values, alpha, beta))
 
 
 def norm_vstar(f: Field) -> float:
@@ -331,7 +370,7 @@ def norm_vstar(f: Field) -> float:
 
 def dual_norms(grid: GridSpec, rows: np.ndarray) -> list[float]:
     """norm_vstar of each row of a (rows, cells) array, from one batched Riesz solve."""
-    u = _checked_spectral_solve(grid, rows, 1.0, 1.0)
+    u = _checked_neumann_solve(grid, rows, 1.0, 1.0)
     return [float(np.sqrt(max(float(np.dot(v, w)) * grid.cell_volume, 0.0)))
             for v, w in zip(rows, u)]
 
@@ -356,14 +395,14 @@ def solve_shifted_diffusion(
     """Solve (diag(d) - c*lap) u = rhs for d > 0 pointwise, c >= 0.
 
     ``rhs`` holds one system or a (rows, cells) stack of them, with
-    ``diag`` of the same shape (or one that broadcasts to it). 1D calls
-    LAPACK's tridiagonal gtsv once on the block-diagonal system of all
-    rows (the routine scipy's solve_banded dispatches to for one band
-    each side); 2D uses CG per row, preconditioned by the spectral
-    inverse at the row's mean diagonal, converged to a normwise backward
-    error of 1e-13. This is the workhorse for the implicit pieces of the
-    time stepper, so it is solved to near machine precision. Non-finite
-    input raises SolverError.
+    ``diag`` of the same shape (or one that broadcasts to it, a scalar
+    for the constant-coefficient solves). 1D calls LAPACK's tridiagonal
+    gtsv once on the block-diagonal system of all rows (the routine
+    scipy's solve_banded dispatches to for one band each side); it serves
+    the stepper's implicit pieces and every 1D solve_helmholtz and dual
+    norm. 2D uses CG per row, preconditioned by the DCT inverse at the
+    row's mean diagonal, converged to a normwise backward error of
+    BACKWARD_TOL. Non-finite input raises SolverError.
     """
     d = np.asarray(diag, dtype=float)
     if d.shape != rhs.shape:

@@ -112,6 +112,11 @@ def polynomial_potential(shift: float = 0.5) -> PotentialSpec:
     )
 
 
+def _xlogx(x):
+    """x log x for x >= 0, with its limit 0 at x = 0, and no warning there."""
+    return x * np.log(np.where(x > 0.0, x, 1.0))
+
+
 def logarithmic_potential(theta: float, theta0: float) -> PotentialSpec:
     """Entropy well on (-1, 1): F1 carries the logarithms, F2 = -theta0 r^2 / 2."""
     if not 0 < theta < theta0:
@@ -125,15 +130,11 @@ def logarithmic_potential(theta: float, theta0: float) -> PotentialSpec:
         return np.arctanh(b) * w / (w + lam * theta)
 
     def f1(r):
-        from scipy.special import xlogy
-
         r = np.asarray(r, dtype=float)
-        out = np.where(
-            np.abs(r) <= 1.0,
-            0.5 * theta * (xlogy(1.0 + r, 1.0 + r) + xlogy(1.0 - r, 1.0 - r)),
-            np.inf,
-        )
-        return out
+        inside = np.abs(r) <= 1.0
+        # outside [-1, 1] the logarithms are taken at 1 and masked by inf
+        a = np.where(inside, r, 0.0)
+        return np.where(inside, 0.5 * theta * (_xlogx(1.0 + a) + _xlogx(1.0 - a)), np.inf)
 
     def f1_prime(r):
         r = np.asarray(r, dtype=float)

@@ -428,6 +428,16 @@ def test_cli_oracle_compare_smoke(tmp_path, capsys):
     assert (tmp_path / "oracle_coefficients.csv").exists()
 
 
+def test_cli_oracle_compare_on_the_defaults_fails_the_eps_row(tmp_path, capsys):
+    # the command fixes eps = 0.1, which the default kernel does not admit
+    rc = main(["oracle-compare", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert failed == ["[FAIL] eps < eps0: eps = 0.1 vs 0.9 * eps0 = 0.0599116"]
+    assert not (tmp_path / "oracle_coefficients.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "oracle-compare", "stability"])
 def test_cli_derives_constants_once(tmp_path, monkeypatch, command):
     # the audit's constants are handed to the run; validate_params reuses them

@@ -6,6 +6,7 @@ from scipy.linalg import solve_banded
 
 from nlch.errors import ConfigError, DimensionError, SolverError
 from nlch.grid import (
+    BACKWARD_TOL,
     Field,
     GridSpec,
     estimate_poincare_constant,
@@ -21,6 +22,8 @@ from nlch.grid import (
     solve_shifted_diffusion,
     write_field,
     write_field_csv,
+    _checked_neumann_solve,
+    _spectral_solve,
 )
 
 
@@ -245,3 +248,23 @@ def test_shifted_diffusion_rejects_non_finite_input(grid, bad):
         solve_shifted_diffusion(grid, d_bad, 1e-3, rhs)
     with pytest.raises(SolverError, match="non-finite"):
         solve_shifted_diffusion(grid, d, 1e-3, rhs_bad)
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (1.5, 0.25), (1.0, 1e-4)])
+def test_neumann_solve_1d_gtsv_agrees_with_the_dct(n, alpha, beta):
+    # both solutions meet the normwise backward-error bound of A = alpha I -
+    # beta lap, and ||A^-1||_2 = 1/alpha, so they differ by at most
+    # (2/alpha) BACKWARD_TOL (||b|| + ||A||_inf max ||x||)
+    g = GridSpec(1, (1.0,), (n,))
+    rows = np.random.default_rng(n).standard_normal((5, n))
+    got = _checked_neumann_solve(g, rows, alpha, beta)
+    dct = _spectral_solve(g, rows, alpha, beta)
+    anorm = alpha + beta * 4.0 / g.spacing[0] ** 2
+    for b, x, y in zip(rows, got, dct):
+        xnorm = max(np.linalg.norm(x), np.linalg.norm(y))
+        bound = BACKWARD_TOL * (np.linalg.norm(b) + anorm * xnorm)
+        assert np.linalg.norm(x - y) <= 2.0 * bound / alpha
+    # a stacked call is bitwise each row solved alone
+    for b, x in zip(rows, got):
+        assert np.array_equal(_checked_neumann_solve(g, b, alpha, beta), x)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
+from scipy.special import xlogy
 
 import nlch.potential
 from nlch.errors import AssumptionError, ConfigError, InapplicabilityError, SolverError
@@ -352,3 +354,24 @@ def test_constructor_validation():
         polynomial_potential(-0.5)
     with pytest.raises(ConfigError):
         resolvent(polynomial_potential(0.5), 0.0, 1.0)
+
+
+def test_logarithmic_f1_matches_the_xlogy_form():
+    # F1 = theta/2 ((1+r) log(1+r) + (1-r) log(1-r)) on numpy's log: the two
+    # terms cancel to O(r^2) near r = 0, so the agreement is counted in ulp
+    # of the terms' magnitudes, not of their sum
+    theta = 0.3
+    spec = logarithmic_potential(theta, 0.6)
+    r = np.linspace(-1.0, 1.0, 200001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = spec.f1(r)
+        edges = spec.f1(np.array([-1.0, 1.0]))
+        outside = spec.f1(np.array([-np.inf, -1.5, np.nextafter(-1.0, -2.0),
+                                    np.nextafter(1.0, 2.0), 1.5, np.inf]))
+    p, q = xlogy(1.0 + r, 1.0 + r), xlogy(1.0 - r, 1.0 - r)
+    scale = 0.5 * theta * (np.abs(p) + np.abs(q))
+    assert np.all(np.abs(got - 0.5 * theta * (p + q)) <= 4.0 * np.spacing(scale))
+    assert got[100000] == 0.0
+    assert np.array_equal(edges, [theta * np.log(2.0)] * 2)
+    assert np.all(outside == np.inf)

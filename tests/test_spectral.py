@@ -1,4 +1,4 @@
-"""The DCT-II Neumann solves against an assembled sparse reference, and 2D runs."""
+"""The Neumann solves (gtsv in 1D, DCT-II in 2D) against a sparse reference, and 2D runs."""
 
 from pathlib import Path
 

@@ -1,9 +1,12 @@
 """Each command imports only the scipy submodules it runs.
 
 Every nlch command starts a fresh interpreter, so start-up is paid per
-command. scipy.integrate (which loads scipy.optimize), scipy.fft and
-scipy.special are imported on first use; each check runs in a new
-interpreter, since this test process has loaded them already.
+command. No 1D command but oracle-compare and verify loads a scipy
+package: nlch.grid loads LAPACK's compiled _flapack module alone, not
+scipy.linalg, whose import pulls in scipy._lib._array_api and with it
+numpy.f2py. scipy.integrate (which loads scipy.optimize) and scipy.fft
+are imported on first use. Each check runs in a new interpreter, since
+this test process has loaded them already.
 """
 
 import json
@@ -12,8 +15,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
-DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.fft", "scipy.special")
+CONFIGS = ROOT / "configs"
+DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.fft", "scipy.special",
+            "scipy.linalg", "scipy._lib._array_api", "numpy.f2py")
 
 
 def _fresh(code):
@@ -39,14 +46,34 @@ def test_import_loads_no_deferred_scipy_module():
     assert _loaded_after() == [0, []]
 
 
-def test_1d_cosine_simulate_loads_no_deferred_scipy_module(tmp_path):
-    argv = ["simulate", "--config", str(ROOT / "configs" / "default.cfg"),
-            "--set", "model.T=0.01", "--out", str(tmp_path)]
-    assert _loaded_after(argv) == [0, []]
+@pytest.mark.parametrize("argv", [
+    pytest.param(["simulate", "--config", "default.cfg"], id="simulate-default"),
+    pytest.param(["simulate", "--config", "separation.cfg"], id="simulate-separation"),
+    pytest.param(["simulate", "--config", "rate-study.cfg"], id="simulate-rate-study"),
+    pytest.param(["simulate", "--config", "default.cfg",
+                  "--set", "potential.family=double-obstacle"], id="simulate-double-obstacle"),
+    pytest.param(["simulate", "--config", "default.cfg",
+                  "--set", "ic.family=random-smoothed"], id="simulate-random-smoothed"),
+    pytest.param(["sweep-tau", "--config", "rate-study.cfg", "--set", "sweep.t=0.002"],
+                 id="sweep-tau"),
+    pytest.param(["stability", "--config", "rate-study.cfg", "--set", "stability.t=0.002"],
+                 id="stability"),
+])
+def test_1d_commands_load_no_deferred_module(tmp_path, argv):
+    argv = [str(CONFIGS / a) if a.endswith(".cfg") else a for a in argv]
+    short = ["--set", "grid.cells=64", "--set", "model.T=0.01", "--set", "sweep.dt=5e-4"]
+    assert _loaded_after(argv + short + ["--out", str(tmp_path)]) == [0, []]
+
+
+def test_grid_dgtsv_is_scipy_lapack_dgtsv():
+    # whichever of nlch.grid and scipy.linalg comes first, both hold one function
+    for first, second in (("nlch.grid", "scipy.linalg"), ("scipy.linalg", "nlch.grid")):
+        assert _fresh(f"import json, {first}, {second}\n"
+                      "print(json.dumps(nlch.grid.dgtsv is scipy.linalg.lapack.dgtsv))\n"), first
 
 
 def test_oracle_compare_loads_scipy_integrate(tmp_path):
-    argv = ["oracle-compare", "--config", str(ROOT / "configs" / "rate-study.cfg"),
+    argv = ["oracle-compare", "--config", str(CONFIGS / "rate-study.cfg"),
             "--set", "oracle.t=0.002", "--out", str(tmp_path)]
     code, loaded = _loaded_after(argv)
     assert code == 0 and "scipy.integrate" in loaded
