@@ -133,8 +133,8 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _horizon(cfg, key: str) -> float:
-    """The final time cfg[key] of a command's runs; a run of no time is a ConfigError."""
+def _positive(cfg, key: str) -> float:
+    """cfg[key], the final time or time step of a command's runs; <= 0 is a ConfigError."""
     t = cfg[key]
     if not t > 0:
         raise ConfigError(f"{key} must be > 0, got {t}")
@@ -144,11 +144,11 @@ def _horizon(cfg, key: str) -> float:
 def _sweep_command(args) -> int:
     mode = args.command.removeprefix("sweep-")
     cfg = load_config(args.config, args.set)
-    T = _horizon(cfg, "sweep.t")
+    T, dt = _positive(cfg, "sweep.t"), _positive(cfg, "sweep.dt")
     cfg, problem, out, audit_report = _prologue(args, args.command, cfg)
     if not audit_report.passed:
         return 1
-    base = problem.params.with_params(T=T, dt=cfg["sweep.dt"])
+    base = problem.params.with_params(T=T, dt=dt)
     plan = asymptotics.SweepPlan(
         mode=mode,
         values=cfg["sweep.values"],
@@ -195,7 +195,7 @@ def _cmd_stability(args) -> int:
         raise ConfigError("stability.deltas needs a nonzero delta")
     if not taus:
         raise ConfigError("stability.taus needs at least one tau")
-    T = _horizon(cfg, "stability.t")
+    T = _positive(cfg, "stability.t")
     cfg, problem, out, report = _prologue(args, "stability", cfg)
     if not report.passed:
         return 1
@@ -235,14 +235,19 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle_compare(args) -> int:
     cfg = load_config(args.config, args.set)
+    if cfg["grid.dim"] != 1:
+        raise ConfigError(f"grid.dim must be 1, got {cfg['grid.dim']}: "
+                          "the spectral oracle is one-dimensional")
+    n, cells = cfg["oracle.modes"], cfg["grid.cells"][0]
+    if not 1 <= n <= cells:
+        raise ConfigError(f"oracle.modes must lie in [1, grid.cells] = [1, {cells}], got {n}")
     cfg.entries.update({
         "model.eps": 0.1, "model.tau": 0.1,
-        "model.dt": cfg["oracle.dt"], "model.T": _horizon(cfg, "oracle.t"),
+        "model.dt": _positive(cfg, "oracle.dt"), "model.T": _positive(cfg, "oracle.t"),
     })
     cfg, problem, out, report = _prologue(args, "oracle-compare", cfg)
     if not report.passed:
         return 1
-    n = cfg["oracle.modes"]
     traj = run(problem.init, problem.params, problem.bundle, problem.spec,
                constants=report.constants, record_diagnostics=False)
     ts, coeffs, rel = galerkin.compare(traj, problem.bundle, problem.spec, n)

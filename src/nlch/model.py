@@ -150,18 +150,14 @@ class StepStats:
 
 @dataclass
 class StepOutcome:
-    """One lockstep step: each row's StepStats, and the StepError of each failed row.
-
-    ``stats`` holds None for a failed row; ``errors`` is keyed by row.
-    """
+    """One lockstep step: each row's StepStats."""
 
     stats: list
-    errors: dict
 
     @property
     def newton_iters(self) -> int:
-        """Newton iterations summed over the rows that completed the step."""
-        return sum(s.newton_iters for s in self.stats if s is not None)
+        """Newton iterations summed over the rows."""
+        return sum(s.newton_iters for s in self.stats)
 
 
 def _batch(arrays) -> np.ndarray:
@@ -201,53 +197,16 @@ def _lockstep(params: Sequence[ModelParams]) -> _Lockstep:
                      _column([p.tau for p in params]))
 
 
-def _row_error(message, history, phase, cause=None) -> StepError:
-    err = StepError(message, residual_history=history, phase=phase)
-    err.__cause__ = cause
-    return err
-
-
-def _solve_rows(grid, diag, dt, rhs, phase, histories, failed):
-    """Every row's shifted diffusion solve in one call, else row by row.
-
-    A batch that fails, or returns a non-finite value, is solved again
-    row by row, so that only the rows that fail on their own fail: each
-    gets a StepError in ``failed``, keyed by its row and carrying its
-    residual history from ``histories``, and a zero solution. A row
-    whose own solution is not finite keeps it, for the caller's checks.
-    """
+def _solve(grid, diag, dt, rhs, phase, history):
+    """solve_shifted_diffusion, failing the step in ``phase`` if the solve
+    fails or returns a non-finite value."""
     try:
         x = solve_shifted_diffusion(grid, diag, dt, rhs)
-        # a row that overflows spreads through the joins of the block system
-        if rhs.ndim == 1 or np.isfinite(x).all():
-            return x
-    except SolverError:
-        pass
-    x = np.zeros_like(rhs)
-    for j, (x_row, diag_row, rhs_row) in enumerate(zip(_rows(x), _rows(diag), _rows(rhs))):
-        try:
-            x_row[...] = solve_shifted_diffusion(grid, diag_row, dt, rhs_row)
-        except SolverError as err:
-            failed.setdefault(j, _row_error(f"{phase} linear solve failed: {err}",
-                                            histories[j], phase, err))
+    except SolverError as err:
+        raise StepError(f"{phase} linear solve failed: {err}", history, phase) from err
+    if not np.isfinite(x).all():
+        raise StepError(f"{phase} linear solve returned non-finite values", history, phase)
     return x
-
-
-def _yosida_rows(spec, lam, phi, histories, failed):
-    """yosida_with_derivative of every row in one call, else row by row (as _solve_rows)."""
-    try:
-        return yosida_with_derivative(spec, lam, phi)
-    except SolverError:
-        pass
-    out = tuple(np.zeros_like(phi) for _ in range(3))
-    for j, phi_row in enumerate(_rows(phi)):
-        try:
-            for arr, row in zip(out, yosida_with_derivative(spec, lam, phi_row)):
-                _rows(arr)[j][...] = row
-        except SolverError as err:
-            failed.setdefault(j, _row_error(f"resolvent failed: {err}", histories[j],
-                                            "resolvent", err))
-    return out
 
 
 def _step_arrays(phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: KernelBundle,
@@ -261,14 +220,14 @@ def _step_arrays(phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: KernelBun
     the new phi is returned in the same place, ready for the next step.
     Each row iterates its own Newton loop and keeps its place in the
     batch for the whole step: the loop runs on all M rows until each has
-    stopped or failed, and only a row still going records a residual,
-    updates its best iterate and can fail. The iterates of the other
-    rows are computed but never read. A row that fails gets its StepError
-    in the returned StepOutcome, and its rows of the returned arrays are
-    no state of its run; the other rows complete the step. A failed row's
-    iterates may be non-finite, which can send each later block solve of
-    the step through the row-by-row fallback and make numpy warn; only a
-    step that fails pays this. Every row's arithmetic is that of a step
+    stopped, and only a row still going records a residual and updates
+    its best iterate. The iterates of the other rows are computed but
+    never read. The step completes every row or raises StepError: a
+    solve, resolvent or positivity check fails on any row's iterate, read
+    or not, or a row's best iterate is not an accepted state. The error
+    carries the first row's residual history, which for one row is its
+    run's; run_rows steps each row of a failed batch alone (see
+    _step_rows). Every row's arithmetic is that of a step
     of its own: the batched Laplacian, solves and transforms are bitwise
     equal per row, and each residual norm is np.dot on its row.
     """
@@ -292,7 +251,6 @@ def _step_arrays(phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: KernelBun
     # each row's best iterate: (residual, phi, mu, y, dy, s) as whole batches, read at the row
     best = [None] * M
     tol_floor = [None] * M
-    errors = {}
     going = [True] * M
 
     diag_lin = tau / dt + a
@@ -320,46 +278,35 @@ def _step_arrays(phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: KernelBun
         if not any(going):
             break
         diag = diag_lin + dy
-        if diag.min() <= 0.0:
-            for i, low in enumerate(r.min() for r in _rows(diag)):
-                if low <= 0.0 and going[i]:
-                    going[i] = False
-                    errors[i] = _row_error(
-                        f"implicit diagonal lost positivity (min {low:.3e}); "
-                        "the configuration lacks coercivity (tau = 0 with inf a <= 0)",
-                        histories[i], "Newton")
-            if not any(going):
-                break
-        failed = {}
+        low = diag.min()
+        if low <= 0.0:
+            raise StepError(f"implicit diagonal lost positivity (min {low:.3e}); the "
+                            "configuration lacks coercivity (tau = 0 with inf a <= 0)",
+                            histories[0], "Newton")
         rhs = -(r1 + r2 / diag)
-        dmu = _solve_rows(grid, eps + 1.0 / diag, dt, rhs, "Newton", histories, failed)
+        dmu = _solve(grid, eps + 1.0 / diag, dt, rhs, "Newton", histories[0])
         dphi = (dmu + r2) / diag
         p = p + dphi
         m = m + dmu
-        y, dy, s = _yosida_rows(spec, lam, p, histories, failed)
-        for i, err in failed.items():
-            if going[i]:
-                going[i] = False
-                errors[i] = err
+        try:
+            y, dy, s = yosida_with_derivative(spec, lam, p)
+        except SolverError as err:
+            raise StepError(f"resolvent failed: {err}", histories[0], "resolvent") from err
 
-    # each row that did not fail takes its best iterate
+    # each row takes its best iterate
     for i, (res, pick, *_) in enumerate(best):
-        if i in errors:
-            continue
         history = histories[i]
         # a finite residual has finite phi, mu and Yosida value in every term
         if not math.isfinite(res):
-            errors[i] = _row_error(f"Newton residual is not finite ({res})", history, "Newton")
-        elif res > accept_tol[i]:
-            errors[i] = _row_error(
-                f"Newton failed to converge: residual {res:.3e} after {len(history) - 1} "
-                "iterations", history, "convergence")
-        elif spec.has_barrier:
+            raise StepError(f"Newton residual is not finite ({res})", history, "Newton")
+        if res > accept_tol[i]:
+            raise StepError(f"Newton failed to converge: residual {res:.3e} after "
+                            f"{len(history) - 1} iterations", history, "convergence")
+        if spec.has_barrier:
             sup = float(np.max(np.abs(_rows(pick)[i])))
             if sup >= spec.ell:
-                errors[i] = _row_error(
-                    f"phi left the barrier interval: ||phi||_inf = {sup:.6g} >= ell = {spec.ell}",
-                    history, "barrier")
+                raise StepError(f"phi left the barrier interval: ||phi||_inf = {sup:.6g} "
+                                f">= ell = {spec.ell}", history, "barrier")
     if all(b[1] is best[0][1] for b in best):
         phi_new, mu_new, *yos_new = best[0][1:]
     else:
@@ -371,22 +318,47 @@ def _step_arrays(phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: KernelBun
         source_sig = source_sig - p0.eta * _lap_array(phi_new, grid)
     rhs_sig = sig + dt * source_sig
     diag_sig = 1.0 + dt * (p0.B + p0.C * p0.h(phi_new))
-    sig_new = _solve_rows(grid, diag_sig, dt, rhs_sig, "nutrient", histories, errors)
-    if not np.isfinite(sig_new).all():
-        for i, row in enumerate(_rows(sig_new)):
-            if not np.isfinite(row).all():
-                errors.setdefault(i, _row_error("nutrient solve returned non-finite values",
-                                                histories[i], "nutrient"))
+    sig_new = _solve(grid, diag_sig, dt, rhs_sig, "nutrient", histories[0])
 
-    stats = [None] * M
-    for i, (new_mass, old_mass, source) in enumerate(zip(
-            _rows(eps * mu_new + phi_new), _rows(mass_old), _rows(g))):
-        if i not in errors:
-            mass_defect = abs((new_mass.sum() - old_mass.sum() - dt * source.sum()) * cellvol
-                              / grid.measure)
-            stats[i] = StepStats(newton_iters=len(histories[i]) - 1, residual=best[i][0],
-                                 mass_defect=mass_defect)
-    return phi_new, mu_new, sig_new, tuple(yos_new), StepOutcome(stats, errors)
+    stats = []
+    for new_mass, old_mass, source, history, (res, *_) in zip(
+            _rows(eps * mu_new + phi_new), _rows(mass_old), _rows(g), histories, best):
+        mass_defect = abs((new_mass.sum() - old_mass.sum() - dt * source.sum()) * cellvol
+                          / grid.measure)
+        stats.append(StepStats(newton_iters=len(history) - 1, residual=res,
+                               mass_defect=mass_defect))
+    return phi_new, mu_new, sig_new, tuple(yos_new), StepOutcome(stats)
+
+
+def _step_rows(state, rows: _Lockstep, bundle: KernelBundle, spec: PotentialSpec):
+    """One step of a lockstep batch from ``state`` = (phi, mu, sig, conv_phi, yos).
+
+    Returns the step of the rows that complete it, as _step_arrays
+    returns it, or None if none does, and the StepError of each row that
+    fails, keyed by row. A batch of several rows whose step fails is
+    stepped again from the same state one row at a time, so only the
+    rows that fail on their own fail; each call goes through the module's
+    _step_arrays, so a wrapper put in its place sees the retries too.
+    """
+    try:
+        return _step_arrays(*state, rows, bundle, spec), {}
+    except StepError as err:
+        if len(rows.params) == 1:
+            return None, {0: err}
+    phi, mu, sig, conv_phi, yos = state
+    done, errors = [], {}
+    for j, p in enumerate(rows.params):
+        try:
+            done.append(_step_arrays(*(_rows(v)[j] for v in (phi, mu, sig, conv_phi)),
+                                     tuple(_rows(v)[j] for v in yos), _lockstep([p]),
+                                     bundle, spec))
+        except StepError as err:
+            errors[j] = err
+    if not done:
+        return None, errors
+    phi, mu, sig = (_batch([d[k] for d in done]) for k in range(3))
+    yos = tuple(_batch([d[3][k] for d in done]) for k in range(3))
+    return (phi, mu, sig, yos, StepOutcome([d[4].stats[0] for d in done])), errors
 
 
 @dataclass
@@ -415,7 +387,9 @@ def run_rows(inits: Sequence[InitialData], params: Sequence[ModelParams], bundle
     The runs share every parameter but eps and tau. Returns, for each run,
     its Trajectory, or the StepError that stopped it, carrying the partial
     trajectory as .partial and the failed step's index and target time as
-    .step and .t; the other runs go on. With ``observe`` the trajectories
+    .step and .t; the other runs go on. A step that fails for the batch
+    is taken again by each run alone (see _step_rows), so a run fails
+    only on a step that fails on its own. With ``observe`` the trajectories
     store no snapshots: at every snapshot time, observe(t, runs, phi, mu,
     sig) receives the indices of the runs still going and their (runs, n)
     rows.
@@ -450,20 +424,19 @@ def run_rows(inits: Sequence[InitialData], params: Sequence[ModelParams], bundle
     t = 0.0
     for k in range(n_steps + 1):
         if k > 0:
-            phi, mu, sig, yos, outcome = _step_arrays(phi, mu, sig, conv, yos, live, bundle, spec)
+            step, errors = _step_rows((phi, mu, sig, conv, yos), live, bundle, spec)
+            for j, err in errors.items():
+                traj = trajs[runs[j]]
+                traj.complete = False
+                err.partial = traj
+                err.step, err.t = k, k * dt
+                results[runs[j]] = err
+            if step is None:
+                break
+            phi, mu, sig, yos, outcome = step
             stats = outcome.stats
-            if outcome.errors:
-                for j, err in outcome.errors.items():
-                    traj = trajs[runs[j]]
-                    traj.complete = False
-                    err.partial = traj
-                    err.step, err.t = k, k * dt
-                    results[runs[j]] = err
-                keep = [j for j in range(len(runs)) if j not in outcome.errors]
-                if not keep:
-                    break
-                phi, mu, sig, *yos = (v[keep] for v in (phi, mu, sig, *yos))
-                runs, stats = [runs[j] for j in keep], [stats[j] for j in keep]
+            if errors:
+                runs = [i for j, i in enumerate(runs) if j not in errors]
                 live = _lockstep([params[i] for i in runs])
             t = k * dt
             conv = bundle.convolve_array(phi)

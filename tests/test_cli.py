@@ -133,10 +133,9 @@ def test_cli_simulate_reports_the_failed_step(tmp_path, monkeypatch, capsys):
 
     def failing(*args):
         calls.append(1)
-        step = original(*args)
         if len(calls) == 40:
-            step[4].errors[0] = StepError("injected failure", phase="Newton")
-        return step
+            raise StepError("injected failure", phase="Newton")
+        return original(*args)
 
     monkeypatch.setattr(nlch.model, "_step_arrays", failing)
     cfg = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
@@ -299,15 +298,34 @@ def test_cli_stability_with_nothing_to_probe_is_a_configuration_error(tmp_path, 
     ("sweep-eps", "sweep.t=-0.1"),
     ("stability", "stability.t=0"),
     ("oracle-compare", "oracle.t=0"),
+    ("sweep-tau", "sweep.dt=0"),
+    ("sweep-joint", "sweep.dt=-0.001"),
+    ("oracle-compare", "oracle.dt=0"),
 ])
 def test_cli_zero_horizons_are_configuration_errors(tmp_path, capsys, command, setting):
     # a run of no time compares initial data alone: sweep-tau fitted a rate to
-    # it, stability read a ratio of 1 and oracle-compare crashed in the integrator
+    # it, stability read a ratio of 1 and oracle-compare crashed in the
+    # integrator; a step of no time fails the same way, before any file
     cfg = Path(__file__).resolve().parents[1] / "configs" / "rate-study.cfg"
     rc = main([command, "--config", str(cfg), "--out", str(tmp_path), "--set", setting])
     assert rc == 2
     key, value = setting.split("=")
     assert f"{key} must be > 0, got {float(value)}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("settings, message", [
+    (["grid.dim=2", "grid.cells=32"], "grid.dim must be 1, got 2"),
+    (["oracle.modes=0"], "oracle.modes must lie in [1, grid.cells] = [1, 256], got 0"),
+    (["grid.cells=16"], "oracle.modes must lie in [1, grid.cells] = [1, 16], got 32"),
+])
+def test_cli_oracle_settings_are_checked_before_the_run(tmp_path, capsys, settings, message):
+    # each used to fail only after the stepper had run, the 2D one for seconds
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "rate-study.cfg"
+    rc = main(["oracle-compare", "--config", str(cfg), "--out", str(tmp_path)]
+              + [arg for s in settings for arg in ("--set", s)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -172,13 +172,6 @@ def test_make_smoothed_ic(grid256):
         make_smoothed_ic(target, -1.0)
 
 
-def _one_row(step):
-    """The result of a one-row step, raising the row's StepError as model.run does."""
-    if step[4].errors:
-        raise step[4].errors[0]
-    return step
-
-
 def test_barrier_safety_and_xi_invariant(grid64, bundle64, logpot):
     x = grid64.axis_coordinates(0)
     params = coupled_params(chi=0.5, T=0.05)
@@ -190,8 +183,8 @@ def test_barrier_safety_and_xi_invariant(grid64, bundle64, logpot):
     phi, mu, sig = init.phi0.values, init.mu0.values, init.sigma0.values
     yos = yosida_with_derivative(logpot, params.lam_eff, phi)
     for k in range(20):
-        phi, mu, sig, yos, _ = _one_row(_step_arrays(phi, mu, sig, bundle64.convolve_array(phi),
-                                                     yos, _lockstep([params]), bundle64, logpot))
+        phi, mu, sig, yos, _ = _step_arrays(phi, mu, sig, bundle64.convolve_array(phi), yos,
+                                            _lockstep([params]), bundle64, logpot)
         assert np.max(np.abs(phi)) < 1.0
         expected = yosida_with_derivative(logpot, params.lam_eff, phi)
         for got, want in zip(yos, expected):
@@ -324,8 +317,8 @@ def test_unconverged_resolvent_fails_the_step_in_the_resolvent_phase(monkeypatch
     yos = yosida_with_derivative(spec, params.lam_eff, phi)
     monkeypatch.setattr(nlch.potential, "_MAX_NEWTON", 1)
     with pytest.raises(StepError, match="resolvent failed") as err:
-        _one_row(_step_arrays(phi, mu, sig, bundle.convolve_array(phi), yos,
-                              _lockstep([params]), bundle, spec))
+        _step_arrays(phi, mu, sig, bundle.convolve_array(phi), yos, _lockstep([params]),
+                     bundle, spec)
     assert err.value.phase == "resolvent"
     assert isinstance(err.value.__cause__, SolverError)
     assert len(err.value.residual_history) == 1
@@ -334,8 +327,8 @@ def test_unconverged_resolvent_fails_the_step_in_the_resolvent_phase(monkeypatch
 def _first_step(problem, params, sig):
     phi, mu = problem.init.phi0.values, problem.init.mu0.values
     yos = yosida_with_derivative(problem.spec, params.lam_eff, phi)
-    return _one_row(_step_arrays(phi, mu, sig, problem.bundle.convolve_array(phi), yos,
-                                 _lockstep([params]), problem.bundle, problem.spec))
+    return _step_arrays(phi, mu, sig, problem.bundle.convolve_array(phi), yos,
+                        _lockstep([params]), problem.bundle, problem.spec)
 
 
 def test_non_finite_newton_residual_fails_the_step():
@@ -361,6 +354,24 @@ def test_non_finite_nutrient_fails_the_step(monkeypatch):
     with pytest.raises(StepError, match="non-finite") as err:
         _first_step(problem, problem.params, problem.init.sigma0.values)
     assert err.value.phase == "nutrient"
+
+
+def test_non_finite_newton_solve_fails_the_step_at_once(monkeypatch):
+    # the first Newton solve returns NaN: the step fails on that solve, not
+    # on a later check of the NaN iterate
+    problem = build_problem(load_config(str(CONFIGS / "default.cfg"), ["model.T=0.01"]))
+    solve = nlch.model.solve_shifted_diffusion
+
+    def nan_newton(grid, diag, lap_coeff, rhs):
+        # the Newton diagonal eps + 1/(tau/dt + a + Y') is the only one < 1 here
+        x = solve(grid, diag, lap_coeff, rhs)
+        return np.full_like(x, np.nan) if np.min(diag) < 1.0 else x
+
+    monkeypatch.setattr(nlch.model, "solve_shifted_diffusion", nan_newton)
+    with pytest.raises(StepError, match="non-finite") as err:
+        _first_step(problem, problem.params, problem.init.sigma0.values)
+    assert err.value.phase == "Newton"
+    assert len(err.value.residual_history) == 1
 
 
 def _assert_same_run(got, want):
@@ -392,18 +403,20 @@ def test_a_failed_row_leaves_the_other_rows_bit_identical(grid64, bundle64, poly
     calls = []
 
     def failing(*args):
-        step = original(*args)
-        # args[5] holds the rows' _Lockstep; the eps = 1e-2 row fails its step 21
-        for row, p in enumerate(args[5].params):
-            if p.eps == 1e-2:
-                calls.append(1)
-                if len(calls) == 21:
-                    step[4].errors[row] = StepError("injected failure", phase="Newton")
-        return step
+        # args[5] holds the rows' _Lockstep; the eps = 1e-2 row fails its step
+        # 21, in the batch and in its one-row retry
+        rows = args[5].params
+        calls.append(len(rows))
+        if calls.count(4) == 21 and any(p.eps == 1e-2 for p in rows):
+            raise StepError("injected failure", phase="Newton")
+        return original(*args)
 
     monkeypatch.setattr(nlch.model, "_step_arrays", failing)
     results = run_rows(inits, params, bundle64, poly)
     monkeypatch.setattr(nlch.model, "_step_arrays", original)
+    # one call per batch step, and one per row at step 21, when each row
+    # steps alone from the same state
+    assert calls == [4] * 21 + [1] * 4 + [3] * 29
     err = results[2]
     assert isinstance(err, StepError) and str(err) == "injected failure"
     assert err.step == 21 and err.t == pytest.approx(0.021)
