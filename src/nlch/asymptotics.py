@@ -3,9 +3,10 @@
 A sweep runs the solver for a decreasing sequence of relaxation values,
 compares each run against the corresponding limit system (the reference,
 integrated with the parameter set to zero on the same grid and step),
-and fits a log-log rate. Initial data for the members follow the
-elliptic smoothing recipes, so the theoretical rates (1/4 in eps, 1/2 in
-tau) are lower bounds for the fitted slopes.
+and fits a log-log rate against the theoretical one (1/4 in eps, 1/2 in
+tau). Members start from data smoothed by the elliptic recipes and the
+reference from the raw data, so a member's total is its relaxation error
+plus the t = 0 data difference that the smoothing introduces.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from typing import Callable
 import numpy as np
 
 from .audit import DerivedConstants, derive_constants
-from .diagnostics import TrajectoryDistance, check_alignment, difference_norms, time_norms
+from .diagnostics import RowDistances, TrajectoryDistance, check_alignment
 from .diagnostics import distance  # noqa: F401  a traced call site
 from .errors import AssumptionError, ConfigError, FitError, StepError
-from .grid import Field, norm_h, norm_v, norm_vstar
+from .grid import Field, norm_h, norm_v
+from .grid import norm_vstar  # noqa: F401  a traced call site
 from .kernel import KernelBundle
 from .model import InitialData, ModelParams, admit_run, make_smoothed_ic, run, run_rows
 from .potential import PotentialSpec, f_eval
@@ -236,49 +238,6 @@ def _admit_plan(plan: SweepPlan, constants: DerivedConstants):
     return members
 
 
-class _ReferenceDistances:
-    """Distances of lockstep runs to run 0, their reference.
-
-    Called at every snapshot of the run (as run_rows' ``observe``), it
-    norms each live run's difference to the reference, and with a
-    ``floor`` trajectory the reference's difference to it, in one batched
-    pass, and keeps only the norms. ``eps`` holds each run's weight of
-    mu in the conserved combination, ``floor_eps`` the floor's.
-    """
-
-    def __init__(self, grid, components, eps, floor=None, floor_eps: float = 0.0):
-        self.grid, self.components = grid, components
-        self.eps, self.floor, self.floor_eps = eps, floor, floor_eps
-        self.times = []
-        self.norms = {run: {name: [] for name in components} for run in range(len(eps))}
-
-    def __call__(self, t, runs, phi, mu, sig):
-        if runs[0] != 0:
-            return  # the reference failed; the caller raises its error
-        k = len(self.times)
-        self.times.append(t)
-        diffs = [rows[1:] - rows[0] for rows in (phi, mu, sig)]
-        compared = list(runs[1:])
-        eps = [self.eps[run] for run in compared]
-        # a misaligned floor fails check_alignment once the run is over
-        if self.floor is not None and k < len(self.floor.times):
-            floor = (self.floor.phis[k], self.floor.mus[k], self.floor.sigmas[k])
-            diffs = [np.concatenate([d, (rows[0] - f.values)[None]])
-                     for d, rows, f in zip(diffs, (phi, mu, sig), floor)]
-            compared.append(0)
-            eps.append(self.floor_eps)
-        if not compared:
-            return
-        norms = difference_norms(self.grid, *diffs, np.array(eps)[:, None], self.components)
-        for j, run in enumerate(compared):
-            for name, values in norms.items():
-                self.norms[run][name].append(values[j])
-
-    def distance(self, run: int) -> TrajectoryDistance:
-        """Distance of a run to the reference; run 0 gives the reference's to the floor."""
-        return time_norms(np.asarray(self.times), self.norms[run])
-
-
 def sweep(plan: SweepPlan, constants: DerivedConstants | None = None) -> ErrorReport:
     """Run the sweep and fit the observed convergence rate.
 
@@ -300,14 +259,25 @@ def sweep(plan: SweepPlan, constants: DerivedConstants | None = None) -> ErrorRe
     ref_half = run(plan.init, half, plan.bundle, plan.spec, snapshot_stride=2,
                    constants=constants, record_diagnostics=False)
     params = [ref_params] + [p for _, p, _ in members]
-    tracker = _ReferenceDistances(plan.bundle.grid, set(weights), [p.eps for p in params],
-                                  ref_half, plan.base_params.eps)
+    floor_row = len(params)
+    tracker = RowDistances(plan.bundle.grid, set(weights), [p.eps for p in params + [half]])
+
+    def observe(t, runs, *rows):
+        # the stored floor snapshot joins the lockstep rows as one more row;
+        # a misaligned floor fails check_alignment once the run is over
+        k = len(tracker.times)
+        if runs[0] == 0 and k < len(ref_half.times):
+            stored = (ref_half.phis[k], ref_half.mus[k], ref_half.sigmas[k])
+            rows = [np.concatenate([r, f.values[None]]) for r, f in zip(rows, stored)]
+            runs = runs + [floor_row]
+        tracker(t, runs, *rows)
+
     results = run_rows([plan.init] + [init for _, _, init in members], params, plan.bundle,
-                       plan.spec, validate=False, record_diagnostics=False, observe=tracker)
+                       plan.spec, validate=False, record_diagnostics=False, observe=observe)
     if isinstance(results[0], StepError):
         raise results[0]
     check_alignment(tracker.times, ref_half.times, min(results[0].params.dt, ref_half.params.dt))
-    floor = tracker.distance(0).total(weights)
+    floor = tracker.distance(floor_row).total(weights)
 
     report = ErrorReport(
         mode=plan.mode,
@@ -398,7 +368,9 @@ def stability_probe(init: InitialData, params: ModelParams, bundle: KernelBundle
 
     Perturbs all three initial fields by delta times a fixed smooth bump,
     runs both trajectories, and reports the ratio of the stability
-    estimate's left side to its right side for every nonzero delta.
+    estimate's left side to its right side for every nonzero delta. The
+    right side, ||eps dmu0 + dphi0||_* + sqrt(tau) ||dphi0||_H +
+    ||dsig0||_H, is read from the first snapshot's norms.
     """
     if params.eta != 0.0:
         raise AssumptionError("eta = 0", "the stability estimate needs eta = 0",
@@ -414,26 +386,21 @@ def stability_probe(init: InitialData, params: ModelParams, bundle: KernelBundle
     # the base run and the perturbed runs step in lockstep, and only their
     # distances to the base run are kept
     deltas = [float(delta) for delta in deltas if delta != 0.0]
-    perturbed = [InitialData(
-        phi0=Field(grid, init.phi0.values + delta * bump.values),
-        mu0=Field(grid, init.mu0.values + delta * bump.values),
-        sigma0=Field(grid, init.sigma0.values + delta * bump.values),
-    ) for delta in deltas]
-    tracker = _ReferenceDistances(grid, set(weights), [params.eps] * (1 + len(deltas)))
+    perturbed = [InitialData(*(Field(grid, f.values + delta * bump.values)
+                               for f in (init.phi0, init.mu0, init.sigma0)))
+                 for delta in deltas]
+    tracker = RowDistances(grid, set(weights), [params.eps] * (1 + len(deltas)))
     results = run_rows([init] + perturbed, [params] * (1 + len(deltas)), bundle, spec,
                        constants=constants, record_diagnostics=False, observe=tracker)
     for result in results:
         if isinstance(result, StepError):
             raise result
     rows = []
-    for run_index, (delta, pert) in enumerate(zip(deltas, perturbed), start=1):
-        lhs = tracker.distance(run_index).total(weights)
-        dphi = Field(grid, pert.phi0.values - init.phi0.values, check=False)
-        dmu = Field(grid, pert.mu0.values - init.mu0.values, check=False)
-        dsig = Field(grid, pert.sigma0.values - init.sigma0.values, check=False)
-        combo = Field(grid, params.eps * dmu.values + dphi.values, check=False)
-        rhs = norm_vstar(combo) + math.sqrt(params.tau) * norm_h(dphi) + norm_h(dsig)
-        rows.append(StabilityRow(delta=delta, lhs=lhs, rhs=rhs))
+    for run_index, delta in enumerate(deltas, start=1):
+        d0 = tracker.first(run_index)
+        rhs = (d0["linf_vstar_combo"] + math.sqrt(params.tau) * d0["linf_h_phi"]
+               + d0["linf_h_sigma"])
+        rows.append(StabilityRow(delta, tracker.distance(run_index).total(weights), rhs))
     return rows
 
 

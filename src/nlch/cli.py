@@ -134,10 +134,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _positive(cfg, key: str) -> float:
-    """cfg[key], the final time or time step of a command's runs; <= 0 is a ConfigError."""
+    """cfg[key], a command's final time or time step; a ConfigError unless finite and > 0."""
     t = cfg[key]
-    if not t > 0:
-        raise ConfigError(f"{key} must be > 0, got {t}")
+    if not 0 < t < np.inf:
+        raise ConfigError(f"{key} must be finite and > 0, got {t}")
     return t
 
 

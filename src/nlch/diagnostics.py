@@ -4,6 +4,13 @@ Distances between trajectories are computed snapshot-wise: L-infinity in
 time is the maximum over stored snapshots of a spatial norm, L2 in time
 is the trapezoid rule on the squared spatial norms. Snapshot times of
 the two trajectories must align within half a step.
+
+RowDistances is the one place such differences are normed: it takes each
+row's distance to row 0, whether the rows are lockstep runs observed as
+they step, two stored trajectories (``distance``) or, in a sweep, the
+stored dt/2 floor reference appended as one more row. It keeps each
+row's first-snapshot norms, from which ``stability`` reads the right-hand
+side of its estimate.
 """
 
 from __future__ import annotations
@@ -139,8 +146,8 @@ def difference_norms(grid: GridSpec, dphi: np.ndarray, dmu: np.ndarray, dsig: np
     """The spatial norms behind each TrajectoryDistance component, per row.
 
     dphi, dmu and dsig are (rows, cells) stacks of snapshot differences;
-    eps (a float, or one value per row as a (rows, 1) column) weights the
-    conserved combination eps*dmu + dphi. Each row's norms equal those
+    eps, one value per row as a (rows, 1) column, weights the conserved
+    combination eps*dmu + dphi. Each row's norms equal those
     of grid.norm_h, norm_v and norm_vstar on the row alone; the dual
     norms of all rows come from one batched solve.
     """
@@ -157,26 +164,51 @@ def difference_norms(grid: GridSpec, dphi: np.ndarray, dmu: np.ndarray, dsig: np
     return {name: norms[name]() for name in components}
 
 
-def time_norms(ts, norms: dict) -> TrajectoryDistance:
-    """Combine per-snapshot spatial norms into a TrajectoryDistance.
+class RowDistances:
+    """Distances of several runs to row 0, taken snapshot by snapshot.
 
-    L-infinity in time is the maximum over snapshots, L2 in time the
-    trapezoid rule on the squares; components missing from ``norms``
-    are nan.
+    Called at every snapshot time with the indices of the rows present and
+    their (rows, cells) stacks of phi, mu and sigma (run_rows' ``observe``
+    signature), it norms each row's difference to row 0 in one
+    difference_norms call and keeps only the norms. ``eps`` holds each
+    row's weight of mu in the conserved combination eps*dmu + dphi.
     """
-    def l2t(vals):
-        v = np.asarray(vals)
-        return float(np.sqrt(np.trapezoid(v * v, ts)))
 
-    out = {}
-    for name in (f.name for f in dataclass_fields(TrajectoryDistance)):
-        if name not in norms:
-            out[name] = math.nan
-        elif name.startswith("linf"):
-            out[name] = float(np.max(norms[name]))
-        else:
-            out[name] = l2t(norms[name])
-    return TrajectoryDistance(**out)
+    def __init__(self, grid: GridSpec, components, eps):
+        self.grid, self.components, self.eps = grid, components, eps
+        self.times = []
+        self.norms = {row: {name: [] for name in components} for row in range(1, len(eps))}
+
+    def __call__(self, t, rows, phi, mu, sig):
+        if rows[0] != 0:
+            return  # row 0 failed; the caller raises its error
+        self.times.append(t)
+        if len(rows) == 1:
+            return
+        diffs = [v[1:] - v[0] for v in (phi, mu, sig)]
+        eps = np.array([self.eps[row] for row in rows[1:]])[:, None]
+        norms = difference_norms(self.grid, *diffs, eps, self.components)
+        for j, row in enumerate(rows[1:]):
+            for name, values in norms.items():
+                self.norms[row][name].append(values[j])
+
+    def first(self, row: int) -> dict[str, float]:
+        """The row's spatial norms at the first snapshot."""
+        return {name: values[0] for name, values in self.norms[row].items()}
+
+    def distance(self, row: int) -> TrajectoryDistance:
+        """The row's TrajectoryDistance to row 0; components not normed are nan."""
+        norms = self.norms[row]
+        out = {}
+        for name in (f.name for f in dataclass_fields(TrajectoryDistance)):
+            if name not in norms:
+                out[name] = math.nan
+            elif name.startswith("linf"):
+                out[name] = float(np.max(norms[name]))
+            else:
+                v = np.asarray(norms[name])
+                out[name] = float(np.sqrt(np.trapezoid(v * v, self.times)))
+        return TrajectoryDistance(**out)
 
 
 def distance(traj1, traj2, eps: float | None = None,
@@ -186,23 +218,20 @@ def distance(traj1, traj2, eps: float | None = None,
     eps weights the conserved combination eps*mu + phi; it defaults to
     the first trajectory's relaxation parameter. When components is
     given, only those norms are computed (the dual norms need a linear
-    solve); the rest are reported as nan. The snapshots' differences are
-    normed one snapshot at a time, so the memory taken does not grow
-    with the trajectories.
+    solve); the rest are reported as nan. The two trajectories are rows
+    0 and 1 of a RowDistances, fed one snapshot at a time, so the memory
+    taken does not grow with the trajectories.
     """
     check_alignment(traj1.times, traj2.times, min(traj1.params.dt, traj2.params.dt))
     if eps is None:
         eps = traj1.params.eps
     if components is None:
         components = {f.name for f in dataclass_fields(TrajectoryDistance)}
-    grid = traj1.phis[0].grid
-    norms = {name: [] for name in components}
-    for pairs in zip(zip(traj1.phis, traj2.phis), zip(traj1.mus, traj2.mus),
-                     zip(traj1.sigmas, traj2.sigmas)):
-        diffs = [(a.values - b.values)[None] for a, b in pairs]
-        for name, values in difference_norms(grid, *diffs, eps, components).items():
-            norms[name].extend(values)
-    return time_norms(np.asarray(traj1.times), norms)
+    tracker = RowDistances(traj1.phis[0].grid, components, [eps, eps])
+    for t, *pairs in zip(traj1.times, zip(traj1.phis, traj2.phis),
+                         zip(traj1.mus, traj2.mus), zip(traj1.sigmas, traj2.sigmas)):
+        tracker(t, [0, 1], *(np.stack([a.values, b.values]) for a, b in pairs))
+    return tracker.distance(1)
 
 
 # the rounding allowed outside [0, 1] by the maximum principle probe

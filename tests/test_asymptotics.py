@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from nlch.asymptotics import (
 from nlch.config import build_problem, load_config
 from nlch.diagnostics import distance
 from nlch.errors import AssumptionError, ConfigError, FitError, StepError
-from nlch.grid import Field
+from nlch.grid import Field, norm_h, norm_vstar
 from nlch.model import InitialData, ModelParams, run, run_rows
 from nlch.potential import logarithmic_potential
 
@@ -267,7 +268,7 @@ def test_lockstep_sweep_rows_equal_their_own_runs(mode):
     half = params[0].with_params(dt=params[0].dt / 2.0)
     ref_half = run(plan.init, half, plan.bundle, plan.spec, snapshot_stride=2,
                    record_diagnostics=False)
-    floor = distance(alone[0], ref_half, eps=plan.base_params.eps, components=components)
+    floor = distance(alone[0], ref_half, eps=half.eps, components=components)
     assert rep.floor == floor.total(plan.limit.weights)
 
 
@@ -290,3 +291,9 @@ def test_lockstep_stability_probe_equals_separate_runs():
             traj = run(pert, params, problem.bundle, problem.spec, record_diagnostics=False)
             d = distance(traj, base, eps=params.eps, components=set(weights))
             assert row.lhs == d.total(weights)
+            # the right-hand side: norms of the initial data's difference
+            dphi, dmu, dsig = (Field(grid, a.values - b.values, check=False) for a, b in (
+                (pert.phi0, init.phi0), (pert.mu0, init.mu0), (pert.sigma0, init.sigma0)))
+            combo = Field(grid, params.eps * dmu.values + dphi.values, check=False)
+            assert row.rhs == (norm_vstar(combo) + math.sqrt(params.tau) * norm_h(dphi)
+                               + norm_h(dsig))

@@ -301,16 +301,22 @@ def test_cli_stability_with_nothing_to_probe_is_a_configuration_error(tmp_path, 
     ("sweep-tau", "sweep.dt=0"),
     ("sweep-joint", "sweep.dt=-0.001"),
     ("oracle-compare", "oracle.dt=0"),
+    ("sweep-tau", "sweep.t=inf"),
+    ("sweep-tau", "sweep.dt=inf"),
+    ("stability", "stability.t=inf"),
+    ("oracle-compare", "oracle.t=inf"),
+    ("oracle-compare", "oracle.dt=inf"),
 ])
 def test_cli_zero_horizons_are_configuration_errors(tmp_path, capsys, command, setting):
     # a run of no time compares initial data alone: sweep-tau fitted a rate to
     # it, stability read a ratio of 1 and oracle-compare crashed in the
-    # integrator; a step of no time fails the same way, before any file
+    # integrator; a step of no time fails the same way, before any file; an
+    # infinite horizon or step used to fail only after the audit was written
     cfg = Path(__file__).resolve().parents[1] / "configs" / "rate-study.cfg"
     rc = main([command, "--config", str(cfg), "--out", str(tmp_path), "--set", setting])
     assert rc == 2
     key, value = setting.split("=")
-    assert f"{key} must be > 0, got {float(value)}" in capsys.readouterr().err
+    assert f"{key} must be finite and > 0, got {float(value)}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

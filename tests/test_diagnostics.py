@@ -87,6 +87,12 @@ def test_distance_self_and_shift(grid64, bundle64, poly):
     # the V* norm of a constant equals the constant's H norm
     assert d.linf_vstar_phi == pytest.approx(0.25 * np.sqrt(grid64.measure), rel=1e-8)
 
+    # swapping the trajectories negates every difference, which no norm sees,
+    # bit for bit: the dual norm of eps*dmu + dphi included
+    t3 = frozen_trajectory(grid64, shifted, [Field(grid64, 0.5 + 0.1 * x) for _ in range(4)])
+    t3.mus[:] = [Field(grid64, 0.2 * k * np.sin(np.pi * x)) for k in range(4)]
+    assert repr(distance(t1, t3, eps=0.3)) == repr(distance(t3, t1, eps=0.3))
+
 
 def test_distance_alignment_errors(grid64):
     phis = [Field.constant(grid64, 0.0)] * 3
