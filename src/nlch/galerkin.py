@@ -2,10 +2,11 @@
 
 Projects the doubly regularized system (eps, tau > 0) onto the first n
 Neumann-Laplacian eigenfunctions and integrates the resulting ODE system
-with the implicit variable-order BDF method. The projected system is
-stiff (its fastest rates grow like lambda_n / eps), so an explicit
-integrator would be held to tiny steps by stability, not accuracy. The
-oracle exists to cross-validate the finite-difference stepper at fixed
+with the implicit variable-order BDF method, an in-package port of
+scipy's BDF on LAPACK getrf/getrs. The projected system is stiff (its
+fastest rates grow like lambda_n / eps), so an explicit integrator
+would be held to tiny steps by stability, not accuracy. The oracle
+exists to cross-validate the finite-difference stepper at fixed
 mode count and Yosida parameter.
 
 All nonlinear integrals use the same cell-centered midpoint quadrature
@@ -26,7 +27,7 @@ from .errors import (
     InapplicabilityError,
     StiffnessError,
 )
-from .grid import Field, GridSpec
+from .grid import Field, GridSpec, dgetrf, dgetrs
 from .kernel import KernelBundle
 from .model import ModelParams
 from .potential import PotentialSpec, f_prime_regularized
@@ -175,35 +176,210 @@ def fd_jacobian(t: float, y: np.ndarray, op: GalerkinOperator) -> np.ndarray:
     return (f[:, 1:] - f[:, :1]) / h
 
 
+# The integrator is a port of scipy.integrate's BDF (scipy 1.17), the
+# variable-order NDF method of Shampine & Reichelt, "The MATLAB ODE
+# Suite" (SIAM J. Sci. Comput. 18, 1997), restricted to what the oracle
+# uses: forward time from t = 0, a float state, the callable fd_jacobian
+# and output at t_eval from the dense interpolant. It repeats scipy's
+# arithmetic operation for operation, so its output is bit-identical to
+# solve_ivp(ode_rhs, (0, T), y0, method="BDF", jac=fd_jacobian, ...).
+_MAX_ORDER = 5
+_NEWTON_MAXITER = 4
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10
+_KAPPA = np.array([0, -0.1850, -1 / 9, -0.0823, -0.0415, 0])
+_GAMMA = np.hstack((0, np.cumsum(1 / np.arange(1, _MAX_ORDER + 1))))
+_ALPHA = (1 - _KAPPA) * _GAMMA
+_ERROR_CONST = _KAPPA * _GAMMA + 1 / np.arange(1, _MAX_ORDER + 2)
+_EPS = np.finfo(float).eps
+
+
+def _bdf_failure(reason: str) -> StiffnessError:
+    return StiffnessError(
+        f"BDF integrator of the spectral oracle failed: {reason}; "
+        "consider larger eps/tau or a smaller mode count"
+    )
+
+
+def _rms(x: np.ndarray):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _compute_R(order, factor):
+    """Matrix that rescales the difference array to a step ``factor`` times as long."""
+    I = np.arange(1, order + 1)[:, None]
+    J = np.arange(1, order + 1)
+    M = np.zeros((order + 1, order + 1))
+    M[1:, 1:] = (I - 1 - factor * J) / I
+    M[0] = 1
+    return np.cumprod(M, axis=0)
+
+
+def _change_D(D, order, factor):
+    """Rescale the difference array D in place when the step size changes."""
+    RU = _compute_R(order, factor).dot(_compute_R(order, 1))
+    D[: order + 1] = np.dot(RU.T, D[: order + 1])
+
+
+def _initial_step(op, y0, f0, T, rtol, atol):
+    """First step size for a first-order error estimate (Hairer-Norsett-Wanner II.4)."""
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, T)
+    f1 = ode_rhs(h0, y0 + h0 * f0, op)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 2)
+    return min(100 * h0, h1, T)
+
+
+def _solve_bdf_system(op, t_new, y_predict, c, psi, LU, scale, tol):
+    """Simplified Newton iteration of one BDF step: (converged, iterations, y, d)."""
+    d = 0
+    y = y_predict.copy()
+    dy_norm_old = None
+    converged = False
+    for k in range(_NEWTON_MAXITER):
+        f = ode_rhs(t_new, y, op)
+        if not np.all(np.isfinite(f)):
+            break
+        dy = dgetrs(*LU, c * f - psi - d, overwrite_b=True)[0]
+        dy_norm = _rms(dy / scale)
+        rate = None if dy_norm_old is None else dy_norm / dy_norm_old
+        if rate is not None and (rate >= 1 or
+                                 rate ** (_NEWTON_MAXITER - k) / (1 - rate) * dy_norm > tol):
+            break
+        y += dy
+        d += dy
+        if dy_norm == 0 or rate is not None and rate / (1 - rate) * dy_norm < tol:
+            converged = True
+            break
+        dy_norm_old = dy_norm
+    return converged, k + 1, y, d
+
+
 def integrate(init_coeffs: np.ndarray, op: GalerkinOperator, T: float,
               t_eval, rtol: float = 1e-8, atol: float = 1e-10):
     """Implicit BDF integration; returns (times, coefficient matrix).
 
+    An in-package port of scipy's BDF on LAPACK getrf/getrs (see above).
     The Newton iterations use fd_jacobian, a finite difference of
     ode_rhs, so the oracle shares no linearization with the
     finite-difference stepper. The coefficient matrix has one row per
-    output time. Integrator failure raises StiffnessError suggesting
-    larger eps/tau or fewer modes.
+    output time; each output time is interpolated after the step that
+    reaches it. Integrator failure (a step below the spacing of floats
+    or a non-finite Jacobian) raises StiffnessError suggesting larger
+    eps/tau or fewer modes.
     """
-    from scipy.integrate import solve_ivp
+    t_eval = np.array(t_eval, dtype=float)
+    if (t_eval.ndim != 1 or np.any(t_eval < 0) or np.any(t_eval > T)
+            or np.any(np.diff(t_eval) <= 0)):
+        raise ComparisonError(f"output times must increase within [0, {T}]")
+    y = np.asarray(init_coeffs, dtype=float)
+    n = y.size
+    f = ode_rhs(0.0, y, op)
+    h_abs = _initial_step(op, y, f, T, rtol, atol)
+    J = fd_jacobian(0.0, y, op)
+    identity = np.identity(n)
+    newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
+    D = np.empty((_MAX_ORDER + 3, n))
+    D[0] = y
+    D[1] = f * h_abs
+    order, n_equal_steps, LU = 1, 0, None
+    coeffs = np.empty((t_eval.size, n))
+    filled = 0
+    t = 0.0
+    while t < T:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs < min_step:
+            _change_D(D, order, min_step / h_abs)
+            h_abs = min_step
+            n_equal_steps = 0
+        current_jac = False
+        while True:
+            if h_abs < min_step:
+                raise _bdf_failure("Required step size is less than spacing between numbers")
+            t_new = t + h_abs
+            if t_new - T > 0:
+                t_new = T
+                _change_D(D, order, np.abs(t_new - t) / h_abs)
+                n_equal_steps = 0
+                LU = None
+            h = t_new - t
+            h_abs = np.abs(h)
+            y_predict = np.sum(D[: order + 1], axis=0)
+            scale = atol + rtol * np.abs(y_predict)
+            psi = np.dot(D[1 : order + 1].T, _GAMMA[1 : order + 1]) / _ALPHA[order]
+            converged = False
+            c = h / _ALPHA[order]
+            while not converged:
+                if LU is None:
+                    A = identity - c * J
+                    if not np.isfinite(A).all():
+                        raise _bdf_failure("the Newton matrix I - c J is not finite")
+                    LU = dgetrf(A, overwrite_a=True)[:2]
+                converged, n_iter, y_new, d = _solve_bdf_system(
+                    op, t_new, y_predict, c, psi, LU, scale, newton_tol)
+                if not converged:
+                    if current_jac:
+                        break
+                    J = fd_jacobian(t_new, y_predict, op)
+                    LU = None
+                    current_jac = True
+            if not converged:
+                h_abs *= 0.5
+                _change_D(D, order, 0.5)
+                n_equal_steps = 0
+                LU = None
+                continue
+            safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
+            scale = atol + rtol * np.abs(y_new)
+            error_norm = _rms(_ERROR_CONST[order] * d / scale)
+            if error_norm <= 1:
+                break
+            factor = max(_MIN_FACTOR, safety * error_norm ** (-1 / (order + 1)))
+            h_abs *= factor
+            _change_D(D, order, factor)
+            n_equal_steps = 0
 
-    sol = solve_ivp(
-        ode_rhs,
-        (0.0, T),
-        np.asarray(init_coeffs, dtype=float),
-        args=(op,),
-        method="BDF",
-        jac=fd_jacobian,
-        rtol=rtol,
-        atol=atol,
-        t_eval=t_eval,
-    )
-    if not sol.success:
-        raise StiffnessError(
-            f"BDF integrator of the spectral oracle failed: {sol.message.rstrip('.')}; "
-            "consider larger eps/tau or a smaller mode count"
-        )
-    return sol.t, sol.y.T
+        n_equal_steps += 1
+        t = t_new
+        # D holds the differences of the previous interpolant and
+        # d = D^{k+1} y_n; D^{j+1} y_n = D^j y_n - D^j y_{n-1} updates it
+        D[order + 2] = d - D[order + 1]
+        D[order + 1] = d
+        for i in reversed(range(order + 1)):
+            D[i] += D[i + 1]
+
+        if n_equal_steps >= order + 1:
+            error_m_norm = _rms(_ERROR_CONST[order - 1] * D[order] / scale) if order > 1 else np.inf
+            error_p_norm = (_rms(_ERROR_CONST[order + 1] * D[order + 2] / scale)
+                            if order < _MAX_ORDER else np.inf)
+            error_norms = np.array([error_m_norm, error_norm, error_p_norm])
+            with np.errstate(divide="ignore"):
+                factors = error_norms ** (-1 / np.arange(order, order + 3))
+            order += np.argmax(factors) - 1
+            factor = min(_MAX_FACTOR, safety * np.max(factors))
+            h_abs *= factor
+            _change_D(D, order, factor)
+            n_equal_steps = 0
+            LU = None
+
+        # the dense output of this step, with the step size and order just chosen
+        reached = np.searchsorted(t_eval, t, side="right")
+        if reached > filled:
+            t_shift = t - h_abs * np.arange(order)
+            denom = h_abs * (1 + np.arange(order))
+            x = (t_eval[filled:reached] - t_shift[:, None]) / denom[:, None]
+            block = np.dot(D[1 : order + 1].T, np.cumprod(x, axis=0))
+            block += D[0, :, None]
+            coeffs[filled:reached] = block.T
+            filled = reached
+    return t_eval, coeffs
 
 
 def oracle_gap(basis: SpectralBasis, times, coeffs: np.ndarray, phis) -> float:

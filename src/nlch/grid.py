@@ -30,8 +30,8 @@ import numpy as np
 from .errors import ConfigError, DimensionError, SolverError
 
 
-def _load_dgtsv():
-    """LAPACK's dgtsv from scipy's compiled _flapack, without importing scipy.linalg.
+def _load_flapack():
+    """scipy's compiled LAPACK module _flapack, without importing scipy.linalg.
 
     Importing the scipy.linalg package took about 0.3 s on a 2-vCPU VM,
     most of a short 1D run; loading its extension module alone takes a
@@ -52,10 +52,13 @@ def _load_dgtsv():
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         sys.modules[name] = module
-    return module.dgtsv
+    return module
 
 
-dgtsv = _load_dgtsv()
+_flapack = _load_flapack()
+# the tridiagonal solve of every 1D Neumann system, and the LU pair of
+# the spectral oracle's BDF integrator (galerkin)
+dgtsv, dgetrf, dgetrs = _flapack.dgtsv, _flapack.dgetrf, _flapack.dgetrs
 
 # normwise backward-error target of every checked linear solve:
 # ||A x - b|| <= BACKWARD_TOL (||b|| + ||A||_inf ||x||)

@@ -1,3 +1,4 @@
+import gc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from nlch.errors import (
 )
 from nlch.galerkin import (
     build_operator,
+    compare,
     fd_jacobian,
     integrate,
     make_basis,
@@ -160,6 +162,63 @@ def test_integrate_failure_raises_stiffness_error(setup128, monkeypatch):
     monkeypatch.setattr(nlch.galerkin, "ode_rhs", lambda t, y, op: y * y)
     with pytest.raises(StiffnessError, match="BDF integrator"):
         integrate(np.ones(3), op, 2.0, t_eval=[2.0])
+
+
+def test_integrate_non_finite_jacobian_raises_stiffness_error(setup128, monkeypatch):
+    g, b, p = setup128
+    op = build_operator(make_basis(g, 4), b, p, ModelParams(eps=0.1, tau=0.1, dt=1e-3, lam=1e-3))
+    monkeypatch.setattr(nlch.galerkin, "fd_jacobian",
+                        lambda t, y, op: np.full((y.size, y.size), np.nan))
+    with pytest.raises(StiffnessError, match="BDF integrator.*not finite"):
+        integrate(np.zeros(12), op, 0.1, t_eval=[0.1])
+
+
+ORACLE_SETUPS = [
+    pytest.param(["--config", str(Path(__file__).resolve().parent.parent / "configs"
+                                  / "rate-study.cfg"), "--set", "oracle.t=0.01"], id="rate-study"),
+    pytest.param(["--set", "grid.cells=128", "--set", "kernel.width=3.0",
+                  "--set", "kernel.normalization=2.05", "--set", "oracle.modes=12",
+                  "--set", "oracle.t=0.1", "--set", "oracle.dt=5e-4"], id="smoke-128"),
+]
+
+
+@pytest.mark.parametrize("argv", ORACLE_SETUPS)
+def test_integrate_is_scipy_bdf_bit_for_bit(tmp_path, monkeypatch, argv):
+    # the in-package BDF repeats the arithmetic of scipy's, so the
+    # oracle-compare problem integrates to the same bits under both
+    problems = []
+    original = nlch.galerkin.integrate
+
+    def recorded(y0, op, T, t_eval):
+        problems.append((y0, op, T, t_eval))
+        return original(y0, op, T, t_eval)
+
+    monkeypatch.setattr(nlch.galerkin, "integrate", recorded)
+    assert main(["oracle-compare", *argv, "--out", str(tmp_path)]) == 0
+    (y0, op, T, t_eval), = problems
+    ts, coeffs = original(y0, op, T, t_eval)
+    ref = solve_ivp(ode_rhs, (0.0, T), y0, args=(op,), method="BDF", jac=fd_jacobian,
+                    rtol=1e-8, atol=1e-10, t_eval=t_eval)
+    assert ref.success
+    assert np.array_equal(ts, ref.t)
+    assert np.array_equal(coeffs, ref.y.T)
+
+
+def test_compare_leaves_no_reference_cycles(setup128):
+    # every array of an oracle run is freed by reference counting, so
+    # repeated comparisons leave no garbage for the cyclic collector
+    g, b, p = setup128
+    params = ModelParams(eps=0.1, tau=0.1, P=0.5, A=0.25, B=0.5, C=0.5, chi=0.2,
+                         sigma_s=0.8, dt=1e-3, T=0.01, lam=1e-3)
+    traj = run(_cosine_init(g), params, b, p, record_diagnostics=False)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            compare(traj, b, p, 8)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_integrate_tolerance_consistency(setup128):

@@ -1,12 +1,13 @@
 """Each command imports only the scipy submodules it runs.
 
 Every nlch command starts a fresh interpreter, so start-up is paid per
-command. No 1D command but oracle-compare and verify loads a scipy
-package: nlch.grid loads LAPACK's compiled _flapack module alone, not
-scipy.linalg, whose import pulls in scipy._lib._array_api and with it
-numpy.f2py. scipy.integrate (which loads scipy.optimize) and scipy.fft
-are imported on first use. Each check runs in a new interpreter, since
-this test process has loaded them already.
+command. No 1D command but verify loads a scipy package: nlch.grid
+loads LAPACK's compiled _flapack module alone, not scipy.linalg, whose
+import pulls in scipy._lib._array_api and with it numpy.f2py, and the
+oracle's BDF integrator runs on that module's getrf/getrs.
+scipy.integrate (which loads scipy.optimize) and scipy.fft are imported
+on first use. Each check runs in a new interpreter, since this test
+process has loaded them already.
 """
 
 import json
@@ -58,6 +59,8 @@ def test_import_loads_no_deferred_scipy_module():
                  id="sweep-tau"),
     pytest.param(["stability", "--config", "rate-study.cfg", "--set", "stability.t=0.002"],
                  id="stability"),
+    pytest.param(["oracle-compare", "--config", "rate-study.cfg", "--set", "oracle.t=0.002"],
+                 id="oracle-compare"),
 ])
 def test_1d_commands_load_no_deferred_module(tmp_path, argv):
     argv = [str(CONFIGS / a) if a.endswith(".cfg") else a for a in argv]
@@ -70,10 +73,3 @@ def test_grid_dgtsv_is_scipy_lapack_dgtsv():
     for first, second in (("nlch.grid", "scipy.linalg"), ("scipy.linalg", "nlch.grid")):
         assert _fresh(f"import json, {first}, {second}\n"
                       "print(json.dumps(nlch.grid.dgtsv is scipy.linalg.lapack.dgtsv))\n"), first
-
-
-def test_oracle_compare_loads_scipy_integrate(tmp_path):
-    argv = ["oracle-compare", "--config", str(CONFIGS / "rate-study.cfg"),
-            "--set", "oracle.t=0.002", "--out", str(tmp_path)]
-    code, loaded = _loaded_after(argv)
-    assert code == 0 and "scipy.integrate" in loaded
