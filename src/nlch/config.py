@@ -8,6 +8,7 @@ typo tolerance. Values are typed by the schema below; lists use commas.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -237,6 +238,21 @@ def _cosine_field(grid: GridSpec, mean_value: float, amplitude: float,
     return Field(grid, vals)
 
 
+def standard_normals(seed: int, n: int) -> np.ndarray:
+    """``n`` standard normal draws, seeded by a nonnegative ``seed``.
+
+    Box–Muller on 53-bit uniforms from the standard library's Mersenne
+    Twister, ``random.Random(seed)``, whose bytes are read as
+    little-endian words. Only the cosine branch is used, so each draw
+    takes two uniforms; the first lies in (0, 1], so its log is finite.
+    """
+    if seed < 0:
+        raise ConfigError(f"--seed must be a nonnegative integer, got {seed}")
+    words = np.frombuffer(random.Random(seed).randbytes(16 * n), dtype="<u8").reshape(2, n)
+    u = (words >> np.uint64(11)) * 2.0 ** -53  # [0, 1)
+    return np.sqrt(-2.0 * np.log(1.0 - u[0])) * np.cos(2.0 * np.pi * u[1])
+
+
 def build_initial_data(cfg: RunConfig, grid: GridSpec, seed: int = 0) -> InitialData:
     family = cfg["ic.family"]
     if family == "file":
@@ -265,12 +281,12 @@ def build_initial_data(cfg: RunConfig, grid: GridSpec, seed: int = 0) -> Initial
             sigma0=sigma0,
         )
     if family == "random-smoothed":
-        rng = np.random.default_rng(seed)
+        phi_noise, sigma_noise = standard_normals(seed, 2 * grid.size).reshape(2, grid.size)
         s = cfg["ic.smooth"]
-        phi0 = make_smoothed_ic(Field(grid, rng.standard_normal(grid.size)), s)
+        phi0 = make_smoothed_ic(Field(grid, phi_noise), s)
         phi0 = Field(grid, cfg["ic.phi_mean"] + cfg["ic.phi_amplitude"] * phi0.values
                      / max(np.max(np.abs(phi0.values)), 1e-300))
-        sig_raw = make_smoothed_ic(Field(grid, rng.standard_normal(grid.size)), s)
+        sig_raw = make_smoothed_ic(Field(grid, sigma_noise), s)
         amp = cfg["ic.sigma_amplitude"] / max(np.max(np.abs(sig_raw.values)), 1e-300)
         sigma0 = Field(grid, np.clip(cfg["ic.sigma_mean"] + amp * sig_raw.values, 0.0, 1.0))
         return InitialData(

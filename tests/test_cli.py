@@ -1,4 +1,6 @@
 import json
+import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,14 @@ import nlch.asymptotics
 import nlch.audit
 import nlch.model
 from nlch.cli import main
-from nlch.config import RunConfig, build_problem, default_config, load_config, parse_config
+from nlch.config import (
+    RunConfig,
+    build_problem,
+    default_config,
+    load_config,
+    parse_config,
+    standard_normals,
+)
 from nlch.errors import ConfigError, StepError
 from nlch.grid import read_field
 
@@ -126,6 +135,50 @@ def test_cli_simulate_deterministic(tmp_path):
     assert last1.read_bytes() == last2.read_bytes()
 
 
+def test_cli_negative_seed_is_a_configuration_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["simulate", "--out", str(out), "--seed", "-1",
+               "--set", "ic.family=random-smoothed"] + FAST)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --seed must be a nonnegative integer, got -1")
+    assert not out.exists()
+
+
+def test_standard_normals_are_reproducible():
+    assert standard_normals(3, 257).tobytes() == standard_normals(3, 257).tobytes()
+    assert not np.array_equal(standard_normals(3, 257), standard_normals(4, 257))
+    assert standard_normals(3, 0).shape == (0,)
+
+
+def test_standard_normals_match_scalar_box_muller():
+    n = 7
+    data = random.Random(5).randbytes(16 * n)
+    u = [(int.from_bytes(data[8 * k:8 * k + 8], "little") >> 11) * 2.0 ** -53
+         for k in range(2 * n)]
+    expected = [math.sqrt(-2.0 * math.log(1.0 - u[k])) * math.cos(2.0 * math.pi * u[n + k])
+                for k in range(n)]
+    np.testing.assert_allclose(standard_normals(5, n), expected, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("byte, radius", [(0x00, 0.0), (0xFF, math.sqrt(106 * math.log(2)))])
+def test_standard_normals_at_the_extreme_uniforms(monkeypatch, byte, radius):
+    # all-zero words give u1 = 1, all-one words u1 = 2^-53: log never sees 0
+    monkeypatch.setattr(random.Random, "randbytes", lambda self, k: bytes([byte]) * k)
+    z = standard_normals(0, 3)
+    np.testing.assert_allclose(np.abs(z), radius, rtol=1e-12)
+
+
+@pytest.mark.parametrize("seed, n", [(0, 2 ** 16), (3, 2 ** 16), (4, 2 ** 16 + 1)])
+def test_standard_normals_moments(seed, n):
+    # standard errors at n = 2^16: mean 0.004, variance 0.006, kurtosis 0.019
+    z = standard_normals(seed, n)
+    assert z.shape == (n,) and np.all(np.isfinite(z))
+    assert abs(z.mean()) < 0.02
+    assert abs(z.var() - 1.0) < 0.03
+    assert abs(np.mean((z - z.mean()) ** 4) / z.var() ** 2 - 3.0) < 0.1
+
+
 def test_cli_simulate_reports_the_failed_step(tmp_path, monkeypatch, capsys):
     # step 40 fails; the last snapshot (stride 25) is at t = 0.025
     original = nlch.model._step_arrays
@@ -240,6 +293,8 @@ def test_cli_unreadable_files_are_configuration_errors(tmp_path, capsys, case):
     ("h-one", ["model.h=one"]),
     ("h-tanh", ["model.h=tanh"]),
     ("random-smoothed", ["ic.family=random-smoothed", "ic.smooth=0.02"]),
+    ("random-smoothed-2d", ["ic.family=random-smoothed", "ic.smooth=0.02",
+                            "grid.dim=2", "grid.cells=32"]),
 ])
 def test_cli_simulate_runs_each_advertised_family(tmp_path, name, settings):
     # the shipped eps = 0.01 fails eps < eps0 for the newtonian kernel

@@ -1,4 +1,4 @@
-"""Each command imports only the scipy submodules it runs.
+"""Each command imports only the modules it runs.
 
 Every nlch command starts a fresh interpreter, so start-up is paid per
 command. No 1D command but verify loads a scipy package: nlch.grid
@@ -6,8 +6,11 @@ loads LAPACK's compiled _flapack module alone, not scipy.linalg, whose
 import pulls in scipy._lib._array_api and with it numpy.f2py, and the
 oracle's BDF integrator runs on that module's getrf/getrs.
 scipy.integrate (which loads scipy.optimize) and scipy.fft are imported
-on first use. Each check runs in a new interpreter, since this test
-process has loaded them already.
+on first use. Nor does a 1D command load numpy.random: random-smoothed
+data is drawn from the standard library's random.Random, so
+numpy.random's import of secrets, and through hmac of OpenSSL's
+_hashlib, is not paid. Each check runs in a new interpreter, since this
+test process has loaded these modules already.
 """
 
 import json
@@ -21,7 +24,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.fft", "scipy.special",
-            "scipy.linalg", "scipy._lib._array_api", "numpy.f2py")
+            "scipy.linalg", "scipy._lib._array_api", "numpy.f2py",
+            "numpy.random", "secrets", "_hashlib")
 
 
 def _fresh(code):
