@@ -25,8 +25,9 @@ class StepError(NlchError):
     """The nonlinear time-step iteration diverged or produced an invalid state.
 
     ``phase`` names the failed part of the step (Newton, resolvent,
-    nutrient, convergence or barrier). ``model.run`` sets ``step``, the
-    1-based index of the failed step, and ``t``, the time it advanced to.
+    nutrient, convergence or barrier). ``model.run_rows`` sets ``step``,
+    the 1-based index of the failed step, and ``t``, the time it advanced
+    to.
     """
 
     def __init__(self, message, residual_history=None, phase=None):
@@ -59,4 +60,5 @@ class FitError(NlchError):
 
 
 class StiffnessError(NlchError):
-    """The BDF integrator of the spectral oracle failed (step-size underflow)."""
+    """The BDF integrator of the spectral oracle failed: its step size
+    underflowed, or its Newton matrix is not finite."""

@@ -8,11 +8,12 @@ semidefinite, and exactly conservative (its output sums to zero).
 The module also provides the functional-analytic machinery built on the
 Laplacian: the dual (V*) norm through the Riesz map I - Laplacian, and
 the Poincare and inclusion constants of the geometry in closed form.
-Every 1D Neumann solve is one call of LAPACK's tridiagonal gtsv. In 2D
-the type-II discrete cosine transform diagonalizes the mirrored-ghost
-Laplacian exactly, so a constant-coefficient solve is two transforms
-against one cached per-grid spectrum, and it preconditions the CG of
-the variable-coefficient solves.
+Every Neumann solve goes through solve_shifted_diffusion: in 1D one
+call of LAPACK's tridiagonal gtsv, in 2D one preconditioned CG over all
+rows. The type-II discrete cosine transform diagonalizes the
+mirrored-ghost Laplacian exactly, so the CG's preconditioner, two
+transforms against one cached per-grid spectrum, is the exact inverse
+of a constant-coefficient system.
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ _flapack = _load_flapack()
 # the spectral oracle's BDF integrator (galerkin)
 dgtsv, dgetrf, dgetrs = _flapack.dgtsv, _flapack.dgetrf, _flapack.dgetrs
 
-# normwise backward-error target of every checked linear solve:
-# ||A x - b|| <= BACKWARD_TOL (||b|| + ||A||_inf ||x||)
+# normwise backward-error target of every Neumann solve (_backward_error_gate)
 BACKWARD_TOL = 1e-13
+# the 2D CG's iteration cap per cell along the longest axis
 CG_ITER_FACTOR = 50
 
 _MAGIC = b"NLCHF1"
@@ -269,17 +270,20 @@ def _neumann_spectrum(grid: GridSpec) -> np.ndarray:
     return lam
 
 
-def _spectral_solve(grid: GridSpec, vals: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+def _spectral_solve(grid: GridSpec, vals: np.ndarray, alpha: float | np.ndarray,
+                    beta: float) -> np.ndarray:
     """Apply (alpha*I - beta*lap)^(-1), alpha > 0, through the cached DCT-II spectrum.
 
-    Only 2D solves call it; 1D solves use gtsv. Leading axes of ``vals``
-    are rows, transformed along the grid axes in one call; each row's
-    result is bitwise that of a call on the row alone.
+    It preconditions the 2D CG (see _cg_solve). Leading axes of ``vals``
+    are rows, transformed along the grid axes in one call; ``alpha`` is a
+    scalar or a (rows, 1) column, one shift per row. Each row's result is
+    bitwise that of a call on the row alone.
     """
     from scipy.fft import dctn, idctn
 
     axes = tuple(range(-grid.dim, 0))
     coef = dctn(vals.reshape(vals.shape[:-1] + grid.shape), type=2, norm="ortho", axes=axes)
+    alpha = np.reshape(alpha, np.shape(alpha)[:-1] + (1,) * grid.dim)
     denom = alpha + beta * _neumann_spectrum(grid)
     return idctn(coef / denom, type=2, norm="ortho", axes=axes).reshape(vals.shape)
 
@@ -289,70 +293,106 @@ def _lap_inf_norm(grid: GridSpec) -> float:
     return sum(4.0 / h**2 for h in grid.spacing)
 
 
-def _checked_neumann_solve(grid: GridSpec, b: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Solve (alpha*I - beta*lap) x = b with a hard backward-error check.
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """2-norm of each row, as np.linalg.norm of the row alone (a BLAS dot)."""
+    return np.sqrt(np.vecdot(v, v))
 
-    1D solves by gtsv (solve_shifted_diffusion), 2D by the DCT.
+
+def _backward_bound(grid: GridSpec, d, c: float, b: np.ndarray, x: np.ndarray,
+                    tol: float = BACKWARD_TOL) -> np.ndarray:
+    """tol (||b|| + ||A||_inf ||x||) per row, for A = diag(d) - c*lap.
+
+    ||A||_inf is bounded by max d + c ||lap||_inf.
+    """
+    anorm = np.max(np.atleast_1d(d), axis=-1) + c * _lap_inf_norm(grid)
+    return tol * (_row_norms(b) + anorm * _row_norms(x))
+
+
+def _backward_error_gate(grid: GridSpec, d, c: float, b: np.ndarray, x: np.ndarray, what: str):
+    """Raise SolverError unless every row of x solves (diag(d) - c*lap) x = b
+    to a normwise backward error of BACKWARD_TOL:
+    ||d x - c lap x - b|| <= BACKWARD_TOL (||b|| + ||A||_inf ||x||).
 
     The relative residual ||A x - b|| / ||b|| of a backward-stable solve
     in floating point grows with ||A|| ||x|| / ||b||, about h^-2 for
     smooth data, so it is no reachable target on fine grids; the
-    normwise backward error is. Rows of ``b`` are checked one by one.
+    normwise backward error is, even for a tiny right-hand side.
     """
-    if grid.dim == 1:
-        x = solve_shifted_diffusion(grid, alpha, beta, b)
-    else:
-        x = _spectral_solve(grid, b, alpha, beta)
-    res = np.linalg.norm(alpha * x - beta * _lap_array(x, grid) - b, axis=-1)
-    anorm = alpha + beta * _lap_inf_norm(grid)
-    bnorm = np.linalg.norm(b, axis=-1)
-    bound = BACKWARD_TOL * (bnorm + anorm * np.linalg.norm(x, axis=-1))
+    res = _row_norms(d * x - c * _lap_array(x, grid) - b)
+    bound = _backward_bound(grid, d, c, b, x)
     if np.any(res > bound):
         worst = int(np.argmax(res - bound))
-        raise SolverError(
-            f"Neumann solve residual {float(np.ravel(res)[worst]):.3e} > backward-error bound "
-            f"{float(np.ravel(bound)[worst]):.3e}",
-            residual=float(np.ravel(res / bnorm)[worst]),
-        )
+        res, bound, bnorm = (np.ravel(v)[worst] for v in (res, bound, _row_norms(b)))
+        raise SolverError(f"{what}: residual {res:.3e} > backward-error bound {bound:.3e}",
+                          residual=float(res / bnorm))
+
+
+def _checked_neumann_solve(grid: GridSpec, b: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """Solve (alpha*I - beta*lap) x = b by solve_shifted_diffusion, then
+    check every row's backward error (_backward_error_gate)."""
+    x = solve_shifted_diffusion(grid, alpha, beta, b)
+    _backward_error_gate(grid, alpha, beta, b, x, "Neumann solve")
     return x
 
 
-def cg(*args, **kwargs):
-    """scipy.sparse.linalg.cg, imported on first use: only 2D solves call it."""
-    from scipy.sparse.linalg import cg
+def cg(apply_op, b: np.ndarray, precond, atol: np.ndarray, maxiter: int,
+       callback=None) -> np.ndarray:
+    """Preconditioned conjugate gradients on every row of a (rows, n) batch, from x = 0.
 
-    return cg(*args, **kwargs)
-
-
-def _cg_solve(grid: GridSpec, apply_op, rhs: np.ndarray, rtol: float,
-              anorm: float, precond) -> np.ndarray:
-    """Preconditioned CG with zero initial guess and a hard backward-error check.
-
-    The solve passes when ||A x - b|| <= rtol (||b|| + anorm ||x||), with
-    anorm an upper bound of ||A||_inf: the normwise backward error, which
-    floating point can reach even when the right-hand side is tiny.
+    ``apply_op`` and ``precond`` act on a whole batch, row by row. Row k
+    stops once its recursive residual norm is at most atol[k], so a zero
+    row stops at iteration 0; every row stops after ``maxiter``
+    iterations. A stopped row is frozen with np.where while the others
+    go on, and dot products are np.vecdot on each row, so each row's
+    result is bitwise that of a call on the row alone, and repeats the
+    arithmetic of scipy's cg on it. ``callback(x)`` runs once per
+    iteration of the batch.
     """
-    from scipy.sparse.linalg import LinearOperator
+    x = np.zeros_like(b)
+    r, p, rho_old = b, None, None
+    going = _row_norms(r) > atol
+    for _ in range(maxiter):
+        if not going.any():
+            break
+        z = precond(r)
+        rho = np.vecdot(r, z)
+        # a stopped zero row divides 0 by 0 below; np.where drops its values
+        with np.errstate(invalid="ignore"):
+            p = z if p is None else z + (rho / rho_old)[:, None] * p
+            q = apply_op(p)
+            alpha = (rho / np.vecdot(p, q))[:, None]
+        x = np.where(going[:, None], x + alpha * p, x)
+        r = np.where(going[:, None], r - alpha * q, r)
+        rho_old = rho
+        if callback is not None:
+            callback(x)
+        going &= _row_norms(r) > atol
+    return x
 
-    n = grid.size
-    op = LinearOperator((n, n), matvec=apply_op, dtype=float)
-    pre = LinearOperator((n, n), matvec=precond, dtype=float)
+
+def _cg_solve(grid: GridSpec, d: np.ndarray, lap_coeff: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve (diag(d) - c*lap) x = rhs for (rows, cells) arrays by one batched cg.
+
+    Each row is preconditioned by the DCT inverse at its mean diagonal,
+    exact for a constant diagonal, and stops once its recursive residual
+    is a tenth of its backward-error bound, with the preconditioned
+    right-hand side standing in for x. The gate (_backward_error_gate)
+    then checks each row's true residual; a row that misses it, as one
+    stopped by the cap of CG_ITER_FACTOR * max(cells) iterations does,
+    fails the whole batch with SolverError.
+    """
+    d_mean = np.mean(d, axis=-1, keepdims=True)
+
+    def apply_op(x):
+        return d * x - lap_coeff * _lap_array(x, grid)
+
+    def precond(r):
+        return _spectral_solve(grid, r, d_mean, lap_coeff)
+
+    atol = _backward_bound(grid, d, lap_coeff, rhs, precond(rhs), 0.1 * BACKWARD_TOL)
     maxiter = CG_ITER_FACTOR * max(grid.cells)
-    bnorm = float(np.linalg.norm(rhs))
-    if bnorm == 0.0:
-        return np.zeros_like(rhs)
-    # the preconditioned right-hand side estimates ||x|| for the inner target
-    xest = float(np.linalg.norm(precond(rhs)))
-    x, _ = cg(op, rhs, rtol=0.0, atol=0.1 * rtol * (bnorm + anorm * xest),
-              maxiter=maxiter, M=pre)
-    res = float(np.linalg.norm(apply_op(x) - rhs))
-    bound = rtol * (bnorm + anorm * float(np.linalg.norm(x)))
-    if res > bound:
-        raise SolverError(
-            f"CG stalled: residual {res:.3e} > backward-error bound {bound:.3e} "
-            f"after cap {maxiter}",
-            residual=res / bnorm,
-        )
+    x = cg(apply_op, rhs, precond, atol, maxiter)
+    _backward_error_gate(grid, d, lap_coeff, rhs, x, f"CG stalled after cap {maxiter}")
     return x
 
 
@@ -403,9 +443,10 @@ def solve_shifted_diffusion(
     gtsv once on the block-diagonal system of all rows (the routine
     scipy's solve_banded dispatches to for one band each side); it serves
     the stepper's implicit pieces and every 1D solve_helmholtz and dual
-    norm. 2D uses CG per row, preconditioned by the DCT inverse at the
-    row's mean diagonal, converged to a normwise backward error of
-    BACKWARD_TOL. Non-finite input raises SolverError.
+    norm. 2D runs one preconditioned CG over all rows (_cg_solve), each
+    converged to a normwise backward error of BACKWARD_TOL; a
+    constant-coefficient solve takes one iteration. Non-finite input
+    raises SolverError.
     """
     d = np.asarray(diag, dtype=float)
     if d.shape != rhs.shape:
@@ -430,19 +471,8 @@ def solve_shifted_diffusion(
         if info != 0:
             raise SolverError(f"tridiagonal solve failed: LAPACK gtsv info {info}")
         return x if rhs.ndim == 1 else x.reshape(rhs.shape)
-    if rhs.ndim > 1:
-        return np.stack([solve_shifted_diffusion(grid, dr, lap_coeff, r) for dr, r in zip(d, rhs)])
-
-    def apply_op(x):
-        return d * x - lap_coeff * _lap_array(x, grid)
-
-    d_mean = float(np.mean(d))
-
-    def precond(r):
-        return _spectral_solve(grid, r, d_mean, lap_coeff)
-
-    anorm = float(np.max(d)) + lap_coeff * _lap_inf_norm(grid)
-    return _cg_solve(grid, apply_op, rhs, BACKWARD_TOL, anorm, precond)
+    rows = rhs.reshape(-1, grid.size)
+    return _cg_solve(grid, d.reshape(rows.shape), lap_coeff, rows).reshape(rhs.shape)
 
 
 def estimate_poincare_constant(grid: GridSpec) -> float:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
+import nlch.grid
 from nlch.errors import ConfigError, DimensionError, SolverError
 from nlch.grid import (
     BACKWARD_TOL,
@@ -23,6 +24,7 @@ from nlch.grid import (
     write_field,
     write_field_csv,
     _checked_neumann_solve,
+    _lap_array,
     _spectral_solve,
 )
 
@@ -268,3 +270,71 @@ def test_neumann_solve_1d_gtsv_agrees_with_the_dct(n, alpha, beta):
     # a stacked call is bitwise each row solved alone
     for b, x in zip(rows, got):
         assert np.array_equal(_checked_neumann_solve(g, b, alpha, beta), x)
+
+
+@pytest.mark.parametrize("case", ["zero-row", "rows-stop-apart", "low-cap"])
+def test_batched_cg_edge_cases(monkeypatch, case):
+    # a constant diagonal, which the preconditioner inverts exactly, and two
+    # of growing spread take different numbers of CG iterations
+    grid = GridSpec(2, (1.0, 2.0), (12, 16))
+    rng = np.random.default_rng(3)
+    d = np.stack([np.full(grid.size, 2.0), rng.uniform(1.0, 3.0, grid.size),
+                  rng.uniform(0.1, 50.0, grid.size)])
+    rhs = rng.standard_normal(d.shape)
+    lap_coeff = 1e-2
+    cg = nlch.grid.cg
+
+    def solve(d, rhs):
+        # the solution and the iterations of each grid.cg call
+        iterations = []
+
+        def counted(*args, **kwargs):
+            calls = []
+            x = cg(*args, callback=calls.append, **kwargs)
+            iterations.append(len(calls))
+            return x
+
+        monkeypatch.setattr(nlch.grid, "cg", counted)
+        return solve_shifted_diffusion(grid, d, lap_coeff, rhs), iterations
+
+    if case == "low-cap":
+        monkeypatch.setattr(nlch.grid, "CG_ITER_FACTOR", 0)
+        with pytest.raises(SolverError, match="CG stalled after cap 0"):
+            solve(d, rhs)
+        return
+    if case == "zero-row":
+        rhs[1] = 0.0
+    # the batch passes the backward-error gate inside the solve
+    x, _ = solve(d, rhs)
+    alone = [solve(dr, r) for dr, r in zip(d, rhs)]
+    for row, (x_row, _) in zip(x, alone):
+        assert row.tobytes() == x_row.tobytes()
+    counts = [n for _, (n,) in alone]
+    if case == "zero-row":
+        assert x[1].tobytes() == np.zeros(grid.size).tobytes() and counts[1] == 0
+    else:
+        assert counts[0] == 1 and len(set(counts)) == 3
+
+
+def test_batched_cg_rows_are_scipy_cg_bit_for_bit():
+    # each row repeats the arithmetic of scipy's cg on that row alone: dot
+    # products by BLAS, the same updates, the same stopping test
+    from scipy.sparse.linalg import LinearOperator
+    from scipy.sparse.linalg import cg as scipy_cg
+
+    grid = GridSpec(2, (1.0, 2.0), (12, 16))
+    rng = np.random.default_rng(4)
+    d = rng.uniform(0.1, 50.0, (3, grid.size))
+    rhs = rng.standard_normal(d.shape)
+    c, n = 1e-2, grid.size
+    d_mean = np.mean(d, axis=-1, keepdims=True)
+    atol = 1e-12 * np.linalg.norm(rhs, axis=-1)
+    x = nlch.grid.cg(lambda v: d * v - c * _lap_array(v, grid), rhs,
+                     lambda r: _spectral_solve(grid, r, d_mean, c), atol, 500)
+    for k in range(3):
+        op = LinearOperator((n, n), dtype=float,
+                            matvec=lambda v: d[k] * v - c * _lap_array(v, grid))
+        pre = LinearOperator((n, n), dtype=float,
+                             matvec=lambda r: _spectral_solve(grid, r, float(d_mean[k, 0]), c))
+        want, info = scipy_cg(op, rhs[k], rtol=0.0, atol=atol[k], maxiter=500, M=pre)
+        assert info == 0 and x[k].tobytes() == want.tobytes()

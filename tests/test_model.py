@@ -470,3 +470,19 @@ def test_lockstep_rows_must_share_all_but_eps_and_tau(grid64, bundle64, poly):
     inits, params = _eps_rows(grid64)
     with pytest.raises(ConfigError, match="share"):
         run_rows(inits[:2], [params[0], params[1].with_params(dt=5e-4)], bundle64, poly)
+
+
+def test_2d_lockstep_rows_equal_their_own_runs():
+    # three tau rows and one eps row of rate-study.cfg on a 16x16 grid: the
+    # batched CG of each solve freezes a row once it has converged (the rows
+    # stop at different iterations in most of the batch's CG calls), so each
+    # row's snapshots and Newton counts are bitwise those of its run alone
+    problem = build_problem(load_config(str(CONFIGS / "rate-study.cfg"),
+                                        ["grid.dim=2", "grid.cells=16", "model.T=0.01"]))
+    base = problem.params
+    params = [base.with_params(tau=tau) for tau in (0.1, 1e-2, 1e-3)]
+    params.append(base.with_params(eps=1e-2))
+    results = run_rows([problem.init] * 4, params, problem.bundle, problem.spec)
+    for p, got in zip(params, results):
+        assert got.complete and len(got.records) == 11
+        _assert_same_run(got, run(problem.init, p, problem.bundle, problem.spec))

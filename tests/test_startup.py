@@ -6,11 +6,14 @@ loads LAPACK's compiled _flapack module alone, not scipy.linalg, whose
 import pulls in scipy._lib._array_api and with it numpy.f2py, and the
 oracle's BDF integrator runs on that module's getrf/getrs.
 scipy.integrate (which loads scipy.optimize) and scipy.fft are imported
-on first use. Nor does a 1D command load numpy.random: random-smoothed
-data is drawn from the standard library's random.Random, so
-numpy.random's import of secrets, and through hmac of OpenSSL's
-_hashlib, is not paid. Each check runs in a new interpreter, since this
-test process has loaded these modules already.
+on first use. A 2D run loads one scipy package, scipy.fft, with what it
+imports (scipy.special, scipy._lib._array_api, numpy.random): its CG is
+numpy code, so neither scipy.sparse nor scipy.linalg is loaded. Nor
+does a 1D command load numpy.random: random-smoothed data is drawn from
+the standard library's random.Random, so numpy.random's import of
+secrets, and through hmac of OpenSSL's _hashlib, is not paid. Each
+check runs in a new interpreter, since this test process has loaded
+these modules already.
 """
 
 import json
@@ -24,7 +27,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.fft", "scipy.special",
-            "scipy.linalg", "scipy._lib._array_api", "numpy.f2py",
+            "scipy.linalg", "scipy.sparse", "scipy._lib._array_api", "numpy.f2py",
             "numpy.random", "secrets", "_hashlib")
 
 
@@ -70,6 +73,14 @@ def test_1d_commands_load_no_deferred_module(tmp_path, argv):
     argv = [str(CONFIGS / a) if a.endswith(".cfg") else a for a in argv]
     short = ["--set", "grid.cells=64", "--set", "model.T=0.01", "--set", "sweep.dt=5e-4"]
     assert _loaded_after(argv + short + ["--out", str(tmp_path)]) == [0, []]
+
+
+def test_2d_simulate_loads_scipy_fft_only(tmp_path):
+    argv = ["simulate", "--config", str(CONFIGS / "default.cfg"), "--set", "grid.dim=2",
+            "--set", "grid.cells=32", "--set", "model.T=0.01", "--out", str(tmp_path)]
+    code, loaded = _loaded_after(argv)
+    assert code == 0 and "scipy.fft" in loaded
+    assert "scipy.sparse" not in loaded and "scipy.linalg" not in loaded
 
 
 def test_grid_dgtsv_is_scipy_lapack_dgtsv():

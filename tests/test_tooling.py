@@ -98,8 +98,9 @@ def test_traced_lockstep_sweep_counts_every_rows_newton_iterations(monkeypatch, 
 
 
 def test_tracer_counts_cg_iterations_through_the_first_use_import(monkeypatch):
-    # nlch.grid.cg imports scipy's cg on its first call; the tracer's
-    # iteration counter wraps the module attribute and still sees each one
+    # nlch.grid._cg_solve calls the batched CG through the module attribute
+    # nlch.grid.cg, so the tracer's iteration counter, which wraps that
+    # attribute, sees each batched iteration
     tracing = _tracing(monkeypatch)
     problem = build_problem(load_config(str(ROOT / "configs" / "default.cfg"), [
         "grid.dim=2", "grid.extent=1.0,1.0", "grid.cells=12,12", "model.T=0.002"]))
