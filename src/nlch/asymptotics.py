@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dataclass_fields
 from typing import Callable
 
 import numpy as np
@@ -22,7 +22,7 @@ from .audit import DerivedConstants, derive_constants
 from .diagnostics import RowDistances, TrajectoryDistance, check_alignment
 from .diagnostics import distance  # noqa: F401  a traced call site
 from .errors import AssumptionError, ConfigError, FitError, StepError
-from .grid import Field, norm_h, norm_v
+from .grid import Field, norm_h, norm_v, write_table
 from .grid import norm_vstar  # noqa: F401  a traced call site
 from .kernel import KernelBundle
 from .model import InitialData, ModelParams, admit_run, make_smoothed_ic, run, run_rows
@@ -82,8 +82,8 @@ class Limit:
     ``zeroed`` names the parameters the limit system sets to zero;
     ``member`` gives a member's parameter values at a swept value v, and
     ``smoothing`` the scale of the elliptic smoothing of its initial data
-    (mu0 only when ``smooth_mu0``). ``positive`` names the relaxation
-    parameter held fixed, which must stay positive. ``monitors`` returns
+    (mu0 only when ``smooth_mu0``); a relaxation parameter the limit does
+    not zero is held fixed and must stay positive. ``monitors`` returns
     the boundedness monitors of a member's data, ``weights`` selects the
     norms of the error estimate, ``theory_slope`` is its rate.
     """
@@ -92,7 +92,6 @@ class Limit:
     member: Callable[[float], dict]
     smoothing: Callable[[float], float]
     smooth_mu0: bool
-    positive: str | None
     monitors: Callable[[ModelParams, PotentialSpec, InitialData], dict]
     weights: dict
     theory_slope: float
@@ -102,20 +101,20 @@ class Limit:
 LIMITS = {
     "eps": Limit(
         zeroed=("eps",), member=lambda v: {"eps": v}, smoothing=math.sqrt,
-        smooth_mu0=False, positive="tau", monitors=_eps_monitors,
+        smooth_mu0=False, monitors=_eps_monitors,
         weights={"linf_h_phi": 1.0, "l2_v_mu": 1.0, "linf_h_sigma": 1.0, "l2_v_sigma": 1.0},
         theory_slope=0.25,
     ),
     "tau": Limit(
         zeroed=("tau",), member=lambda v: {"tau": v}, smoothing=lambda v: v,
-        smooth_mu0=True, positive="eps", monitors=_tau_monitors,
+        smooth_mu0=True, monitors=_tau_monitors,
         weights={"linf_vstar_combo": 1.0, "l2_h_phi": 1.0, "l2_h_mu": 1.0,
                  "linf_h_sigma": 1.0, "l2_v_sigma": 1.0},
         theory_slope=0.5,
     ),
     "joint": Limit(
         zeroed=("eps", "tau"), member=lambda v: {"tau": v, "eps": v * v},
-        smoothing=lambda v: v, smooth_mu0=False, positive=None, monitors=_joint_monitors,
+        smoothing=lambda v: v, smooth_mu0=False, monitors=_joint_monitors,
         weights={"linf_vstar_phi": 1.0, "l2_h_phi": 1.0, "linf_h_sigma": 1.0,
                  "l2_v_sigma": 1.0},
         theory_slope=0.5,
@@ -213,15 +212,15 @@ def _member_setup(plan: SweepPlan, value: float):
 
 
 def _admit_plan(plan: SweepPlan, constants: DerivedConstants):
-    """The fixed parameter's sign, then the limit system and every member
+    """The fixed parameters' signs, then the limit system and every member
     through the gate table, with the members' boundedness monitors.
 
     Returns (value, params, initial data) for each member.
     """
-    fixed = plan.limit.positive
-    if fixed is not None and not getattr(plan.base_params, fixed) > 0:
-        raise AssumptionError(f"{fixed} > 0", f"{plan.mode} sweep needs fixed {fixed} > 0",
-                              value=getattr(plan.base_params, fixed))
+    for fixed in ("eps", "tau"):
+        if fixed not in plan.limit.zeroed and not getattr(plan.base_params, fixed) > 0:
+            raise AssumptionError(f"{fixed} > 0", f"{plan.mode} sweep needs fixed {fixed} > 0",
+                                  value=getattr(plan.base_params, fixed))
     admit_run(plan.init, plan.limit_params(), plan.bundle, plan.spec, constants)
     members = []
     for value in plan.values:
@@ -328,26 +327,16 @@ def sweep(plan: SweepPlan, constants: DerivedConstants | None = None) -> ErrorRe
 
 
 def write_rates_csv(path, report: ErrorReport):
-    from dataclasses import fields as dataclass_fields
-
     names = [f.name for f in dataclass_fields(TrajectoryDistance)]
-    with open(path, "w") as fh:
-        fh.write("parameter," + ",".join(names) + ",total,used_in_fit\n")
-        for v, d, tot, use in zip(report.parameter_values, report.distances,
-                                  report.totals, report.used_in_fit):
-            fh.write(
-                f"{v:.17g}," + ",".join(f"{getattr(d, n):.17g}" for n in names)
-                + f",{tot:.17g},{int(use)}\n"
-            )
-        fh.write(f"# mode,{report.mode}\n")
-        fh.write(f"# theoretical_slope,{report.theoretical_slope}\n")
-        if report.slope is not None:
-            fh.write(f"# fitted_slope,{report.slope:.17g}\n")
-            fh.write(f"# intercept,{report.intercept:.17g}\n")
-            fh.write(f"# fit_residual,{report.fit_residual:.17g}\n")
-        fh.write(f"# dt_floor,{report.floor:.17g}\n")
-        fh.write(f"# monotone_ok,{int(report.monotone_ok)}\n")
-        fh.write(f"# incomplete,{int(report.incomplete)}\n")
+    rows = [(v, *d.as_dict().values(), tot, use) for v, d, tot, use in zip(
+        report.parameter_values, report.distances, report.totals, report.used_in_fit)]
+    fit = [] if report.slope is None else [
+        ("fitted_slope", report.slope), ("intercept", report.intercept),
+        ("fit_residual", report.fit_residual)]
+    footer = [("mode", report.mode), ("theoretical_slope", report.theoretical_slope), *fit,
+              ("dt_floor", report.floor), ("monotone_ok", report.monotone_ok),
+              ("incomplete", report.incomplete)]
+    write_table(path, ["parameter", *names, "total", "used_in_fit"], rows, footer)
 
 
 @dataclass

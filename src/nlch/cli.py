@@ -28,7 +28,7 @@ from . import __version__, asymptotics, diagnostics, galerkin, verify
 from .audit import audit as run_audit
 from .config import build_problem, load_config
 from .errors import AssumptionError, ConfigError, NlchError, StepError
-from .grid import write_field, write_field_csv
+from .grid import write_field, write_field_csv, write_table
 from .model import derive_constants, run  # noqa: F401  derive_constants: a traced call site
 
 MANIFEST_VERSION = 1
@@ -200,7 +200,7 @@ def _cmd_stability(args) -> int:
     if not report.passed:
         return 1
     params = problem.params.with_params(T=T)
-    lines = ["tau,delta,lhs,rhs,ratio"]
+    table = []
     ok = True
     tau_ratios = []
     for tau in taus:
@@ -212,12 +212,12 @@ def _cmd_stability(args) -> int:
             ok = False
         tau_ratios.append(np.mean([r.ratio for r in rows]))
         for r in rows:
-            lines.append(f"{tau:.17g},{r.delta:.17g},{r.lhs:.17g},{r.rhs:.17g},{r.ratio:.17g}")
+            table.append((tau, r.delta, r.lhs, r.rhs, r.ratio))
             print(f"tau = {tau:g}, delta = {r.delta:g}: lhs/rhs = {r.ratio:.4f}")
     if len(tau_ratios) >= 2 and max(tau_ratios) > 2.0 * min(tau_ratios):
         ok = False
         print("ratios drift across tau by more than factor 2")
-    (out / "stability.csv").write_text("\n".join(lines) + "\n")
+    write_table(out / "stability.csv", ["tau", "delta", "lhs", "rhs", "ratio"], table)
     _write_manifest(out, "stability", args.seed,
                     ["config.resolved", "audit.txt", "stability.csv"])
     print("stability probe:", "PASS" if ok else "FAIL")

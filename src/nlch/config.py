@@ -109,10 +109,6 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def default_config() -> RunConfig:
-    return RunConfig({k: v for k, (_, v) in SCHEMA.items()})
-
-
 def _typed(key: str, val: str, where: str):
     """The schema-typed value of one entry; ``where`` prefixes the errors."""
     if key not in SCHEMA:

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields as dataclass_fields
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import ComparisonError
-from .grid import GridSpec, dual_norms, h_norms, v_norms
+from .grid import GridSpec, dual_norms, h_norms, v_norms, write_table
 from .grid import norm_vstar  # noqa: F401  a traced call site
 from .kernel import KernelBundle, nonlocal_energy_array, nonlocal_energy_density
 from .potential import PotentialSpec, f_eval, f_lambda_eval
@@ -39,15 +40,6 @@ class DiagnosticsRecord:
     phi_supnorm: float
     energy_nonlocal: float
     newton_iters: int
-
-    CSV_HEADER = "t,mass_balance_residual,lyapunov,sigma_min,sigma_max,phi_supnorm,energy_nonlocal,newton_iters"
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.t:.17g},{self.mass_balance_residual:.17g},{self.lyapunov:.17g},"
-            f"{self.sigma_min:.17g},{self.sigma_max:.17g},{self.phi_supnorm:.17g},"
-            f"{self.energy_nonlocal:.17g},{self.newton_iters}"
-        )
 
 
 def energy(state, bundle: KernelBundle, spec: PotentialSpec) -> float:
@@ -269,15 +261,11 @@ def theorem_probe_separation(traj, ell: float):
 
 
 def write_diagnostics_csv(path, records):
-    with open(path, "w") as fh:
-        fh.write(DiagnosticsRecord.CSV_HEADER + "\n")
-        for rec in records:
-            fh.write(rec.csv_row() + "\n")
+    """diagnostics.csv: one column per DiagnosticsRecord field, one row per record."""
+    names = [f.name for f in dataclass_fields(DiagnosticsRecord)]
+    write_table(path, names, list(map(attrgetter(*names), records)))
 
 
 def write_distances_csv(path, rows: list[tuple[str, TrajectoryDistance]]):
     names = [f.name for f in dataclass_fields(TrajectoryDistance)]
-    with open(path, "w") as fh:
-        fh.write("pair," + ",".join(names) + "\n")
-        for label, d in rows:
-            fh.write(label + "," + ",".join(f"{getattr(d, n):.17g}" for n in names) + "\n")
+    write_table(path, ["pair", *names], [(label, *d.as_dict().values()) for label, d in rows])

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import itertools
 import os
 import struct
 import sys
@@ -537,8 +538,27 @@ def read_field(path) -> Field:
 def write_field_csv(path, f: Field):
     """CSV export with cell-center coordinates, for plotting."""
     columns = [c.reshape(-1) for c in f.grid.meshgrid()] + [f.values]
-    header = ",".join("xy"[:f.grid.dim]) + ",value\n"
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    values = np.column_stack(columns).ravel().tolist()
+    write_table(path, [*"xy"[:f.grid.dim], "value"], np.column_stack(columns).tolist())
+
+
+def _cell_format(v) -> str:
+    return "%s" if isinstance(v, str) else "%.17g"
+
+
+def write_table(path, header, rows, footer=()):
+    """Write the CSV table format shared by every nlch table.
+
+    One header line of column names, one line per row of ``rows``, then
+    one ``# key,value`` line per ``(key, value)`` pair of ``footer``.
+    Numbers are written as %.17g, which round-trips a float64 and writes
+    integers and booleans as whole numbers (True as 1); strings are
+    written as they are. A column's format is read off the first row,
+    so all rows are formatted in one pass.
+    """
+    text = ",".join(header) + "\n"
+    if rows:
+        row = ",".join(map(_cell_format, rows[0])) + "\n"
+        text += row * len(rows) % tuple(itertools.chain.from_iterable(rows))
+    text += "".join(("# %s," + _cell_format(v) + "\n") % (k, v) for k, v in footer)
     with open(path, "w") as fh:
-        fh.write(header + row * f.grid.size % tuple(values))
+        fh.write(text)

@@ -13,7 +13,6 @@ from nlch.cli import main
 from nlch.config import (
     RunConfig,
     build_problem,
-    default_config,
     load_config,
     parse_config,
     standard_normals,
@@ -50,14 +49,14 @@ ic.phi_modes = 1,3
 
 
 def test_resolved_text_roundtrip():
-    cfg = default_config()
+    cfg = parse_config("")
     text = cfg.resolved_text()
     cfg2 = parse_config(text)
     assert cfg2.entries == cfg.entries
 
 
 def test_build_problem_default():
-    problem = build_problem(default_config())
+    problem = build_problem(parse_config(""))
     assert problem.grid.cells == (256,)
     assert problem.bundle.a_star > 0
     assert problem.params.eps == 0.01
@@ -317,6 +316,21 @@ def test_cli_barrier_well_sweep_is_a_configuration_error(tmp_path, capsys, comma
                "--set", "potential.family=logarithmic"] + FAST)
     assert rc == 2
     assert "configuration error: pol_growth: logarithmic potential" in capsys.readouterr().err
+    assert not (tmp_path / "rates.csv").exists()
+
+
+@pytest.mark.parametrize("command, setting, message", [
+    ("sweep-eps", "model.tau=0", "tau > 0: eps sweep needs fixed tau > 0"),
+    ("sweep-tau", "model.eps=0", "eps > 0: tau sweep needs fixed eps > 0"),
+])
+def test_cli_sweep_needs_its_fixed_parameter_positive(tmp_path, capsys, command, setting,
+                                                      message):
+    # the relaxation parameter a limit does not zero is held fixed, and must be > 0
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "rate-study.cfg"
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path), "--set", setting,
+               "--set", "grid.cells=32", "--set", "sweep.t=0.002", "--set", "sweep.dt=5e-4"])
+    assert rc == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "rates.csv").exists()
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from nlch.grid import (
     solve_shifted_diffusion,
     write_field,
     write_field_csv,
+    write_table,
     _checked_neumann_solve,
     _lap_array,
     _spectral_solve,
@@ -211,6 +214,23 @@ def test_field_io_roundtrip(tmp_path, grid64):
         (tmp_path / "cut.nlchf").write_bytes((raw + b"\0")[:size])
         with pytest.raises(ConfigError, match="cut.nlchf"):
             read_field(tmp_path / "cut.nlchf")
+
+
+@pytest.mark.parametrize("header, rows, footer, expected", [
+    # a sweep whose members all failed: the header and the footer only
+    (["parameter", "total"], [], [("mode", "eps"), ("dt_floor", 0.1), ("incomplete", True)],
+     "parameter,total\n# mode,eps\n# dt_floor,0.10000000000000001\n# incomplete,1\n"),
+    (["pair", "d"], [("a_vs_b", 1.0 / 3.0), ("a_vs_c", -0.0)], (),
+     "pair,d\na_vs_b,0.33333333333333331\na_vs_c,-0\n"),
+    (["x", "y"], [(math.nan, math.inf), (-math.inf, 5e-324)], (),
+     "x,y\nnan,inf\n-inf,4.9406564584124654e-324\n"),
+    (["n", "used", "ok"], [(7, True, False), (0, False, True)], [("monotone_ok", False)],
+     "n,used,ok\n7,1,0\n0,0,1\n# monotone_ok,0\n"),
+])
+def test_write_table_format(tmp_path, header, rows, footer, expected):
+    write_table(tmp_path / "t.csv", header, rows, footer)
+    assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
 
 
 def test_norm_h_grad_2d():

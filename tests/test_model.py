@@ -1,3 +1,4 @@
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -382,7 +383,8 @@ def _assert_same_run(got, want):
         assert len(fields_got) == len(fields_want)
         for a, b in zip(fields_got, fields_want):
             assert a.values.tobytes() == b.values.tobytes()
-    assert [r.csv_row() for r in got.records] == [r.csv_row() for r in want.records]
+    assert (np.array([astuple(r) for r in got.records]).tobytes()
+            == np.array([astuple(r) for r in want.records]).tobytes())
 
 
 def _eps_rows(grid64):

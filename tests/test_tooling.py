@@ -9,6 +9,7 @@ import nlch.grid
 from nlch.asymptotics import SweepPlan, _member_setup
 from nlch.cli import main
 from nlch.config import SCHEMA, build_problem, load_config
+from nlch.diagnostics import write_diagnostics_csv
 from nlch.model import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -117,3 +118,12 @@ def test_readme_configuration_list_is_the_schema():
     items = re.findall(r"^- .*(?:\n  .*)*", section, flags=re.M)
     keys = re.findall(r"`([a-z]+\.[A-Za-z0-9_]+)`", "\n".join(items))
     assert sorted(keys) == sorted(SCHEMA)
+
+
+def test_readme_diagnostics_columns_are_the_written_header(tmp_path):
+    # README's diagnostics.csv entry lists the header write_diagnostics_csv writes
+    text = (ROOT / "README.md").read_text()
+    item = re.search(r"^- `diagnostics\.csv`: per step (`[^`]*`)", text, flags=re.M).group(1)
+    write_diagnostics_csv(tmp_path / "d.csv", [])
+    header = (tmp_path / "d.csv").read_text().splitlines()[0]
+    assert re.sub(r"\s+", "", item.strip("`")) == header
