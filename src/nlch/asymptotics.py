@@ -122,6 +122,19 @@ LIMITS = {
 }
 
 
+def sweep_values(values) -> tuple[float, ...]:
+    """The swept values as floats; a ConfigError unless they are non-empty,
+    each at least 1e-8, and strictly decreasing."""
+    vals = tuple(float(v) for v in values)
+    if not vals:
+        raise ConfigError("sweep needs at least one value")
+    if any(v < 1e-8 for v in vals):
+        raise ConfigError("sweep values must be >= 1e-8")
+    if any(b >= a for a, b in zip(vals, vals[1:])):
+        raise ConfigError("sweep values must be strictly decreasing")
+    return vals
+
+
 @dataclass
 class SweepPlan:
     """One relaxation-limit experiment.
@@ -142,14 +155,7 @@ class SweepPlan:
     def __post_init__(self):
         if self.mode not in LIMITS:
             raise ConfigError(f"sweep mode must be one of {', '.join(LIMITS)}; got {self.mode!r}")
-        vals = tuple(float(v) for v in self.values)
-        if not vals:
-            raise ConfigError("sweep needs at least one value")
-        if any(v < 1e-8 for v in vals):
-            raise ConfigError("sweep values must be >= 1e-8")
-        if any(b >= a for a, b in zip(vals, vals[1:])):
-            raise ConfigError("sweep values must be strictly decreasing")
-        self.values = vals
+        self.values = sweep_values(self.values)
 
     @property
     def limit(self) -> Limit:

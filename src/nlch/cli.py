@@ -145,13 +145,14 @@ def _sweep_command(args) -> int:
     mode = args.command.removeprefix("sweep-")
     cfg = load_config(args.config, args.set)
     T, dt = _positive(cfg, "sweep.t"), _positive(cfg, "sweep.dt")
+    values = asymptotics.sweep_values(cfg["sweep.values"])
     cfg, problem, out, audit_report = _prologue(args, args.command, cfg)
     if not audit_report.passed:
         return 1
     base = problem.params.with_params(T=T, dt=dt)
     plan = asymptotics.SweepPlan(
         mode=mode,
-        values=cfg["sweep.values"],
+        values=values,
         base_params=base,
         init=problem.init,
         bundle=problem.bundle,

@@ -115,8 +115,7 @@ def build_operator(basis: SpectralBasis, bundle: KernelBundle, spec: PotentialSp
     w = basis.weight
     a = bundle.a_field.values
     mat_a = E.T @ (a[:, None] * E) * w
-    conv_cols = np.column_stack([bundle.convolve_array(E[:, j]) for j in range(basis.n)])
-    mat_conv = E.T @ conv_cols * w
+    mat_conv = E.T @ bundle.convolve_array(E.T).T * w
     ss_coeff = E.T @ np.full(basis.grid.size, params.sigma_s) * w
     return GalerkinOperator(
         basis=basis, bundle=bundle, spec=spec, params=params, mat_a=mat_a, mat_conv=mat_conv,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from numpy.fft import irfft, rfft, rfftn
+from numpy.fft import irfftn, rfftn
 
 from .errors import ConfigError, DimensionError
 from .grid import Field, GridSpec
@@ -104,13 +104,6 @@ class KernelSpec:
         return bool(np.all(np.diff(vals) <= 1e-14))
 
 
-def irfftn(*args, **kwargs):
-    """scipy.fft.irfftn, imported on first use: only 2D plans call it."""
-    from scipy.fft import irfftn
-
-    return irfftn(*args, **kwargs)
-
-
 def next_fast_len(target: int) -> int:
     """Smallest 11-smooth integer >= target, as scipy.fft.next_fast_len."""
     n = target
@@ -127,51 +120,36 @@ def next_fast_len(target: int) -> int:
 class _FastConvolution:
     """Cached zero-padded real FFT plan for one (kernel, grid) pair.
 
-    The plan is read-only after construction. It is built and applied
-    with numpy's rfft/irfft/rfftn, bitwise equal to scipy.fft's without
-    its dispatch cost; 2D keeps scipy's irfftn, from which numpy's
-    differs in the last bits.
+    The plan is read-only after construction. numpy's rfftn/irfftn pad
+    each sample block with zeros to the plan's length inside the
+    transform, on one or two grid axes alike; on one axis they call
+    rfft/irfft with the same arguments, so a 1D plan is bitwise scipy.fft's.
     """
 
     def __init__(self, kernel_table: np.ndarray, grid: GridSpec):
         shape = grid.shape
-        pad = tuple(next_fast_len(2 * n - 1) for n in shape)
-        kpad = np.zeros(pad)
         # kernel_table has shape (2n-1, ...) indexed by offset d + (n-1)
-        slices = tuple(slice(0, 2 * n - 1) for n in shape)
-        kpad[slices] = kernel_table
-        self._pad = pad
-        self._shift = tuple(n - 1 for n in shape)
+        self._pad = tuple(next_fast_len(2 * n - 1) for n in shape)
+        self._axes = tuple(range(-len(shape), 0))
         self._shape = shape
-        self._khat = rfftn(kpad)
+        self._window = (Ellipsis, *(slice(n - 1, 2 * n - 1) for n in shape))
+        self._khat = rfftn(kernel_table, s=self._pad, axes=self._axes)
 
     def apply(self, vals: np.ndarray) -> np.ndarray:
         """J*v of flat samples; leading axes are rows, transformed in one call.
 
         Each row's result is bitwise that of a call on the row alone.
         """
-        if len(self._shape) == 1:
-            # rfft zero-pads to n itself; bitwise equal to the padded rfftn path
-            (pad,), (shift,), (n,) = self._pad, self._shift, self._shape
-            return irfft(rfft(vals, n=pad) * self._khat, n=pad)[..., shift:shift + n]
-        lead = vals.shape[:-1]
-        axes = tuple(range(-len(self._shape), 0))
-        vpad = np.zeros(lead + self._pad)
-        vpad[(Ellipsis, *(slice(0, n) for n in self._shape))] = vals.reshape(lead + self._shape)
-        out = irfftn(rfftn(vpad, axes=axes) * self._khat, s=self._pad, axes=axes)
-        sl = (Ellipsis, *(slice(s, s + n) for s, n in zip(self._shift, self._shape)))
-        return out[sl].reshape(vals.shape)
+        v = vals.reshape(vals.shape[:-1] + self._shape)
+        vhat = rfftn(v, s=self._pad, axes=self._axes)
+        out = irfftn(vhat * self._khat, s=self._pad, axes=self._axes)
+        return out[self._window].reshape(vals.shape)
 
 
 def _offset_radii(grid: GridSpec) -> np.ndarray:
     """Radii |x_i - x_j| on the difference set, shape (2n-1, ...)."""
-    axes = []
-    for n, h in zip(grid.cells, grid.spacing):
-        axes.append(np.arange(-(n - 1), n) * h)
-    if grid.dim == 1:
-        return np.abs(axes[0])
-    dx, dy = np.meshgrid(axes[0], axes[1], indexing="ij")
-    return np.sqrt(dx * dx + dy * dy)
+    axes = [np.arange(-(n - 1), n) * h for n, h in zip(grid.cells, grid.spacing)]
+    return np.sqrt(sum(d * d for d in np.meshgrid(*axes, indexing="ij")))
 
 
 @dataclass(frozen=True)
@@ -245,20 +223,11 @@ def convolve_direct(bundle: KernelBundle, v: Field) -> Field:
     radii = _offset_radii(grid)
     ktab = bundle.spec.profile(radii) * grid.cell_volume
     vals = v.reshaped()
-    out = np.zeros(grid.shape)
-    if grid.dim == 1:
-        n = grid.cells[0]
-        for i in range(n):
-            out[i] = np.sum(ktab[i + (n - 1) - np.arange(n)] * vals)
-    else:
-        nx, ny = grid.cells
-        for i in range(nx):
-            for j in range(ny):
-                block = ktab[
-                    i + (nx - 1) - np.arange(nx)[:, None],
-                    j + (ny - 1) - np.arange(ny)[None, :],
-                ]
-                out[i, j] = np.sum(block * vals)
+    out = np.empty(grid.shape)
+    for idx in np.ndindex(grid.shape):
+        # J(x_idx - x_j) for every cell j: offset i - j is stored at i - j + n - 1
+        block = ktab[np.ix_(*(i + n - 1 - np.arange(n) for i, n in zip(idx, grid.shape)))]
+        out[idx] = np.sum(block * vals)
     return Field(grid, out.reshape(-1))
 
 

@@ -245,53 +245,56 @@ def _step_arrays(phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: KernelBun
 
     mass_old = eps * mu + phi
     const1 = mass_old + dt * g
-    accept_tol = [NEWTON_TOL * (1.0 + float(np.sqrt(np.dot(c, c) * cellvol)))
-                  for c in _rows(const1)]
-    histories = [[] for _ in range(M)]
-    # each row's best iterate: (residual, phi, mu, y, dy, s) as whole batches, read at the row
-    best = [None] * M
-    tol_floor = [None] * M
-    going = [True] * M
+    # a residual norm that overflows is inf, a named StepError below, so
+    # numpy's overflow warning is silenced, once per step, over the loop
+    with np.errstate(over="ignore"):
+        accept_tol = [NEWTON_TOL * (1.0 + float(np.sqrt(np.dot(c, c) * cellvol)))
+                      for c in _rows(const1)]
+        histories = [[] for _ in range(M)]
+        # each row's best iterate: (residual, phi, mu, y, dy, s) as whole batches, read at the row
+        best = [None] * M
+        tol_floor = [None] * M
+        going = [True] * M
 
-    diag_lin = tau / dt + a
-    p, m, (y, dy, s) = phi, mu, yos
-    for it in range(NEWTON_CAP + 1):
-        r1 = eps * m + p - dt * _lap_array(m, grid) - const1
-        r2 = m - tau * (p - phi) / dt - a * p - y - w
-        for i, (q1, q2) in enumerate(zip(_rows(r1), _rows(r2))):
-            if not going[i]:
-                continue
-            history = histories[i]
-            res = float(np.sqrt((np.dot(q1, q1) + np.dot(q2, q2)) * cellvol))
-            history.append(res)
-            if it == 0:
-                best[i] = (res, p, m, y, dy, s)
-                tol_floor[i] = 1e-14 * (1.0 + res)
-            elif res < best[i][0]:
-                best[i] = (res, p, m, y, dy, s)
-            # stop at the floor, at the cap, or below the acceptance
-            # tolerance once no longer contracting: the residual has hit
-            # its floating-point floor
-            if (res <= tol_floor[i] or it == NEWTON_CAP
-                    or (it > 0 and res <= accept_tol[i] and res > 0.25 * history[-2])):
-                going[i] = False
-        if not any(going):
-            break
-        diag = diag_lin + dy
-        low = diag.min()
-        if low <= 0.0:
-            raise StepError(f"implicit diagonal lost positivity (min {low:.3e}); the "
-                            "configuration lacks coercivity (tau = 0 with inf a <= 0)",
-                            histories[0], "Newton")
-        rhs = -(r1 + r2 / diag)
-        dmu = _solve(grid, eps + 1.0 / diag, dt, rhs, "Newton", histories[0])
-        dphi = (dmu + r2) / diag
-        p = p + dphi
-        m = m + dmu
-        try:
-            y, dy, s = yosida_with_derivative(spec, lam, p)
-        except SolverError as err:
-            raise StepError(f"resolvent failed: {err}", histories[0], "resolvent") from err
+        diag_lin = tau / dt + a
+        p, m, (y, dy, s) = phi, mu, yos
+        for it in range(NEWTON_CAP + 1):
+            r1 = eps * m + p - dt * _lap_array(m, grid) - const1
+            r2 = m - tau * (p - phi) / dt - a * p - y - w
+            for i, (q1, q2) in enumerate(zip(_rows(r1), _rows(r2))):
+                if not going[i]:
+                    continue
+                history = histories[i]
+                res = float(np.sqrt((np.dot(q1, q1) + np.dot(q2, q2)) * cellvol))
+                history.append(res)
+                if it == 0:
+                    best[i] = (res, p, m, y, dy, s)
+                    tol_floor[i] = 1e-14 * (1.0 + res)
+                elif res < best[i][0]:
+                    best[i] = (res, p, m, y, dy, s)
+                # stop at the floor, at the cap, or below the acceptance
+                # tolerance once no longer contracting: the residual has hit
+                # its floating-point floor
+                if (res <= tol_floor[i] or it == NEWTON_CAP
+                        or (it > 0 and res <= accept_tol[i] and res > 0.25 * history[-2])):
+                    going[i] = False
+            if not any(going):
+                break
+            diag = diag_lin + dy
+            low = diag.min()
+            if low <= 0.0:
+                raise StepError(f"implicit diagonal lost positivity (min {low:.3e}); the "
+                                "configuration lacks coercivity (tau = 0 with inf a <= 0)",
+                                histories[0], "Newton")
+            rhs = -(r1 + r2 / diag)
+            dmu = _solve(grid, eps + 1.0 / diag, dt, rhs, "Newton", histories[0])
+            dphi = (dmu + r2) / diag
+            p = p + dphi
+            m = m + dmu
+            try:
+                y, dy, s = yosida_with_derivative(spec, lam, p)
+            except SolverError as err:
+                raise StepError(f"resolvent failed: {err}", histories[0], "resolvent") from err
 
     # each row takes its best iterate
     for i, (res, pick, *_) in enumerate(best):

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -360,6 +363,36 @@ def test_cli_stability_with_nothing_to_probe_is_a_configuration_error(tmp_path, 
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "stability.csv").exists()
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("sweep.values=", "sweep needs at least one value"),
+    ("sweep.values=1e-2,1e-9", "sweep values must be >= 1e-8"),
+    ("sweep.values=1e-3,1e-2", "sweep values must be strictly decreasing"),
+])
+def test_cli_bad_sweep_values_are_rejected_before_any_file(tmp_path, capsys, setting, message):
+    # the values used to be checked only after the audit was written
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "rate-study.cfg"
+    out = tmp_path / "run"
+    rc = main(["sweep-tau", "--config", str(cfg), "--out", str(out), "--set", setting])
+    assert rc == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_overflowing_step_fails_without_numpy_warnings(tmp_path):
+    # the inf residual norm is reported as the failed step, not also as a RuntimeWarning
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "nlch.cli", "simulate", "--config", str(root / "configs" / "default.cfg"),
+         "--set", "model.P=1e300", "--out", str(tmp_path)],
+        cwd=root, env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert "step 1 failed in the Newton phase" in done.stderr
+    assert "not finite (inf)" in done.stderr
+    assert "RuntimeWarning" not in done.stderr
 
 
 @pytest.mark.parametrize("command, setting", [

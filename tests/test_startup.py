@@ -6,8 +6,9 @@ loads LAPACK's compiled _flapack module alone, not scipy.linalg, whose
 import pulls in scipy._lib._array_api and with it numpy.f2py, and the
 oracle's BDF integrator runs on that module's getrf/getrs.
 scipy.integrate (which loads scipy.optimize) and scipy.fft are imported
-on first use. A 2D run loads one scipy package, scipy.fft, with what it
-imports (scipy.special, scipy._lib._array_api, numpy.random): its CG is
+on first use. A 2D run loads one scipy package, scipy.fft, for the
+DCT preconditioner of its CG, with what it imports (scipy.special,
+scipy._lib._array_api, numpy.random): its convolution and its CG are
 numpy code, so neither scipy.sparse nor scipy.linalg is loaded. Nor
 does a 1D command load numpy.random: random-smoothed data is drawn from
 the standard library's random.Random, so numpy.random's import of
@@ -81,6 +82,18 @@ def test_2d_simulate_loads_scipy_fft_only(tmp_path):
     code, loaded = _loaded_after(argv)
     assert code == 0 and "scipy.fft" in loaded
     assert "scipy.sparse" not in loaded and "scipy.linalg" not in loaded
+
+
+def test_2d_convolution_loads_no_scipy_package():
+    # the convolution plan is numpy's rfftn/irfftn on every grid
+    assert _fresh(
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from nlch.grid import GridSpec\n"
+        "from nlch.kernel import KernelSpec, build\n"
+        "grid = GridSpec(2, (1.0, 1.0), (24, 16))\n"
+        "build(KernelSpec('gaussian', width=0.3), grid).convolve_array(np.ones((2, grid.size)))\n"
+        f"print(json.dumps([m for m in {DEFERRED!r} if m in sys.modules]))\n") == []
 
 
 def test_grid_dgtsv_is_scipy_lapack_dgtsv():
