@@ -135,6 +135,15 @@ def sweep_values(values) -> tuple[float, ...]:
     return vals
 
 
+def fixed_positive(mode: str, eps: float, tau: float) -> None:
+    """Raise AssumptionError unless each relaxation parameter that the mode's
+    limit does not zero, and its sweep holds fixed, is > 0."""
+    for fixed, value in (("eps", eps), ("tau", tau)):
+        if fixed not in LIMITS[mode].zeroed and not value > 0:
+            raise AssumptionError(f"{fixed} > 0", f"{mode} sweep needs fixed {fixed} > 0",
+                                  value=value)
+
+
 @dataclass
 class SweepPlan:
     """One relaxation-limit experiment.
@@ -223,10 +232,7 @@ def _admit_plan(plan: SweepPlan, constants: DerivedConstants):
 
     Returns (value, params, initial data) for each member.
     """
-    for fixed in ("eps", "tau"):
-        if fixed not in plan.limit.zeroed and not getattr(plan.base_params, fixed) > 0:
-            raise AssumptionError(f"{fixed} > 0", f"{plan.mode} sweep needs fixed {fixed} > 0",
-                                  value=getattr(plan.base_params, fixed))
+    fixed_positive(plan.mode, plan.base_params.eps, plan.base_params.tau)
     admit_run(plan.init, plan.limit_params(), plan.bundle, plan.spec, constants)
     members = []
     for value in plan.values:
@@ -356,6 +362,12 @@ class StabilityRow:
         return self.lhs / self.rhs if self.rhs > 0 else math.nan
 
 
+def stability_eta(eta: float) -> None:
+    """Raise AssumptionError unless eta = 0, which the stability estimate needs."""
+    if eta != 0.0:
+        raise AssumptionError("eta = 0", "the stability estimate needs eta = 0", value=eta)
+
+
 def stability_probe(init: InitialData, params: ModelParams, bundle: KernelBundle,
                     spec: PotentialSpec, deltas,
                     constants: DerivedConstants | None = None) -> list[StabilityRow]:
@@ -367,9 +379,7 @@ def stability_probe(init: InitialData, params: ModelParams, bundle: KernelBundle
     right side, ||eps dmu0 + dphi0||_* + sqrt(tau) ||dphi0||_H +
     ||dsig0||_H, is read from the first snapshot's norms.
     """
-    if params.eta != 0.0:
-        raise AssumptionError("eta = 0", "the stability estimate needs eta = 0",
-                              value=params.eta)
+    stability_eta(params.eta)
     if constants is None:
         constants = derive_constants(bundle, spec)
     grid = bundle.grid

@@ -1,7 +1,10 @@
 """Assumption audit: the one table of admission gates.
 
 Every hypothesis a run depends on is one row of ``GATES``, a named
-function that returns an ``AuditCheck``. ``audit`` renders every row;
+function that returns an ``AuditCheck``. ``derive_constants`` computes
+the constants the rows read and never raises: a constant becomes a
+verdict only in its row (C0 in A5 dominance, C_F in pol_growth).
+``audit`` renders every row;
 ``model.validate_params`` raises the first failing row that reads the
 parameters, so run admission and the audit verdict cannot disagree;
 ``config.build_params`` and the sweeps reach their gates through the same
@@ -15,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import AssumptionError, InapplicabilityError
+from .errors import AssumptionError
 from .grid import estimate_inclusion_constant, estimate_poincare_constant, norm_h
 from .kernel import EpsilonZero, KernelBundle, epsilon_zero
 from .potential import (
@@ -36,24 +39,24 @@ EPS0_SAFETY = 0.9
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """Geometry and kernel constants consumed by the admission gates."""
+    """Geometry and kernel constants consumed by the admission gates.
+
+    ``eps0`` is None when C0 <= 0, and ``c_f`` for a barrier well."""
 
     c0: float
     k0: float
     c_omega: float
-    eps0: EpsilonZero
-    c_f: float | None = None
+    eps0: EpsilonZero | None
+    c_f: float | None
 
 
 def derive_constants(bundle: KernelBundle, spec: PotentialSpec) -> DerivedConstants:
+    """The constants of a kernel and a well, whatever they admit; never raises."""
     c0 = check_dominance(spec, bundle.a_star)
     k0 = estimate_inclusion_constant(bundle.grid)
     c_omega = estimate_poincare_constant(bundle.grid)
-    eps0 = epsilon_zero(bundle, c0, k0)
-    c_f = None
-    if spec.full_domain:
-        c_f = check_growth(spec)
-    return DerivedConstants(c0=c0, k0=k0, c_omega=c_omega, eps0=eps0, c_f=c_f)
+    eps0 = epsilon_zero(bundle, c0, k0) if c0 > 0 else None
+    return DerivedConstants(c0=c0, k0=k0, c_omega=c_omega, eps0=eps0, c_f=check_growth(spec))
 
 
 @dataclass
@@ -73,7 +76,7 @@ class AuditCheck:
 @dataclass
 class AuditReport:
     checks: list[AuditCheck]
-    constants: DerivedConstants | None
+    constants: DerivedConstants
 
     @property
     def passed(self) -> bool:
@@ -82,8 +85,8 @@ class AuditReport:
     def render(self) -> str:
         lines = ["assumption audit", "----------------"]
         lines += [c.line() for c in self.checks]
-        if self.constants is not None:
-            c = self.constants
+        c = self.constants
+        if c.eps0 is not None:  # C0 > 0
             lines.append("")
             lines.append(
                 f"constants: C0 = {c.c0:.6g}, K0 = {c.k0:.6g}, C_Omega = {c.c_omega:.6g}, "
@@ -99,13 +102,13 @@ class AuditReport:
 
 @dataclass(frozen=True)
 class GateInput:
-    """What the gates read. ``constants`` holds the AssumptionError that
-    derive_constants raised when the dominance constant is not positive."""
+    """What the gates read. ``constants`` is derive_constants of the bundle
+    and the spec; the initial-data rows read neither."""
 
     params: ModelParams
     bundle: KernelBundle | None = None
     spec: PotentialSpec | None = None
-    constants: DerivedConstants | AssumptionError | None = None
+    constants: DerivedConstants | None = None
     init: InitialData | None = None
 
 
@@ -160,9 +163,11 @@ def a5_kernel(g: GateInput) -> AuditCheck:
 
 def a5_dominance(g: GateInput) -> AuditCheck:
     name = "A5 dominance a_* + F'' >= C0 > 0"
-    if isinstance(g.constants, AssumptionError):
-        return AuditCheck(name, True, False, str(g.constants))
-    return AuditCheck(name, True, True, f"C0 estimate {g.constants.c0:.6g}")
+    c0 = g.constants.c0
+    if c0 <= 0:
+        return AuditCheck(name, True, False,
+                          f"A5-dominance: a_* + F''(r) has nonpositive infimum {c0:.6g} at r = 0")
+    return AuditCheck(name, True, True, f"C0 estimate {c0:.6g}")
 
 
 def a6_barrier(g: GateInput) -> AuditCheck:
@@ -192,7 +197,7 @@ def eps_below_eps0(g: GateInput) -> AuditCheck:
         return AuditCheck("eps < eps0", True, False, f"eps = {eps:.6g} is negative")
     if eps == 0:
         return AuditCheck("eps < eps0", False, True, "not applicable (eps = 0)")
-    if not isinstance(g.constants, DerivedConstants):
+    if g.constants.eps0 is None:  # C0 <= 0 fails A5
         return AuditCheck("eps < eps0", True, True, "skipped")
     gate = EPS0_SAFETY * g.constants.eps0.value
     return AuditCheck("eps < eps0", True, eps < gate,
@@ -209,7 +214,7 @@ def ip_chi(g: GateInput) -> AuditCheck:
     p = g.params
     if p.tau != 0.0:
         return AuditCheck("ip_chi", False, True, "not applicable (tau > 0)")
-    if not isinstance(g.constants, DerivedConstants):
+    if g.constants.c0 <= 0:  # fails A5
         return AuditCheck("ip_chi", True, True, "skipped")
     chi, eta, c_a, c0 = p.chi, p.eta, g.bundle.c_a, g.constants.c0
     lhs = (chi + eta + 4.0 * c_a * chi) ** 2
@@ -224,10 +229,12 @@ def ip_chi(g: GateInput) -> AuditCheck:
 def pol_growth(g: GateInput) -> AuditCheck:
     if g.params.eps != 0.0:
         return AuditCheck("pol_growth", False, True, "not applicable (eps > 0)")
-    try:
-        return AuditCheck("pol_growth", True, True, f"C_F estimate {check_growth(g.spec):.6g}")
-    except InapplicabilityError as err:
-        return AuditCheck("pol_growth", True, False, str(err))
+    c_f = g.constants.c_f
+    if c_f is None:
+        return AuditCheck("pol_growth", True, False,
+                          f"{g.spec.family} potential has a bounded barrier domain; "
+                          "the growth condition requires D(dF1) = R")
+    return AuditCheck("pol_growth", True, True, f"C_F estimate {c_f:.6g}")
 
 
 def eta_zero(g: GateInput) -> AuditCheck | None:
@@ -286,11 +293,6 @@ def admit(checks) -> None:
 
 def audit(params: ModelParams, bundle, spec: PotentialSpec, init: InitialData) -> AuditReport:
     """Evaluate every row of the gate table; never raises on failures."""
-    try:
-        constants = derive_constants(bundle, spec)
-    except AssumptionError as err:
-        constants = err
-    g = GateInput(params, bundle, spec, constants, init)
+    g = GateInput(params, bundle, spec, derive_constants(bundle, spec), init)
     checks = [check for check in (gate(g) for gate, _ in GATES) if check is not None]
-    return AuditReport(checks=checks,
-                       constants=constants if isinstance(constants, DerivedConstants) else None)
+    return AuditReport(checks=checks, constants=g.constants)

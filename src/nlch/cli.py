@@ -66,17 +66,14 @@ def _write_manifest(out: Path, command: str, seed: int, files: list[str]):
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _prologue(args, command: str, cfg=None):
-    """Configuration, problem, output directory and the mandatory audit.
+def _prologue(args, command: str, cfg):
+    """Problem, output directory and the mandatory audit of a loaded configuration.
 
     The directory receives config.resolved, the audit verdict and a
     manifest of those two files before any results; a command that goes
-    on to write results rewrites the manifest. Returns (cfg, problem,
-    out, audit report); the report's derived constants are reused by
-    the runs.
+    on to write results rewrites the manifest. Returns (problem, out,
+    audit report); the report's derived constants are reused by the runs.
     """
-    if cfg is None:
-        cfg = load_config(args.config, args.set)
     problem = build_problem(cfg, seed=args.seed)
     out = Path(args.out if args.out is not None else cfg["output.dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -87,11 +84,11 @@ def _prologue(args, command: str, cfg=None):
     _write_manifest(out, command, args.seed, ["config.resolved", "audit.txt"])
     if not report.passed:
         print(f"audit failed; {out} holds the verdict and no results", file=sys.stderr)
-    return cfg, problem, out, report
+    return problem, out, report
 
 
 def _cmd_audit(args) -> int:
-    *_, report = _prologue(args, "audit")
+    *_, report = _prologue(args, "audit", load_config(args.config, args.set))
     return 0 if report.passed else 1
 
 
@@ -100,7 +97,7 @@ def _cmd_simulate(args) -> int:
     stride = cfg["output.snapshot_stride"]
     if stride < 1:
         raise ConfigError(f"output.snapshot_stride must be >= 1, got {stride}")
-    cfg, problem, out, report = _prologue(args, "simulate", cfg)
+    problem, out, report = _prologue(args, "simulate", cfg)
     if not report.passed:
         return 1
     failure = None
@@ -146,7 +143,8 @@ def _sweep_command(args) -> int:
     cfg = load_config(args.config, args.set)
     T, dt = _positive(cfg, "sweep.t"), _positive(cfg, "sweep.dt")
     values = asymptotics.sweep_values(cfg["sweep.values"])
-    cfg, problem, out, audit_report = _prologue(args, args.command, cfg)
+    asymptotics.fixed_positive(mode, cfg["model.eps"], cfg["model.tau"])
+    problem, out, audit_report = _prologue(args, args.command, cfg)
     if not audit_report.passed:
         return 1
     base = problem.params.with_params(T=T, dt=dt)
@@ -197,7 +195,8 @@ def _cmd_stability(args) -> int:
     if not taus:
         raise ConfigError("stability.taus needs at least one tau")
     T = _positive(cfg, "stability.t")
-    cfg, problem, out, report = _prologue(args, "stability", cfg)
+    asymptotics.stability_eta(cfg["model.eta"])
+    problem, out, report = _prologue(args, "stability", cfg)
     if not report.passed:
         return 1
     params = problem.params.with_params(T=T)
@@ -246,7 +245,7 @@ def _cmd_oracle_compare(args) -> int:
         "model.eps": 0.1, "model.tau": 0.1,
         "model.dt": _positive(cfg, "oracle.dt"), "model.T": _positive(cfg, "oracle.t"),
     })
-    cfg, problem, out, report = _prologue(args, "oracle-compare", cfg)
+    problem, out, report = _prologue(args, "oracle-compare", cfg)
     if not report.passed:
         return 1
     traj = run(problem.init, problem.params, problem.bundle, problem.spec,

@@ -15,6 +15,7 @@ side of its estimate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields as dataclass_fields
 from operator import attrgetter
@@ -141,11 +142,13 @@ def difference_norms(grid: GridSpec, dphi: np.ndarray, dmu: np.ndarray, dsig: np
     eps, one value per row as a (rows, 1) column, weights the conserved
     combination eps*dmu + dphi. Each row's norms equal those
     of grid.norm_h, norm_v and norm_vstar on the row alone; the dual
-    norms of all rows come from one batched solve.
+    norms of all rows come from one batched solve, and the H norms of
+    dphi, which two components read, are taken once.
     """
+    h_phi = functools.cache(lambda: h_norms(grid, dphi))
     norms = {
-        "linf_h_phi": lambda: h_norms(grid, dphi),
-        "l2_h_phi": lambda: h_norms(grid, dphi),
+        "linf_h_phi": h_phi,
+        "l2_h_phi": h_phi,
         "l2_v_mu": lambda: v_norms(grid, dmu),
         "l2_h_mu": lambda: h_norms(grid, dmu),
         "linf_h_sigma": lambda: h_norms(grid, dsig),

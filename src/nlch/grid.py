@@ -406,10 +406,7 @@ def solve_helmholtz(f: Field, alpha: float, beta: float) -> Field:
     """Solve (alpha*I - beta*lap) u = f with Neumann conditions (alpha > 0, beta >= 0)."""
     if alpha <= 0 or beta < 0:
         raise ConfigError(f"need alpha > 0 and beta >= 0, got {alpha}, {beta}")
-    grid = f.grid
-    if beta == 0.0:
-        return Field(grid, f.values / alpha)
-    return Field(grid, _checked_neumann_solve(grid, f.values, alpha, beta))
+    return Field(f.grid, _checked_neumann_solve(f.grid, f.values, alpha, beta))
 
 
 def norm_vstar(f: Field) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 from . import diagnostics
 from .audit import (RUN_GATES, DerivedConstants, GateInput, admit, derive_constants, ip_infty,
                     ip_init)
-from .errors import AssumptionError, ConfigError, SolverError, StepError
+from .errors import ConfigError, SolverError, StepError
 from .grid import Field, solve_helmholtz, solve_shifted_diffusion, _lap_array
 from .kernel import KernelBundle
 from .potential import PotentialSpec, f2_prime, yosida_with_derivative
@@ -123,10 +123,7 @@ def validate_params(params: ModelParams, bundle: KernelBundle, spec: PotentialSp
     parameters. Returns the derived constants for reuse.
     """
     if constants is None:
-        try:
-            constants = derive_constants(bundle, spec)
-        except AssumptionError as err:
-            constants = err  # the A5 dominance row reports it in table order
+        constants = derive_constants(bundle, spec)
     g = GateInput(params, bundle, spec, constants)
     admit(gate(g) for gate in RUN_GATES)
     return constants

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import AssumptionError, ConfigError, InapplicabilityError, SolverError
+from .errors import ConfigError, InapplicabilityError, SolverError
 
 RESOLVENT_RTOL = 1e-13
 _MAX_NEWTON = 300
@@ -55,11 +55,6 @@ class PotentialSpec:
     @property
     def has_barrier(self) -> bool:
         return math.isfinite(self.ell)
-
-    @property
-    def full_domain(self) -> bool:
-        """D(dF1) = R."""
-        return not self.has_barrier
 
     @property
     def is_obstacle(self) -> bool:
@@ -313,40 +308,29 @@ def check_dominance(spec: PotentialSpec, a_star: float) -> float:
     Every family's F'' is even and nondecreasing in |r| (3 r^2 - 1,
     theta / (1 - r^2) - theta0, and -2c for the obstacle, whose F1''
     vanishes inside the interval), so the infimum is taken at r = 0.
-    Raises AssumptionError when C0 is not positive, since the
-    well-posedness theory needs C0 > 0.
+    C0 is returned whatever its sign; the well-posedness theory needs
+    C0 > 0, which the A5 dominance row of nlch.audit decides.
     """
     fpp = spec.f2_second(0.0)
     if not spec.is_obstacle:
         fpp = spec.f1_second(0.0) + fpp
-    c0 = float(a_star + fpp)
-    if c0 <= 0:
-        raise AssumptionError(
-            "A5-dominance", f"a_* + F''(r) has nonpositive infimum {c0:.6g} at r = 0", value=c0,
-        )
-    return c0
+    return float(a_star + fpp)
 
 
-def check_growth(spec: PotentialSpec) -> float:
+def check_growth(spec: PotentialSpec) -> float | None:
     """Growth constant sup |dF1(r)| / (F1(r) + 1) over |r| <= 10, in closed form.
 
-    Only potentials with D(dF1) = R qualify; barrier families are
-    rejected, which in turn blocks the vanishing-relaxation sweeps that
-    need this bound. For the polynomial well with convexity shift s the
-    ratio is even, vanishes at 0 and at infinity, and is stationary
-    where u = r^2 solves u^3 + 2s u^2 - (15 - 8s^2) u - 10s = 0; the
-    cubic has exactly one positive root (one sign change), which is the
-    root of largest real part (the roots sum to -2s <= 0).
+    Only potentials with D(dF1) = R have one; a barrier family gets None,
+    and the pol_growth row of nlch.audit then blocks the eps = 0 limit
+    that needs this bound. The polynomial well is the one family without
+    a barrier. With convexity shift s the ratio is even, vanishes at 0
+    and at infinity, and is stationary where u = r^2 solves
+    u^3 + 2s u^2 - (15 - 8s^2) u - 10s = 0; the cubic has exactly one
+    positive root (one sign change), which is the root of largest real
+    part (the roots sum to -2s <= 0).
     """
-    if not spec.full_domain:
-        raise InapplicabilityError(
-            f"{spec.family} potential has a bounded barrier domain; "
-            "the growth condition requires D(dF1) = R"
-        )
-    if spec.family != "polynomial":
-        raise InapplicabilityError(
-            f"no closed-form growth constant for the {spec.family} potential"
-        )
+    if spec.has_barrier:
+        return None
     s = spec.params["shift"]
     u = float(np.max(np.roots([1.0, 2.0 * s, 8.0 * s * s - 15.0, -10.0 * s]).real))
     r = min(math.sqrt(u), 10.0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import asymptotics, diagnostics, galerkin, grid, kernel, model, potential
+from . import diagnostics, galerkin, grid, kernel, model, potential
 
 
 def _small_setup(cells=64, width=3.0, normalization=2.05):

@@ -328,13 +328,14 @@ def test_cli_barrier_well_sweep_is_a_configuration_error(tmp_path, capsys, comma
 ])
 def test_cli_sweep_needs_its_fixed_parameter_positive(tmp_path, capsys, command, setting,
                                                       message):
-    # the relaxation parameter a limit does not zero is held fixed, and must be > 0
+    # the relaxation parameter a limit does not zero is held fixed, and must be > 0;
+    # the configuration says so before any file is written
     cfg = Path(__file__).resolve().parents[1] / "configs" / "rate-study.cfg"
     rc = main([command, "--config", str(cfg), "--out", str(tmp_path), "--set", setting,
                "--set", "grid.cells=32", "--set", "sweep.t=0.002", "--set", "sweep.dt=5e-4"])
     assert rc == 2
     assert f"configuration error: {message}" in capsys.readouterr().err
-    assert not (tmp_path / "rates.csv").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_stability_smoke(tmp_path, capsys):
@@ -455,14 +456,25 @@ def test_cli_simulate_steps_next_to_the_barrier(tmp_path, amplitude):
 
 def test_cli_stability_runs_the_configured_eta(tmp_path, capsys):
     # the stability estimate needs eta = 0; a configured eta > 0 is refused,
-    # not silently replaced by 0
+    # not silently replaced by 0, and before any file is written
     cfg = Path(__file__).resolve().parents[1] / "configs" / "rate-study.cfg"
     rc = main(["stability", "--config", str(cfg), "--out", str(tmp_path),
                "--set", "model.eta=0.1"])
     assert rc == 2
     assert "eta = 0" in capsys.readouterr().err
-    assert (tmp_path / "audit.txt").exists()
-    assert not (tmp_path / "stability.csv").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_audit_fails_the_dominance_row(tmp_path, capsys):
+    # a_* = 0.428 leaves C0 = a_* + F''(0) = -0.572 on the default quartic well
+    rc = main(["audit", "--out", str(tmp_path), "--set", "kernel.normalization=0.5"])
+    assert rc == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert failed == ["[FAIL] A5 dominance a_* + F'' >= C0 > 0: A5-dominance: a_* + F''(r) "
+                      "has nonpositive infimum -0.571804 at r = 0"]
+    text = (tmp_path / "audit.txt").read_text()
+    assert not any(line.startswith("constants:") for line in text.splitlines())
+    assert text.endswith("verdict: FAIL\n")
 
 
 def test_cli_sweep_smoke(tmp_path, capsys):

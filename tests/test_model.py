@@ -217,6 +217,12 @@ def test_validate_params_gates(grid256, bundle_wide, poly, logpot):
         validate_params(coupled_params(eps=0.0), bundle_wide, logpot,
                         derive_constants(bundle_wide, logpot))
 
+    # a_* = 0.49 leaves a_* + F''(0) = a_* - 1 < 0 on the quartic well
+    narrow = build(KernelSpec("gaussian", width=3.0, normalization=0.5), grid256)
+    for constants in (None, derive_constants(narrow, poly)):
+        with pytest.raises(AssumptionError, match="A5 dominance"):
+            validate_params(coupled_params(), narrow, poly, constants)
+
     # admissible config passes and returns the constants
     out = validate_params(coupled_params(), bundle_wide, poly, consts)
     assert out.c0 > 0 and out.eps0.value > 0

@@ -10,7 +10,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import xlogy
 
 import nlch.potential
-from nlch.errors import AssumptionError, ConfigError, InapplicabilityError, SolverError
+from nlch.errors import ConfigError, SolverError
 from nlch.potential import (
     barrier_margin_values,
     check_dominance,
@@ -257,10 +257,9 @@ def test_yosida_derivative_consistency():
 
 def test_check_dominance():
     poly = polynomial_potential(0.5)
-    # inf of a_* + F'' = a_* + inf(3r^2 - 1) is 0 at r = 0 for a_* = 1
-    with pytest.raises(AssumptionError) as err:
-        check_dominance(poly, 1.0)
-    assert "r = 0" in str(err.value) or "r = -0" in str(err.value)
+    # inf of a_* + F'' = a_* + inf(3r^2 - 1) is 0 at r = 0 for a_* = 1; a
+    # nonpositive C0 is returned as it is, and the A5 row fails it
+    assert check_dominance(poly, 1.0) == 0.0
     assert check_dominance(poly, 2.0) == pytest.approx(1.0, abs=1e-6)
 
     # the split shift must not change the estimate (F = F1 + F2 is fixed)
@@ -309,9 +308,9 @@ def test_check_growth_oracle():
     # r = 0 contributes 0 to the sup
     assert abs(0.0 / (0.25 + 1.0)) == 0.0
 
+    # a barrier well has no growth constant; the pol_growth row fails it
     for barrier in (logarithmic_potential(0.3, 0.6), double_obstacle_potential(0.2)):
-        with pytest.raises(InapplicabilityError):
-            check_growth(barrier)
+        assert check_growth(barrier) is None
 
 
 def test_barrier_divergence_trend():

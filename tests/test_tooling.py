@@ -1,6 +1,8 @@
-"""The benchmark tracer must keep finding every call site it patches, and the
-README must keep listing every configuration key."""
+"""The benchmark tracer must keep finding every call site it patches, the
+README must keep listing every configuration key, and no module of the
+package may import a name it does not use."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -48,6 +50,33 @@ def test_tracer_only_imports_are_traced_call_sites(monkeypatch):
             found += [(f"nlch.{path.stem}", name.strip()) for name in names.split(",")]
     assert found
     assert [site for site in found if site not in patched] == []
+
+
+def test_package_modules_use_every_import():
+    # module-level imports only; a line marked "# noqa: F401" is a traced call
+    # site, which test_tracer_only_imports_are_traced_call_sites checks
+    unused = []
+    for path in sorted((ROOT / "src" / "nlch").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module_level = [top for top in tree.body
+                        if not isinstance(top, (ast.FunctionDef, ast.ClassDef))]
+        imports = [node for top in module_level for node in ast.walk(top)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))]
+        for node in imports:
+            if getattr(node, "module", None) == "__future__":
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert unused == []
 
 
 def _assert_one_resolvent_span_per_newton_iterate(monkeypatch, config, family):
