@@ -191,14 +191,18 @@ def a7_kernel_flag(g: GateInput) -> AuditCheck:
     )
 
 
+# the detail of a row that reads C0 when the A5 dominance row fails
+_UNDECIDED_BY_A5 = "not applicable (C0 <= 0 fails A5 dominance)"
+
+
 def eps_below_eps0(g: GateInput) -> AuditCheck:
     eps = g.params.eps
     if eps < 0:
         return AuditCheck("eps < eps0", True, False, f"eps = {eps:.6g} is negative")
     if eps == 0:
         return AuditCheck("eps < eps0", False, True, "not applicable (eps = 0)")
-    if g.constants.eps0 is None:  # C0 <= 0 fails A5
-        return AuditCheck("eps < eps0", True, True, "skipped")
+    if g.constants.eps0 is None:
+        return AuditCheck("eps < eps0", False, True, _UNDECIDED_BY_A5)
     gate = EPS0_SAFETY * g.constants.eps0.value
     return AuditCheck("eps < eps0", True, eps < gate,
                       f"eps = {eps:.6g} vs {EPS0_SAFETY} * eps0 = {gate:.6g}")
@@ -214,8 +218,8 @@ def ip_chi(g: GateInput) -> AuditCheck:
     p = g.params
     if p.tau != 0.0:
         return AuditCheck("ip_chi", False, True, "not applicable (tau > 0)")
-    if g.constants.c0 <= 0:  # fails A5
-        return AuditCheck("ip_chi", True, True, "skipped")
+    if g.constants.c0 <= 0:
+        return AuditCheck("ip_chi", False, True, _UNDECIDED_BY_A5)
     chi, eta, c_a, c0 = p.chi, p.eta, g.bundle.c_a, g.constants.c0
     lhs = (chi + eta + 4.0 * c_a * chi) ** 2
     rhs = 8.0 * c_a * c0 + 4.0 * chi * eta

@@ -9,6 +9,12 @@ would be held to tiny steps by stability, not accuracy. The oracle
 exists to cross-validate the finite-difference stepper at fixed
 mode count and Yosida parameter.
 
+The Newton iteration of each implicit step reads the closed-form
+Jacobian of the projected system (jacobian), built from the potential's
+Yosida derivative and h'. Only that iteration reads it: the equations it
+solves are those of ode_rhs, so the oracle's solution depends on ode_rhs
+alone.
+
 All nonlinear integrals use the same cell-centered midpoint quadrature
 as the finite-difference solver. The Laplacian differs: the sampled
 cosines are exact eigenvectors of the stepper's mirrored-ghost
@@ -22,6 +28,7 @@ cells. The measured stepper-vs-oracle gap includes that difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -34,8 +41,8 @@ from .errors import (
 )
 from .grid import Field, GridSpec, dgetrf, dgetrs, write_table
 from .kernel import KernelBundle
-from .model import ModelParams
-from .potential import PotentialSpec, f_prime_regularized
+from .model import H_PRIMES, ModelParams
+from .potential import PotentialSpec, f_prime_regularized, yosida_with_derivative
 
 
 @dataclass(frozen=True)
@@ -100,6 +107,7 @@ class GalerkinOperator:
     mat_a: np.ndarray  # int a e_i e_j
     mat_conv: np.ndarray  # int (J*e_j) e_i
     ss_coeff: np.ndarray  # int sigma_S e_i
+    h_prime: Callable  # derivative of params.h
 
 
 def build_operator(basis: SpectralBasis, bundle: KernelBundle, spec: PotentialSpec,
@@ -111,6 +119,9 @@ def build_operator(basis: SpectralBasis, bundle: KernelBundle, spec: PotentialSp
         )
     if bundle.grid != basis.grid:
         raise DimensionError("kernel bundle and basis live on different grids")
+    if params.h not in H_PRIMES:
+        raise ConfigError("the spectral oracle's Jacobian knows h' of the profiles of "
+                          "model.H_FAMILIES only")
     E = basis.functions
     w = basis.weight
     a = bundle.a_field.values
@@ -119,7 +130,7 @@ def build_operator(basis: SpectralBasis, bundle: KernelBundle, spec: PotentialSp
     ss_coeff = E.T @ np.full(basis.grid.size, params.sigma_s) * w
     return GalerkinOperator(
         basis=basis, bundle=bundle, spec=spec, params=params, mat_a=mat_a, mat_conv=mat_conv,
-        ss_coeff=ss_coeff,
+        ss_coeff=ss_coeff, h_prime=H_PRIMES[params.h],
     )
 
 
@@ -132,14 +143,11 @@ def ode_rhs(t: float, y: np.ndarray, op: GalerkinOperator) -> np.ndarray:
 
     The mu-relation is algebraic in alpha' and is solved first; the
     result feeds the mass and nutrient equations. ``y`` is one state of
-    3n coefficients, or a (3n, k) block of k states, one per column.
+    3n coefficients.
     """
     basis, params, spec = op.basis, op.params, op.spec
-    n = basis.n
-    alpha, beta, gamma = split_coeffs(y, n)
-    E, w = basis.functions, basis.weight
-    # eigenvalues and the nutrient source as columns, to scale a block row-wise
-    l = basis.eigenvalues.reshape((n,) + (1,) * (y.ndim - 1))
+    alpha, beta, gamma = split_coeffs(y, basis.n)
+    E, w, l = basis.functions, basis.weight, basis.eigenvalues
 
     phi = E @ alpha
     sig = E @ gamma
@@ -153,43 +161,60 @@ def ode_rhs(t: float, y: np.ndarray, op: GalerkinOperator) -> np.ndarray:
     source = E.T @ ((params.P * sig - params.A) * h_phi) * w
     beta_dot = (source - l * beta - alpha_dot) / params.eps
 
-    ss_coeff = op.ss_coeff.reshape(l.shape)
     consume = E.T @ (h_phi * sig) * w
     gamma_dot = (
-        -l * gamma - params.B * (gamma - ss_coeff) - params.C * consume
+        -l * gamma - params.B * (gamma - op.ss_coeff) - params.C * consume
         + params.eta * l * alpha
     )
     return np.concatenate([alpha_dot, beta_dot, gamma_dot])
 
 
-# relative forward-difference step of the oracle's Jacobian: the square
-# root of the unit roundoff balances truncation against cancellation
-_FD_STEP = float(np.sqrt(np.finfo(float).eps))
+def jacobian(t: float, y: np.ndarray, op: GalerkinOperator) -> np.ndarray:
+    """Jacobian of ode_rhs at the state y, in closed form.
 
-
-def fd_jacobian(t: float, y: np.ndarray, op: GalerkinOperator) -> np.ndarray:
-    """Forward-difference Jacobian of ode_rhs, all columns from one call.
-
-    Column j perturbs y_j by h_j = sqrt(eps) max(|y_j|, 1), rounded so
-    that y_j + h_j - y_j is exact; one ode_rhs call evaluates the
-    unperturbed state and every perturbed one as columns of a block.
+    With phi = E alpha, sig = E gamma and the weighted Gram matrix
+    G(v) = E^T diag(v) E w, the nonlinear terms differentiate to G of
+    F''_lam(phi) (the potential's Yosida derivative plus F2''),
+    (P sig - A) h'(phi), P h(phi), h'(phi) sig and h(phi); the rest
+    of ode_rhs is linear.
     """
-    y = np.asarray(y, dtype=float)
-    h = _FD_STEP * np.maximum(np.abs(y), 1.0)
-    h = (y + h) - y
-    block = np.repeat(y[:, None], y.size + 1, axis=1)
-    block[np.arange(y.size), np.arange(1, y.size + 1)] += h
-    f = ode_rhs(t, block, op)
-    return (f[:, 1:] - f[:, :1]) / h
+    basis, params, spec = op.basis, op.params, op.spec
+    n = basis.n
+    alpha, _, gamma = split_coeffs(y, n)
+    E, w, l = basis.functions, basis.weight, basis.eigenvalues
+    tau, eps = params.tau, params.eps
+
+    phi = E @ alpha
+    sig = E @ gamma
+    h_phi = params.h(phi)
+    dh_phi = op.h_prime(phi)
+    _, dyosida, _ = yosida_with_derivative(spec, params.lam_eff, phi)
+
+    def gram(v):
+        return E.T @ (v[:, None] * E) * w
+
+    eye = np.identity(n)
+    lap = np.diag(l)
+    jac = np.zeros((3 * n, 3 * n))
+    a, b, g = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
+    jac[a, a] = (op.mat_conv - op.mat_a - gram(dyosida + spec.f2_second(phi))) / tau
+    jac[a, b] = eye / tau
+    jac[a, g] = params.chi / tau * eye
+    jac[b, a] = (gram((params.P * sig - params.A) * dh_phi) - jac[a, a]) / eps
+    jac[b, b] = (-lap - eye / tau) / eps
+    jac[b, g] = (gram(params.P * h_phi) - jac[a, g]) / eps
+    jac[g, a] = -params.C * gram(dh_phi * sig) + params.eta * lap
+    jac[g, g] = -lap - params.B * eye - params.C * gram(h_phi)
+    return jac
 
 
 # The integrator is a port of scipy.integrate's BDF (scipy 1.17), the
 # variable-order NDF method of Shampine & Reichelt, "The MATLAB ODE
 # Suite" (SIAM J. Sci. Comput. 18, 1997), restricted to what the oracle
-# uses: forward time from t = 0, a float state, the callable fd_jacobian
+# uses: forward time from t = 0, a float state, the callable jacobian
 # and output at t_eval from the dense interpolant. It repeats scipy's
 # arithmetic operation for operation, so its output is bit-identical to
-# solve_ivp(ode_rhs, (0, T), y0, method="BDF", jac=fd_jacobian, ...).
+# solve_ivp(ode_rhs, (0, T), y0, method="BDF", jac=jacobian, ...).
 _MAX_ORDER = 5
 _NEWTON_MAXITER = 4
 _MIN_FACTOR = 0.2
@@ -274,9 +299,11 @@ def integrate(init_coeffs: np.ndarray, op: GalerkinOperator, T: float,
     """Implicit BDF integration; returns (times, coefficient matrix).
 
     An in-package port of scipy's BDF on LAPACK getrf/getrs (see above).
-    The Newton iterations use fd_jacobian, a finite difference of
-    ode_rhs, so the oracle shares no linearization with the
-    finite-difference stepper. The coefficient matrix has one row per
+    The Newton iterations use jacobian, the closed-form Jacobian of
+    ode_rhs on the potential's Yosida derivative. Only the Newton
+    iteration reads it, and it solves the BDF equations of ode_rhs, so
+    the Jacobian sets how fast a step converges, not which equations it
+    solves. The coefficient matrix has one row per
     output time; each output time is interpolated after the step that
     reaches it. Integrator failure (a step below the spacing of floats
     or a non-finite Jacobian) raises StiffnessError suggesting larger
@@ -290,7 +317,7 @@ def integrate(init_coeffs: np.ndarray, op: GalerkinOperator, T: float,
     n = y.size
     f = ode_rhs(0.0, y, op)
     h_abs = _initial_step(op, y, f, T, rtol, atol)
-    J = fd_jacobian(0.0, y, op)
+    J = jacobian(0.0, y, op)
     identity = np.identity(n)
     newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
     D = np.empty((_MAX_ORDER + 3, n))
@@ -334,7 +361,7 @@ def integrate(init_coeffs: np.ndarray, op: GalerkinOperator, T: float,
                 if not converged:
                     if current_jac:
                         break
-                    J = fd_jacobian(t_new, y_predict, op)
+                    J = jacobian(t_new, y_predict, op)
                     LU = None
                     current_jac = True
             if not converged:

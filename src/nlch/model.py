@@ -61,6 +61,22 @@ def h_tanh(r):
 H_FAMILIES = {"default": h_default, "one": h_one, "tanh": h_tanh}
 
 
+def _h_default_prime(r):
+    # 1/2 between the kinks at r = -1 and r = 1, and the outer one-sided
+    # derivative 0 at them
+    return np.where(np.abs(np.asarray(r, dtype=float)) < 1.0, 0.5, 0.0)
+
+
+def _h_tanh_prime(r):
+    t = np.tanh(np.asarray(r, dtype=float))
+    return 0.5 * (1.0 - t * t)
+
+
+# h' of each profile of H_FAMILIES, keyed by the profile
+H_PRIMES = {h_default: _h_default_prime, h_one: lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+            h_tanh: _h_tanh_prime}
+
+
 @dataclass
 class ModelParams:
     """Physical and numerical parameters of one run."""

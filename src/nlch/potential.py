@@ -356,19 +356,37 @@ def barrier_margin_values(spec: PotentialSpec, chi_eta: float, deltas) -> list[f
 
 
 def normalization_offset(spec: PotentialSpec) -> float:
-    """Additive constant that lifts F to be nonnegative on its domain.
+    """Additive constant that lifts F to be nonnegative on its domain, in closed form.
 
-    Zero for the polynomial and obstacle wells. The logarithmic well
-    dips below zero when theta0 > 2 theta ln 2; since only F' enters the
-    dynamics, the family keeps the literal formula (with F(0) = 0) and
-    exposes the offset for energy reporting.
+    Zero for the polynomial and obstacle wells, whose minimum 0 is taken
+    at r = +-1. The logarithmic well has F(0) = 0 and F''(0) =
+    theta - theta0 < 0, so its minimum is negative for every admissible
+    (theta, theta0); since only F' enters the dynamics, the family keeps
+    the literal formula and exposes the offset for energy reporting. In
+    the chart r = tanh u, F'(r) = theta u - theta0 tanh u vanishes at one
+    u* > 0, and there F = theta (u* tanh u* / 2 - log cosh u*). The
+    root of g(u) = theta0 tanh u - theta u, concave on u > 0, is reached
+    by Newton steps that fall monotonically from u = theta0 / theta,
+    where g < 0; the iteration stops when a step no longer decreases u.
     """
-    if spec.has_barrier:
-        rs = np.linspace(-spec.ell + 1e-9, spec.ell - 1e-9, 20001)
+    if spec.family != "logarithmic":
+        return 0.0
+    theta, theta0 = spec.params["theta"], spec.params["theta0"]
+    u = theta0 / theta
+    while True:
+        t = math.tanh(u)
+        step = u - (theta0 * t - theta * u) / (theta0 * (1.0 - t * t) - theta)
+        if not step < u:
+            break
+        u = step
+    # log cosh u = log1p(2 sinh^2(u/2)) keeps its u^2/2 digits near the
+    # flat well theta -> theta0, where u* -> 0; u + log1p(exp(-2u)) - log 2
+    # does not overflow at large u
+    if u < 1.0:
+        log_cosh = math.log1p(2.0 * math.sinh(0.5 * u) ** 2)
     else:
-        rs = np.linspace(-8.0, 8.0, 20001)
-    fmin = float(np.min(f_eval(spec, rs)))
-    return max(0.0, -fmin)
+        log_cosh = u + math.log1p(math.exp(-2.0 * u)) - math.log(2.0)
+    return theta * (log_cosh - 0.5 * u * math.tanh(u))
 
 
 def validate_split(spec: PotentialSpec) -> dict:

@@ -477,6 +477,21 @@ def test_cli_audit_fails_the_dominance_row(tmp_path, capsys):
     assert text.endswith("verdict: FAIL\n")
 
 
+def test_cli_audit_rows_reading_c0_are_not_applicable_when_a5_fails(tmp_path, capsys):
+    # eps < eps0 and ip_chi (at tau = 0) read C0: with A5 failing they
+    # decide nothing, and render as not applicable rather than as passes
+    rc = main(["audit", "--out", str(tmp_path), "--set", "kernel.normalization=0.5",
+               "--set", "model.tau=0"])
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("[FAIL]")] == [
+        "[FAIL] A5 dominance a_* + F'' >= C0 > 0: A5-dominance: a_* + F''(r) "
+        "has nonpositive infimum -0.571804 at r = 0"]
+    assert "[N/A ] eps < eps0: not applicable (C0 <= 0 fails A5 dominance)" in lines
+    assert "[N/A ] ip_chi: not applicable (C0 <= 0 fails A5 dominance)" in lines
+    assert not any("skipped" in line for line in lines)
+
+
 def test_cli_sweep_smoke(tmp_path, capsys):
     rc = main([
         "sweep-eps", "--out", str(tmp_path),

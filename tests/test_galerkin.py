@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,8 @@ from nlch.errors import (
 from nlch.galerkin import (
     build_operator,
     compare,
-    fd_jacobian,
     integrate,
+    jacobian,
     make_basis,
     ode_rhs,
     oracle_gap,
@@ -30,8 +31,13 @@ from nlch.galerkin import (
 )
 from nlch.grid import Field, GridSpec, inner_h, norm_h
 from nlch.kernel import KernelSpec, build
-from nlch.model import InitialData, ModelParams, run
-from nlch.potential import f_prime_regularized, polynomial_potential
+from nlch.model import H_FAMILIES, InitialData, ModelParams, run
+from nlch.potential import (
+    double_obstacle_potential,
+    f_prime_regularized,
+    logarithmic_potential,
+    polynomial_potential,
+)
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +118,10 @@ def test_requires_double_regularization(setup128):
         build_operator(basis, b, p, ModelParams(eps=0.0, tau=0.1, dt=1e-3, lam=1e-3))
     with pytest.raises(InapplicabilityError):
         build_operator(basis, b, p, ModelParams(eps=0.1, tau=0.0, dt=1e-3, lam=1e-3))
+    # the Jacobian needs h' and knows it for the profiles of H_FAMILIES only
+    with pytest.raises(ConfigError, match="h'"):
+        build_operator(basis, b, p, ModelParams(eps=0.1, tau=0.1, dt=1e-3, lam=1e-3,
+                                                h=lambda r: 0.5 + 0.0 * r))
 
 
 def test_n1_matches_standalone_scalar_ode(setup128):
@@ -167,7 +177,7 @@ def test_integrate_failure_raises_stiffness_error(setup128, monkeypatch):
 def test_integrate_non_finite_jacobian_raises_stiffness_error(setup128, monkeypatch):
     g, b, p = setup128
     op = build_operator(make_basis(g, 4), b, p, ModelParams(eps=0.1, tau=0.1, dt=1e-3, lam=1e-3))
-    monkeypatch.setattr(nlch.galerkin, "fd_jacobian",
+    monkeypatch.setattr(nlch.galerkin, "jacobian",
                         lambda t, y, op: np.full((y.size, y.size), np.nan))
     with pytest.raises(StiffnessError, match="BDF integrator.*not finite"):
         integrate(np.zeros(12), op, 0.1, t_eval=[0.1])
@@ -197,7 +207,7 @@ def test_integrate_is_scipy_bdf_bit_for_bit(tmp_path, monkeypatch, argv):
     assert main(["oracle-compare", *argv, "--out", str(tmp_path)]) == 0
     (y0, op, T, t_eval), = problems
     ts, coeffs = original(y0, op, T, t_eval)
-    ref = solve_ivp(ode_rhs, (0.0, T), y0, args=(op,), method="BDF", jac=fd_jacobian,
+    ref = solve_ivp(ode_rhs, (0.0, T), y0, args=(op,), method="BDF", jac=jacobian,
                     rtol=1e-8, atol=1e-10, t_eval=t_eval)
     assert ref.success
     assert np.array_equal(ts, ref.t)
@@ -328,8 +338,8 @@ def test_bdf_matches_tight_explicit_reference(setup128):
 def test_oracle_right_hand_side_budget(tmp_path, monkeypatch):
     # the rate-study oracle setting (256 cells, 32 modes) over T = 0.01:
     # explicit RK45 needs about 2000 right-hand sides, held to small
-    # steps by the lambda_n / eps stiffness; BDF needs under 200, since
-    # each finite-difference Jacobian is one call on a block of columns
+    # steps by the lambda_n / eps stiffness; BDF needs under 200, and its
+    # closed-form Jacobians call no right-hand side
     calls = []
     original = nlch.galerkin.ode_rhs
 
@@ -369,9 +379,41 @@ def test_coefficient_csv(tmp_path, setup128):
     assert len(lines) == 3
 
 
-def test_ode_rhs_block_columns_are_single_states(setup128):
-    # a (3n, k) block is k states: each column matches its own call (the
-    # block's matrix products may sum in another order)
+@pytest.mark.parametrize("h_name", sorted(H_FAMILIES))
+@pytest.mark.parametrize("spec, amplitude", [
+    (polynomial_potential(0.5), 1.3),
+    (logarithmic_potential(0.3, 0.6), 1.3),
+    (double_obstacle_potential(0.3), 1.3),
+    (logarithmic_potential(0.3, 0.6), 0.5),
+], ids=["polynomial", "logarithmic-outside", "double-obstacle", "logarithmic-inside"])
+def test_jacobian_matches_central_differences(setup128, spec, amplitude, h_name):
+    # every block is exercised: chi, eta > 0 and phi on both sides of the
+    # kinks |r| = 1 of the default profile and of the obstacle's Yosida
+    # derivative, but off them by more than the difference step reaches
+    g, b, _ = setup128
+    params = ModelParams(eps=0.1, tau=0.1, P=0.5, A=0.25, B=0.5, C=0.5, chi=0.2,
+                         sigma_s=0.8, eta=0.3, dt=1e-3, lam=1e-3, h=H_FAMILIES[h_name])
+    basis = make_basis(g, 8)
+    op = build_operator(basis, b, spec, params)
+    x = g.axis_coordinates(0)
+    phi0 = Field(g, amplitude * np.cos(np.pi * x) + 0.1 * np.cos(3 * np.pi * x))
+    mu0 = Field(g, 0.3 * np.cos(2 * np.pi * x))
+    sigma0 = Field(g, 0.6 + 0.2 * np.cos(np.pi * x))
+    y0 = project_initial_data(phi0, mu0, sigma0, basis)
+    phi = basis.functions @ y0[:8]
+    assert np.min(np.abs(np.abs(phi) - 1.0)) > 1e-3
+    jac = jacobian(0.0, y0, op)
+    assert jac.shape == (24, 24)
+    f = lambda y: ode_rhs(0.0, y, op)  # noqa: E731
+    for j in range(y0.size):
+        e = np.zeros_like(y0)
+        e[j] = 1e-5
+        col = (f(y0 + e) - f(y0 - e)) / 2e-5
+        assert np.max(np.abs(jac[:, j] - col)) <= 1e-5 * (1.0 + np.max(np.abs(col)))
+
+
+def test_integrate_passes_ode_rhs_single_states(setup128, monkeypatch):
+    # the right-hand side is evaluated on one state of 3n coefficients at a time
     g, b, p = setup128
     params = ModelParams(eps=0.1, tau=0.1, P=0.5, A=0.25, B=0.5, C=0.5, chi=0.2,
                          sigma_s=0.8, eta=0.3, dt=1e-3, lam=1e-3)
@@ -379,39 +421,31 @@ def test_ode_rhs_block_columns_are_single_states(setup128):
     op = build_operator(basis, b, p, params)
     init = _cosine_init(g)
     y0 = project_initial_data(init.phi0, init.mu0, init.sigma0, basis)
-    block = y0[:, None] + 0.01 * np.random.default_rng(5).standard_normal((y0.size, 4))
-    got = ode_rhs(0.0, block, op)
-    assert got.shape == block.shape
-    for j in range(block.shape[1]):
-        want = ode_rhs(0.0, block[:, j], op)
-        assert np.max(np.abs(got[:, j] - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_fd_jacobian_is_one_call_of_forward_differences(setup128, monkeypatch):
-    g, b, p = setup128
-    params = ModelParams(eps=0.1, tau=0.1, P=0.5, A=0.25, B=0.5, C=0.5, chi=0.2,
-                         sigma_s=0.8, dt=1e-3, lam=1e-3)
-    basis = make_basis(g, 8)
-    op = build_operator(basis, b, p, params)
-    init = _cosine_init(g)
-    y0 = project_initial_data(init.phi0, init.mu0, init.sigma0, basis)
-    calls = []
+    shapes = []
     original = nlch.galerkin.ode_rhs
 
-    def counted(t, y, op):
-        calls.append(y.shape)
+    def recorded(t, y, op):
+        shapes.append(np.shape(y))
         return original(t, y, op)
 
-    monkeypatch.setattr(nlch.galerkin, "ode_rhs", counted)
-    jac = fd_jacobian(0.0, y0, op)
-    assert calls == [(24, 25)]
-    # against central differences of single calls
-    f = lambda y: original(0.0, y, op)  # noqa: E731
-    for j in range(y0.size):
-        e = np.zeros_like(y0)
-        e[j] = 1e-5
-        col = (f(y0 + e) - f(y0 - e)) / 2e-5
-        assert np.max(np.abs(jac[:, j] - col)) <= 1e-5 * (1.0 + np.max(np.abs(col)))
+    monkeypatch.setattr(nlch.galerkin, "ode_rhs", recorded)
+    integrate(y0, op, 0.05, t_eval=[0.05])
+    assert shapes and set(shapes) == {(24,)}
+
+
+def test_oracle_compare_peak_traced_memory(tmp_path):
+    # one rate-study oracle-compare allocates well under the 1.9 MB of a
+    # (3n, 3n+1) block Jacobian; the first run pays the imports
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "rate-study.cfg"
+    argv = ["oracle-compare", "--config", str(cfg), "--set", "oracle.t=0.01"]
+    assert main([*argv, "--out", str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--out", str(tmp_path / "traced")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2e6
 
 
 def test_coefficient_csv_matches_the_row_by_row_writer(tmp_path):

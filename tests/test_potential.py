@@ -333,7 +333,7 @@ def test_validate_split_families():
         checks = validate_split(spec)
         assert all(checks.values()), checks
     # exact nonnegativity holds for the polynomial and obstacle wells;
-    # the logarithmic well dips below zero by a known constant that only
+    # the logarithmic well dips below zero by a constant that only
     # shifts the energy (the dynamics sees F'), reported as an offset
     from nlch.potential import normalization_offset
 
@@ -342,6 +342,26 @@ def test_validate_split_families():
     off = normalization_offset(logarithmic_potential(0.3, 0.6))
     assert 0.0 < off < 0.6 / 2  # deeper than 0, shallower than the F2 scale
     assert off > 0.6 / 2 - 0.3 * np.log(2)  # at least the endpoint depth
+
+
+@pytest.mark.parametrize("theta, theta0", [
+    (0.3, 0.6), (0.1, 0.6), (2.0, 3.0), (0.01, 1.0),  # theta0 > 2 theta ln 2
+    (0.5, 0.6), (0.2, 0.25), (0.59, 0.6), (0.6 - 1e-9, 0.6),  # theta0 < 2 theta ln 2
+])
+def test_logarithmic_offset_matches_a_dense_sample(theta, theta0):
+    # the interior minimum is negative for every admissible well (F(0) = 0,
+    # F''(0) < 0), not only when the endpoint value F(1) is
+    from nlch.potential import normalization_offset
+
+    spec = logarithmic_potential(theta, theta0)
+    rs = np.linspace(-1.0 + 1e-12, 1.0 - 1e-12, 1_000_001)
+    sampled = -float(np.min(f_eval(spec, rs)))
+    off = normalization_offset(spec)
+    assert off > 0.0
+    assert off >= sampled - 1e-15  # the sample cannot reach below the minimum
+    # spacing h = 2e-6 misses the minimum by up to F''(r*) h^2 / 8, which
+    # is 1.7e-10 at (0.1, 0.6), where r* = tanh 6
+    assert off - sampled <= 1e-9
 
 
 def test_constructor_validation():
