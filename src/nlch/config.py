@@ -210,7 +210,7 @@ def build_params(cfg: RunConfig) -> ModelParams:
         chi=cfg["model.chi"],
         eta=cfg["model.eta"],
         sigma_s=cfg["model.sigma_s"],
-        h=H_FAMILIES[h_name],
+        h=H_FAMILIES[h_name].h,
         lam=cfg["potential.lambda"],
         dt=cfg["model.dt"],
         T=cfg["model.T"],

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .grid import Field, GridSpec, dgetrf, dgetrs, write_table
 from .kernel import KernelBundle
-from .model import H_PRIMES, ModelParams
+from .model import ModelParams
 from .potential import PotentialSpec, f_prime_regularized, yosida_with_derivative
 
 
@@ -119,9 +119,6 @@ def build_operator(basis: SpectralBasis, bundle: KernelBundle, spec: PotentialSp
         )
     if bundle.grid != basis.grid:
         raise DimensionError("kernel bundle and basis live on different grids")
-    if params.h not in H_PRIMES:
-        raise ConfigError("the spectral oracle's Jacobian knows h' of the profiles of "
-                          "model.H_FAMILIES only")
     E = basis.functions
     w = basis.weight
     a = bundle.a_field.values
@@ -130,7 +127,7 @@ def build_operator(basis: SpectralBasis, bundle: KernelBundle, spec: PotentialSp
     ss_coeff = E.T @ np.full(basis.grid.size, params.sigma_s) * w
     return GalerkinOperator(
         basis=basis, bundle=bundle, spec=spec, params=params, mat_a=mat_a, mat_conv=mat_conv,
-        ss_coeff=ss_coeff, h_prime=H_PRIMES[params.h],
+        ss_coeff=ss_coeff, h_prime=params.h_profile[1].prime,
     )
 
 

@@ -7,7 +7,7 @@ semidefinite, and exactly conservative (its output sums to zero).
 
 The module also provides the functional-analytic machinery built on the
 Laplacian: the dual (V*) norm through the Riesz map I - Laplacian, and
-the Poincare and inclusion constants of the geometry in closed form.
+the Poincare constant of the geometry in closed form.
 Every Neumann solve goes through solve_shifted_diffusion: in 1D one
 call of LAPACK's tridiagonal gtsv, in 2D one preconditioned CG over all
 rows. The type-II discrete cosine transform diagonalizes the
@@ -491,15 +491,6 @@ def estimate_poincare_constant(grid: GridSpec) -> float:
     lambda_1 = min(lam[tuple(int(a == axis) for a in range(grid.dim))]
                    for axis in range(grid.dim))
     return 1.0 + 1.0 / float(lambda_1)
-
-
-def estimate_inclusion_constant(grid: GridSpec) -> float:
-    """Norm of the inclusion H into V*: sup ||f||_* / ||f||_H = 1.
-
-    The inverse Riesz map (I - lap)^(-1) has eigenvalues 1/(1 + lambda_k)
-    <= 1, with equality on the constants, so K0 = 1 on every grid.
-    """
-    return 1.0
 
 
 def write_field(path, f: Field):

@@ -254,15 +254,18 @@ class EpsilonZero(NamedTuple):
     branch_k0: float
 
 
-def epsilon_zero(bundle: KernelBundle, C0: float, K0: float) -> EpsilonZero:
+def epsilon_zero(bundle: KernelBundle, C0: float) -> EpsilonZero:
     """Admissible upper bound for the relaxation parameter.
 
     min of 1/(4 c_a), 1/max(1, a^* - min(a^*, C0)), and
     2 C0 / (3 (a^* + b^*)^2 K0^2), each branch reported individually.
+    K0, the norm of the inclusion H into V*, is 1 on every grid: the
+    inverse Riesz map (I - lap)^(-1) has eigenvalues 1/(1 + lambda_k)
+    <= 1, with equality on the constants.
     """
-    if C0 <= 0 or K0 <= 0:
-        raise ConfigError(f"epsilon_zero needs C0 > 0 and K0 > 0, got {C0}, {K0}")
+    if C0 <= 0:
+        raise ConfigError(f"epsilon_zero needs C0 > 0, got {C0}")
     b1 = 1.0 / (4.0 * bundle.c_a)
     b2 = 1.0 / max(1.0, bundle.a_sup - min(bundle.a_sup, C0))
-    b3 = 2.0 * C0 / (3.0 * (bundle.a_sup + bundle.b_sup) ** 2 * K0**2)
+    b3 = 2.0 * C0 / (3.0 * (bundle.a_sup + bundle.b_sup) ** 2)
     return EpsilonZero(min(b1, b2, b3), b1, b2, b3)

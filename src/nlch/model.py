@@ -58,9 +58,6 @@ def h_tanh(r):
     return 0.5 * (1.0 + np.tanh(np.asarray(r, dtype=float)))
 
 
-H_FAMILIES = {"default": h_default, "one": h_one, "tanh": h_tanh}
-
-
 def _h_default_prime(r):
     # 1/2 between the kinks at r = -1 and r = 1, and the outer one-sided
     # derivative 0 at them
@@ -72,9 +69,22 @@ def _h_tanh_prime(r):
     return 0.5 * (1.0 - t * t)
 
 
-# h' of each profile of H_FAMILIES, keyed by the profile
-H_PRIMES = {h_default: _h_default_prime, h_one: lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-            h_tanh: _h_tanh_prime}
+class HProfile(NamedTuple):
+    """A proliferation profile h, its derivative, the closure of its range
+    and its Lipschitz constant (the sup of |h'|)."""
+
+    h: Callable
+    prime: Callable
+    range: tuple[float, float]
+    lipschitz: float
+
+
+# every profile a run admits (A2), keyed by its model.h name
+H_FAMILIES = {
+    "default": HProfile(h_default, _h_default_prime, (0.0, 1.0), 0.5),
+    "one": HProfile(h_one, lambda r: np.zeros_like(np.asarray(r, dtype=float)), (1.0, 1.0), 0.0),
+    "tanh": HProfile(h_tanh, _h_tanh_prime, (0.0, 1.0), 0.5),
+}
 
 
 @dataclass
@@ -96,8 +106,12 @@ class ModelParams:
     T: float = 1.0
 
     def __post_init__(self):
-        """Reject numerical settings no run can use; the model's hypotheses
-        are the rows of the gate table in nlch.audit."""
+        """Reject numerical settings no run can use, and an h outside
+        H_FAMILIES; the model's hypotheses are the rows of the gate table
+        in nlch.audit."""
+        if all(profile.h is not self.h for profile in H_FAMILIES.values()):
+            raise ConfigError(f"h must be a profile of H_FAMILIES ({', '.join(H_FAMILIES)}), "
+                              f"got {self.h!r}")
         for name in ("eps", "tau", "P", "A", "B", "C", "chi", "eta", "sigma_s", "lam", "dt", "T"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -105,6 +119,11 @@ class ModelParams:
                                ("lam", "> 0", self.lam > 0)):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
+
+    @property
+    def h_profile(self) -> tuple[str, HProfile]:
+        """The name of h and its entry in H_FAMILIES."""
+        return next((name, p) for name, p in H_FAMILIES.items() if p.h is self.h)
 
     @property
     def lam_eff(self) -> float:

@@ -25,8 +25,6 @@ from .errors import ConfigError, InapplicabilityError, SolverError
 
 RESOLVENT_RTOL = 1e-13
 _MAX_NEWTON = 300
-# the Yosida parameter at which validate_split resolves 0
-SPLIT_LAM = 0.1
 
 
 class Chart(NamedTuple):
@@ -387,28 +385,3 @@ def normalization_offset(spec: PotentialSpec) -> float:
     else:
         log_cosh = u + math.log1p(math.exp(-2.0 * u)) - math.log(2.0)
     return theta * (log_cosh - 0.5 * u * math.tanh(u))
-
-
-def validate_split(spec: PotentialSpec) -> dict:
-    """Sample-based audit of the structural split assumptions.
-
-    Returns named booleans: F1 >= 0, F bounded below (nonnegative after
-    the well normalization), F2'(0) = 0, 0 resolved to 0 (i.e. 0 in
-    dF1(0)), and a finite sampled Lipschitz constant for F2'.
-    """
-    if spec.has_barrier:
-        rs = np.linspace(-spec.ell + 1e-9, spec.ell - 1e-9, 4001)
-    else:
-        rs = np.linspace(-8.0, 8.0, 4001)
-    f1v = np.asarray(spec.f1(rs))
-    fv = f_eval(spec, rs)
-    with np.errstate(invalid="ignore"):
-        checks = {
-            "F1_nonnegative": bool(np.all(f1v >= -1e-12)),
-            "F_bounded_below": bool(np.min(fv) > -np.inf),
-            "F2prime_zero_at_zero": abs(float(np.asarray(spec.f2_prime(0.0)))) <= 1e-12,
-            "zero_in_dF1_at_zero": abs(float(resolvent(spec, SPLIT_LAM, 0.0))) <= 1e-12,
-        }
-    dp = np.diff(np.asarray(spec.f2_prime(rs))) / np.diff(rs)
-    checks["F2prime_lipschitz_sampled"] = bool(np.all(np.isfinite(dp)))
-    return checks

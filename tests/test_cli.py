@@ -84,6 +84,20 @@ def test_cli_audit_default(tmp_path, capsys):
     assert manifest["format_version"] == 1
 
 
+@pytest.mark.parametrize("h, statement", [
+    ("default", "range [0, 1], Lipschitz 1/2"),
+    ("one", "range [1, 1], Lipschitz 0"),
+    ("tanh", "range [0, 1], Lipschitz 1/2"),
+])
+def test_cli_audit_states_h_and_the_growth_constant_at_eps_zero(tmp_path, capsys, h, statement):
+    # no golden audit has eps = 0 (where pol_growth applies) or a non-default h
+    rc = main(["audit", "--out", str(tmp_path), "--set", "model.eps=0", "--set", f"model.h={h}"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"[PASS] A2 h bounded and Lipschitz: h = {h}: {statement}" in lines
+    assert "[PASS] pol_growth: C_F = 1.38935" in lines
+
+
 def test_cli_audit_eps_too_large(tmp_path, capsys):
     rc = main(["audit", "--out", str(tmp_path), "--set", "model.eps=0.2"] + FAST)
     assert rc == 1

@@ -118,10 +118,6 @@ def test_requires_double_regularization(setup128):
         build_operator(basis, b, p, ModelParams(eps=0.0, tau=0.1, dt=1e-3, lam=1e-3))
     with pytest.raises(InapplicabilityError):
         build_operator(basis, b, p, ModelParams(eps=0.1, tau=0.0, dt=1e-3, lam=1e-3))
-    # the Jacobian needs h' and knows it for the profiles of H_FAMILIES only
-    with pytest.raises(ConfigError, match="h'"):
-        build_operator(basis, b, p, ModelParams(eps=0.1, tau=0.1, dt=1e-3, lam=1e-3,
-                                                h=lambda r: 0.5 + 0.0 * r))
 
 
 def test_n1_matches_standalone_scalar_ode(setup128):
@@ -392,7 +388,7 @@ def test_jacobian_matches_central_differences(setup128, spec, amplitude, h_name)
     # derivative, but off them by more than the difference step reaches
     g, b, _ = setup128
     params = ModelParams(eps=0.1, tau=0.1, P=0.5, A=0.25, B=0.5, C=0.5, chi=0.2,
-                         sigma_s=0.8, eta=0.3, dt=1e-3, lam=1e-3, h=H_FAMILIES[h_name])
+                         sigma_s=0.8, eta=0.3, dt=1e-3, lam=1e-3, h=H_FAMILIES[h_name].h)
     basis = make_basis(g, 8)
     op = build_operator(basis, b, spec, params)
     x = g.axis_coordinates(0)

@@ -159,24 +159,18 @@ class _FakeBundle:
 
 
 def test_epsilon_zero_formula():
-    e = epsilon_zero(_FakeBundle(a_sup=1.0, b_sup=0.0, c_a=1.0), C0=1.0, K0=1.0)
+    e = epsilon_zero(_FakeBundle(a_sup=1.0, b_sup=0.0, c_a=1.0), C0=1.0)
     assert e.branch_ca == pytest.approx(0.25)
     assert e.branch_astar == pytest.approx(1.0)
     assert e.branch_k0 == pytest.approx(2.0 / 3.0)
     assert e.value == pytest.approx(0.25)
 
     # large C0: the c_a branch is the binding one
-    big = epsilon_zero(_FakeBundle(a_sup=1.0, b_sup=0.0, c_a=1.0), C0=100.0, K0=1e-3)
+    big = epsilon_zero(_FakeBundle(a_sup=1.0, b_sup=0.0, c_a=1.0), C0=100.0)
     assert big.value == pytest.approx(big.branch_ca)
 
-    # doubling K0 divides the third branch by 4, leaves the others alone
-    e1 = epsilon_zero(_FakeBundle(a_sup=2.0, b_sup=1.0, c_a=1.5), C0=1.0, K0=1.0)
-    e2 = epsilon_zero(_FakeBundle(a_sup=2.0, b_sup=1.0, c_a=1.5), C0=1.0, K0=2.0)
-    assert e2.branch_k0 == pytest.approx(e1.branch_k0 / 4.0)
-    assert e2.branch_ca == e1.branch_ca and e2.branch_astar == e1.branch_astar
-
     with pytest.raises(ConfigError):
-        epsilon_zero(_FakeBundle(1.0, 0.0, 1.0), C0=0.0, K0=1.0)
+        epsilon_zero(_FakeBundle(1.0, 0.0, 1.0), C0=0.0)
 
 
 def test_kernel_families():

@@ -12,6 +12,7 @@ from nlch.errors import AssumptionError, ConfigError, SolverError, StepError
 from nlch.grid import Field, GridSpec, mean, norm_h
 from nlch.kernel import KernelSpec, build
 from nlch.model import (
+    H_FAMILIES,
     InitialData,
     ModelParams,
     derive_constants,
@@ -51,6 +52,13 @@ def test_h_default():
     assert np.all(h_default(r) >= 0) and np.all(h_default(r) <= 1)
     assert np.all(h_one(r) == 1.0)
     assert np.all((h_tanh(r) > 0) & (h_tanh(r) < 1))
+
+
+def test_model_params_admit_only_the_h_profiles():
+    # A2 states the closed forms of H_FAMILIES, so no other h reaches a run
+    with pytest.raises(ConfigError, match="H_FAMILIES"):
+        ModelParams(eps=0.1, tau=0.1, dt=1e-3, lam=1e-3, h=lambda r: 0.5 + 0.0 * r)
+    assert [ModelParams(h=p.h).h_profile[0] for p in H_FAMILIES.values()] == list(H_FAMILIES)
 
 
 def test_step_fixed_point(grid256, bundle_wide, poly):

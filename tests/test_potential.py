@@ -22,7 +22,6 @@ from nlch.potential import (
     moreau,
     polynomial_potential,
     resolvent,
-    validate_split,
     yosida,
     yosida_with_derivative,
 )
@@ -326,22 +325,6 @@ def test_barrier_divergence_trend():
     r = -(1 - 1e-12)
     val = float(spec.f1_prime(r) + spec.f2_prime(r) - 1.0 * r)
     assert val < 0 and abs(val) > 1.0
-
-
-def test_validate_split_families():
-    for spec, _ in FAMILIES:
-        checks = validate_split(spec)
-        assert all(checks.values()), checks
-    # exact nonnegativity holds for the polynomial and obstacle wells;
-    # the logarithmic well dips below zero by a constant that only
-    # shifts the energy (the dynamics sees F'), reported as an offset
-    from nlch.potential import normalization_offset
-
-    assert normalization_offset(polynomial_potential(0.5)) == 0.0
-    assert normalization_offset(double_obstacle_potential(0.3)) == 0.0
-    off = normalization_offset(logarithmic_potential(0.3, 0.6))
-    assert 0.0 < off < 0.6 / 2  # deeper than 0, shallower than the F2 scale
-    assert off > 0.6 / 2 - 0.3 * np.log(2)  # at least the endpoint depth
 
 
 @pytest.mark.parametrize("theta, theta0", [

@@ -7,6 +7,7 @@ tests count the expensive calls and check that the reused values equal
 a from-scratch recomputation exactly.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ import nlch.potential
 from nlch import diagnostics
 from nlch.config import build_problem, load_config
 from nlch.errors import SolverError, StepError
+from nlch.grid import Field
 from nlch.kernel import nonlocal_energy_density
 from nlch.model import State, run
 
@@ -72,10 +74,14 @@ def test_reused_record_values_equal_recomputation(name, overrides):
 
 
 def test_failed_linear_solve_fails_the_step_with_the_partial_run():
+    # one NaN cell of sigma0 makes the first Newton right-hand side non-finite
     problem = _problem("default.cfg", "model.T=0.01")
-    params = problem.params.with_params(h=lambda r: np.full_like(r, np.nan))
+    params = problem.params
+    sigma = problem.init.sigma0.values.copy()
+    sigma[0] = np.nan
+    init = replace(problem.init, sigma0=Field(problem.init.sigma0.grid, sigma, check=False))
     with pytest.raises(StepError, match="Newton linear solve failed") as err:
-        run(problem.init, params, problem.bundle, problem.spec, validate=False)
+        run(init, params, problem.bundle, problem.spec, validate=False)
     assert isinstance(err.value.__cause__, SolverError)
     assert err.value.partial.times == [0.0]
     assert (err.value.phase, err.value.step, err.value.t) == ("Newton", 1, params.dt)

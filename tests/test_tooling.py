@@ -1,6 +1,7 @@
 """The benchmark tracer must keep finding every call site it patches, the
-README must keep listing every configuration key, and no module of the
-package may import a name it does not use."""
+README must keep listing every configuration key and module constant as
+the code has them, and no module of the package may import a name it
+does not use."""
 
 import ast
 import importlib
@@ -147,6 +148,20 @@ def test_readme_configuration_list_is_the_schema():
     items = re.findall(r"^- .*(?:\n  .*)*", section, flags=re.M)
     keys = re.findall(r"`([a-z]+\.[A-Za-z0-9_]+)`", "\n".join(items))
     assert sorted(keys) == sorted(SCHEMA)
+
+
+def test_readme_module_constants_are_the_code():
+    # every `nlch.<module>.<NAME> = <value>` of README's paragraph of module
+    # constants is an attribute of that module with that value
+    text = (ROOT / "README.md").read_text()
+    paragraph = text.split("\nSettings that no run varies", 1)[1].split("\n\n", 1)[0]
+    settings = [item for item in re.findall(r"`([^`]*)`", paragraph) if "=" in item]
+    assert settings
+    for item in settings:
+        match = re.fullmatch(r"nlch\.(\w+)\.(\w+)\s*=\s*(.+)", item, flags=re.S)
+        assert match, item
+        module, name, value = match.groups()
+        assert getattr(importlib.import_module(f"nlch.{module}"), name) == ast.literal_eval(value), item
 
 
 def test_readme_diagnostics_columns_are_the_written_header(tmp_path):
