@@ -10,7 +10,21 @@ Subpackages:
   galerkin     spectral Faedo-Galerkin oracle (1D cross-validation)
   asymptotics  relaxation-limit sweeps, rate fits, stability probe
   cli          configuration, audit, and run orchestration
+
+Importing the package sets OPENBLAS_NUM_THREADS=1 before numpy loads,
+unless the environment sets OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS or numpy is already imported: numpy's OpenBLAS and the
+copy in scipy's _flapack then start no worker thread, which no BLAS
+call at nlch's sizes would use. A caller's own setting wins.
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules and not {
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+del os, sys
 
 from .errors import (
     AssumptionError,

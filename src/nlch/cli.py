@@ -18,13 +18,14 @@ format-versioned manifest before any data files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, asymptotics, diagnostics, galerkin, verify
+from . import __version__, asymptotics, diagnostics  # galerkin, verify: imported where run
 from .audit import audit as run_audit
 from .config import build_problem, load_config
 from .errors import AssumptionError, ConfigError, NlchError, StepError
@@ -38,6 +39,7 @@ ORACLE_NOTE = ("Runs the stepper and the oracle at eps = tau = 0.1, whatever mod
                "0.9 eps0 = 0.0599, so without --config the audit fails (exit 1).")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="nlch", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -225,6 +227,8 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     cfg = load_config(args.config, args.set)
     problem = build_problem(cfg, seed=args.seed)  # surfaces configuration errors
     report = run_audit(problem.params, problem.bundle, problem.spec, problem.init)
@@ -234,6 +238,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle_compare(args) -> int:
+    from . import galerkin
+
     cfg = load_config(args.config, args.set)
     if cfg["grid.dim"] != 1:
         raise ConfigError(f"grid.dim must be 1, got {cfg['grid.dim']}: "

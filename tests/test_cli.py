@@ -11,6 +11,7 @@ import pytest
 
 import nlch.asymptotics
 import nlch.audit
+import nlch.cli
 import nlch.model
 from nlch.cli import main
 from nlch.config import (
@@ -261,6 +262,20 @@ def test_cli_rejects_flags_the_command_ignores(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_cli_calls_share_one_parser_and_see_only_their_own_arguments(monkeypatch):
+    # argparse copies the --set default before appending, so the cached
+    # parser carries nothing from one call into the next
+    seen = []
+    monkeypatch.setattr(nlch.cli, "_cmd_audit", lambda args: seen.append(args) or 0)
+    for argv in (["--set", "model.eps=0.01", "--set", "model.tau=0.2", "--seed", "3"],
+                 ["--set", "grid.cells=64"], [], ["--seed", "7"]):
+        assert main(["audit", *argv]) == 0
+    assert [(a.set, a.seed, a.config, a.out) for a in seen] == [
+        (["model.eps=0.01", "model.tau=0.2"], 3, None, None), (["grid.cells=64"], 0, None, None),
+        ([], 0, None, None), ([], 7, None, None)]
+    assert nlch.cli._parser() is nlch.cli._parser()
 
 
 @pytest.mark.parametrize("setting, message", [

@@ -1,7 +1,13 @@
-"""Each command imports only the modules it runs.
+"""Each command imports only the modules it runs, on one BLAS thread.
 
 Every nlch command starts a fresh interpreter, so start-up is paid per
-command. No 1D command but verify loads a scipy package: nlch.grid
+command. Importing nlch sets OPENBLAS_NUM_THREADS=1 before numpy loads,
+unless the caller set OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS or imported numpy first, so numpy's OpenBLAS and the
+copy in scipy's _flapack start no worker thread. nlch's own oracle and
+property suite, nlch.galerkin and nlch.verify, are imported by the two
+commands that run them: oracle-compare loads nlch.galerkin, verify
+loads both. No 1D command but verify loads a scipy package: nlch.grid
 loads LAPACK's compiled _flapack module alone, not scipy.linalg, whose
 import pulls in scipy._lib._array_api and with it numpy.f2py, and the
 oracle's BDF integrator runs on that module's getrf/getrs.
@@ -29,12 +35,17 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.fft", "scipy.special",
             "scipy.linalg", "scipy.sparse", "scipy._lib._array_api", "numpy.f2py",
-            "numpy.random", "secrets", "_hashlib")
+            "numpy.random", "secrets", "_hashlib", "nlch.galerkin", "nlch.verify")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _fresh(code):
-    """Run ``code`` in a new interpreter on the source tree; its last stdout line as JSON."""
-    env = dict(os.environ)
+def _fresh(code, **env_vars):
+    """Run ``code`` in a new interpreter on the source tree; its last stdout line as JSON.
+
+    The child's environment has none of the BLAS thread variables but those
+    in ``env_vars``, so a setting of the calling shell cannot mask nlch's default.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS} | env_vars
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, check=True)
@@ -55,25 +66,31 @@ def test_import_loads_no_deferred_scipy_module():
     assert _loaded_after() == [0, []]
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["simulate", "--config", "default.cfg"], id="simulate-default"),
-    pytest.param(["simulate", "--config", "separation.cfg"], id="simulate-separation"),
-    pytest.param(["simulate", "--config", "rate-study.cfg"], id="simulate-rate-study"),
+@pytest.mark.parametrize("argv, loaded", [
+    pytest.param(["simulate", "--config", "default.cfg"], [], id="simulate-default"),
+    pytest.param(["simulate", "--config", "separation.cfg"], [], id="simulate-separation"),
+    pytest.param(["simulate", "--config", "rate-study.cfg"], [], id="simulate-rate-study"),
     pytest.param(["simulate", "--config", "default.cfg",
-                  "--set", "potential.family=double-obstacle"], id="simulate-double-obstacle"),
+                  "--set", "potential.family=double-obstacle"], [], id="simulate-double-obstacle"),
     pytest.param(["simulate", "--config", "default.cfg",
-                  "--set", "ic.family=random-smoothed"], id="simulate-random-smoothed"),
-    pytest.param(["sweep-tau", "--config", "rate-study.cfg", "--set", "sweep.t=0.002"],
-                 id="sweep-tau"),
-    pytest.param(["stability", "--config", "rate-study.cfg", "--set", "stability.t=0.002"],
+                  "--set", "ic.family=random-smoothed"], [], id="simulate-random-smoothed"),
+    *(pytest.param([f"sweep-{mode}", "--config", "rate-study.cfg", "--set", "sweep.t=0.002"], [],
+                   id=f"sweep-{mode}") for mode in ("eps", "tau", "joint")),
+    pytest.param(["stability", "--config", "rate-study.cfg", "--set", "stability.t=0.002"], [],
                  id="stability"),
     pytest.param(["oracle-compare", "--config", "rate-study.cfg", "--set", "oracle.t=0.002"],
-                 id="oracle-compare"),
+                 ["nlch.galerkin"], id="oracle-compare"),
 ])
-def test_1d_commands_load_no_deferred_module(tmp_path, argv):
+def test_1d_commands_load_no_deferred_module(tmp_path, argv, loaded):
+    # but the one deferred to the command itself: oracle-compare runs nlch.galerkin
     argv = [str(CONFIGS / a) if a.endswith(".cfg") else a for a in argv]
     short = ["--set", "grid.cells=64", "--set", "model.T=0.01", "--set", "sweep.dt=5e-4"]
-    assert _loaded_after(argv + short + ["--out", str(tmp_path)]) == [0, []]
+    assert _loaded_after(argv + short + ["--out", str(tmp_path)]) == [0, loaded]
+
+
+def test_verify_loads_the_oracle_and_the_property_suite():
+    code, loaded = _loaded_after(["verify", "--set", "grid.cells=64"])
+    assert code == 0 and {"nlch.galerkin", "nlch.verify"} <= set(loaded)
 
 
 def test_2d_simulate_loads_scipy_fft_only(tmp_path):
@@ -82,6 +99,7 @@ def test_2d_simulate_loads_scipy_fft_only(tmp_path):
     code, loaded = _loaded_after(argv)
     assert code == 0 and "scipy.fft" in loaded
     assert "scipy.sparse" not in loaded and "scipy.linalg" not in loaded
+    assert "nlch.galerkin" not in loaded and "nlch.verify" not in loaded
 
 
 def test_2d_convolution_loads_no_scipy_package():
@@ -101,3 +119,33 @@ def test_grid_dgtsv_is_scipy_lapack_dgtsv():
     for first, second in (("nlch.grid", "scipy.linalg"), ("scipy.linalg", "nlch.grid")):
         assert _fresh(f"import json, {first}, {second}\n"
                       "print(json.dumps(nlch.grid.dgtsv is scipy.linalg.lapack.dgtsv))\n"), first
+
+
+def _blas_after_import(first="", **env_vars):
+    """[BLAS thread variables, OS threads or None, _flapack loaded] after ``first`` and nlch."""
+    return _fresh(
+        f"import json, os, sys\n{first}import nlch\n"
+        "tasks = '/proc/self/task'\n"
+        "threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None\n"
+        f"blas = {{k: os.environ[k] for k in {BLAS_THREAD_VARS!r} if k in os.environ}}\n"
+        "print(json.dumps([blas, threads, 'scipy.linalg._flapack' in sys.modules]))\n",
+        **env_vars)
+
+
+def test_import_starts_one_blas_thread():
+    blas, threads, flapack = _blas_after_import()
+    assert blas == {"OPENBLAS_NUM_THREADS": "1"} and flapack
+    if threads is None:
+        pytest.skip("no /proc/self/task to count threads in")
+    assert threads == 1  # neither numpy's OpenBLAS nor _flapack's started a worker
+
+
+@pytest.mark.parametrize("first, env_vars", [
+    pytest.param("", {"OPENBLAS_NUM_THREADS": "2"}, id="openblas-set"),
+    pytest.param("", {"OMP_NUM_THREADS": "2"}, id="omp-set"),
+    pytest.param("", {"GOTO_NUM_THREADS": "2"}, id="goto-set"),
+    pytest.param("import numpy\n", {}, id="numpy-first"),
+])
+def test_a_callers_blas_setting_or_numpy_is_left_alone(first, env_vars):
+    blas, _, _ = _blas_after_import(first, **env_vars)
+    assert blas == env_vars
