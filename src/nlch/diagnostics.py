@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ComparisonError
 from .grid import GridSpec, dual_norms, h_norms, v_norms, write_table
 from .grid import norm_vstar  # noqa: F401  a traced call site
-from .kernel import KernelBundle, nonlocal_energy_array, nonlocal_energy_density
+from .kernel import KernelBundle, nonlocal_energy_density, nonlocal_energy_rows
 from .potential import PotentialSpec, f_eval, f_lambda_eval
 
 
@@ -56,20 +56,17 @@ def energy(state, bundle: KernelBundle, spec: PotentialSpec) -> float:
     return e_nl + float(np.sum(fvals)) * state.phi.grid.cell_volume
 
 
-def _lyapunov_arrays(phi, mu, sigma, params, spec: PotentialSpec, cellvol: float,
-                     e_nl: float, prox: np.ndarray | None) -> float:
-    """Lyapunov functional from raw arrays; ``prox`` is the resolvent of phi or None."""
+def _lyapunov_rows(phi, mu, sigma, params, spec: PotentialSpec, cellvol: float,
+                   e_nl, prox: np.ndarray | None) -> list:
+    """Lyapunov functional of each row of (k, cells) stacks, given each row's
+    interaction energy ``e_nl``; ``prox`` is the resolvent of phi or None."""
     def norm_h_sq(v):
         # squared as grid.norm_h(v) ** 2 is, so records match lyapunov() bit for bit
         return math.sqrt(max(float(np.dot(v, v)) * cellvol, 0.0)) ** 2
 
-    flam = f_lambda_eval(spec, params.lam_eff, phi, prox)
-    return (
-        0.5 * params.eps * norm_h_sq(mu)
-        + e_nl
-        + float(flam.sum()) * cellvol
-        + 0.5 * norm_h_sq(sigma)
-    )
+    flam = f_lambda_eval(spec, params.lam_eff, phi, prox).sum(axis=-1).tolist()
+    return [0.5 * params.eps * norm_h_sq(m) + e + f * cellvol + 0.5 * norm_h_sq(s)
+            for m, s, e, f in zip(mu, sigma, e_nl, flam)]
 
 
 def lyapunov(state, params, bundle: KernelBundle, spec: PotentialSpec) -> float:
@@ -78,26 +75,28 @@ def lyapunov(state, params, bundle: KernelBundle, spec: PotentialSpec) -> float:
     (eps/2) ||mu||^2 + interaction energy + int F_lam(phi) + ||sigma||^2 / 2,
     with F_lam the Yosida-regularized potential at the run's lambda.
     """
-    return _lyapunov_arrays(state.phi.values, state.mu.values, state.sigma.values, params,
-                            spec, state.phi.grid.cell_volume,
-                            nonlocal_energy_density(bundle, state.phi), None)
+    (value,) = _lyapunov_rows(*(f.values[None] for f in (state.phi, state.mu, state.sigma)),
+                              params, spec, state.phi.grid.cell_volume,
+                              [nonlocal_energy_density(bundle, state.phi)], None)
+    return value
 
 
-def make_record(t: float, phi, mu, sigma, params, bundle, spec, mass_defect: float,
-                newton_iters: int, conv_phi: np.ndarray, prox: np.ndarray) -> DiagnosticsRecord:
-    """Diagnostics row of a stepped state's arrays from its J*phi and its resolvent of phi."""
-    e_nl = nonlocal_energy_array(bundle, phi, conv_phi)
-    return DiagnosticsRecord(
-        t=t,
-        mass_balance_residual=mass_defect,
-        lyapunov=_lyapunov_arrays(phi, mu, sigma, params, spec, bundle.grid.cell_volume,
-                                  e_nl, prox),
-        sigma_min=float(sigma.min()),
-        sigma_max=float(sigma.max()),
-        phi_supnorm=float(np.abs(phi).max()),
-        energy_nonlocal=e_nl,
-        newton_iters=newton_iters,
-    )
+def make_record(t, phi, mu, sigma, params, bundle, spec, mass_defect, newton_iters,
+                conv_phi: np.ndarray, prox: np.ndarray) -> list:
+    """Diagnostics rows of a block of one run's stepped states.
+
+    phi, mu, sigma, their J*phi and their resolvent of phi are (k, cells)
+    stacks, one row per state; t, mass_defect and newton_iters hold one
+    value per state. Each row's record is that of the state alone: row
+    sums and extrema are exact per row, and inner products are np.dot on
+    the row.
+    """
+    e_nl = nonlocal_energy_rows(bundle, phi, conv_phi)
+    return list(map(DiagnosticsRecord, t, mass_defect,
+                    _lyapunov_rows(phi, mu, sigma, params, spec, bundle.grid.cell_volume, e_nl,
+                                   prox),
+                    sigma.min(axis=-1).tolist(), sigma.max(axis=-1).tolist(),
+                    np.abs(phi).max(axis=-1).tolist(), e_nl, newton_iters))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ cells. The measured stepper-vs-oracle gap includes that difference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -231,7 +232,8 @@ def _bdf_failure(reason: str) -> StiffnessError:
 
 
 def _rms(x: np.ndarray):
-    return np.linalg.norm(x) / x.size ** 0.5
+    # np.linalg.norm's own arithmetic for a 1-D real vector, without its dispatch
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _compute_R(order, factor):

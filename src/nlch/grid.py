@@ -528,10 +528,22 @@ def read_field(path) -> Field:
     return Field(grid, np.frombuffer(values, dtype="<f8"))
 
 
+@functools.lru_cache(maxsize=8)
+def _field_csv_template(grid: GridSpec) -> str:
+    """write_field_csv's text on ``grid``: the header and each cell's
+    coordinates formatted, and a %.17g slot for each value."""
+    coords = np.column_stack([c.reshape(-1) for c in grid.meshgrid()]).tolist()
+    line = "%.17g," * grid.dim + "%%.17g\n"
+    return (",".join([*"xy"[:grid.dim], "value"]) + "\n"
+            + (line * grid.size) % tuple(itertools.chain.from_iterable(coords)))
+
+
 def write_field_csv(path, f: Field):
-    """CSV export with cell-center coordinates, for plotting."""
-    columns = [c.reshape(-1) for c in f.grid.meshgrid()] + [f.values]
-    write_table(path, [*"xy"[:f.grid.dim], "value"], np.column_stack(columns).tolist())
+    """CSV export with cell-center coordinates, for plotting: write_table's
+    format, with each grid's coordinate columns formatted once."""
+    text = _field_csv_template(f.grid) % tuple(f.values.tolist())
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def _cell_format(v) -> str:

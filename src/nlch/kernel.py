@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from numpy.fft import irfftn, rfftn
+from numpy.fft import irfft, irfftn, rfft, rfftn
 
 from .errors import ConfigError, DimensionError
 from .grid import Field, GridSpec
@@ -120,10 +120,11 @@ def next_fast_len(target: int) -> int:
 class _FastConvolution:
     """Cached zero-padded real FFT plan for one (kernel, grid) pair.
 
-    The plan is read-only after construction. numpy's rfftn/irfftn pad
+    The plan is read-only after construction. numpy's transforms pad
     each sample block with zeros to the plan's length inside the
-    transform, on one or two grid axes alike; on one axis they call
-    rfft/irfft with the same arguments, so a 1D plan is bitwise scipy.fft's.
+    transform. On one axis the plan calls rfft/irfft, which numpy's
+    rfftn/irfftn call there with the same arguments, at less per-call
+    cost; a 1D plan is bitwise scipy.fft's.
     """
 
     def __init__(self, kernel_table: np.ndarray, grid: GridSpec):
@@ -140,6 +141,9 @@ class _FastConvolution:
 
         Each row's result is bitwise that of a call on the row alone.
         """
+        if len(self._shape) == 1:
+            (pad,) = self._pad
+            return irfft(rfft(vals, pad) * self._khat, pad)[self._window]
         v = vals.reshape(vals.shape[:-1] + self._shape)
         vhat = rfftn(v, s=self._pad, axes=self._axes)
         out = irfftn(vhat * self._khat, s=self._pad, axes=self._axes)
@@ -238,13 +242,14 @@ def nonlocal_energy_density(bundle: KernelBundle, phi: Field) -> float:
     even kernels; zero for constants, and bounded below by
     (a_star - a_sup)/2 * ||phi||_H^2.
     """
-    return nonlocal_energy_array(bundle, phi.values, convolve(bundle, phi).values)
+    (e,) = nonlocal_energy_rows(bundle, phi.values[None], convolve(bundle, phi).values[None])
+    return e
 
 
-def nonlocal_energy_array(bundle: KernelBundle, phi: np.ndarray, conv_phi: np.ndarray) -> float:
-    """nonlocal_energy_density on the sample array phi, given its J*phi."""
+def nonlocal_energy_rows(bundle: KernelBundle, phi: np.ndarray, conv_phi: np.ndarray) -> list:
+    """nonlocal_energy_density of each row of a (k, cells) stack phi, given its J*phi."""
     interact = bundle.a_field.values * phi - conv_phi
-    return 0.5 * (float(np.dot(interact, phi)) * bundle.grid.cell_volume)
+    return [0.5 * (float(np.dot(q, r)) * bundle.grid.cell_volume) for q, r in zip(interact, phi)]
 
 
 class EpsilonZero(NamedTuple):

@@ -40,6 +40,8 @@ from .potential import PotentialSpec, f2_prime, yosida_with_derivative
 # Newton acceptance tolerance, relative to 1 + ||eps mu + phi + dt g||_H, and iteration cap
 NEWTON_TOL = 1e-10
 NEWTON_CAP = 50
+# most states a run holds before make_record takes them as one block
+RECORD_BLOCK = 8
 
 
 def h_default(r):
@@ -229,6 +231,37 @@ def _lockstep(params: Sequence[ModelParams]) -> _Lockstep:
                      _column([p.tau for p in params]))
 
 
+class _Derived(NamedTuple):
+    """The arrays of a state that the step leaving it reads, formed once per state.
+
+    Each is a batch like phi (see _batch): the step hands on the
+    accepted Newton iterate's arrays, and _derive forms them for a fresh
+    state by the same arithmetic, so a carried array is bitwise a fresh one.
+    """
+
+    h: np.ndarray  # h(phi)
+    mass: np.ndarray  # the conserved mass eps*mu + phi
+    mass_sum: np.ndarray  # each row's sum of mass, as a one-cell row
+    lap_mu: np.ndarray  # lap(mu)
+    a_phi: np.ndarray  # a*phi
+    diag_lin: np.ndarray  # the run's tau/dt + a, one row per row of phi
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    # bitwise each row's own sum
+    return x.sum(axis=-1, keepdims=True)
+
+
+def _derive(phi, mu, rows: _Lockstep, bundle: KernelBundle) -> _Derived:
+    """The _Derived arrays of the state (phi, mu) of a fresh batch."""
+    p0, a = rows.params[0], bundle.a_field.values
+    mass = rows.eps * mu + phi
+    # a tau shared by the rows gives one row of tau/dt + a; broadcast, it
+    # has a row per run, as _step_rows slices it
+    return _Derived(p0.h(phi), mass, _row_sums(mass), _lap_array(mu, bundle.grid), a * phi,
+                    np.broadcast_to(rows.tau / p0.dt + a, phi.shape))
+
+
 def _solve(grid, diag, dt, rhs, phase, history):
     """solve_shifted_diffusion, failing the step in ``phase`` if the solve
     fails or returns a non-finite value."""
@@ -242,14 +275,16 @@ def _solve(grid, diag, dt, rhs, phase, history):
 
 
 def _step_arrays(phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: KernelBundle,
-                 spec: PotentialSpec):
+                 spec: PotentialSpec, derived: _Derived):
     """One IMEX step of M runs in lockstep, on a batch of one row per run.
 
     The batch is (M, n) arrays, flat for M = 1 (see _batch). ``rows``
     holds each row's ModelParams and the eps and tau columns; the rows
-    share every setting but eps and tau. ``conv_phi`` is J*phi and ``yos`` the (value, derivative,
-    resolvent) triple of yosida_with_derivative at phi; the triple of
-    the new phi is returned in the same place, ready for the next step.
+    share every setting but eps and tau. ``conv_phi`` is J*phi, ``yos``
+    the (value, derivative, resolvent) triple of yosida_with_derivative
+    at phi and ``derived`` the state's _Derived arrays; the triple and
+    the _Derived arrays of the new state are returned in the same
+    places, ready for the next step.
     Each row iterates its own Newton loop and keeps its place in the
     batch for the whole step: the loop runs on all M rows until each has
     stopped, and only a row still going records a residual and updates
@@ -270,12 +305,11 @@ def _step_arrays(phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: KernelBun
     a = bundle.a_field.values
     cellvol = grid.cell_volume
     M = len(rows.params)
+    h_old, mass_old, mass_sum, lap_mu, a_phi, diag_lin = derived
 
-    h_old = p0.h(phi)
     g = (p0.P * sig - p0.A) * h_old
     w = np.asarray(f2_prime(spec, phi)) - conv_phi - p0.chi * sig
 
-    mass_old = eps * mu + phi
     const1 = mass_old + dt * g
     # a residual norm that overflows is inf, a named StepError below, so
     # numpy's overflow warning is silenced, once per step, over the loop
@@ -283,16 +317,18 @@ def _step_arrays(phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: KernelBun
         accept_tol = [NEWTON_TOL * (1.0 + float(np.sqrt(np.dot(c, c) * cellvol)))
                       for c in _rows(const1)]
         histories = [[] for _ in range(M)]
-        # each row's best iterate: (residual, phi, mu, y, dy, s) as whole batches, read at the row
+        # each row's best iterate: (residual, phi, mu, y, dy, s, eps mu + phi, lap mu, a phi)
+        # as whole batches, read at the row
         best = [None] * M
         tol_floor = [None] * M
         going = [True] * M
 
-        diag_lin = tau / dt + a
         p, m, (y, dy, s) = phi, mu, yos
+        mass_it, lap_m, a_p = mass_old, lap_mu, a_phi
         for it in range(NEWTON_CAP + 1):
-            r1 = eps * m + p - dt * _lap_array(m, grid) - const1
-            r2 = m - tau * (p - phi) / dt - a * p - y - w
+            r1 = mass_it - dt * lap_m - const1
+            # at the state itself (it = 0), tau (p - phi)/dt is an exact zero
+            r2 = (m if it == 0 else m - tau * (p - phi) / dt) - a_p - y - w
             for i, (q1, q2) in enumerate(zip(_rows(r1), _rows(r2))):
                 if not going[i]:
                     continue
@@ -300,10 +336,10 @@ def _step_arrays(phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: KernelBun
                 res = float(np.sqrt((np.dot(q1, q1) + np.dot(q2, q2)) * cellvol))
                 history.append(res)
                 if it == 0:
-                    best[i] = (res, p, m, y, dy, s)
+                    best[i] = (res, p, m, y, dy, s, mass_it, lap_m, a_p)
                     tol_floor[i] = 1e-14 * (1.0 + res)
                 elif res < best[i][0]:
-                    best[i] = (res, p, m, y, dy, s)
+                    best[i] = (res, p, m, y, dy, s, mass_it, lap_m, a_p)
                 # stop at the floor, at the cap, or below the acceptance
                 # tolerance once no longer contracting: the residual has hit
                 # its floating-point floor
@@ -327,6 +363,7 @@ def _step_arrays(phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: KernelBun
                 y, dy, s = yosida_with_derivative(spec, lam, p)
             except SolverError as err:
                 raise StepError(f"resolvent failed: {err}", histories[0], "resolvent") from err
+            mass_it, lap_m, a_p = eps * m + p, _lap_array(m, grid), a * p
 
     # each row takes its best iterate
     for i, (res, pick, *_) in enumerate(best):
@@ -343,30 +380,30 @@ def _step_arrays(phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: KernelBun
                 raise StepError(f"phi left the barrier interval: ||phi||_inf = {sup:.6g} "
                                 f">= ell = {spec.ell}", history, "barrier")
     if all(b[1] is best[0][1] for b in best):
-        phi_new, mu_new, *yos_new = best[0][1:]
+        picked = best[0][1:]
     else:
-        phi_new, mu_new, *yos_new = (
-            np.stack([_rows(b[k])[i] for i, b in enumerate(best)]) for k in range(1, 6))
+        picked = [np.stack([_rows(b[k])[i] for i, b in enumerate(best)])
+                  for k in range(1, len(best[0]))]
+    phi_new, mu_new, *yos_new, mass_new, lap_new, a_phi_new = picked
 
     source_sig = p0.B * p0.sigma_s
     if p0.eta != 0.0:
         source_sig = source_sig - p0.eta * _lap_array(phi_new, grid)
     rhs_sig = sig + dt * source_sig
-    diag_sig = 1.0 + dt * (p0.B + p0.C * p0.h(phi_new))
+    h_new = p0.h(phi_new)
+    diag_sig = 1.0 + dt * (p0.B + p0.C * h_new)
     sig_new = _solve(grid, diag_sig, dt, rhs_sig, "nutrient", histories[0])
 
-    stats = []
-    for new_mass, old_mass, source, history, (res, *_) in zip(
-            _rows(eps * mu_new + phi_new), _rows(mass_old), _rows(g), histories, best):
-        mass_defect = abs((new_mass.sum() - old_mass.sum() - dt * source.sum()) * cellvol
-                          / grid.measure)
-        stats.append(StepStats(newton_iters=len(history) - 1, residual=res,
-                               mass_defect=mass_defect))
-    return phi_new, mu_new, sig_new, tuple(yos_new), StepOutcome(stats)
+    mass_sum_new = _row_sums(mass_new)
+    defects = np.abs((mass_sum_new - mass_sum - dt * _row_sums(g)) * cellvol / grid.measure)
+    stats = [StepStats(newton_iters=len(history) - 1, residual=res, mass_defect=defect)
+             for history, (res, *_), defect in zip(histories, best, defects.ravel().tolist())]
+    return (phi_new, mu_new, sig_new, tuple(yos_new), StepOutcome(stats),
+            _Derived(h_new, mass_new, mass_sum_new, lap_new, a_phi_new, diag_lin))
 
 
 def _step_rows(state, rows: _Lockstep, bundle: KernelBundle, spec: PotentialSpec):
-    """One step of a lockstep batch from ``state`` = (phi, mu, sig, conv_phi, yos).
+    """One step of a lockstep batch from ``state`` = (phi, mu, sig, conv_phi, yos, derived).
 
     Returns the step of the rows that complete it, as _step_arrays
     returns it, or None if none does, and the StepError of each row that
@@ -375,25 +412,26 @@ def _step_rows(state, rows: _Lockstep, bundle: KernelBundle, spec: PotentialSpec
     rows that fail on their own fail; each call goes through the module's
     _step_arrays, so a wrapper put in its place sees the retries too.
     """
+    phi, mu, sig, conv_phi, yos, derived = state
     try:
-        return _step_arrays(*state, rows, bundle, spec), {}
+        return _step_arrays(phi, mu, sig, conv_phi, yos, rows, bundle, spec, derived), {}
     except StepError as err:
         if len(rows.params) == 1:
             return None, {0: err}
-    phi, mu, sig, conv_phi, yos = state
     done, errors = [], {}
     for j, p in enumerate(rows.params):
         try:
             done.append(_step_arrays(*(_rows(v)[j] for v in (phi, mu, sig, conv_phi)),
                                      tuple(_rows(v)[j] for v in yos), _lockstep([p]),
-                                     bundle, spec))
+                                     bundle, spec, _Derived._make(_rows(v)[j] for v in derived)))
         except StepError as err:
             errors[j] = err
     if not done:
         return None, errors
     phi, mu, sig = (_batch([d[k] for d in done]) for k in range(3))
     yos = tuple(_batch([d[3][k] for d in done]) for k in range(3))
-    return (phi, mu, sig, yos, StepOutcome([d[4].stats[0] for d in done])), errors
+    derived = _Derived._make(_batch([d[5][k] for d in done]) for k in range(len(derived)))
+    return (phi, mu, sig, yos, StepOutcome([d[4].stats[0] for d in done]), derived), errors
 
 
 @dataclass
@@ -427,7 +465,9 @@ def run_rows(inits: Sequence[InitialData], params: Sequence[ModelParams], bundle
     only on a step that fails on its own. With ``observe`` the trajectories
     store no snapshots: at every snapshot time, observe(t, runs, phi, mu,
     sig) receives the indices of the runs still going and their (runs, n)
-    rows.
+    rows. Each run's diagnostics records are made in blocks of at most
+    RECORD_BLOCK states, cut at every snapshot and before a failed run's
+    partial trajectory is returned.
     """
     if validate:
         for init, p in zip(inits, params):
@@ -444,8 +484,8 @@ def run_rows(inits: Sequence[InitialData], params: Sequence[ModelParams], bundle
     dt = params[0].dt
     grid = bundle.grid
 
-    # each state's J*phi and Yosida triple (value, derivative, resolvent)
-    # are computed once, shared by its record and the step leaving it
+    # each state's J*phi, Yosida triple (value, derivative, resolvent) and
+    # _Derived arrays are computed once, shared by its record and the step leaving it
     phi = _batch([init.phi0.values for init in inits])
     mu = _batch([init.mu0.values for init in inits])
     sig = _batch([init.sigma0.values for init in inits])
@@ -454,13 +494,27 @@ def run_rows(inits: Sequence[InitialData], params: Sequence[ModelParams], bundle
     trajs = [Trajectory(params=p) for p in params]
     results = list(trajs)
     runs, live = list(range(len(trajs))), _lockstep(params)
+    derived = _derive(phi, mu, live, bundle)
     stats = [StepStats(newton_iters=0, residual=0.0, mass_defect=0.0)] * len(runs)
+    # each run's states not yet recorded: make_record takes them as one block
+    pending = [[] for _ in trajs]
+
+    def flush(i):
+        if pending[i]:
+            t_, phi_, mu_, sig_, conv_, prox_, stats_ = zip(*pending[i])
+            trajs[i].records += diagnostics.make_record(
+                t_, np.stack(phi_), np.stack(mu_), np.stack(sig_), params[i], bundle, spec,
+                mass_defect=[s.mass_defect for s in stats_],
+                newton_iters=[s.newton_iters for s in stats_],
+                conv_phi=np.stack(conv_), prox=np.stack(prox_))
+            pending[i].clear()
 
     t = 0.0
     for k in range(n_steps + 1):
         if k > 0:
-            step, errors = _step_rows((phi, mu, sig, conv, yos), live, bundle, spec)
+            step, errors = _step_rows((phi, mu, sig, conv, yos, derived), live, bundle, spec)
             for j, err in errors.items():
+                flush(runs[j])
                 traj = trajs[runs[j]]
                 traj.complete = False
                 err.partial = traj
@@ -468,7 +522,7 @@ def run_rows(inits: Sequence[InitialData], params: Sequence[ModelParams], bundle
                 results[runs[j]] = err
             if step is None:
                 break
-            phi, mu, sig, yos, outcome = step
+            phi, mu, sig, yos, outcome, derived = step
             stats = outcome.stats
             if errors:
                 runs = [i for j, i in enumerate(runs) if j not in errors]
@@ -476,14 +530,16 @@ def run_rows(inits: Sequence[InitialData], params: Sequence[ModelParams], bundle
             t = k * dt
             conv = bundle.convolve_array(phi)
         rows = [_rows(v) for v in (phi, mu, sig)]
+        snapshot = k % snapshot_stride == 0 or k == n_steps
         if record_diagnostics:
             conv_rows, prox_rows = _rows(conv), _rows(yos[2])
             for j, i in enumerate(runs):
-                trajs[i].records.append(diagnostics.make_record(
-                    t, rows[0][j], rows[1][j], rows[2][j], params[i], bundle, spec,
-                    mass_defect=stats[j].mass_defect, newton_iters=stats[j].newton_iters,
-                    conv_phi=conv_rows[j], prox=prox_rows[j]))
-        if k % snapshot_stride == 0 or k == n_steps:
+                pending[i].append((t, rows[0][j], rows[1][j], rows[2][j], conv_rows[j],
+                                   prox_rows[j], stats[j]))
+            if snapshot or len(pending[runs[0]]) == RECORD_BLOCK:
+                for i in runs:
+                    flush(i)
+        if snapshot:
             if observe is not None:
                 observe(t, runs, *(v.reshape(len(runs), -1) for v in (phi, mu, sig)))
                 continue

@@ -232,6 +232,22 @@ def test_write_table_format(tmp_path, header, rows, footer, expected):
     assert (tmp_path / "t.csv").read_bytes() == expected.encode()
 
 
+@pytest.mark.parametrize("grid", [GridSpec(1, (2.0,), (50,)), GridSpec(2, (1.0, 3.0), (16, 24))],
+                         ids=["1d", "2d"])
+def test_field_csv_is_write_table_of_its_columns(tmp_path, grid):
+    # the grid's cached coordinate text serves every snapshot: each file
+    # equals write_table of the coordinate and value columns, byte for byte
+    rng = np.random.default_rng(3)
+    for k in range(3):
+        values = rng.standard_normal(grid.size) * 10.0 ** rng.uniform(-20, 20, grid.size)
+        values[:2] = (-0.0, math.inf)
+        columns = [c.reshape(-1) for c in grid.meshgrid()] + [values]
+        write_table(tmp_path / "want.csv", [*"xy"[:grid.dim], "value"],
+                    np.column_stack(columns).tolist())
+        write_field_csv(tmp_path / "got.csv", Field(grid, values, check=False))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 
 def test_norm_h_grad_2d():
     g = GridSpec(2, (1.0, 1.0), (32, 32))

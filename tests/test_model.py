@@ -19,6 +19,7 @@ from nlch.model import (
     h_default,
     h_one,
     h_tanh,
+    _derive,
     _lockstep,
     _step_arrays,
     make_smoothed_ic,
@@ -191,9 +192,11 @@ def test_barrier_safety_and_xi_invariant(grid64, bundle64, logpot):
     )
     phi, mu, sig = init.phi0.values, init.mu0.values, init.sigma0.values
     yos = yosida_with_derivative(logpot, params.lam_eff, phi)
+    rows = _lockstep([params])
+    derived = _derive(phi, mu, rows, bundle64)
     for k in range(20):
-        phi, mu, sig, yos, _ = _step_arrays(phi, mu, sig, bundle64.convolve_array(phi), yos,
-                                            _lockstep([params]), bundle64, logpot)
+        phi, mu, sig, yos, _, derived = _step_arrays(phi, mu, sig, bundle64.convolve_array(phi),
+                                                     yos, rows, bundle64, logpot, derived)
         assert np.max(np.abs(phi)) < 1.0
         expected = yosida_with_derivative(logpot, params.lam_eff, phi)
         for got, want in zip(yos, expected):
@@ -331,9 +334,10 @@ def test_unconverged_resolvent_fails_the_step_in_the_resolvent_phase(monkeypatch
     phi, mu, sig = (f.values for f in (problem.init.phi0, problem.init.mu0, problem.init.sigma0))
     yos = yosida_with_derivative(spec, params.lam_eff, phi)
     monkeypatch.setattr(nlch.potential, "_MAX_NEWTON", 1)
+    rows = _lockstep([params])
     with pytest.raises(StepError, match="resolvent failed") as err:
-        _step_arrays(phi, mu, sig, bundle.convolve_array(phi), yos, _lockstep([params]),
-                     bundle, spec)
+        _step_arrays(phi, mu, sig, bundle.convolve_array(phi), yos, rows, bundle, spec,
+                     _derive(phi, mu, rows, bundle))
     assert err.value.phase == "resolvent"
     assert isinstance(err.value.__cause__, SolverError)
     assert len(err.value.residual_history) == 1
@@ -342,8 +346,9 @@ def test_unconverged_resolvent_fails_the_step_in_the_resolvent_phase(monkeypatch
 def _first_step(problem, params, sig):
     phi, mu = problem.init.phi0.values, problem.init.mu0.values
     yos = yosida_with_derivative(problem.spec, params.lam_eff, phi)
-    return _step_arrays(phi, mu, sig, problem.bundle.convolve_array(phi), yos,
-                        _lockstep([params]), problem.bundle, problem.spec)
+    rows = _lockstep([params])
+    return _step_arrays(phi, mu, sig, problem.bundle.convolve_array(phi), yos, rows,
+                        problem.bundle, problem.spec, _derive(phi, mu, rows, problem.bundle))
 
 
 def test_non_finite_newton_residual_fails_the_step():

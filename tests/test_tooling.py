@@ -8,12 +8,15 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
+
 import nlch.grid
 from nlch.asymptotics import SweepPlan, _member_setup
 from nlch.cli import main
 from nlch.config import SCHEMA, build_problem, load_config
 from nlch.diagnostics import write_diagnostics_csv
-from nlch.model import run
+from nlch.model import StepOutcome, _derive, _lockstep, _step_arrays, run
+from nlch.potential import yosida_with_derivative
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -126,6 +129,30 @@ def test_traced_lockstep_sweep_counts_every_rows_newton_iterations(monkeypatch, 
     per_row = sum(rec.newton_iters for init, params in runs
                   for rec in run(init, params, plan.bundle, plan.spec, validate=False).records)
     assert tracer.counts["model.step.newton_iters"] == per_row
+
+
+def test_traced_internals_keep_their_contract(monkeypatch):
+    # perfbench/tracing.py reads .newton_iters off item 4 of what
+    # _step_arrays returns, and wraps diagnostics.make_record, which
+    # run_rows calls once per block of recorded states
+    problem = build_problem(load_config(str(ROOT / "configs" / "default.cfg"), ["model.T=0.05"]))
+    params, bundle, spec = problem.params, problem.bundle, problem.spec
+    phi, mu, sig = (f.values for f in (problem.init.phi0, problem.init.mu0, problem.init.sigma0))
+    rows = _lockstep([params])
+    out = _step_arrays(phi, mu, sig, bundle.convolve_array(phi),
+                       yosida_with_derivative(spec, params.lam_eff, phi), rows, bundle, spec,
+                       _derive(phi, mu, rows, bundle))
+    assert isinstance(out[4], StepOutcome) and out[4].newton_iters >= 1
+    assert all(isinstance(v, np.ndarray) for v in out[:3])
+
+    tracing = _tracing(monkeypatch)
+    with tracing.Tracer().installed() as tracer:
+        traj = run(problem.init, params, bundle, spec, snapshot_stride=25)
+    totals = tracer.layer_totals()
+    # states 0-50, cut at the snapshots 0, 25 and 50 and after 8 states
+    assert totals["diagnostics.make_record"]["calls"] == 9
+    assert totals["model.step"]["calls"] == 50
+    assert tracer.counts["model.step.newton_iters"] == sum(r.newton_iters for r in traj.records)
 
 
 def test_tracer_counts_cg_iterations_through_the_first_use_import(monkeypatch):
