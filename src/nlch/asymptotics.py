@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field, fields as dataclass_fields
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -75,8 +74,7 @@ def _joint_monitors(p: ModelParams, spec: PotentialSpec, init: InitialData) -> d
     }
 
 
-@dataclass(frozen=True)
-class Limit:
+class Limit(NamedTuple):
     """One relaxation limit of the paper and the sweep that measures it.
 
     ``zeroed`` names the parameters the limit system sets to zero;
@@ -144,27 +142,23 @@ def fixed_positive(mode: str, eps: float, tau: float) -> None:
                                   value=value)
 
 
-@dataclass
 class SweepPlan:
     """One relaxation-limit experiment.
 
     mode names an entry of LIMITS. The values sequence lists the swept
     parameter (eps for mode 'eps', tau otherwise), strictly decreasing
-    and at least 1e-8.
+    and at least 1e-8; it is stored as a tuple of floats.
     """
 
-    mode: str
-    values: tuple[float, ...]
-    base_params: ModelParams
-    init: InitialData
-    bundle: KernelBundle
-    spec: PotentialSpec
-    m0_cap: float = 100.0
+    __slots__ = ("mode", "values", "base_params", "init", "bundle", "spec", "m0_cap")
 
-    def __post_init__(self):
-        if self.mode not in LIMITS:
-            raise ConfigError(f"sweep mode must be one of {', '.join(LIMITS)}; got {self.mode!r}")
-        self.values = sweep_values(self.values)
+    def __init__(self, mode: str, values, base_params: ModelParams, init: InitialData,
+                 bundle: KernelBundle, spec: PotentialSpec, m0_cap: float = 100.0):
+        if mode not in LIMITS:
+            raise ConfigError(f"sweep mode must be one of {', '.join(LIMITS)}; got {mode!r}")
+        self.mode, self.values = mode, sweep_values(values)
+        self.base_params, self.init, self.bundle, self.spec = base_params, init, bundle, spec
+        self.m0_cap = m0_cap
 
     @property
     def limit(self) -> Limit:
@@ -174,23 +168,29 @@ class SweepPlan:
         return self.base_params.with_params(**dict.fromkeys(self.limit.zeroed, 0.0))
 
 
-@dataclass
 class ErrorReport:
-    """Per-sweep distances and the fitted convergence rate."""
+    """Per-sweep distances and the fitted convergence rate.
 
-    mode: str
-    parameter_values: list[float]
-    distances: list[TrajectoryDistance]
-    totals: list[float]
-    theoretical_slope: float
-    floor: float
-    slope: float | None = None
-    intercept: float | None = None
-    fit_residual: float | None = None
-    used_in_fit: list[bool] = dc_field(default_factory=list)
-    monotone_ok: bool = True
-    incomplete: bool = False
-    notes: list[str] = dc_field(default_factory=list)
+    A list left out starts empty; sweep fills the lists and sets the fit
+    and the flags as it goes.
+    """
+
+    __slots__ = ("mode", "parameter_values", "distances", "totals", "theoretical_slope",
+                 "floor", "slope", "intercept", "fit_residual", "used_in_fit", "monotone_ok",
+                 "incomplete", "notes")
+
+    def __init__(self, mode: str, parameter_values: list[float],
+                 distances: list[TrajectoryDistance], totals: list[float],
+                 theoretical_slope: float, floor: float, slope: float | None = None,
+                 intercept: float | None = None, fit_residual: float | None = None,
+                 used_in_fit: list[bool] | None = None, monotone_ok: bool = True,
+                 incomplete: bool = False, notes: list[str] | None = None):
+        self.mode, self.parameter_values, self.distances = mode, parameter_values, distances
+        self.totals, self.theoretical_slope, self.floor = totals, theoretical_slope, floor
+        self.slope, self.intercept, self.fit_residual = slope, intercept, fit_residual
+        self.used_in_fit = [] if used_in_fit is None else used_in_fit
+        self.monotone_ok, self.incomplete = monotone_ok, incomplete
+        self.notes = [] if notes is None else notes
 
 
 def fit_rate(values, errors) -> tuple[float, float, float]:
@@ -339,8 +339,7 @@ def sweep(plan: SweepPlan, constants: DerivedConstants | None = None) -> ErrorRe
 
 
 def write_rates_csv(path, report: ErrorReport):
-    names = [f.name for f in dataclass_fields(TrajectoryDistance)]
-    rows = [(v, *d.as_dict().values(), tot, use) for v, d, tot, use in zip(
+    rows = [(v, *d, tot, use) for v, d, tot, use in zip(
         report.parameter_values, report.distances, report.totals, report.used_in_fit)]
     fit = [] if report.slope is None else [
         ("fitted_slope", report.slope), ("intercept", report.intercept),
@@ -348,11 +347,11 @@ def write_rates_csv(path, report: ErrorReport):
     footer = [("mode", report.mode), ("theoretical_slope", report.theoretical_slope), *fit,
               ("dt_floor", report.floor), ("monotone_ok", report.monotone_ok),
               ("incomplete", report.incomplete)]
-    write_table(path, ["parameter", *names, "total", "used_in_fit"], rows, footer)
+    write_table(path, ["parameter", *TrajectoryDistance._fields, "total", "used_in_fit"], rows,
+                footer)
 
 
-@dataclass
-class StabilityRow:
+class StabilityRow(NamedTuple):
     delta: float
     lhs: float
     rhs: float

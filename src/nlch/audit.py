@@ -13,8 +13,7 @@ rows. Results are never emitted without a persisted audit verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -36,8 +35,7 @@ if TYPE_CHECKING:
 EPS0_SAFETY = 0.9
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
+class DerivedConstants(NamedTuple):
     """Geometry and kernel constants consumed by the admission gates.
 
     ``eps0`` is None when C0 <= 0, and ``c_f`` for a barrier well."""
@@ -56,8 +54,7 @@ def derive_constants(bundle: KernelBundle, spec: PotentialSpec) -> DerivedConsta
     return DerivedConstants(c0=c0, c_omega=c_omega, eps0=eps0, c_f=check_growth(spec))
 
 
-@dataclass
-class AuditCheck:
+class AuditCheck(NamedTuple):
     name: str
     applicable: bool
     passed: bool
@@ -70,8 +67,7 @@ class AuditCheck:
         return f"[{status}] {self.name}: {self.detail}"
 
 
-@dataclass
-class AuditReport:
+class AuditReport(NamedTuple):
     checks: list[AuditCheck]
     constants: DerivedConstants
 
@@ -97,8 +93,7 @@ class AuditReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class GateInput:
+class GateInput(NamedTuple):
     """What the gates read. ``constants`` is derive_constants of the bundle
     and the spec; the initial-data rows read neither."""
 

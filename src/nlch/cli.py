@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, asymptotics, diagnostics  # galerkin, verify: imported where run
+from . import __version__, diagnostics  # asymptotics, galerkin, verify: imported where run
 from .audit import audit as run_audit
 from .config import build_problem, load_config
 from .errors import AssumptionError, ConfigError, NlchError, StepError
@@ -33,6 +33,8 @@ from .grid import write_field, write_field_csv, write_table
 from .model import derive_constants, run  # noqa: F401  derive_constants: a traced call site
 
 MANIFEST_VERSION = 1
+# the keys of asymptotics.LIMITS, one sweep-<mode> command each
+SWEEP_MODES = ("eps", "tau", "joint")
 ORACLE_NOTE = ("Runs the stepper and the oracle at eps = tau = 0.1, whatever model.eps and "
                "model.tau say. The kernel must admit eps = 0.1 (0.1 < 0.9 eps0), as "
                "configs/rate-study.cfg does; the built-in default kernel gives "
@@ -45,7 +47,7 @@ def _parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--version", action="version", version=f"nlch {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("audit", "simulate", *(f"sweep-{mode}" for mode in asymptotics.LIMITS),
+    for name in ("audit", "simulate", *(f"sweep-{mode}" for mode in SWEEP_MODES),
                  "stability", "verify", "oracle-compare"):
         p = sub.add_parser(name, description=ORACLE_NOTE if name == "oracle-compare" else None)
         p.add_argument("--config", default=None, help="key=value configuration file")
@@ -141,6 +143,8 @@ def _positive(cfg, key: str) -> float:
 
 
 def _sweep_command(args) -> int:
+    from . import asymptotics
+
     mode = args.command.removeprefix("sweep-")
     cfg = load_config(args.config, args.set)
     T, dt = _positive(cfg, "sweep.t"), _positive(cfg, "sweep.dt")
@@ -189,6 +193,8 @@ def _sweep_command(args) -> int:
 
 
 def _cmd_stability(args) -> int:
+    from . import asymptotics
+
     cfg = load_config(args.config, args.set)
     deltas = cfg["stability.deltas"]
     taus = cfg["stability.taus"]
@@ -271,7 +277,7 @@ def main(argv=None) -> int:
     handlers = {
         "audit": _cmd_audit,
         "simulate": _cmd_simulate,
-        **dict.fromkeys((f"sweep-{mode}" for mode in asymptotics.LIMITS), _sweep_command),
+        **dict.fromkeys((f"sweep-{mode}" for mode in SWEEP_MODES), _sweep_command),
         "stability": _cmd_stability,
         "verify": _cmd_verify,
         "oracle-compare": _cmd_oracle_compare,

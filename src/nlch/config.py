@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,9 +89,13 @@ SCHEMA: dict[str, tuple] = {
 }
 
 
-@dataclass
 class RunConfig:
-    entries: dict
+    """A parsed configuration: ``entries`` maps every SCHEMA key to its typed value."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: dict):
+        self.entries = entries
 
     def __getitem__(self, key):
         return self.entries[key]
@@ -293,8 +297,7 @@ def build_initial_data(cfg: RunConfig, grid: GridSpec, seed: int = 0) -> Initial
     raise ConfigError(f"unknown ic family {family!r}")
 
 
-@dataclass
-class Problem:
+class Problem(NamedTuple):
     """Everything needed to run: grid, kernel bundle, potential, params, data."""
 
     config: RunConfig

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields as dataclass_fields
-from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,9 +28,9 @@ from .kernel import KernelBundle, nonlocal_energy_density, nonlocal_energy_rows
 from .potential import PotentialSpec, f_eval, f_lambda_eval
 
 
-@dataclass
-class DiagnosticsRecord:
-    """One row of the per-step time series."""
+class DiagnosticsRecord(NamedTuple):
+    """One row of the per-step time series; the fields, in order, are the
+    columns of diagnostics.csv."""
 
     t: float
     mass_balance_residual: float
@@ -99,9 +98,9 @@ def make_record(t, phi, mu, sigma, params, bundle, spec, mass_defect, newton_ite
                     np.abs(phi).max(axis=-1).tolist(), e_nl, newton_iters))
 
 
-@dataclass(frozen=True)
-class TrajectoryDistance:
-    """Norms of the difference of two trajectories on a shared time grid."""
+class TrajectoryDistance(NamedTuple):
+    """Norms of the difference of two trajectories on a shared time grid;
+    the fields, in order, are the columns of distances.csv and rates.csv."""
 
     linf_h_phi: float
     l2_h_phi: float
@@ -115,11 +114,11 @@ class TrajectoryDistance:
     def total(self, weights: dict | None = None) -> float:
         """Weighted sum of components; unit weights when none given."""
         if weights is None:
-            weights = {f.name: 1.0 for f in dataclass_fields(self)}
+            weights = dict.fromkeys(self._fields, 1.0)
         return sum(w * getattr(self, name) for name, w in weights.items())
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
+        return self._asdict()
 
 
 def check_alignment(t1, t2, dt: float):
@@ -194,7 +193,7 @@ class RowDistances:
         """The row's TrajectoryDistance to row 0; components not normed are nan."""
         norms = self.norms[row]
         out = {}
-        for name in (f.name for f in dataclass_fields(TrajectoryDistance)):
+        for name in TrajectoryDistance._fields:
             if name not in norms:
                 out[name] = math.nan
             elif name.startswith("linf"):
@@ -220,7 +219,7 @@ def distance(traj1, traj2, eps: float | None = None,
     if eps is None:
         eps = traj1.params.eps
     if components is None:
-        components = {f.name for f in dataclass_fields(TrajectoryDistance)}
+        components = set(TrajectoryDistance._fields)
     tracker = RowDistances(traj1.phis[0].grid, components, [eps, eps])
     for t, *pairs in zip(traj1.times, zip(traj1.phis, traj2.phis),
                          zip(traj1.mus, traj2.mus), zip(traj1.sigmas, traj2.sigmas)):
@@ -264,10 +263,8 @@ def theorem_probe_separation(traj, ell: float):
 
 def write_diagnostics_csv(path, records):
     """diagnostics.csv: one column per DiagnosticsRecord field, one row per record."""
-    names = [f.name for f in dataclass_fields(DiagnosticsRecord)]
-    write_table(path, names, list(map(attrgetter(*names), records)))
+    write_table(path, DiagnosticsRecord._fields, records)
 
 
 def write_distances_csv(path, rows: list[tuple[str, TrajectoryDistance]]):
-    names = [f.name for f in dataclass_fields(TrajectoryDistance)]
-    write_table(path, ["pair", *names], [(label, *d.as_dict().values()) for label, d in rows])
+    write_table(path, ["pair", *TrajectoryDistance._fields], [(label, *d) for label, d in rows])

@@ -28,8 +28,7 @@ cells. The measured stepper-vs-oracle gap includes that difference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,8 +45,7 @@ from .model import ModelParams
 from .potential import PotentialSpec, f_prime_regularized, yosida_with_derivative
 
 
-@dataclass(frozen=True)
-class SpectralBasis:
+class SpectralBasis(NamedTuple):
     """Cosine eigenbasis of the Neumann Laplacian sampled at cell centers."""
 
     grid: GridSpec
@@ -97,8 +95,7 @@ def reconstruct(coeffs: np.ndarray, basis: SpectralBasis) -> Field:
     return Field(basis.grid, basis.functions @ np.asarray(coeffs))
 
 
-@dataclass(frozen=True)
-class GalerkinOperator:
+class GalerkinOperator(NamedTuple):
     """Precomputed matrices of the projected system."""
 
     basis: SpectralBasis

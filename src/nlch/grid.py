@@ -25,7 +25,6 @@ import itertools
 import os
 import struct
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,39 +69,53 @@ CG_ITER_FACTOR = 50
 _MAGIC = b"NLCHF1"
 
 
-@dataclass(frozen=True)
 class GridSpec:
-    """Uniform rectangular grid on [0, extent_1] x ... with cell-centered samples."""
+    """Uniform rectangular grid on [0, extent_1] x ... with cell-centered samples.
 
-    dim: int
-    extent: tuple[float, ...]
-    cells: tuple[int, ...]
-    # derived once per grid: the stepper reads them on every call
-    spacing: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    size: int = field(init=False, repr=False, compare=False)
-    cell_volume: float = field(init=False, repr=False, compare=False)
-    measure: float = field(init=False, repr=False, compare=False)
+    Immutable, and equal and hashed by (dim, extent, cells): grids key the
+    per-grid caches (_neumann_spectrum, _field_csv_template).
+    """
 
-    def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ConfigError(f"grid dim must be 1 or 2, got {self.dim}")
-        object.__setattr__(self, "extent", tuple(float(e) for e in self.extent))
-        object.__setattr__(self, "cells", tuple(int(c) for c in self.cells))
-        if len(self.extent) != self.dim or len(self.cells) != self.dim:
+    # spacing, size, cell_volume and measure are derived once per grid:
+    # the stepper reads them on every call
+    __slots__ = ("dim", "extent", "cells", "spacing", "size", "cell_volume", "measure")
+
+    def __init__(self, dim: int, extent: tuple[float, ...], cells: tuple[int, ...]):
+        if dim not in (1, 2):
+            raise ConfigError(f"grid dim must be 1 or 2, got {dim}")
+        extent = tuple(float(e) for e in extent)
+        cells = tuple(int(c) for c in cells)
+        if len(extent) != dim or len(cells) != dim:
             raise ConfigError("extent and cells must have one entry per axis")
-        if any(e <= 0 for e in self.extent):
-            raise ConfigError(f"extents must be positive, got {self.extent}")
-        if any(c < 4 for c in self.cells):
-            raise ConfigError(f"need at least 4 cells per axis, got {self.cells}")
-        spacing = tuple(e / c for e, c in zip(self.extent, self.cells))
+        if any(e <= 0 for e in extent):
+            raise ConfigError(f"extents must be positive, got {extent}")
+        if any(c < 4 for c in cells):
+            raise ConfigError(f"need at least 4 cells per axis, got {cells}")
+        spacing = tuple(e / c for e, c in zip(extent, cells))
         size, cell_volume, measure = 1, 1.0, 1.0
-        for c, h, e in zip(self.cells, spacing, self.extent):
+        for c, h, e in zip(cells, spacing, extent):
             size *= c
             cell_volume *= h
             measure *= e
-        for name, value in (("spacing", spacing), ("size", size),
+        for name, value in (("dim", dim), ("extent", extent), ("cells", cells),
+                            ("spacing", spacing), ("size", size),
                             ("cell_volume", cell_volume), ("measure", measure)):
             object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GridSpec is immutable")
+
+    def _key(self):
+        return self.dim, self.extent, self.cells
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is GridSpec else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"GridSpec(dim={self.dim}, extent={self.extent}, cells={self.cells})"
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -421,6 +434,9 @@ def dual_norms(grid: GridSpec, rows: np.ndarray) -> list[float]:
             for v, w in zip(rows, u)]
 
 
+_NON_FINITE_INPUT = "diffusion system has a non-finite diagonal or right-hand side"
+
+
 @functools.lru_cache(maxsize=32)
 def _off_diagonal(rows: int, n: int, c: float) -> np.ndarray:
     """Read-only off-diagonal of ``rows`` stacked n-cell 1D diffusion matrices.
@@ -448,20 +464,26 @@ def solve_shifted_diffusion(
     the stepper's implicit pieces and every 1D solve_helmholtz and dual
     norm. 2D runs one preconditioned CG over all rows (_cg_solve), each
     converged to a normwise backward error of BACKWARD_TOL; a
-    constant-coefficient solve takes one iteration. Non-finite input
-    raises SolverError.
+    constant-coefficient solve takes one iteration. Non-finite input, or
+    a non-finite solution, raises SolverError.
+
+    The diagonal is checked by its extrema. A direct solve with a finite
+    positive diagonal turns a non-finite right-hand side into a
+    non-finite solution, so one scan of the solution checks both; the
+    CG, which would freeze a non-finite row at zero, checks its
+    right-hand side first.
     """
     d = np.asarray(diag, dtype=float)
     if d.shape != rhs.shape:
         d = np.broadcast_to(d, rhs.shape)
-    if not (np.isfinite(d).all() and np.isfinite(rhs).all()):
-        raise SolverError("diffusion system has a non-finite diagonal or right-hand side")
-    d_min = d.min()
+    d_min, d_max = d.min(), d.max()
+    if not -np.inf < d_min <= d_max < np.inf:  # NaN fails every comparison
+        raise SolverError(_NON_FINITE_INPUT)
     if d_min <= 0:
         raise SolverError(f"diffusion system not positive definite: min diag {d_min:.3e}")
     if lap_coeff == 0.0:
-        return rhs / d
-    if grid.dim == 1:
+        x = rhs / d
+    elif grid.dim == 1:
         n = grid.cells[0]
         c = lap_coeff / grid.spacing[0] ** 2
         main = d + 2.0 * c
@@ -473,9 +495,17 @@ def solve_shifted_diffusion(
         _, _, _, x, info = dgtsv(off, main.ravel(), off, rhs.ravel())
         if info != 0:
             raise SolverError(f"tridiagonal solve failed: LAPACK gtsv info {info}")
-        return x if rhs.ndim == 1 else x.reshape(rhs.shape)
-    rows = rhs.reshape(-1, grid.size)
-    return _cg_solve(grid, d.reshape(rows.shape), lap_coeff, rows).reshape(rhs.shape)
+        if rhs.ndim != 1:
+            x = x.reshape(rhs.shape)
+    else:
+        if not np.isfinite(rhs).all():
+            raise SolverError(_NON_FINITE_INPUT)
+        rows = rhs.reshape(-1, grid.size)
+        x = _cg_solve(grid, d.reshape(rows.shape), lap_coeff, rows).reshape(rhs.shape)
+    if not np.isfinite(x).all():
+        raise SolverError(_NON_FINITE_INPUT if not np.isfinite(rhs).all()
+                          else "diffusion solve returned non-finite values")
+    return x
 
 
 def estimate_poincare_constant(grid: GridSpec) -> float:

@@ -15,7 +15,6 @@ the epsilon_0 threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +24,6 @@ from .errors import ConfigError, DimensionError
 from .grid import Field, GridSpec
 
 
-@dataclass(frozen=True)
 class KernelSpec:
     """Radial convolution kernel selected by family.
 
@@ -36,37 +34,36 @@ class KernelSpec:
     All families are radial, hence even, so the operator is self-adjoint.
     """
 
-    family: str
-    width: float = 1.0
-    delta: float = 0.1
-    cutoff: float = np.inf
-    normalization: float = 1.0
-    table: tuple[tuple[float, ...], tuple[float, ...]] | None = None
+    __slots__ = ("family", "width", "delta", "cutoff", "normalization", "table")
 
-    def __post_init__(self):
-        if self.family not in ("gaussian", "newtonian", "tabulated"):
-            raise ConfigError(f"unknown kernel family {self.family!r}")
-        if self.family == "gaussian" and self.width <= 0:
+    def __init__(self, family: str, width: float = 1.0, delta: float = 0.1,
+                 cutoff: float = np.inf, normalization: float = 1.0,
+                 table: tuple[tuple[float, ...], tuple[float, ...]] | None = None):
+        if family not in ("gaussian", "newtonian", "tabulated"):
+            raise ConfigError(f"unknown kernel family {family!r}")
+        if family == "gaussian" and width <= 0:
             raise ConfigError("gaussian kernel needs width > 0")
-        if self.family == "newtonian":
-            if self.delta <= 0:
+        if family == "newtonian":
+            if delta <= 0:
                 raise ConfigError(
                     "newtonian kernel needs regularization delta > 0 "
                     "(the raw kernel is singular on the grid)"
                 )
-            if self.cutoff <= 0:
+            if cutoff <= 0:
                 raise ConfigError("newtonian kernel needs cutoff > 0")
-        if self.family == "tabulated":
-            if self.table is None:
+        if family == "tabulated":
+            if table is None:
                 raise ConfigError("tabulated kernel needs a (radii, values) table")
-            radii = np.asarray(self.table[0], dtype=float)
-            vals = np.asarray(self.table[1], dtype=float)
+            radii = np.asarray(table[0], dtype=float)
+            vals = np.asarray(table[1], dtype=float)
             if radii.size != vals.size or radii.size < 2:
                 raise ConfigError("kernel table needs matching radius/value columns")
             if not np.all(np.isfinite(vals)):
                 raise ConfigError("kernel table values must be finite")
             if np.any(np.diff(radii) <= 0):
                 raise ConfigError("kernel table radii must be strictly increasing")
+        self.family, self.width, self.delta = family, width, delta
+        self.cutoff, self.normalization, self.table = cutoff, normalization, table
 
     def profile(self, r: np.ndarray) -> np.ndarray:
         """Kernel value as a function of radius (normalization included)."""
@@ -156,8 +153,7 @@ def _offset_radii(grid: GridSpec) -> np.ndarray:
     return np.sqrt(sum(d * d for d in np.meshgrid(*axes, indexing="ij")))
 
 
-@dataclass(frozen=True)
-class KernelBundle:
+class KernelBundle(NamedTuple):
     """Ready-to-apply convolution operator plus the derived constants."""
 
     spec: KernelSpec
@@ -167,11 +163,11 @@ class KernelBundle:
     a_sup: float
     b_sup: float
     c_a: float
-    _fast: _FastConvolution = field(repr=False)
+    fast: _FastConvolution
 
     def convolve_array(self, vals: np.ndarray) -> np.ndarray:
         """Fast path on raw sample arrays (same quadrature as convolve)."""
-        return self._fast.apply(vals)
+        return self.fast.apply(vals)
 
 
 def build(spec: KernelSpec, grid: GridSpec) -> KernelBundle:
@@ -208,7 +204,7 @@ def build(spec: KernelSpec, grid: GridSpec) -> KernelBundle:
         a_sup=a_sup,
         b_sup=b_sup,
         c_a=c_a,
-        _fast=fast,
+        fast=fast,
     )
 
 
@@ -216,7 +212,7 @@ def convolve(bundle: KernelBundle, v: Field) -> Field:
     """J*v with the integral over the domain only (zero extension outside)."""
     if v.grid != bundle.grid:
         raise DimensionError("field grid does not match the kernel bundle")
-    return Field(bundle.grid, bundle._fast.apply(v.values))
+    return Field(bundle.grid, bundle.fast.apply(v.values))
 
 
 def convolve_direct(bundle: KernelBundle, v: Field) -> Field:

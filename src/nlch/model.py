@@ -24,7 +24,6 @@ single run (run) is the one-row batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -89,36 +88,33 @@ H_FAMILIES = {
 }
 
 
-@dataclass
 class ModelParams:
-    """Physical and numerical parameters of one run."""
+    """Physical and numerical parameters of one run.
 
-    eps: float = 0.0
-    tau: float = 0.0
-    P: float = 0.0
-    A: float = 0.0
-    B: float = 0.0
-    C: float = 0.0
-    chi: float = 0.0
-    eta: float = 0.0
-    sigma_s: float = 0.0
-    h: Callable = h_default
-    lam: float = 1e-3
-    dt: float = 1e-3
-    T: float = 1.0
+    Every construction, with_params included, rejects numerical settings
+    no run can use and an h outside H_FAMILIES; the model's hypotheses
+    are the rows of the gate table in nlch.audit.
+    """
 
-    def __post_init__(self):
-        """Reject numerical settings no run can use, and an h outside
-        H_FAMILIES; the model's hypotheses are the rows of the gate table
-        in nlch.audit."""
-        if all(profile.h is not self.h for profile in H_FAMILIES.values()):
+    # the order of the fields, as the constructor takes them positionally
+    __slots__ = ("eps", "tau", "P", "A", "B", "C", "chi", "eta", "sigma_s", "h", "lam", "dt",
+                 "T")
+
+    def __init__(self, eps: float = 0.0, tau: float = 0.0, P: float = 0.0, A: float = 0.0,
+                 B: float = 0.0, C: float = 0.0, chi: float = 0.0, eta: float = 0.0,
+                 sigma_s: float = 0.0, h: Callable = h_default, lam: float = 1e-3,
+                 dt: float = 1e-3, T: float = 1.0):
+        if all(profile.h is not h for profile in H_FAMILIES.values()):
             raise ConfigError(f"h must be a profile of H_FAMILIES ({', '.join(H_FAMILIES)}), "
-                              f"got {self.h!r}")
+                              f"got {h!r}")
+        self.eps, self.tau, self.P, self.A, self.B, self.C = eps, tau, P, A, B, C
+        self.chi, self.eta, self.sigma_s, self.h = chi, eta, sigma_s, h
+        self.lam, self.dt, self.T = lam, dt, T
         for name in ("eps", "tau", "P", "A", "B", "C", "chi", "eta", "sigma_s", "lam", "dt", "T"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        for name, rule, ok in (("dt", "> 0", self.dt > 0), ("T", ">= 0", self.T >= 0),
-                               ("lam", "> 0", self.lam > 0)):
+        for name, rule, ok in (("dt", "> 0", dt > 0), ("T", ">= 0", T >= 0),
+                               ("lam", "> 0", lam > 0)):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
 
@@ -133,11 +129,11 @@ class ModelParams:
         return min(self.lam, self.dt)
 
     def with_params(self, **kw) -> "ModelParams":
-        return replace(self, **kw)
+        """A copy with the fields of ``kw`` replaced, validated as a new one."""
+        return ModelParams(**{name: getattr(self, name) for name in self.__slots__} | kw)
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     """The fields diagnostics.energy and diagnostics.lyapunov read."""
 
     phi: Field
@@ -145,8 +141,7 @@ class State:
     sigma: Field
 
 
-@dataclass(frozen=True)
-class InitialData:
+class InitialData(NamedTuple):
     phi0: Field
     mu0: Field
     sigma0: Field
@@ -173,8 +168,7 @@ def admit_run(init: InitialData, params: ModelParams, bundle: KernelBundle,
     admit(gate(GateInput(params, spec=spec, init=init)) for gate in (ip_init, ip_infty))
 
 
-@dataclass
-class StepStats:
+class StepStats(NamedTuple):
     """One row's step: its Newton iterations, final residual and mass defect."""
 
     newton_iters: int
@@ -182,8 +176,7 @@ class StepStats:
     mass_defect: float
 
 
-@dataclass
-class StepOutcome:
+class StepOutcome(NamedTuple):
     """One lockstep step: each row's StepStats."""
 
     stats: list
@@ -264,14 +257,11 @@ def _derive(phi, mu, rows: _Lockstep, bundle: KernelBundle) -> _Derived:
 
 def _solve(grid, diag, dt, rhs, phase, history):
     """solve_shifted_diffusion, failing the step in ``phase`` if the solve
-    fails or returns a non-finite value."""
+    fails; a non-finite input or solution is a SolverError there."""
     try:
-        x = solve_shifted_diffusion(grid, diag, dt, rhs)
+        return solve_shifted_diffusion(grid, diag, dt, rhs)
     except SolverError as err:
         raise StepError(f"{phase} linear solve failed: {err}", history, phase) from err
-    if not np.isfinite(x).all():
-        raise StepError(f"{phase} linear solve returned non-finite values", history, phase)
-    return x
 
 
 def _step_arrays(phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: KernelBundle,
@@ -434,21 +424,27 @@ def _step_rows(state, rows: _Lockstep, bundle: KernelBundle, spec: PotentialSpec
     return (phi, mu, sig, yos, StepOutcome([d[4].stats[0] for d in done]), derived), errors
 
 
-@dataclass
 class Trajectory:
-    """Recorded run: snapshots at the configured stride plus per-step records."""
+    """Recorded run: snapshots at the configured stride plus per-step records.
 
-    params: ModelParams
-    times: list[float] = field(default_factory=list)
-    phis: list[Field] = field(default_factory=list)
-    mus: list[Field] = field(default_factory=list)
-    sigmas: list[Field] = field(default_factory=list)
-    records: list = field(default_factory=list)
-    complete: bool = True
+    A list left out starts empty; run_rows appends to the lists and clears
+    ``complete`` when a step fails.
+    """
+
+    __slots__ = ("params", "times", "phis", "mus", "sigmas", "records", "complete")
+
+    def __init__(self, params: ModelParams, times: list[float] | None = None,
+                 phis: list[Field] | None = None, mus: list[Field] | None = None,
+                 sigmas: list[Field] | None = None, records: list | None = None,
+                 complete: bool = True):
+        self.params = params
+        self.times, self.phis, self.mus, self.sigmas, self.records = (
+            [] if v is None else v for v in (times, phis, mus, sigmas, records))
+        self.complete = complete
 
 
 # the parameters that runs stepped in lockstep share: all but eps and tau
-_SHARED = [f.name for f in fields(ModelParams) if f.name not in ("eps", "tau")]
+_SHARED = [name for name in ModelParams.__slots__ if name not in ("eps", "tau")]
 
 
 def run_rows(inits: Sequence[InitialData], params: Sequence[ModelParams], bundle: KernelBundle,

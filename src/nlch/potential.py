@@ -16,7 +16,6 @@ implicit/explicit splitting seen by the time stepper, never F itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -37,18 +36,17 @@ class Chart(NamedTuple):
     slope: Callable
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
+class PotentialSpec(NamedTuple):
     family: str
     ell: float
     f1: Callable
     f2: Callable
     f2_prime: Callable
     f2_second: Callable
+    params: dict
     f1_prime: Callable | None = None
     f1_second: Callable | None = None
     chart: Chart | None = None
-    params: dict = field(default_factory=dict)
 
     @property
     def has_barrier(self) -> bool:
@@ -213,7 +211,8 @@ def _resolvent_and_yosida(spec: PotentialSpec, lam: float, r: np.ndarray):
     last F1'(s) of the resolvent, which is (r - s) / lam without the quotient's
     cancellation of log10(1/lam) digits, except for the obstacle's clip."""
     if spec.is_obstacle:
-        s = np.clip(r, -spec.ell, spec.ell)
+        # np.clip without its Python-level wrapper
+        s = np.minimum(np.maximum(r, -spec.ell), spec.ell)
         return s, (r - s) / lam
     return _resolvent_newton(spec, lam, r)
 

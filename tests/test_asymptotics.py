@@ -65,6 +65,25 @@ def test_fit_rate_noisy_recovery():
     assert abs(slope - 0.3) <= 3.0 * se
 
 
+def test_error_report_takes_appends_and_flag_updates():
+    report = ErrorReport(mode="tau", parameter_values=[], distances=[], totals=[],
+                         theoretical_slope=0.5, floor=1e-6)
+    assert (report.slope, report.used_in_fit, report.notes) == (None, [], [])
+    assert (report.monotone_ok, report.incomplete) == (True, False)
+    report.parameter_values.append(1e-2)
+    report.totals.append(3e-3)
+    report.used_in_fit = [True]
+    report.notes.append("note")
+    report.slope, report.intercept, report.fit_residual = 0.5, -1.0, 0.0
+    report.monotone_ok, report.incomplete = False, True
+    assert (report.parameter_values, report.totals, report.used_in_fit, report.notes) == (
+        [1e-2], [3e-3], [True], ["note"])
+    assert (report.slope, report.monotone_ok, report.incomplete) == (0.5, False, True)
+    # each report starts with lists of its own
+    other = ErrorReport("eps", [], [], [], 0.25, 0.0)
+    assert (other.used_in_fit, other.notes) == ([], [])
+
+
 def test_fit_rate_guards():
     with pytest.raises(FitError):
         fit_rate([1e-1, 1e-2], [1.0, 0.1])

@@ -46,6 +46,22 @@ def test_gridspec_invariants():
         GridSpec(1, (-1.0,), (8,))
 
 
+def test_equal_grids_share_their_cached_spectrum():
+    # grids are equal and hash alike by (dim, extent, cells), whatever
+    # number types built them, so one spectrum serves both
+    g1, g2 = GridSpec(2, (1.0, 0.75), (12, 10)), GridSpec(2, [1, 0.75], [12.0, 10])
+    assert g1 == g2 and hash(g1) == hash(g2) and g1 is not g2
+    assert g1 != GridSpec(2, (1.0, 0.75), (10, 12)) and g1 != GridSpec(1, (1.0,), (12,))
+    assert len({g1, g2}) == 1
+    before = nlch.grid._neumann_spectrum.cache_info()
+    lam = nlch.grid._neumann_spectrum(g1)
+    assert nlch.grid._neumann_spectrum(g2) is lam
+    after = nlch.grid._neumann_spectrum.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    with pytest.raises(AttributeError):
+        g1.cells = (4, 4)
+
+
 def test_field_validation(grid64):
     with pytest.raises(DimensionError):
         Field(grid64, np.zeros(5))

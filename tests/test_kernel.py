@@ -55,7 +55,7 @@ def test_numpy_fft_plan_is_bitwise_the_scipy_plan(monkeypatch, spec, cells):
             np.ones(grid.size), 1e-3 * rng.standard_normal(grid.size)]
     batch = np.stack(rows)
     bundle = build(spec, grid)
-    numpy_plan = bundle._fast
+    numpy_plan = bundle.fast
     got = [numpy_plan.apply(v) for v in rows]
     for a, b in zip(got, numpy_plan.apply(batch)):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
@@ -66,7 +66,7 @@ def test_numpy_fft_plan_is_bitwise_the_scipy_plan(monkeypatch, spec, cells):
         return
     for name in ("rfft", "irfft", "rfftn", "irfftn"):
         monkeypatch.setattr(nlch.kernel, name, getattr(scipy.fft, name))
-    scipy_plan = build(spec, grid)._fast
+    scipy_plan = build(spec, grid).fast
     want = [scipy_plan.apply(v) for v in rows] + [scipy_plan.apply(batch)]
     for a, b in zip(got + [numpy_plan.apply(batch)], want):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
@@ -108,7 +108,7 @@ def test_1d_convolution_equals_the_padded_rfftn_path_bitwise(grid256):
     from scipy.fft import irfftn, rfftn
 
     b = build(KernelSpec("gaussian", width=0.3, normalization=1.5), grid256)
-    fast = b._fast
+    fast = b.fast
     v = np.random.default_rng(4).standard_normal(grid256.size)
     vpad = np.zeros(fast._pad)
     vpad[:grid256.size] = v
@@ -191,7 +191,7 @@ def test_kernel_families():
 
     with pytest.raises(ConfigError):
         KernelSpec("tabulated", table=((0.0, 0.1), (1.0,)))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown kernel family 'unknown-family'"):
         KernelSpec("unknown-family")
 
 

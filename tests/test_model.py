@@ -1,4 +1,3 @@
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +14,7 @@ from nlch.model import (
     H_FAMILIES,
     InitialData,
     ModelParams,
+    Trajectory,
     derive_constants,
     h_default,
     h_one,
@@ -60,6 +60,34 @@ def test_model_params_admit_only_the_h_profiles():
     with pytest.raises(ConfigError, match="H_FAMILIES"):
         ModelParams(eps=0.1, tau=0.1, dt=1e-3, lam=1e-3, h=lambda r: 0.5 + 0.0 * r)
     assert [ModelParams(h=p.h).h_profile[0] for p in H_FAMILIES.values()] == list(H_FAMILIES)
+
+
+def test_with_params_validates_the_copy():
+    # with_params builds a new ModelParams, so every check of the constructor runs
+    base = ModelParams(eps=0.1, tau=0.2, dt=1e-3, T=0.5)
+    with pytest.raises(ConfigError, match="dt must be > 0, got 0"):
+        base.with_params(dt=0)
+    with pytest.raises(ConfigError, match="H_FAMILIES"):
+        base.with_params(h=lambda r: 0.5 + 0.0 * r)
+    with pytest.raises(TypeError):
+        base.with_params(dtt=1e-3)
+    copy = base.with_params(tau=0.0, h=h_tanh)
+    assert (copy.eps, copy.tau, copy.dt, copy.T, copy.h) == (0.1, 0.0, 1e-3, 0.5, h_tanh)
+    assert (base.tau, base.h) == (0.2, h_default)
+
+
+def test_trajectory_takes_appends_and_flag_updates(grid64):
+    params = ModelParams()
+    a, b = Trajectory(params=params), Trajectory(params=params)
+    assert (a.times, a.phis, a.mus, a.sigmas, a.records, a.complete) == ([], [], [], [], [], True)
+    a.times.append(0.0)
+    a.phis.append(Field.constant(grid64, 0.0))
+    a.complete = False
+    # each trajectory starts with lists of its own
+    assert (b.times, b.phis, b.complete) == ([], [], True)
+    assert (a.times, len(a.phis), a.complete) == ([0.0], 1, False)
+    times = [0.0, 0.1]
+    assert Trajectory(params, times=times).times is times
 
 
 def test_step_fixed_point(grid256, bundle_wide, poly):
@@ -361,16 +389,38 @@ def test_non_finite_newton_residual_fails_the_step():
     assert err.value.phase == "Newton"
 
 
-def test_non_finite_nutrient_fails_the_step(monkeypatch):
-    problem = build_problem(load_config(str(CONFIGS / "default.cfg"), ["model.T=0.01"]))
+def _route_solves(monkeypatch, phase, corrupt):
+    """Send the stepper's solves of ``phase`` through corrupt(solve, grid, diag, lap_coeff, rhs).
+
+    On default.cfg the nutrient diagonal 1 + dt (B + C h) is the only one
+    >= 1; the Newton diagonal eps + 1/(tau/dt + a + Y') is below 1.
+    """
     solve = nlch.model.solve_shifted_diffusion
 
-    def nan_nutrient(grid, diag, lap_coeff, rhs):
-        # the nutrient diagonal 1 + dt (B + C h) is the only one >= 1 here
-        x = solve(grid, diag, lap_coeff, rhs)
-        return np.full_like(x, np.nan) if np.min(diag) >= 1.0 else x
+    def routed(grid, diag, lap_coeff, rhs):
+        if (np.min(diag) >= 1.0) == (phase == "nutrient"):
+            return corrupt(solve, grid, diag, lap_coeff, rhs)
+        return solve(grid, diag, lap_coeff, rhs)
 
-    monkeypatch.setattr(nlch.model, "solve_shifted_diffusion", nan_nutrient)
+    monkeypatch.setattr(nlch.model, "solve_shifted_diffusion", routed)
+
+
+def _nan_solution(solve, grid, diag, lap_coeff, rhs):
+    # LAPACK hands back NaN: the solve's own scan of its solution fails it
+    gtsv = nlch.grid.dgtsv
+
+    def nan_gtsv(*args):
+        *head, x, info = gtsv(*args)
+        return (*head, np.full_like(x, np.nan), info)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nlch.grid, "dgtsv", nan_gtsv)
+        return solve(grid, diag, lap_coeff, rhs)
+
+
+def test_non_finite_nutrient_fails_the_step(monkeypatch):
+    problem = build_problem(load_config(str(CONFIGS / "default.cfg"), ["model.T=0.01"]))
+    _route_solves(monkeypatch, "nutrient", _nan_solution)
     with pytest.raises(StepError, match="non-finite") as err:
         _first_step(problem, problem.params, problem.init.sigma0.values)
     assert err.value.phase == "nutrient"
@@ -380,18 +430,41 @@ def test_non_finite_newton_solve_fails_the_step_at_once(monkeypatch):
     # the first Newton solve returns NaN: the step fails on that solve, not
     # on a later check of the NaN iterate
     problem = build_problem(load_config(str(CONFIGS / "default.cfg"), ["model.T=0.01"]))
-    solve = nlch.model.solve_shifted_diffusion
-
-    def nan_newton(grid, diag, lap_coeff, rhs):
-        # the Newton diagonal eps + 1/(tau/dt + a + Y') is the only one < 1 here
-        x = solve(grid, diag, lap_coeff, rhs)
-        return np.full_like(x, np.nan) if np.min(diag) < 1.0 else x
-
-    monkeypatch.setattr(nlch.model, "solve_shifted_diffusion", nan_newton)
+    _route_solves(monkeypatch, "Newton", _nan_solution)
     with pytest.raises(StepError, match="non-finite") as err:
         _first_step(problem, problem.params, problem.init.sigma0.values)
     assert err.value.phase == "Newton"
     assert len(err.value.residual_history) == 1
+
+
+_NON_FINITE_SYSTEM = "diffusion system has a non-finite diagonal or right-hand side"
+
+
+@pytest.mark.parametrize("phase", ["Newton", "nutrient"])
+@pytest.mark.parametrize("where, bad, message", [
+    ("diag", np.nan, _NON_FINITE_SYSTEM),
+    ("diag", np.inf, _NON_FINITE_SYSTEM),
+    ("diag", -1.0, "diffusion system not positive definite: min diag -1.000e+00"),
+    ("rhs", np.nan, _NON_FINITE_SYSTEM),
+    ("rhs", -np.inf, _NON_FINITE_SYSTEM),
+], ids=["nan-diag", "inf-diag", "nonpositive-diag", "nan-rhs", "inf-rhs"])
+def test_a_bad_linear_system_fails_its_phase_with_the_solvers_message(monkeypatch, phase, where,
+                                                                       bad, message):
+    # each input the solve rejects names the phase and the solver's reason,
+    # whichever of the diagonal and the right-hand side carries it
+    problem = build_problem(load_config(str(CONFIGS / "default.cfg"), ["model.T=0.01"]))
+
+    def corrupt(solve, grid, diag, lap_coeff, rhs):
+        args = {"diag": np.array(diag, dtype=float), "rhs": np.array(rhs, dtype=float)}
+        args[where][3] = bad
+        return solve(grid, args["diag"], lap_coeff, args["rhs"])
+
+    _route_solves(monkeypatch, phase, corrupt)
+    with pytest.raises(StepError) as err:
+        _first_step(problem, problem.params, problem.init.sigma0.values)
+    assert err.value.phase == phase
+    assert str(err.value) == f"{phase} linear solve failed: {message}"
+    assert isinstance(err.value.__cause__, SolverError)
 
 
 def _assert_same_run(got, want):
@@ -402,8 +475,7 @@ def _assert_same_run(got, want):
         assert len(fields_got) == len(fields_want)
         for a, b in zip(fields_got, fields_want):
             assert a.values.tobytes() == b.values.tobytes()
-    assert (np.array([astuple(r) for r in got.records]).tobytes()
-            == np.array([astuple(r) for r in want.records]).tobytes())
+    assert np.array(got.records).tobytes() == np.array(want.records).tobytes()
 
 
 def _eps_rows(grid64):

@@ -7,8 +7,13 @@ OMP_NUM_THREADS or imported numpy first, so numpy's OpenBLAS and the
 copy in scipy's _flapack start no worker thread. nlch's own oracle and
 property suite, nlch.galerkin and nlch.verify, are imported by the two
 commands that run them: oracle-compare loads nlch.galerkin, verify
-loads both. No 1D command but verify loads a scipy package: nlch.grid
-loads LAPACK's compiled _flapack module alone, not scipy.linalg, whose
+loads both; the sweeps and stability load nlch.asymptotics, whose
+sweep-<mode> commands cli names itself, one per key of
+asymptotics.LIMITS. nlch's records are NamedTuples or __slots__
+classes, which are built without generating code, so no 1D command but
+verify loads dataclasses. No 1D command but verify loads a scipy
+package: nlch.grid loads LAPACK's compiled _flapack module alone, not
+scipy.linalg, whose
 import pulls in scipy._lib._array_api and with it numpy.f2py, and the
 oracle's BDF integrator runs on that module's getrf/getrs.
 scipy.integrate (which loads scipy.optimize) and scipy.fft are imported
@@ -23,6 +28,7 @@ check runs in a new interpreter, since this test process has loaded
 these modules already.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -35,7 +41,8 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.fft", "scipy.special",
             "scipy.linalg", "scipy.sparse", "scipy._lib._array_api", "numpy.f2py",
-            "numpy.random", "secrets", "_hashlib", "nlch.galerkin", "nlch.verify")
+            "numpy.random", "secrets", "_hashlib", "dataclasses", "nlch.asymptotics",
+            "nlch.galerkin", "nlch.verify")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -67,6 +74,7 @@ def test_import_loads_no_deferred_scipy_module():
 
 
 @pytest.mark.parametrize("argv, loaded", [
+    pytest.param(["audit", "--config", "default.cfg"], [], id="audit"),
     pytest.param(["simulate", "--config", "default.cfg"], [], id="simulate-default"),
     pytest.param(["simulate", "--config", "separation.cfg"], [], id="simulate-separation"),
     pytest.param(["simulate", "--config", "rate-study.cfg"], [], id="simulate-rate-study"),
@@ -74,18 +82,30 @@ def test_import_loads_no_deferred_scipy_module():
                   "--set", "potential.family=double-obstacle"], [], id="simulate-double-obstacle"),
     pytest.param(["simulate", "--config", "default.cfg",
                   "--set", "ic.family=random-smoothed"], [], id="simulate-random-smoothed"),
-    *(pytest.param([f"sweep-{mode}", "--config", "rate-study.cfg", "--set", "sweep.t=0.002"], [],
-                   id=f"sweep-{mode}") for mode in ("eps", "tau", "joint")),
-    pytest.param(["stability", "--config", "rate-study.cfg", "--set", "stability.t=0.002"], [],
-                 id="stability"),
+    *(pytest.param([f"sweep-{mode}", "--config", "rate-study.cfg", "--set", "sweep.t=0.002"],
+                   ["nlch.asymptotics"], id=f"sweep-{mode}") for mode in ("eps", "tau", "joint")),
+    pytest.param(["stability", "--config", "rate-study.cfg", "--set", "stability.t=0.002"],
+                 ["nlch.asymptotics"], id="stability"),
     pytest.param(["oracle-compare", "--config", "rate-study.cfg", "--set", "oracle.t=0.002"],
                  ["nlch.galerkin"], id="oracle-compare"),
 ])
 def test_1d_commands_load_no_deferred_module(tmp_path, argv, loaded):
-    # but the one deferred to the command itself: oracle-compare runs nlch.galerkin
+    # but the one deferred to the command itself: oracle-compare runs
+    # nlch.galerkin, the sweeps and stability nlch.asymptotics
     argv = [str(CONFIGS / a) if a.endswith(".cfg") else a for a in argv]
     short = ["--set", "grid.cells=64", "--set", "model.T=0.01", "--set", "sweep.dt=5e-4"]
     assert _loaded_after(argv + short + ["--out", str(tmp_path)]) == [0, loaded]
+
+
+def test_the_parser_names_one_sweep_command_per_limit():
+    # cli names the sweep-* commands itself, so it need not import nlch.asymptotics
+    import nlch.asymptotics
+    import nlch.cli
+
+    sub = next(a for a in nlch.cli._parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert [c for c in sub.choices if c.startswith("sweep-")] \
+        == [f"sweep-{mode}" for mode in nlch.asymptotics.LIMITS]
 
 
 def test_verify_loads_the_oracle_and_the_property_suite():

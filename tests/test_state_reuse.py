@@ -10,7 +10,6 @@ are made in blocks of states. These tests count the expensive calls and
 check that the reused values equal a from-scratch recomputation exactly.
 """
 
-from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +81,7 @@ def test_failed_linear_solve_fails_the_step_with_the_partial_run():
     params = problem.params
     sigma = problem.init.sigma0.values.copy()
     sigma[0] = np.nan
-    init = replace(problem.init, sigma0=Field(problem.init.sigma0.grid, sigma, check=False))
+    init = problem.init._replace(sigma0=Field(problem.init.sigma0.grid, sigma, check=False))
     with pytest.raises(StepError, match="Newton linear solve failed") as err:
         run(init, params, problem.bundle, problem.spec, validate=False)
     assert isinstance(err.value.__cause__, SolverError)
@@ -183,7 +182,7 @@ def test_carried_arrays_survive_a_failed_row_and_its_retry(monkeypatch, column):
     for got, p in zip((results[0], results[2]), (params[0], params[2])):
         want = run(problem.init, p, problem.bundle, problem.spec, validate=False)
         assert got.complete and len(got.records) == 11
-        assert [astuple(r) for r in got.records] == [astuple(r) for r in want.records]
+        assert got.records == want.records
 
 
 def _each_state(monkeypatch):
@@ -256,4 +255,4 @@ def test_a_run_failing_mid_block_keeps_a_record_per_completed_step(monkeypatch):
     partial = err.value.partial
     assert err.value.step == 13 and partial.times == [0.0]
     assert len(partial.records) == 13
-    assert [astuple(r) for r in partial.records] == [astuple(r) for r in want.records[:13]]
+    assert partial.records == want.records[:13]
