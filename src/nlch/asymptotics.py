@@ -9,8 +9,6 @@ reference from the raw data, so a member's total is its relaxation error
 plus the t = 0 data difference that the smoothing introduces.
 """
 
-from __future__ import annotations
-
 import math
 import warnings
 from typing import Callable, NamedTuple
@@ -196,7 +194,10 @@ class ErrorReport:
 def fit_rate(values, errors) -> tuple[float, float, float]:
     """Least-squares slope of log(error) against log(value).
 
-    Zero errors are excluded with a warning; fewer than 3 usable points
+    The line is the closed form from centered sums: slope =
+    sum (x - mean x)(y - mean y) / sum (x - mean x)^2 and intercept =
+    mean y - slope mean x. Zero errors are excluded with a warning;
+    fewer than 3 usable points, or usable values that are all equal,
     raise FitError. Returns (slope, intercept, RMS residual).
     """
     vals = np.asarray(values, dtype=float)
@@ -208,10 +209,15 @@ def fit_rate(values, errors) -> tuple[float, float, float]:
         raise FitError(f"rate fit needs >= 3 positive points, got {int(usable.sum())}")
     x = np.log(vals[usable])
     y = np.log(errs[usable])
-    design = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = float(np.sqrt(np.mean((design @ coef - y) ** 2)))
-    return float(coef[0]), float(coef[1]), resid
+    x_mean, y_mean = x.mean(), y.mean()
+    dx = x - x_mean
+    spread = np.dot(dx, dx)
+    if not spread > 0.0:
+        raise FitError("rate fit needs at least 2 distinct values")
+    slope = float(np.dot(dx, y - y_mean) / spread)
+    intercept = float(y_mean - slope * x_mean)
+    resid = float(np.sqrt(np.mean((slope * x + intercept - y) ** 2)))
+    return slope, intercept, resid
 
 
 def _member_setup(plan: SweepPlan, value: float):

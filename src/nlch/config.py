@@ -5,8 +5,6 @@ blank lines ignored. Unknown keys are hard errors: there is no silent
 typo tolerance. Values are typed by the schema below; lists use commas.
 """
 
-from __future__ import annotations
-
 import math
 import random
 from pathlib import Path

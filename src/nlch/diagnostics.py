@@ -13,8 +13,6 @@ row's first-snapshot norms, from which ``stability`` reads the right-hand
 side of its estimate.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from typing import NamedTuple
@@ -60,12 +58,12 @@ def _lyapunov_rows(phi, mu, sigma, params, spec: PotentialSpec, cellvol: float,
     """Lyapunov functional of each row of (k, cells) stacks, given each row's
     interaction energy ``e_nl``; ``prox`` is the resolvent of phi or None."""
     def norm_h_sq(v):
-        # squared as grid.norm_h(v) ** 2 is, so records match lyapunov() bit for bit
-        return math.sqrt(max(float(np.dot(v, v)) * cellvol, 0.0)) ** 2
+        # squared as grid.norm_h(row) ** 2 is, so records match lyapunov() bit for bit
+        return [math.sqrt(max(d * cellvol, 0.0)) ** 2 for d in np.vecdot(v, v).tolist()]
 
     flam = f_lambda_eval(spec, params.lam_eff, phi, prox).sum(axis=-1).tolist()
-    return [0.5 * params.eps * norm_h_sq(m) + e + f * cellvol + 0.5 * norm_h_sq(s)
-            for m, s, e, f in zip(mu, sigma, e_nl, flam)]
+    return [0.5 * params.eps * m + e + f * cellvol + 0.5 * s
+            for m, s, e, f in zip(norm_h_sq(mu), norm_h_sq(sigma), e_nl, flam)]
 
 
 def lyapunov(state, params, bundle: KernelBundle, spec: PotentialSpec) -> float:
@@ -87,8 +85,8 @@ def make_record(t, phi, mu, sigma, params, bundle, spec, mass_defect, newton_ite
     phi, mu, sigma, their J*phi and their resolvent of phi are (k, cells)
     stacks, one row per state; t, mass_defect and newton_iters hold one
     value per state. Each row's record is that of the state alone: row
-    sums and extrema are exact per row, and inner products are np.dot on
-    the row.
+    sums and extrema are exact per row, and inner products are np.vecdot
+    on the rows, which is bitwise np.dot on each row.
     """
     e_nl = nonlocal_energy_rows(bundle, phi, conv_phi)
     return list(map(DiagnosticsRecord, t, mass_defect,

@@ -25,8 +25,6 @@ x = j pi h / 2L: by 1.3e-5 for mode 1 and 1.2% for mode 31 at 256
 cells. The measured stepper-vs-oracle gap includes that difference.
 """
 
-from __future__ import annotations
-
 import math
 from typing import Callable, NamedTuple
 

@@ -188,7 +188,7 @@ def norm_h(f: Field) -> float:
 
 def h_norms(grid: GridSpec, rows: np.ndarray) -> list[float]:
     """norm_h of each row of a (rows, cells) array."""
-    return [float(np.sqrt(max(float(np.dot(v, v)) * grid.cell_volume, 0.0))) for v in rows]
+    return np.sqrt(np.maximum(np.vecdot(rows, rows) * grid.cell_volume, 0.0)).tolist()
 
 
 def _lap_array(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -262,8 +262,8 @@ def norm_v(f: Field) -> float:
 def v_norms(grid: GridSpec, rows: np.ndarray) -> list[float]:
     """norm_v of each row of a (rows, cells) array."""
     cellvol = grid.cell_volume
-    return [float(np.sqrt(max(float(np.dot(v, v)) * cellvol + g * cellvol, 0.0)))
-            for v, g in zip(rows, _grad_sq_sums(grid, rows))]
+    return [float(np.sqrt(max(d * cellvol + g * cellvol, 0.0)))
+            for d, g in zip(np.vecdot(rows, rows).tolist(), _grad_sq_sums(grid, rows))]
 
 
 @functools.lru_cache(maxsize=32)
@@ -430,8 +430,7 @@ def norm_vstar(f: Field) -> float:
 def dual_norms(grid: GridSpec, rows: np.ndarray) -> list[float]:
     """norm_vstar of each row of a (rows, cells) array, from one batched Riesz solve."""
     u = _checked_neumann_solve(grid, rows, 1.0, 1.0)
-    return [float(np.sqrt(max(float(np.dot(v, w)) * grid.cell_volume, 0.0)))
-            for v, w in zip(rows, u)]
+    return np.sqrt(np.maximum(np.vecdot(rows, u) * grid.cell_volume, 0.0)).tolist()
 
 
 _NON_FINITE_INPUT = "diffusion system has a non-finite diagonal or right-hand side"

@@ -13,8 +13,6 @@ its infimum a_*, the absolute bounds a^* and b^*, c_a, and from these
 the epsilon_0 threshold.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np
@@ -245,7 +243,7 @@ def nonlocal_energy_density(bundle: KernelBundle, phi: Field) -> float:
 def nonlocal_energy_rows(bundle: KernelBundle, phi: np.ndarray, conv_phi: np.ndarray) -> list:
     """nonlocal_energy_density of each row of a (k, cells) stack phi, given its J*phi."""
     interact = bundle.a_field.values * phi - conv_phi
-    return [0.5 * (float(np.dot(q, r)) * bundle.grid.cell_volume) for q, r in zip(interact, phi)]
+    return (0.5 * (np.vecdot(interact, phi) * bundle.grid.cell_volume)).tolist()
 
 
 class EpsilonZero(NamedTuple):

@@ -21,8 +21,6 @@ batch (run_rows); every row's arithmetic is that of its run alone, and a
 single run (run) is the one-row batch.
 """
 
-from __future__ import annotations
-
 import math
 from typing import Callable, NamedTuple, Sequence
 
@@ -286,7 +284,8 @@ def _step_arrays(phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: KernelBun
     run's; run_rows steps each row of a failed batch alone (see
     _step_rows). Every row's arithmetic is that of a step
     of its own: the batched Laplacian, solves and transforms are bitwise
-    equal per row, and each residual norm is np.dot on its row.
+    equal per row, and the residual norms are np.vecdot on the rows,
+    which is bitwise np.dot on each row.
     """
     p0, eps, tau = rows.params[0], rows.eps, rows.tau
     grid = bundle.grid
@@ -304,8 +303,8 @@ def _step_arrays(phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: KernelBun
     # a residual norm that overflows is inf, a named StepError below, so
     # numpy's overflow warning is silenced, once per step, over the loop
     with np.errstate(over="ignore"):
-        accept_tol = [NEWTON_TOL * (1.0 + float(np.sqrt(np.dot(c, c) * cellvol)))
-                      for c in _rows(const1)]
+        accept_tol = (NEWTON_TOL * (1.0 + np.sqrt(np.vecdot(const1, const1) * cellvol))
+                      ).reshape(-1).tolist()
         histories = [[] for _ in range(M)]
         # each row's best iterate: (residual, phi, mu, y, dy, s, eps mu + phi, lap mu, a phi)
         # as whole batches, read at the row
@@ -319,11 +318,11 @@ def _step_arrays(phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: KernelBun
             r1 = mass_it - dt * lap_m - const1
             # at the state itself (it = 0), tau (p - phi)/dt is an exact zero
             r2 = (m if it == 0 else m - tau * (p - phi) / dt) - a_p - y - w
-            for i, (q1, q2) in enumerate(zip(_rows(r1), _rows(r2))):
+            residuals = np.sqrt((np.vecdot(r1, r1) + np.vecdot(r2, r2)) * cellvol)
+            for i, res in enumerate(residuals.reshape(-1).tolist()):
                 if not going[i]:
                     continue
                 history = histories[i]
-                res = float(np.sqrt((np.dot(q1, q1) + np.dot(q2, q2)) * cellvol))
                 history.append(res)
                 if it == 0:
                     best[i] = (res, p, m, y, dy, s, mass_it, lap_m, a_p)

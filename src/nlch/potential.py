@@ -13,8 +13,6 @@ of quadratic convexity can be moved into F1; this changes only the
 implicit/explicit splitting seen by the time stepper, never F itself.
 """
 
-from __future__ import annotations
-
 import math
 from typing import Callable, NamedTuple
 
@@ -68,8 +66,9 @@ def polynomial_potential(shift: float = 0.5) -> PotentialSpec:
     one real root is c sinh(asinh(3 r / (lam q c)) / 3), c = 2 sqrt(q/3).
     """
     s = float(shift)
-    if s < 0:
-        raise ConfigError("convexity shift must be nonnegative to keep F1 convex")
+    if not 0.0 <= s < math.inf:
+        raise ConfigError(f"convexity shift must be finite and nonnegative to keep F1 "
+                          f"convex, got {s}")
 
     def resolvent_root(lam, r):
         q = (1.0 + 2.0 * s * lam) / lam
@@ -322,14 +321,22 @@ def check_growth(spec: PotentialSpec) -> float | None:
     that needs this bound. The polynomial well is the one family without
     a barrier. With convexity shift s the ratio is even, vanishes at 0
     and at infinity, and is stationary where u = r^2 solves
-    u^3 + 2s u^2 - (15 - 8s^2) u - 10s = 0; the cubic has exactly one
-    positive root (one sign change), which is the root of largest real
-    part (the roots sum to -2s <= 0).
+    p(u) = u^3 + 2s u^2 - (15 - 8s^2) u - 10s = 0. The cubic is convex
+    on u > 0 (p'' = 6u + 4s) with p(0) = -10s <= 0, so it has one
+    positive root, below Cauchy's bound 1 + max(2s, |8s^2 - 15|, 10s).
+    Newton steps from that bound fall monotonically to the root; the
+    iteration stops when a step no longer decreases u.
     """
     if spec.has_barrier:
         return None
     s = spec.params["shift"]
-    u = float(np.max(np.roots([1.0, 2.0 * s, 8.0 * s * s - 15.0, -10.0 * s]).real))
+    b, c, d = 2.0 * s, 8.0 * s * s - 15.0, -10.0 * s
+    u = 1.0 + max(b, abs(c), -d)
+    while True:
+        step = u - (((u + b) * u + c) * u + d) / ((3.0 * u + 2.0 * b) * u + c)
+        if not step < u:
+            break
+        u = step
     r = min(math.sqrt(u), 10.0)
     return float(abs(spec.f1_prime(r)) / (spec.f1(r) + 1.0))
 

@@ -84,12 +84,37 @@ def test_error_report_takes_appends_and_flag_updates():
     assert (other.used_in_fit, other.notes) == ([], [])
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_fit_rate_matches_lstsq(n):
+    # the centered-sums line against numpy's least-squares solve of the design
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        v = np.sort(10.0 ** rng.uniform(-4.0, -1.0, n))
+        errs = 10.0 ** rng.uniform(-6.0, 0.0, n)
+        x, y = np.log(v), np.log(errs)
+        design = np.vstack([x, np.ones_like(x)]).T
+        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        resid = np.sqrt(np.mean((design @ coef - y) ** 2))
+        got = fit_rate(v, errs)
+        for g, w in zip(got, (coef[0], coef[1], resid)):
+            assert abs(g - w) <= 1e-12 * abs(w)
+
+
 def test_fit_rate_guards():
     with pytest.raises(FitError):
         fit_rate([1e-1, 1e-2], [1.0, 0.1])
     with pytest.warns(UserWarning):
         with pytest.raises(FitError):
             fit_rate([1e-1, 1e-2, 1e-3], [1.0, 0.0, 0.0])
+    with pytest.raises(FitError, match="distinct"):
+        fit_rate([1e-2, 1e-2, 1e-2], [1.0, 0.5, 0.2])
+    # a nonpositive error is dropped with the warning, and the rest are fitted
+    v = np.array([1e-1, 1e-2, 1e-3, 1e-4])
+    with pytest.warns(UserWarning, match="excluding nonpositive errors"):
+        slope, intercept, resid = fit_rate(v, [0.5, -1.0, 0.5e-2, 0.5e-3])
+    assert slope == pytest.approx(1.0, abs=1e-12)
+    assert intercept == pytest.approx(np.log(5.0), abs=1e-12)
+    assert resid <= 1e-13
 
 
 def test_plan_validation(grid64, bundle64, poly):

@@ -311,6 +311,28 @@ def test_check_growth_oracle():
         assert check_growth(barrier) is None
 
 
+def _growth_by_np_roots(shift):
+    """check_growth as it was computed with numpy's eigenvalue-based np.roots."""
+    spec = polynomial_potential(shift)
+    u = float(np.max(np.roots([1.0, 2.0 * shift, 8.0 * shift**2 - 15.0, -10.0 * shift]).real))
+    r = min(np.sqrt(u), 10.0)
+    return float(abs(spec.f1_prime(r)) / (spec.f1(r) + 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 10.0))
+def test_check_growth_matches_np_roots(shift):
+    # the Newton root of the stationarity cubic against the companion-matrix roots
+    want = _growth_by_np_roots(shift)
+    assert abs(check_growth(polynomial_potential(shift)) - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.1, 0.5, 1.0, 1.4, 2.0, 5.0, 10.0])
+def test_check_growth_equals_np_roots_at_listed_shifts(shift):
+    # the shipped configurations use shift 0.5
+    assert check_growth(polynomial_potential(shift)) == _growth_by_np_roots(shift)
+
+
 def test_barrier_divergence_trend():
     # F'(r) - chi eta r diverges at the barrier; at double precision the
     # log barrier reaches only O(theta * ln(1/delta)), far below the 1e3
@@ -351,8 +373,9 @@ def test_constructor_validation():
         logarithmic_potential(0.6, 0.3)
     with pytest.raises(ConfigError):
         double_obstacle_potential(-1.0)
-    with pytest.raises(ConfigError):
-        polynomial_potential(-0.5)
+    for shift in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="convexity shift"):
+            polynomial_potential(shift)
     with pytest.raises(ConfigError):
         resolvent(polynomial_potential(0.5), 0.0, 1.0)
 

@@ -11,7 +11,13 @@ loads both; the sweeps and stability load nlch.asymptotics, whose
 sweep-<mode> commands cli names itself, one per key of
 asymptotics.LIMITS. nlch's records are NamedTuples or __slots__
 classes, which are built without generating code, so no 1D command but
-verify loads dataclasses. No 1D command but verify loads a scipy
+verify loads dataclasses. The modules that define NamedTuples, but
+nlch.audit, whose GateInput names imports made only for type checkers,
+evaluate their annotations at import, so typing compiles no ForwardRef
+when it builds a record. No command calls numpy's LAPACK (the module
+numpy.linalg._umath_linalg, behind np.roots and np.linalg.lstsq): the
+growth constant and the rate fit are closed forms, and the only LAPACK
+a command runs is scipy's. No 1D command but verify loads a scipy
 package: nlch.grid loads LAPACK's compiled _flapack module alone, not
 scipy.linalg, whose
 import pulls in scipy._lib._array_api and with it numpy.f2py, and the
@@ -29,6 +35,7 @@ these modules already.
 """
 
 import argparse
+import importlib
 import json
 import os
 import subprocess
@@ -73,7 +80,7 @@ def test_import_loads_no_deferred_scipy_module():
     assert _loaded_after() == [0, []]
 
 
-@pytest.mark.parametrize("argv, loaded", [
+COMMANDS_1D = [
     pytest.param(["audit", "--config", "default.cfg"], [], id="audit"),
     pytest.param(["simulate", "--config", "default.cfg"], [], id="simulate-default"),
     pytest.param(["simulate", "--config", "separation.cfg"], [], id="simulate-separation"),
@@ -88,13 +95,47 @@ def test_import_loads_no_deferred_scipy_module():
                  ["nlch.asymptotics"], id="stability"),
     pytest.param(["oracle-compare", "--config", "rate-study.cfg", "--set", "oracle.t=0.002"],
                  ["nlch.galerkin"], id="oracle-compare"),
-])
+]
+SHORT_1D = ["--set", "grid.cells=64", "--set", "model.T=0.01", "--set", "sweep.dt=5e-4"]
+
+
+def _short_1d(argv, out):
+    return [str(CONFIGS / a) if a.endswith(".cfg") else a for a in argv] + SHORT_1D \
+        + ["--out", str(out)]
+
+
+@pytest.mark.parametrize("argv, loaded", COMMANDS_1D)
 def test_1d_commands_load_no_deferred_module(tmp_path, argv, loaded):
     # but the one deferred to the command itself: oracle-compare runs
     # nlch.galerkin, the sweeps and stability nlch.asymptotics
-    argv = [str(CONFIGS / a) if a.endswith(".cfg") else a for a in argv]
-    short = ["--set", "grid.cells=64", "--set", "model.T=0.01", "--set", "sweep.dt=5e-4"]
-    assert _loaded_after(argv + short + ["--out", str(tmp_path)]) == [0, loaded]
+    assert _loaded_after(_short_1d(argv, tmp_path)) == [0, loaded]
+
+
+def test_no_command_calls_numpys_lapack(tmp_path):
+    # numpy.linalg reaches LAPACK through _umath_linalg alone; a stub that
+    # raises on any attribute access makes each call of it an error
+    ids = [p.id for p in COMMANDS_1D] + ["simulate-2d"]
+    runs = [_short_1d(p.values[0], tmp_path / p.id) for p in COMMANDS_1D]
+    runs.append(["simulate", "--config", str(CONFIGS / "default.cfg"), "--set", "grid.dim=2",
+                 "--set", "grid.cells=16", "--set", "model.T=0.01",
+                 "--out", str(tmp_path / "simulate-2d")])
+    codes = _fresh(
+        "import contextlib, io, json\n"
+        "import numpy.linalg._linalg\n"
+        "class NoLapack:\n"
+        "    def __getattribute__(self, name):\n"
+        "        raise RuntimeError(f'numpy LAPACK called: {name}')\n"
+        "numpy.linalg._linalg._umath_linalg = NoLapack()\n"
+        "import nlch.cli\n"
+        "codes = []\n"
+        f"for argv in {runs!r}:\n"
+        "    try:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            codes.append(nlch.cli.main(argv))\n"
+        "    except Exception as err:\n"
+        "        codes.append(repr(err))\n"
+        "print(json.dumps(codes))\n")
+    assert dict(zip(ids, codes)) == dict.fromkeys(ids, 0)
 
 
 def test_the_parser_names_one_sweep_command_per_limit():
@@ -106,6 +147,21 @@ def test_the_parser_names_one_sweep_command_per_limit():
                if isinstance(a, argparse._SubParsersAction))
     assert [c for c in sub.choices if c.startswith("sweep-")] \
         == [f"sweep-{mode}" for mode in nlch.asymptotics.LIMITS]
+
+
+RECORD_MODULES = ("asymptotics", "config", "diagnostics", "galerkin", "kernel", "model",
+                  "potential")
+
+
+def test_record_annotations_are_not_strings():
+    # a string field annotation is compiled into a ForwardRef when the record is built
+    records = {name: [obj for obj in vars(importlib.import_module(f"nlch.{name}")).values()
+                      if isinstance(obj, type) and issubclass(obj, tuple)
+                      and hasattr(obj, "_fields") and obj.__module__ == f"nlch.{name}"]
+               for name in RECORD_MODULES}
+    assert all(records.values())
+    assert [f"{r.__qualname__}.{field}" for found in records.values() for r in found
+            for field, kind in r.__annotations__.items() if isinstance(kind, str)] == []
 
 
 def test_verify_loads_the_oracle_and_the_property_suite():
