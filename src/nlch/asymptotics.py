@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .audit import DerivedConstants, derive_constants
+from .audit import derive_constants  # noqa: F401  a traced call site
 from .diagnostics import RowDistances, TrajectoryDistance, check_alignment
 from .diagnostics import distance  # noqa: F401  a traced call site
 from .errors import AssumptionError, ConfigError, FitError, StepError
@@ -131,24 +131,19 @@ def sweep_values(values) -> tuple[float, ...]:
     return vals
 
 
-def fixed_positive(mode: str, eps: float, tau: float) -> None:
-    """Raise AssumptionError unless each relaxation parameter that the mode's
-    limit does not zero, and its sweep holds fixed, is > 0."""
-    for fixed, value in (("eps", eps), ("tau", tau)):
-        if fixed not in LIMITS[mode].zeroed and not value > 0:
-            raise AssumptionError(f"{fixed} > 0", f"{mode} sweep needs fixed {fixed} > 0",
-                                  value=value)
-
-
 class SweepPlan:
-    """One relaxation-limit experiment.
+    """One relaxation-limit experiment, admitted on construction.
 
     mode names an entry of LIMITS. The values sequence lists the swept
     parameter (eps for mode 'eps', tau otherwise), strictly decreasing
-    and at least 1e-8; it is stored as a tuple of floats.
+    and at least 1e-8; it is stored as a tuple of floats. Construction
+    raises AssumptionError unless the relaxation parameter the limit
+    holds fixed is > 0, and the limit system and every member, with its
+    boundedness monitors, pass the gate table; ``members`` holds each
+    member's (value, params, smoothed initial data).
     """
 
-    __slots__ = ("mode", "values", "base_params", "init", "bundle", "spec", "m0_cap")
+    __slots__ = ("mode", "values", "base_params", "init", "bundle", "spec", "members")
 
     def __init__(self, mode: str, values, base_params: ModelParams, init: InitialData,
                  bundle: KernelBundle, spec: PotentialSpec, m0_cap: float = 100.0):
@@ -156,7 +151,27 @@ class SweepPlan:
             raise ConfigError(f"sweep mode must be one of {', '.join(LIMITS)}; got {mode!r}")
         self.mode, self.values = mode, sweep_values(values)
         self.base_params, self.init, self.bundle, self.spec = base_params, init, bundle, spec
-        self.m0_cap = m0_cap
+        lim, self.members = self.limit, []
+        for fixed in ("eps", "tau"):
+            value = getattr(base_params, fixed)
+            if fixed not in lim.zeroed and not value > 0:
+                raise AssumptionError(f"{fixed} > 0", f"{mode} sweep needs fixed {fixed} > 0",
+                                      value=value)
+        admit_run(init, self.limit_params(), bundle, spec)
+        for value in self.values:
+            s = lim.smoothing(value)
+            member_init = InitialData(
+                phi0=make_smoothed_ic(init.phi0, s),
+                mu0=make_smoothed_ic(init.mu0, s) if lim.smooth_mu0 else init.mu0,
+                sigma0=make_smoothed_ic(init.sigma0, s),
+            )
+            params = base_params.with_params(**lim.member(value))
+            for name, q in lim.monitors(params, spec, member_init).items():
+                if not q <= m0_cap:
+                    raise AssumptionError("init-boundedness", f"monitored quantity {name} = "
+                                          f"{q:.6g} exceeds M0 = {m0_cap}", value=q)
+            admit_run(member_init, params, bundle, spec)
+            self.members.append((value, params, member_init))
 
     @property
     def limit(self) -> Limit:
@@ -166,8 +181,12 @@ class SweepPlan:
         return self.base_params.with_params(**dict.fromkeys(self.limit.zeroed, 0.0))
 
 
+# a sweep's fitted slope passes down to this far below the theoretical one
+SLOPE_MARGIN = 0.05
+
+
 class ErrorReport:
-    """Per-sweep distances and the fitted convergence rate.
+    """Per-sweep distances, the fitted convergence rate and the verdict.
 
     A list left out starts empty; sweep fills the lists and sets the fit
     and the flags as it goes.
@@ -189,6 +208,16 @@ class ErrorReport:
         self.used_in_fit = [] if used_in_fit is None else used_in_fit
         self.monotone_ok, self.incomplete = monotone_ok, incomplete
         self.notes = [] if notes is None else notes
+
+    @property
+    def rate_ok(self) -> bool:
+        """A fitted slope of at least theoretical_slope - SLOPE_MARGIN."""
+        return self.slope is not None and self.slope >= self.theoretical_slope - SLOPE_MARGIN
+
+    @property
+    def passed(self) -> bool:
+        """The sweep verdict: complete, monotone and rate_ok."""
+        return not self.incomplete and self.monotone_ok and self.rate_ok
 
 
 def fit_rate(values, errors) -> tuple[float, float, float]:
@@ -220,62 +249,23 @@ def fit_rate(values, errors) -> tuple[float, float, float]:
     return slope, intercept, resid
 
 
-def _member_setup(plan: SweepPlan, value: float):
-    """Parameters and smoothed initial data for one sweep member."""
-    lim = plan.limit
-    s = lim.smoothing(value)
-    init = InitialData(
-        phi0=make_smoothed_ic(plan.init.phi0, s),
-        mu0=make_smoothed_ic(plan.init.mu0, s) if lim.smooth_mu0 else plan.init.mu0,
-        sigma0=make_smoothed_ic(plan.init.sigma0, s),
-    )
-    return plan.base_params.with_params(**lim.member(value)), init
+def sweep(plan: SweepPlan) -> ErrorReport:
+    """Run the admitted sweep and fit the observed convergence rate.
 
-
-def _admit_plan(plan: SweepPlan, constants: DerivedConstants):
-    """The fixed parameters' signs, then the limit system and every member
-    through the gate table, with the members' boundedness monitors.
-
-    Returns (value, params, initial data) for each member.
-    """
-    fixed_positive(plan.mode, plan.base_params.eps, plan.base_params.tau)
-    admit_run(plan.init, plan.limit_params(), plan.bundle, plan.spec, constants)
-    members = []
-    for value in plan.values:
-        params, init = _member_setup(plan, value)
-        for name, q in plan.limit.monitors(params, plan.spec, init).items():
-            if not q <= plan.m0_cap:
-                raise AssumptionError(
-                    "init-boundedness",
-                    f"monitored quantity {name} = {q:.6g} exceeds M0 = {plan.m0_cap}",
-                    value=q,
-                )
-        admit_run(init, params, plan.bundle, plan.spec, constants)
-        members.append((value, params, init))
-    return members
-
-
-def sweep(plan: SweepPlan, constants: DerivedConstants | None = None) -> ErrorReport:
-    """Run the sweep and fit the observed convergence rate.
-
-    Hypothesis violations raise before anything runs. The limit
-    reference and the members step in lockstep, and each member's
+    The limit reference and the members step in lockstep, and each member's
     distance to the reference is taken snapshot by snapshot, so no
     member trajectory is kept. A member whose run fails is left out
     with a note naming it, the other members still run, and the report
     is flagged incomplete.
     """
-    if constants is None:
-        constants = derive_constants(plan.bundle, plan.spec)
-    members = _admit_plan(plan, constants)
     weights = plan.limit.weights
 
-    # every run below was admitted by _admit_plan, except the dt/2 floor
+    # every run below was admitted with the plan, except the dt/2 floor
     ref_params = plan.limit_params()
     half = ref_params.with_params(dt=ref_params.dt / 2.0)
     ref_half = run(plan.init, half, plan.bundle, plan.spec, snapshot_stride=2,
-                   constants=constants, record_diagnostics=False)
-    params = [ref_params] + [p for _, p, _ in members]
+                   record_diagnostics=False)
+    params = [ref_params] + [p for _, p, _ in plan.members]
     floor_row = len(params)
     tracker = RowDistances(plan.bundle.grid, set(weights), [p.eps for p in params + [half]])
 
@@ -289,7 +279,7 @@ def sweep(plan: SweepPlan, constants: DerivedConstants | None = None) -> ErrorRe
             runs = runs + [floor_row]
         tracker(t, runs, *rows)
 
-    results = run_rows([plan.init] + [init for _, _, init in members], params, plan.bundle,
+    results = run_rows([plan.init] + [init for _, _, init in plan.members], params, plan.bundle,
                        plan.spec, validate=False, record_diagnostics=False, observe=observe)
     if isinstance(results[0], StepError):
         raise results[0]
@@ -304,7 +294,7 @@ def sweep(plan: SweepPlan, constants: DerivedConstants | None = None) -> ErrorRe
         theoretical_slope=plan.limit.theory_slope,
         floor=floor,
     )
-    for run_index, (value, _, _) in enumerate(members, start=1):
+    for run_index, (value, _, _) in enumerate(plan.members, start=1):
         err = results[run_index]
         if isinstance(err, StepError):
             report.incomplete = True
@@ -367,46 +357,55 @@ class StabilityRow(NamedTuple):
         return self.lhs / self.rhs if self.rhs > 0 else math.nan
 
 
-def stability_eta(eta: float) -> None:
-    """Raise AssumptionError unless eta = 0, which the stability estimate needs."""
-    if eta != 0.0:
-        raise AssumptionError("eta = 0", "the stability estimate needs eta = 0", value=eta)
+class StabilityPlan:
+    """The continuous-dependence probe at one parameter set, admitted on construction.
 
-
-def stability_probe(init: InitialData, params: ModelParams, bundle: KernelBundle,
-                    spec: PotentialSpec, deltas,
-                    constants: DerivedConstants | None = None) -> list[StabilityRow]:
-    """Continuous-dependence ratios for perturbed initial data.
-
-    Perturbs all three initial fields by delta times a fixed smooth bump,
-    runs both trajectories, and reports the ratio of the stability
-    estimate's left side to its right side for every nonzero delta. The
-    right side, ||eps dmu0 + dphi0||_* + sqrt(tau) ||dphi0||_H +
-    ||dsig0||_H, is read from the first snapshot's norms.
+    Perturbs all three initial fields by delta times a fixed smooth bump
+    for every nonzero delta of ``deltas``. Construction raises
+    AssumptionError unless eta = 0, which the stability estimate needs,
+    and the base run and every perturbed run pass the gate table.
     """
-    stability_eta(params.eta)
-    if constants is None:
-        constants = derive_constants(bundle, spec)
-    grid = bundle.grid
-    bump = Field(grid, np.cos(np.pi * grid.meshgrid()[0] / grid.extent[0]))
+
+    __slots__ = ("params", "bundle", "spec", "deltas", "inits")
+
+    def __init__(self, init: InitialData, params: ModelParams, bundle: KernelBundle,
+                 spec: PotentialSpec, deltas):
+        if params.eta != 0.0:
+            raise AssumptionError("eta = 0", "the stability estimate needs eta = 0",
+                                  value=params.eta)
+        grid = bundle.grid
+        bump = np.cos(np.pi * grid.meshgrid()[0] / grid.extent[0])
+        self.deltas = [float(delta) for delta in deltas if delta != 0.0]
+        self.inits = [init] + [InitialData(*(Field(grid, f.values + delta * bump) for f in init))
+                               for delta in self.deltas]
+        for row in self.inits:
+            admit_run(row, params, bundle, spec)
+        self.params, self.bundle, self.spec = params, bundle, spec
+
+
+def stability_probe(plan: StabilityPlan) -> list[StabilityRow]:
+    """Continuous-dependence ratios of the plan's perturbed runs.
+
+    Runs the base and the perturbed trajectories and reports the ratio
+    of the stability estimate's left side to its right side for every
+    nonzero delta. The right side, ||eps dmu0 + dphi0||_* + sqrt(tau)
+    ||dphi0||_H + ||dsig0||_H, is read from the first snapshot's norms.
+    """
+    params = plan.params
     # left-hand side of the continuous-dependence estimate
     weights = {"linf_vstar_combo": 1.0, "l2_h_mu": 1.0, "linf_h_phi": math.sqrt(params.tau),
                "l2_h_phi": 1.0, "linf_h_sigma": 1.0, "l2_v_sigma": 1.0}
 
     # the base run and the perturbed runs step in lockstep, and only their
     # distances to the base run are kept
-    deltas = [float(delta) for delta in deltas if delta != 0.0]
-    perturbed = [InitialData(*(Field(grid, f.values + delta * bump.values)
-                               for f in (init.phi0, init.mu0, init.sigma0)))
-                 for delta in deltas]
-    tracker = RowDistances(grid, set(weights), [params.eps] * (1 + len(deltas)))
-    results = run_rows([init] + perturbed, [params] * (1 + len(deltas)), bundle, spec,
-                       constants=constants, record_diagnostics=False, observe=tracker)
+    tracker = RowDistances(plan.bundle.grid, set(weights), [params.eps] * len(plan.inits))
+    results = run_rows(plan.inits, [params] * len(plan.inits), plan.bundle, plan.spec,
+                       validate=False, record_diagnostics=False, observe=tracker)
     for result in results:
         if isinstance(result, StepError):
             raise result
     rows = []
-    for run_index, delta in enumerate(deltas, start=1):
+    for run_index, delta in enumerate(plan.deltas, start=1):
         d0 = tracker.first(run_index)
         rhs = (d0["linf_vstar_combo"] + math.sqrt(params.tau) * d0["linf_h_phi"]
                + d0["linf_h_sigma"])
@@ -416,11 +415,22 @@ def stability_probe(init: InitialData, params: ModelParams, bundle: KernelBundle
 
 # the per-delta stability ratios of one tau agree within this factor
 RATIO_FACTOR = 3.0
+# the mean stability ratios of the probed taus agree within this factor
+TAU_DRIFT_FACTOR = 2.0
 
 
 def ratios_consistent(rows: list[StabilityRow]) -> bool:
     """True when all pairwise ratios of the per-delta ratios lie within RATIO_FACTOR."""
     ratios = [r.ratio for r in rows if math.isfinite(r.ratio)]
-    if len(ratios) < 2:
-        return True
-    return max(ratios) <= RATIO_FACTOR * min(ratios)
+    return len(ratios) < 2 or max(ratios) <= RATIO_FACTOR * min(ratios)
+
+
+def tau_drift_ok(probes: list[list[StabilityRow]]) -> bool:
+    """True when the probes' mean ratios, one probe per tau, lie within TAU_DRIFT_FACTOR."""
+    means = [np.mean([r.ratio for r in rows]) for rows in probes]
+    return len(means) < 2 or max(means) <= TAU_DRIFT_FACTOR * min(means)
+
+
+def stability_passed(probes: list[list[StabilityRow]]) -> bool:
+    """The stability verdict: every probe's ratios_consistent, and tau_drift_ok."""
+    return all(ratios_consistent(rows) for rows in probes) and tau_drift_ok(probes)

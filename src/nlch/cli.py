@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, diagnostics  # asymptotics, galerkin, verify: imported where run
 from .audit import audit as run_audit
-from .config import build_problem, load_config
+from .config import build_grid, build_problem, load_config
 from .errors import AssumptionError, ConfigError, NlchError, StepError
 from .grid import write_field, write_field_csv, write_table
 from .model import derive_constants, run  # noqa: F401  derive_constants: a traced call site
@@ -70,29 +70,34 @@ def _write_manifest(out: Path, command: str, seed: int, files: list[str]):
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _prologue(args, command: str, cfg):
-    """Problem, output directory and the mandatory audit of a loaded configuration.
+def _audit(args, cfg):
+    """The problem of a loaded configuration and its mandatory audit; writes nothing."""
+    problem = build_problem(cfg, seed=args.seed)
+    return problem, run_audit(problem.params, problem.bundle, problem.spec, problem.init)
+
+
+def _prologue(args, command: str, cfg, report) -> Path:
+    """Write a command's output directory and print the audit, before any results.
 
     The directory receives config.resolved, the audit verdict and a
-    manifest of those two files before any results; a command that goes
-    on to write results rewrites the manifest. Returns (problem, out,
-    audit report); the report's derived constants are reused by the runs.
+    manifest of those two files; a command that goes on to write
+    results rewrites the manifest. Returns the directory.
     """
-    problem = build_problem(cfg, seed=args.seed)
     out = Path(args.out if args.out is not None else cfg["output.dir"])
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.resolved").write_text(cfg.resolved_text())
-    report = run_audit(problem.params, problem.bundle, problem.spec, problem.init)
     (out / "audit.txt").write_text(report.render())
     print(report.render(), end="")
     _write_manifest(out, command, args.seed, ["config.resolved", "audit.txt"])
     if not report.passed:
         print(f"audit failed; {out} holds the verdict and no results", file=sys.stderr)
-    return problem, out, report
+    return out
 
 
 def _cmd_audit(args) -> int:
-    *_, report = _prologue(args, "audit", load_config(args.config, args.set))
+    cfg = load_config(args.config, args.set)
+    _, report = _audit(args, cfg)
+    _prologue(args, "audit", cfg, report)
     return 0 if report.passed else 1
 
 
@@ -101,13 +106,14 @@ def _cmd_simulate(args) -> int:
     stride = cfg["output.snapshot_stride"]
     if stride < 1:
         raise ConfigError(f"output.snapshot_stride must be >= 1, got {stride}")
-    problem, out, report = _prologue(args, "simulate", cfg)
+    problem, report = _audit(args, cfg)
+    out = _prologue(args, "simulate", cfg, report)
     if not report.passed:
         return 1
     failure = None
     try:
         traj = run(problem.init, problem.params, problem.bundle, problem.spec,
-                   snapshot_stride=stride, constants=report.constants)
+                   snapshot_stride=stride)
     except StepError as err:
         # persist the partial trajectory before reporting the failure
         traj = getattr(err, "partial", None)
@@ -149,21 +155,15 @@ def _sweep_command(args) -> int:
     cfg = load_config(args.config, args.set)
     T, dt = _positive(cfg, "sweep.t"), _positive(cfg, "sweep.dt")
     values = asymptotics.sweep_values(cfg["sweep.values"])
-    asymptotics.fixed_positive(mode, cfg["model.eps"], cfg["model.tau"])
-    problem, out, audit_report = _prologue(args, args.command, cfg)
-    if not audit_report.passed:
-        return 1
-    base = problem.params.with_params(T=T, dt=dt)
+    problem, audit_report = _audit(args, cfg)
+    # the plan admits every system it runs, so one a gate refuses raises before any file
     plan = asymptotics.SweepPlan(
-        mode=mode,
-        values=values,
-        base_params=base,
-        init=problem.init,
-        bundle=problem.bundle,
-        spec=problem.spec,
-        m0_cap=cfg["sweep.m0"],
-    )
-    report = asymptotics.sweep(plan, constants=audit_report.constants)
+        mode, values, problem.params.with_params(T=T, dt=dt), problem.init, problem.bundle,
+        problem.spec, m0_cap=cfg["sweep.m0"]) if audit_report.passed else None
+    out = _prologue(args, args.command, cfg, audit_report)
+    if plan is None:
+        return 1
+    report = asymptotics.sweep(plan)
     asymptotics.write_rates_csv(out / "rates.csv", report)
     diagnostics.write_distances_csv(
         out / "distances.csv",
@@ -177,19 +177,14 @@ def _sweep_command(args) -> int:
         note = "" if use else "  (floored, excluded from fit)"
         print(f"  {v:10.4g}  error {tot:.6e}{note}")
     print(f"  dt-refinement floor: {report.floor:.3e}")
-    ok = not report.incomplete and report.monotone_ok
     if report.slope is not None:
-        target = report.theoretical_slope - 0.05
-        rate_ok = report.slope >= target
-        ok = ok and rate_ok
+        target = report.theoretical_slope - asymptotics.SLOPE_MARGIN
         print(f"fitted slope {report.slope:.4f} vs theoretical {report.theoretical_slope} "
-              f"({'PASS' if rate_ok else 'FAIL'}: threshold {target:.2f})")
-    else:
-        ok = False
+              f"({'PASS' if report.rate_ok else 'FAIL'}: threshold {target:.2f})")
     print(f"monotone: {report.monotone_ok}; incomplete: {report.incomplete}")
     for note in report.notes:
         print("  note:", note)
-    return 0 if ok else 1
+    return 0 if report.passed else 1
 
 
 def _cmd_stability(args) -> int:
@@ -203,31 +198,27 @@ def _cmd_stability(args) -> int:
     if not taus:
         raise ConfigError("stability.taus needs at least one tau")
     T = _positive(cfg, "stability.t")
-    asymptotics.stability_eta(cfg["model.eta"])
-    problem, out, report = _prologue(args, "stability", cfg)
-    if not report.passed:
-        return 1
+    problem, report = _audit(args, cfg)
     params = problem.params.with_params(T=T)
-    table = []
-    ok = True
-    tau_ratios = []
-    for tau in taus:
-        rows = asymptotics.stability_probe(
-            problem.init, params.with_params(tau=tau), problem.bundle, problem.spec,
-            deltas, constants=report.constants,
-        )
-        if not asymptotics.ratios_consistent(rows):
-            ok = False
-        tau_ratios.append(np.mean([r.ratio for r in rows]))
-        for r in rows:
-            table.append((tau, r.delta, r.lhs, r.rhs, r.ratio))
-            print(f"tau = {tau:g}, delta = {r.delta:g}: lhs/rhs = {r.ratio:.4f}")
-    if len(tau_ratios) >= 2 and max(tau_ratios) > 2.0 * min(tau_ratios):
-        ok = False
-        print("ratios drift across tau by more than factor 2")
+    # every tau's base and perturbed runs are admitted before any file
+    plans = [asymptotics.StabilityPlan(problem.init, params.with_params(tau=tau),
+                                       problem.bundle, problem.spec, deltas)
+             for tau in taus] if report.passed else None
+    out = _prologue(args, "stability", cfg, report)
+    if plans is None:
+        return 1
+    table, probes = [], []
+    for plan in plans:
+        probes.append(asymptotics.stability_probe(plan))
+        for r in probes[-1]:
+            table.append((plan.params.tau, r.delta, r.lhs, r.rhs, r.ratio))
+            print(f"tau = {plan.params.tau:g}, delta = {r.delta:g}: lhs/rhs = {r.ratio:.4f}")
+    if not asymptotics.tau_drift_ok(probes):
+        print(f"ratios drift across tau by more than factor {asymptotics.TAU_DRIFT_FACTOR:g}")
     write_table(out / "stability.csv", ["tau", "delta", "lhs", "rhs", "ratio"], table)
     _write_manifest(out, "stability", args.seed,
                     ["config.resolved", "audit.txt", "stability.csv"])
+    ok = asymptotics.stability_passed(probes)
     print("stability probe:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -236,8 +227,7 @@ def _cmd_verify(args) -> int:
     from . import verify
 
     cfg = load_config(args.config, args.set)
-    problem = build_problem(cfg, seed=args.seed)  # surfaces configuration errors
-    report = run_audit(problem.params, problem.bundle, problem.spec, problem.init)
+    _, report = _audit(args, cfg)  # surfaces configuration errors
     print(report.render(), end="")
     ok = verify.run_all()
     return 0 if (ok and report.passed) else 1
@@ -247,28 +237,26 @@ def _cmd_oracle_compare(args) -> int:
     from . import galerkin
 
     cfg = load_config(args.config, args.set)
-    if cfg["grid.dim"] != 1:
-        raise ConfigError(f"grid.dim must be 1, got {cfg['grid.dim']}: "
-                          "the spectral oracle is one-dimensional")
-    n, cells = cfg["oracle.modes"], cfg["grid.cells"][0]
-    if not 1 <= n <= cells:
-        raise ConfigError(f"oracle.modes must lie in [1, grid.cells] = [1, {cells}], got {n}")
+    n = cfg["oracle.modes"]
+    galerkin.make_basis(build_grid(cfg), n)  # the oracle's settings, checked before the run
     cfg.entries.update({
         "model.eps": 0.1, "model.tau": 0.1,
         "model.dt": _positive(cfg, "oracle.dt"), "model.T": _positive(cfg, "oracle.t"),
     })
-    problem, out, report = _prologue(args, "oracle-compare", cfg)
+    problem, report = _audit(args, cfg)
+    out = _prologue(args, "oracle-compare", cfg, report)
     if not report.passed:
         return 1
     traj = run(problem.init, problem.params, problem.bundle, problem.spec,
-               constants=report.constants, record_diagnostics=False)
+               record_diagnostics=False)
     ts, coeffs, rel = galerkin.compare(traj, problem.bundle, problem.spec, n)
     galerkin.write_coefficients_csv(out / "oracle_coefficients.csv", ts, coeffs, n)
     _write_manifest(out, "oracle-compare", args.seed,
                     ["config.resolved", "audit.txt", "oracle_coefficients.csv"])
-    ok = rel <= 5e-3
+    ok = rel <= galerkin.ORACLE_GAP_TOL
+    threshold = np.format_float_scientific(galerkin.ORACLE_GAP_TOL, trim="-", exp_digits=1)
     print(f"L2(0,T;H) relative difference stepper vs oracle: {rel:.6e} "
-          f"({'PASS' if ok else 'FAIL'}: threshold 5e-3)")
+          f"({'PASS' if ok else 'FAIL'}: threshold {threshold})")
     return 0 if ok else 1
 
 

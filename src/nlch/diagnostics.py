@@ -26,6 +26,12 @@ from .kernel import KernelBundle, nonlocal_energy_density, nonlocal_energy_rows
 from .potential import PotentialSpec, f_eval, f_lambda_eval
 
 
+# the largest per-step mass defect (DiagnosticsRecord.mass_balance_residual) a run passes with
+MASS_BALANCE_TOL = 1e-12
+# the largest per-step increase of a source-free run's Lyapunov functional, over |L(0)|
+LYAPUNOV_TOL = 1e-10
+
+
 class DiagnosticsRecord(NamedTuple):
     """One row of the per-step time series; the fields, in order, are the
     columns of diagnostics.csv."""
@@ -114,9 +120,6 @@ class TrajectoryDistance(NamedTuple):
         if weights is None:
             weights = dict.fromkeys(self._fields, 1.0)
         return sum(w * getattr(self, name) for name, w in weights.items())
-
-    def as_dict(self) -> dict:
-        return self._asdict()
 
 
 def check_alignment(t1, t2, dt: float):

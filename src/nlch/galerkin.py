@@ -42,6 +42,9 @@ from .kernel import KernelBundle
 from .model import ModelParams
 from .potential import PotentialSpec, f_prime_regularized, yosida_with_derivative
 
+# the largest relative L2(0,T;H) gap (oracle_gap) between the stepper and the oracle
+ORACLE_GAP_TOL = 5e-3
+
 
 class SpectralBasis(NamedTuple):
     """Cosine eigenbasis of the Neumann Laplacian sampled at cell centers."""
@@ -67,12 +70,14 @@ def make_basis(grid: GridSpec, n: int) -> SpectralBasis:
     machine precision.
     """
     if grid.dim != 1:
-        raise ConfigError("the spectral oracle is one-dimensional")
-    if n < 1 or n > grid.cells[0]:
-        raise ConfigError(f"mode count must lie in [1, cells]; got {n} with {grid.cells[0]} cells")
+        raise ConfigError(f"grid.dim must be 1, got {grid.dim}: "
+                          "the spectral oracle is one-dimensional")
+    cells = grid.cells[0]
+    if not 1 <= n <= cells:
+        raise ConfigError(f"oracle.modes must lie in [1, grid.cells] = [1, {cells}], got {n}")
     L = grid.extent[0]
     x = grid.axis_coordinates(0)
-    funcs = np.empty((grid.cells[0], n))
+    funcs = np.empty((cells, n))
     eigs = np.empty(n)
     funcs[:, 0] = 1.0 / np.sqrt(grid.measure)
     eigs[0] = 0.0

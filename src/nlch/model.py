@@ -27,8 +27,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import diagnostics
-from .audit import (RUN_GATES, DerivedConstants, GateInput, admit, derive_constants, ip_infty,
-                    ip_init)
+from .audit import RUN_GATES, GateInput, admit, derive_constants, ip_infty, ip_init
 from .errors import ConfigError, SolverError, StepError
 from .grid import Field, solve_helmholtz, solve_shifted_diffusion, _lap_array
 from .kernel import KernelBundle
@@ -145,24 +144,16 @@ class InitialData(NamedTuple):
     sigma0: Field
 
 
-def validate_params(params: ModelParams, bundle: KernelBundle, spec: PotentialSpec,
-                    constants: DerivedConstants | None = None) -> DerivedConstants:
-    """Admit a run through the gate table of nlch.audit.
-
-    Raises AssumptionError for the first failing row that reads the
-    parameters. Returns the derived constants for reuse.
-    """
-    if constants is None:
-        constants = derive_constants(bundle, spec)
-    g = GateInput(params, bundle, spec, constants)
+def validate_params(params: ModelParams, bundle: KernelBundle, spec: PotentialSpec):
+    """Admit a run through the gate table of nlch.audit, on constants derived here:
+    raise AssumptionError for the first failing row that reads the parameters."""
+    g = GateInput(params, bundle, spec, derive_constants(bundle, spec))
     admit(gate(g) for gate in RUN_GATES)
-    return constants
 
 
-def admit_run(init: InitialData, params: ModelParams, bundle: KernelBundle,
-              spec: PotentialSpec, constants: DerivedConstants | None = None):
+def admit_run(init: InitialData, params: ModelParams, bundle: KernelBundle, spec: PotentialSpec):
     """Admit the parameters, then the initial data (ip_init, ip_infty)."""
-    validate_params(params, bundle, spec, constants)
+    validate_params(params, bundle, spec)
     admit(gate(GateInput(params, spec=spec, init=init)) for gate in (ip_init, ip_infty))
 
 
@@ -448,8 +439,7 @@ _SHARED = [name for name in ModelParams.__slots__ if name not in ("eps", "tau")]
 
 def run_rows(inits: Sequence[InitialData], params: Sequence[ModelParams], bundle: KernelBundle,
              spec: PotentialSpec, snapshot_stride: int = 1, validate: bool = True,
-             constants: DerivedConstants | None = None, record_diagnostics: bool = True,
-             observe: Callable | None = None) -> list:
+             record_diagnostics: bool = True, observe: Callable | None = None) -> list:
     """Integrate several runs in lockstep from t = 0 to T, one batch row each.
 
     The runs share every parameter but eps and tau. Returns, for each run,
@@ -466,7 +456,7 @@ def run_rows(inits: Sequence[InitialData], params: Sequence[ModelParams], bundle
     """
     if validate:
         for init, p in zip(inits, params):
-            admit_run(init, p, bundle, spec, constants)
+            admit_run(init, p, bundle, spec)
     shared = [[getattr(p, name) for name in _SHARED] for p in params]
     if any(other != shared[0] for other in shared[1:]):
         raise ConfigError("lockstep runs must share every parameter but eps and tau")
@@ -550,7 +540,6 @@ def run_rows(inits: Sequence[InitialData], params: Sequence[ModelParams], bundle
 
 def run(init: InitialData, params: ModelParams, bundle: KernelBundle,
         spec: PotentialSpec, snapshot_stride: int = 1, validate: bool = True,
-        constants: DerivedConstants | None = None,
         record_diagnostics: bool = True) -> Trajectory:
     """Integrate from t = 0 to T, recording snapshots and diagnostics.
 
@@ -559,7 +548,7 @@ def run(init: InitialData, params: ModelParams, bundle: KernelBundle,
     failed step's index and target time as .step and .t.
     """
     (result,) = run_rows([init], [params], bundle, spec, snapshot_stride, validate,
-                         constants, record_diagnostics)
+                         record_diagnostics)
     if isinstance(result, StepError):
         raise result
     return result

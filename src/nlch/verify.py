@@ -151,7 +151,7 @@ def check_model_mass_balance():
     )
     traj = model.run(init, params, b, p)
     worst = max(r.mass_balance_residual for r in traj.records)
-    return worst <= 1e-12, f"max per-step mass defect {worst:.2e}"
+    return worst <= diagnostics.MASS_BALANCE_TOL, f"max per-step mass defect {worst:.2e}"
 
 
 def check_model_lyapunov():
@@ -166,7 +166,8 @@ def check_model_lyapunov():
     traj = model.run(init, params, b, p)
     L = np.array([r.lyapunov for r in traj.records])
     worst = float(np.max(np.diff(L)))
-    return worst <= 1e-10 * L[0], f"max Lyapunov increment {worst:.2e} over 200 steps"
+    ok = worst <= diagnostics.LYAPUNOV_TOL * abs(L[0])
+    return ok, f"max Lyapunov increment {worst:.2e} over 200 steps"
 
 
 def check_model_max_principle():

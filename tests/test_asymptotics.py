@@ -8,15 +8,19 @@ import nlch.asymptotics
 import nlch.model
 from nlch.asymptotics import (
     LIMITS,
+    SLOPE_MARGIN,
+    TAU_DRIFT_FACTOR,
     ErrorReport,
+    StabilityPlan,
     StabilityRow,
     SweepPlan,
     fit_rate,
     ratios_consistent,
+    stability_passed,
     stability_probe,
     sweep,
+    tau_drift_ok,
     write_rates_csv,
-    _member_setup,
 )
 from nlch.config import build_problem, load_config
 from nlch.diagnostics import distance
@@ -84,6 +88,35 @@ def test_error_report_takes_appends_and_flag_updates():
     assert (other.used_in_fit, other.notes) == ([], [])
 
 
+@pytest.mark.parametrize("theory", [0.25, 0.5])
+def test_error_report_verdict_at_the_slope_margin(theory):
+    def report(**kw):
+        return ErrorReport("tau", [], [], [], theory, 0.0, **kw)
+
+    target = theory - SLOPE_MARGIN
+    assert report(slope=target).passed
+    assert report(slope=target).rate_ok
+    below = np.nextafter(target, -np.inf)
+    assert not report(slope=below).rate_ok and not report(slope=below).passed
+    assert not report(slope=target, incomplete=True).passed
+    assert not report(slope=target, monotone_ok=False).passed
+    assert not report().rate_ok and not report().passed
+
+
+def test_stability_verdict_at_the_drift_factor():
+    def probe(ratio):
+        return [StabilityRow(1e-2, ratio, 1.0), StabilityRow(1e-3, ratio, 1.0)]
+
+    at = [probe(1.0), probe(TAU_DRIFT_FACTOR)]
+    assert tau_drift_ok(at) and stability_passed(at)
+    above = [probe(1.0), probe(np.nextafter(TAU_DRIFT_FACTOR, np.inf))]
+    assert not tau_drift_ok(above) and not stability_passed(above)
+    # one tau alone has no drift; a probe whose delta-ratios disagree fails the verdict
+    assert stability_passed([probe(1.0)])
+    inconsistent = [StabilityRow(1e-2, 1.0, 1.0), StabilityRow(1e-3, 4.0, 1.0)]
+    assert tau_drift_ok([inconsistent]) and not stability_passed([inconsistent])
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_fit_rate_matches_lstsq(n):
     # the centered-sums line against numpy's least-squares solve of the design
@@ -132,29 +165,23 @@ def test_plan_validation(grid64, bundle64, poly):
         SweepPlan(mode="bogus", values=(1e-2,), base_params=base, init=init,
                   bundle=bundle64, spec=poly)
 
+    # construction admits the plan
     with pytest.raises(AssumptionError, match="eta"):
-        plan = SweepPlan(mode="eps", values=(1e-2, 3e-3, 1e-3),
-                         base_params=base.with_params(eta=0.1), init=init,
-                         bundle=bundle64, spec=poly)
-        sweep(plan)
+        SweepPlan(mode="eps", values=(1e-2, 3e-3, 1e-3), base_params=base.with_params(eta=0.1),
+                  init=init, bundle=bundle64, spec=poly)
 
     logpot = logarithmic_potential(0.3, 0.6)
     with pytest.raises(AssumptionError, match="pol_growth"):
-        plan = SweepPlan(mode="eps", values=(1e-2, 3e-3, 1e-3), base_params=base,
-                         init=init, bundle=bundle64, spec=logpot)
-        sweep(plan)
+        SweepPlan(mode="eps", values=(1e-2, 3e-3, 1e-3), base_params=base,
+                  init=init, bundle=bundle64, spec=logpot)
 
     with pytest.raises(AssumptionError, match="ip_chi"):
-        plan = SweepPlan(mode="tau", values=(1e-2, 3e-3, 1e-3),
-                         base_params=base.with_params(chi=10.0), init=init,
-                         bundle=bundle64, spec=poly)
-        sweep(plan)
+        SweepPlan(mode="tau", values=(1e-2, 3e-3, 1e-3), base_params=base.with_params(chi=10.0),
+                  init=init, bundle=bundle64, spec=poly)
 
     with pytest.raises(AssumptionError, match="eps > 0"):
-        plan = SweepPlan(mode="tau", values=(1e-2, 3e-3, 1e-3),
-                         base_params=base.with_params(eps=0.0), init=init,
-                         bundle=bundle64, spec=poly)
-        sweep(plan)
+        SweepPlan(mode="tau", values=(1e-2, 3e-3, 1e-3), base_params=base.with_params(eps=0.0),
+                  init=init, bundle=bundle64, spec=poly)
 
 
 def test_identical_systems_have_zero_distance(grid64, bundle64, poly):
@@ -165,7 +192,7 @@ def test_identical_systems_have_zero_distance(grid64, bundle64, poly):
     t1 = run(init, limit, bundle64, poly, record_diagnostics=False)
     t2 = run(init, limit, bundle64, poly, record_diagnostics=False)
     d = distance(t1, t2)
-    assert all(v == 0.0 for v in d.as_dict().values())
+    assert all(v == 0.0 for v in d._asdict().values())
 
 
 def test_small_eps_sweep(grid64, bundle64, poly, tmp_path):
@@ -235,33 +262,34 @@ def run_calls(monkeypatch):
 
 def test_monitor_cap_enforced(grid64, bundle64, poly, run_calls):
     init, base = small_problem(grid64, bundle64)
-    plan = SweepPlan(mode="eps", values=(1e-2, 3e-3, 1e-3), base_params=base,
-                     init=init, bundle=bundle64, spec=poly, m0_cap=1e-9)
     with pytest.raises(AssumptionError, match="init-boundedness"):
-        sweep(plan)
+        SweepPlan(mode="eps", values=(1e-2, 3e-3, 1e-3), base_params=base,
+                  init=init, bundle=bundle64, spec=poly, m0_cap=1e-9)
     assert run_calls == []  # raised before the reference runs
 
 
 def test_member_admission_precedes_every_run(grid64, bundle64, poly, run_calls):
     # the limit system is admissible; the first member is above the eps threshold
     init, base = small_problem(grid64, bundle64)
-    plan = SweepPlan(mode="eps", values=(0.5, 1e-2, 1e-3), base_params=base,
-                     init=init, bundle=bundle64, spec=poly)
     with pytest.raises(AssumptionError, match="eps < eps0"):
-        sweep(plan)
+        SweepPlan(mode="eps", values=(0.5, 1e-2, 1e-3), base_params=base,
+                  init=init, bundle=bundle64, spec=poly)
     assert run_calls == []
 
 
 def test_stability_probe(grid64, bundle64, poly):
     init, base = small_problem(grid64, bundle64)
-    rows = stability_probe(init, base.with_params(T=0.05), bundle64, poly,
-                           deltas=[0.0, 1e-2, 1e-3])
+    rows = stability_probe(StabilityPlan(init, base.with_params(T=0.05), bundle64, poly,
+                                         deltas=[0.0, 1e-2, 1e-3]))
     assert len(rows) == 2  # delta = 0 skipped
     assert all(r.lhs > 0 and r.rhs > 0 for r in rows)
     assert ratios_consistent(rows)
 
     with pytest.raises(AssumptionError, match="eta"):
-        stability_probe(init, base.with_params(eta=0.1), bundle64, poly, deltas=[1e-2])
+        StabilityPlan(init, base.with_params(eta=0.1), bundle64, poly, deltas=[1e-2])
+    # every perturbed run is admitted: sigma0 + 0.5 bump leaves [0, 1] (ip_infty)
+    with pytest.raises(AssumptionError, match="ip_infty"):
+        StabilityPlan(init, base, bundle64, poly, deltas=[1e-2, 0.5])
 
 
 def test_ratios_consistent_edges():
@@ -294,9 +322,8 @@ def test_lockstep_sweep_rows_equal_their_own_runs(mode):
     plan = SweepPlan(mode=mode, values=cfg["sweep.values"],
                      base_params=problem.params.with_params(T=cfg["sweep.t"], dt=cfg["sweep.dt"]),
                      init=problem.init, bundle=problem.bundle, spec=problem.spec)
-    members = [_member_setup(plan, v) for v in plan.values]
-    params = [plan.limit_params()] + [p for p, _ in members]
-    inits = [plan.init] + [init for _, init in members]
+    params = [plan.limit_params()] + [p for _, p, _ in plan.members]
+    inits = [plan.init] + [init for _, _, init in plan.members]
     rows = run_rows(inits, params, plan.bundle, plan.spec, validate=False,
                     record_diagnostics=False)
     alone = [run(init, p, plan.bundle, plan.spec, validate=False, record_diagnostics=False)
@@ -322,8 +349,8 @@ def test_lockstep_stability_probe_equals_separate_runs():
     bump = np.cos(np.pi * grid.meshgrid()[0] / grid.extent[0])
     for tau in cfg["stability.taus"]:
         params = problem.params.with_params(T=cfg["stability.t"], tau=tau)
-        rows = stability_probe(problem.init, params, problem.bundle, problem.spec,
-                               cfg["stability.deltas"])
+        rows = stability_probe(StabilityPlan(problem.init, params, problem.bundle,
+                                             problem.spec, cfg["stability.deltas"]))
         base = run(problem.init, params, problem.bundle, problem.spec,
                    record_diagnostics=False)
         weights = {"linf_vstar_combo": 1.0, "l2_h_mu": 1.0, "linf_h_phi": np.sqrt(tau),

@@ -9,8 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import nlch.asymptotics
-import nlch.audit
 import nlch.cli
 import nlch.model
 from nlch.cli import main
@@ -452,6 +450,28 @@ def test_cli_zero_horizons_are_configuration_errors(tmp_path, capsys, command, s
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command, setting, message", [
+    ("sweep-eps", "potential.family=logarithmic", "pol_growth: logarithmic potential has a "
+     "bounded barrier domain; the growth condition requires D(dF1) = R"),
+    ("sweep-tau", "model.chi=5", "ip_chi: chi = 5 vs sqrt(c_a) = 1"),
+    ("sweep-tau", "sweep.m0=1e-6", "init-boundedness: monitored quantity tau^1/2 |phi0|_V + "
+     "|F(phi0)|_L1 = 0.323681 exceeds M0 = 1e-06"),
+    ("stability", "stability.taus=0.1,1.5", "tau < tau0 = 1: tau = 1.5"),
+], ids=["eps-pol_growth", "tau-ip_chi", "tau-m0", "stability-tau0"])
+def test_cli_runs_a_gate_refuses_write_nothing(tmp_path, capsys, command, setting, message):
+    # the audit passes, and the sweep's limit system or its M0 monitor, or the
+    # probe at one tau, is refused; each used to leave a passing audit.txt, and
+    # stability ran and printed tau = 0.1 before refusing tau = 1.5
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "rate-study.cfg"
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path), "--set", setting,
+               "--set", "grid.cells=64", "--set", "stability.t=0.02"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert f"configuration error: {message}" in err
+    assert out == ""  # no audit report and no lhs/rhs line
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("settings, message", [
     (["grid.dim=2", "grid.cells=32"], "grid.dim must be 1, got 2"),
     (["oracle.modes=0"], "oracle.modes must lie in [1, grid.cells] = [1, 256], got 0"),
@@ -618,28 +638,6 @@ def test_cli_oracle_compare_on_the_defaults_fails_the_eps_row(tmp_path, capsys):
     failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
     assert failed == ["[FAIL] eps < eps0: eps = 0.1 vs 0.9 * eps0 = 0.0599116"]
     assert not (tmp_path / "oracle_coefficients.csv").exists()
-
-
-@pytest.mark.parametrize("command", ["simulate", "oracle-compare", "stability"])
-def test_cli_derives_constants_once(tmp_path, monkeypatch, command):
-    # the audit's constants are handed to the run; validate_params reuses them
-    calls = []
-    original = nlch.model.derive_constants
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    for module in (nlch.audit, nlch.model, nlch.asymptotics):
-        monkeypatch.setattr(module, "derive_constants", counted)
-    cfg = Path(__file__).resolve().parent.parent / "configs" / "rate-study.cfg"
-    short = {"simulate": ["model.T=0.002"], "oracle-compare": ["oracle.t=0.002"],
-             "stability": ["stability.t=0.002", "stability.taus=0.1"]}[command]
-    argv = [command, "--config", str(cfg), "--out", str(tmp_path)]
-    for item in short:
-        argv += ["--set", item]
-    assert main(argv) == 0
-    assert len(calls) == 1
 
 
 def test_cli_verify_subcommand(capsys):

@@ -76,7 +76,7 @@ def test_distance_self_and_shift(grid64, bundle64, poly):
     sigs = [Field.constant(grid64, 0.5) for _ in range(4)]
     t1 = frozen_trajectory(grid64, phis, sigs)
     d0 = distance(t1, t1)
-    for name, val in d0.as_dict().items():
+    for name, val in d0._asdict().items():
         assert val == 0.0, name
 
     shifted = [Field(grid64, p.values + 0.25) for p in phis]

@@ -15,7 +15,6 @@ from nlch.model import (
     InitialData,
     ModelParams,
     Trajectory,
-    derive_constants,
     h_default,
     h_one,
     h_tanh,
@@ -232,39 +231,34 @@ def test_barrier_safety_and_xi_invariant(grid64, bundle64, logpot):
 
 
 def test_validate_params_gates(grid256, bundle_wide, poly, logpot):
-    consts = derive_constants(bundle_wide, poly)
-
     with pytest.raises(AssumptionError, match="A1"):
-        validate_params(coupled_params(P=-1.0), bundle_wide, poly, consts)
+        validate_params(coupled_params(P=-1.0), bundle_wide, poly)
 
     with pytest.raises(AssumptionError, match="A3"):
-        validate_params(coupled_params(sigma_s=1.5), bundle_wide, poly, consts)
+        validate_params(coupled_params(sigma_s=1.5), bundle_wide, poly)
 
     with pytest.raises(AssumptionError, match="eps < eps0"):
-        validate_params(coupled_params(eps=0.2), bundle_wide, poly, consts)
+        validate_params(coupled_params(eps=0.2), bundle_wide, poly)
 
     with pytest.raises(AssumptionError, match="tau < tau0"):
-        validate_params(coupled_params(tau=1.5), bundle_wide, poly, consts)
+        validate_params(coupled_params(tau=1.5), bundle_wide, poly)
 
     with pytest.raises(AssumptionError, match="ip_chi"):
-        validate_params(coupled_params(tau=0.0, chi=10.0), bundle_wide, poly, consts)
+        validate_params(coupled_params(tau=0.0, chi=10.0), bundle_wide, poly)
 
     with pytest.raises(AssumptionError, match="eta = 0"):
-        validate_params(coupled_params(eps=0.0, eta=0.1), bundle_wide, poly, consts)
+        validate_params(coupled_params(eps=0.0, eta=0.1), bundle_wide, poly)
 
     with pytest.raises(AssumptionError, match="pol_growth"):
-        validate_params(coupled_params(eps=0.0), bundle_wide, logpot,
-                        derive_constants(bundle_wide, logpot))
+        validate_params(coupled_params(eps=0.0), bundle_wide, logpot)
 
     # a_* = 0.49 leaves a_* + F''(0) = a_* - 1 < 0 on the quartic well
     narrow = build(KernelSpec("gaussian", width=3.0, normalization=0.5), grid256)
-    for constants in (None, derive_constants(narrow, poly)):
-        with pytest.raises(AssumptionError, match="A5 dominance"):
-            validate_params(coupled_params(), narrow, poly, constants)
+    with pytest.raises(AssumptionError, match="A5 dominance"):
+        validate_params(coupled_params(), narrow, poly)
 
-    # admissible config passes and returns the constants
-    out = validate_params(coupled_params(), bundle_wide, poly, consts)
-    assert out.c0 > 0 and out.eps0.value > 0
+    # an admissible config passes
+    validate_params(coupled_params(), bundle_wide, poly)
 
 
 def test_initial_data_checks(grid64, logpot, poly):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import nlch.grid
-from nlch.asymptotics import SweepPlan, _member_setup
+from nlch.asymptotics import SweepPlan
 from nlch.cli import main
 from nlch.config import SCHEMA, build_problem, load_config
 from nlch.diagnostics import write_diagnostics_csv
@@ -54,6 +54,29 @@ def test_tracer_only_imports_are_traced_call_sites(monkeypatch):
             found += [(f"nlch.{path.stem}", name.strip()) for name in names.split(",")]
     assert found
     assert [site for site in found if site not in patched] == []
+
+
+def test_cli_compares_against_no_float_literal():
+    # every pass/fail threshold is a constant of the module that computes the
+    # number it judges; a float in one of the CLI's comparisons, directly,
+    # inside arithmetic or through a local name, is a verdict decided twice
+    found = []
+    for fn in ast.walk(ast.parse((ROOT / "src" / "nlch" / "cli.py").read_text())):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        assigned = {target.id: node.value for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+
+        def floats(node, seen=()):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, float):
+                    yield sub.value
+                elif isinstance(sub, ast.Name) and sub.id in assigned and sub.id not in seen:
+                    yield from floats(assigned[sub.id], (*seen, sub.id))
+
+        found += [(fn.name, value) for node in ast.walk(fn) if isinstance(node, ast.Compare)
+                  for operand in (node.left, *node.comparators) for value in floats(operand)]
+    assert found == []
 
 
 def test_package_modules_use_every_import():
@@ -125,7 +148,7 @@ def test_traced_lockstep_sweep_counts_every_rows_newton_iterations(monkeypatch, 
                      init=problem.init, bundle=problem.bundle, spec=problem.spec)
     limit = plan.limit_params()
     runs = [(plan.init, limit), (plan.init, limit.with_params(dt=limit.dt / 2.0))]
-    runs += [_member_setup(plan, v)[::-1] for v in plan.values]
+    runs += [(init, params) for _, params, init in plan.members]
     per_row = sum(rec.newton_iters for init, params in runs
                   for rec in run(init, params, plan.bundle, plan.spec, validate=False).records)
     assert tracer.counts["model.step.newton_iters"] == per_row
