@@ -11,7 +11,7 @@ plus the t = 0 data difference that the smoothing introduces.
 
 import math
 import warnings
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -185,29 +185,22 @@ class SweepPlan:
 SLOPE_MARGIN = 0.05
 
 
-class ErrorReport:
-    """Per-sweep distances, the fitted convergence rate and the verdict.
+class ErrorReport(NamedTuple):
+    """Per-sweep distances, the fitted convergence rate and the verdict."""
 
-    A list left out starts empty; sweep fills the lists and sets the fit
-    and the flags as it goes.
-    """
-
-    __slots__ = ("mode", "parameter_values", "distances", "totals", "theoretical_slope",
-                 "floor", "slope", "intercept", "fit_residual", "used_in_fit", "monotone_ok",
-                 "incomplete", "notes")
-
-    def __init__(self, mode: str, parameter_values: list[float],
-                 distances: list[TrajectoryDistance], totals: list[float],
-                 theoretical_slope: float, floor: float, slope: float | None = None,
-                 intercept: float | None = None, fit_residual: float | None = None,
-                 used_in_fit: list[bool] | None = None, monotone_ok: bool = True,
-                 incomplete: bool = False, notes: list[str] | None = None):
-        self.mode, self.parameter_values, self.distances = mode, parameter_values, distances
-        self.totals, self.theoretical_slope, self.floor = totals, theoretical_slope, floor
-        self.slope, self.intercept, self.fit_residual = slope, intercept, fit_residual
-        self.used_in_fit = [] if used_in_fit is None else used_in_fit
-        self.monotone_ok, self.incomplete = monotone_ok, incomplete
-        self.notes = [] if notes is None else notes
+    mode: str
+    parameter_values: list[float]
+    distances: list[TrajectoryDistance]
+    totals: list[float]
+    theoretical_slope: float
+    floor: float
+    slope: float | None = None
+    intercept: float | None = None
+    fit_residual: float | None = None
+    used_in_fit: Sequence[bool] = ()
+    monotone_ok: bool = True
+    incomplete: bool = False
+    notes: Sequence[str] = ()
 
     @property
     def rate_ok(self) -> bool:
@@ -286,35 +279,19 @@ def sweep(plan: SweepPlan) -> ErrorReport:
     check_alignment(tracker.times, ref_half.times, min(results[0].params.dt, ref_half.params.dt))
     floor = tracker.distance(floor_row).total(weights)
 
-    report = ErrorReport(
-        mode=plan.mode,
-        parameter_values=[],
-        distances=[],
-        totals=[],
-        theoretical_slope=plan.limit.theory_slope,
-        floor=floor,
-    )
+    values, distances, notes = [], [], []
     for run_index, (value, _, _) in enumerate(plan.members, start=1):
         err = results[run_index]
         if isinstance(err, StepError):
-            report.incomplete = True
-            report.notes.append(f"member {plan.mode} = {value:g} failed at step "
-                                f"{err.step}: {err}")
+            notes.append(f"member {plan.mode} = {value:g} failed at step {err.step}: {err}")
             continue
-        d = tracker.distance(run_index)
-        report.parameter_values.append(value)
-        report.distances.append(d)
-        report.totals.append(d.total(weights))
-
-    totals = np.asarray(report.totals)
-    report.used_in_fit = [True] * len(totals)
-    for i, tot in enumerate(totals):
-        if tot <= 3.0 * floor:
-            report.used_in_fit[i] = False
-            report.notes.append(
-                f"value {report.parameter_values[i]:.3g} is within 3x of the "
-                f"dt-refinement floor {floor:.3e}; excluded from the fit"
-            )
+        values.append(value)
+        distances.append(tracker.distance(run_index))
+    incomplete = len(values) < len(plan.members)
+    totals = [d.total(weights) for d in distances]
+    used_in_fit = [not tot <= 3.0 * floor for tot in totals]
+    notes += [f"value {v:.3g} is within 3x of the dt-refinement floor {floor:.3e}; "
+              "excluded from the fit" for v, use in zip(values, used_in_fit) if not use]
 
     # Non-increasing along the decreasing parameter sequence, tolerating
     # one inversion of at most 5 percent (discretization floor noise).
@@ -322,16 +299,16 @@ def sweep(plan: SweepPlan) -> ErrorReport:
     for a, b in zip(totals, totals[1:]):
         if b > a:
             inversions += 1 if b <= 1.05 * a else 2
-    report.monotone_ok = inversions <= 1
 
-    fit_vals = [v for v, use in zip(report.parameter_values, report.used_in_fit) if use]
-    fit_errs = [t for t, use in zip(report.totals, report.used_in_fit) if use]
+    fit = (None, None, None)
     try:
-        report.slope, report.intercept, report.fit_residual = fit_rate(fit_vals, fit_errs)
+        fit = fit_rate([v for v, use in zip(values, used_in_fit) if use],
+                       [t for t, use in zip(totals, used_in_fit) if use])
     except FitError as err:
-        report.incomplete = True
-        report.notes.append(str(err))
-    return report
+        incomplete = True
+        notes.append(str(err))
+    return ErrorReport(plan.mode, values, distances, totals, plan.limit.theory_slope, floor,
+                       *fit, used_in_fit, inversions <= 1, incomplete, notes)
 
 
 def write_rates_csv(path, report: ErrorReport):

@@ -1,4 +1,9 @@
-"""Observables, trajectory distances, and theorem-check probes.
+"""Observables, trajectory distances, and structural verdicts.
+
+Each structural verdict (mass_balance, max_principle, lyapunov_decay,
+separation) reads a run's DiagnosticsRecords against this module's
+tolerance and returns (passed, measured); a run without records has no
+verdict.
 
 Distances between trajectories are computed snapshot-wise: L-infinity in
 time is the maximum over stored snapshots of a spatial norm, L2 in time
@@ -19,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ComparisonError
+from .errors import ComparisonError, InapplicabilityError
 from .grid import GridSpec, dual_norms, h_norms, v_norms, write_table
 from .grid import norm_vstar  # noqa: F401  a traced call site
 from .kernel import KernelBundle, nonlocal_energy_density, nonlocal_energy_rows
@@ -30,6 +35,10 @@ from .potential import PotentialSpec, f_eval, f_lambda_eval
 MASS_BALANCE_TOL = 1e-12
 # the largest per-step increase of a source-free run's Lyapunov functional, over |L(0)|
 LYAPUNOV_TOL = 1e-10
+# the rounding the maximum principle allows sigma outside [0, 1]
+MAX_PRINCIPLE_TOL = 1e-10
+# the separation margin: sup_t ||phi(t)||_inf passes at most ell - SEPARATION_MARGIN
+SEPARATION_MARGIN = 1e-3
 
 
 class DiagnosticsRecord(NamedTuple):
@@ -59,17 +68,15 @@ def energy(state, bundle: KernelBundle, spec: PotentialSpec) -> float:
     return e_nl + float(np.sum(fvals)) * state.phi.grid.cell_volume
 
 
-def _lyapunov_rows(phi, mu, sigma, params, spec: PotentialSpec, cellvol: float,
+def _lyapunov_rows(phi, mu, sigma, params, spec: PotentialSpec, grid: GridSpec,
                    e_nl, prox: np.ndarray | None) -> list:
     """Lyapunov functional of each row of (k, cells) stacks, given each row's
     interaction energy ``e_nl``; ``prox`` is the resolvent of phi or None."""
-    def norm_h_sq(v):
-        # squared as grid.norm_h(row) ** 2 is, so records match lyapunov() bit for bit
-        return [math.sqrt(max(d * cellvol, 0.0)) ** 2 for d in np.vecdot(v, v).tolist()]
-
+    # squared as grid.norm_h(row) ** 2 is, so records match lyapunov() bit for bit
+    mu_sq, sigma_sq = ([n ** 2 for n in h_norms(grid, v)] for v in (mu, sigma))
     flam = f_lambda_eval(spec, params.lam_eff, phi, prox).sum(axis=-1).tolist()
-    return [0.5 * params.eps * m + e + f * cellvol + 0.5 * s
-            for m, s, e, f in zip(norm_h_sq(mu), norm_h_sq(sigma), e_nl, flam)]
+    return [0.5 * params.eps * m + e + f * grid.cell_volume + 0.5 * s
+            for m, s, e, f in zip(mu_sq, sigma_sq, e_nl, flam)]
 
 
 def lyapunov(state, params, bundle: KernelBundle, spec: PotentialSpec) -> float:
@@ -79,7 +86,7 @@ def lyapunov(state, params, bundle: KernelBundle, spec: PotentialSpec) -> float:
     with F_lam the Yosida-regularized potential at the run's lambda.
     """
     (value,) = _lyapunov_rows(*(f.values[None] for f in (state.phi, state.mu, state.sigma)),
-                              params, spec, state.phi.grid.cell_volume,
+                              params, spec, state.phi.grid,
                               [nonlocal_energy_density(bundle, state.phi)], None)
     return value
 
@@ -96,10 +103,45 @@ def make_record(t, phi, mu, sigma, params, bundle, spec, mass_defect, newton_ite
     """
     e_nl = nonlocal_energy_rows(bundle, phi, conv_phi)
     return list(map(DiagnosticsRecord, t, mass_defect,
-                    _lyapunov_rows(phi, mu, sigma, params, spec, bundle.grid.cell_volume, e_nl,
-                                   prox),
+                    _lyapunov_rows(phi, mu, sigma, params, spec, bundle.grid, e_nl, prox),
                     sigma.min(axis=-1).tolist(), sigma.max(axis=-1).tolist(),
                     np.abs(phi).max(axis=-1).tolist(), e_nl, newton_iters))
+
+
+def _recorded(records, column: str, least: int = 1) -> list:
+    """One column of a run's records; fewer than ``least`` records raise."""
+    if len(records) < least:
+        raise InapplicabilityError(f"the verdict reads at least {least} diagnostics records, "
+                                   f"got {len(records)}; run with record_diagnostics=True")
+    return [getattr(r, column) for r in records]
+
+
+def mass_balance(records) -> tuple[bool, float]:
+    """The largest per-step mass defect; passes at most MASS_BALANCE_TOL."""
+    worst = max(_recorded(records, "mass_balance_residual"))
+    return worst <= MASS_BALANCE_TOL, worst
+
+
+def max_principle(records) -> tuple[bool, tuple[float, float]]:
+    """sigma's range (min sigma_min, max sigma_max); passes within MAX_PRINCIPLE_TOL of [0, 1]."""
+    lo, hi = min(_recorded(records, "sigma_min")), max(_recorded(records, "sigma_max"))
+    return lo >= -MAX_PRINCIPLE_TOL and hi <= 1.0 + MAX_PRINCIPLE_TOL, (lo, hi)
+
+
+def lyapunov_decay(records) -> tuple[bool, float]:
+    """The largest per-step increase of a source-free run's Lyapunov functional
+    over |L(0)|; passes at most LYAPUNOV_TOL. It needs a step and L(0) != 0."""
+    L = _recorded(records, "lyapunov", least=2)
+    if L[0] == 0.0:
+        raise InapplicabilityError("Lyapunov decay is judged relative to |L(0)|, which is 0")
+    worst = max(b - a for a, b in zip(L, L[1:])) / abs(L[0])
+    return worst <= LYAPUNOV_TOL, worst
+
+
+def separation(records, ell: float) -> tuple[bool, float]:
+    """The observed radius sup_t ||phi(t)||_inf; passes at most ell - SEPARATION_MARGIN."""
+    r_star = max(_recorded(records, "phi_supnorm"))
+    return r_star <= ell - SEPARATION_MARGIN, r_star
 
 
 class TrajectoryDistance(NamedTuple):
@@ -226,40 +268,6 @@ def distance(traj1, traj2, eps: float | None = None,
                          zip(traj1.mus, traj2.mus), zip(traj1.sigmas, traj2.sigmas)):
         tracker(t, [0, 1], *(np.stack([a.values, b.values]) for a, b in pairs))
     return tracker.distance(1)
-
-
-# the rounding allowed outside [0, 1] by the maximum principle probe
-MAX_PRINCIPLE_TOL = 1e-10
-
-
-def theorem_probe_max_principle(traj):
-    """Scan all snapshots for violations of 0 <= sigma <= 1 beyond MAX_PRINCIPLE_TOL.
-
-    Returns (passed, info) where info carries the global extrema and the
-    first violating (t, flat cell index) if any.
-    """
-    lo, hi = math.inf, -math.inf
-    first = None
-    for t, sig in zip(traj.times, traj.sigmas):
-        vals = sig.values
-        lo = min(lo, float(vals.min()))
-        hi = max(hi, float(vals.max()))
-        if first is None:
-            bad = np.where((vals < -MAX_PRINCIPLE_TOL) | (vals > 1.0 + MAX_PRINCIPLE_TOL))[0]
-            if bad.size:
-                first = (t, int(bad[0]), float(vals[bad[0]]))
-    passed = lo >= -MAX_PRINCIPLE_TOL and hi <= 1.0 + MAX_PRINCIPLE_TOL
-    return passed, {"sigma_min": lo, "sigma_max": hi, "first_violation": first}
-
-
-# the structural separation margin (AC-4): sup_t ||phi(t)||_inf <= ell - margin
-SEPARATION_MARGIN = 1e-3
-
-
-def theorem_probe_separation(traj, ell: float):
-    """Observed separation radius sup_t ||phi(t)||_inf; passes at most ell - SEPARATION_MARGIN."""
-    r_star = max(float(np.max(np.abs(p.values))) for p in traj.phis)
-    return r_star <= ell - SEPARATION_MARGIN, r_star
 
 
 def write_diagnostics_csv(path, records):

@@ -417,20 +417,17 @@ def _step_rows(state, rows: _Lockstep, bundle: KernelBundle, spec: PotentialSpec
 class Trajectory:
     """Recorded run: snapshots at the configured stride plus per-step records.
 
-    A list left out starts empty; run_rows appends to the lists and clears
-    ``complete`` when a step fails.
+    A list left out starts empty; run_rows appends to the lists.
     """
 
-    __slots__ = ("params", "times", "phis", "mus", "sigmas", "records", "complete")
+    __slots__ = ("params", "times", "phis", "mus", "sigmas", "records")
 
     def __init__(self, params: ModelParams, times: list[float] | None = None,
                  phis: list[Field] | None = None, mus: list[Field] | None = None,
-                 sigmas: list[Field] | None = None, records: list | None = None,
-                 complete: bool = True):
+                 sigmas: list[Field] | None = None, records: list | None = None):
         self.params = params
         self.times, self.phis, self.mus, self.sigmas, self.records = (
             [] if v is None else v for v in (times, phis, mus, sigmas, records))
-        self.complete = complete
 
 
 # the parameters that runs stepped in lockstep share: all but eps and tau
@@ -500,9 +497,7 @@ def run_rows(inits: Sequence[InitialData], params: Sequence[ModelParams], bundle
             step, errors = _step_rows((phi, mu, sig, conv, yos, derived), live, bundle, spec)
             for j, err in errors.items():
                 flush(runs[j])
-                traj = trajs[runs[j]]
-                traj.complete = False
-                err.partial = traj
+                err.partial = trajs[runs[j]]
                 err.step, err.t = k, k * dt
                 results[runs[j]] = err
             if step is None:

@@ -149,9 +149,8 @@ def check_model_mass_balance():
         grid.Field.constant(g, 0.0),
         grid.Field(g, 0.6 + 0.2 * np.cos(np.pi * x)),
     )
-    traj = model.run(init, params, b, p)
-    worst = max(r.mass_balance_residual for r in traj.records)
-    return worst <= diagnostics.MASS_BALANCE_TOL, f"max per-step mass defect {worst:.2e}"
+    passed, worst = diagnostics.mass_balance(model.run(init, params, b, p).records)
+    return passed, f"max per-step mass defect {worst:.2e}"
 
 
 def check_model_lyapunov():
@@ -163,11 +162,8 @@ def check_model_lyapunov():
         grid.Field.constant(g, 0.0),
         grid.Field(g, 0.5 + 0.3 * np.cos(2 * np.pi * x)),
     )
-    traj = model.run(init, params, b, p)
-    L = np.array([r.lyapunov for r in traj.records])
-    worst = float(np.max(np.diff(L)))
-    ok = worst <= diagnostics.LYAPUNOV_TOL * abs(L[0])
-    return ok, f"max Lyapunov increment {worst:.2e} over 200 steps"
+    passed, worst = diagnostics.lyapunov_decay(model.run(init, params, b, p).records)
+    return passed, f"max Lyapunov increment / |L(0)| {worst:.2e} over 200 steps"
 
 
 def check_model_max_principle():
@@ -180,9 +176,8 @@ def check_model_max_principle():
         grid.Field.constant(g, 0.0),
         grid.Field(g, rng.uniform(0.0, 1.0, g.size)),
     )
-    traj = model.run(init, params, b, p)
-    passed, info = diagnostics.theorem_probe_max_principle(traj)
-    return passed, f"sigma range [{info['sigma_min']:.3e}, {info['sigma_max']:.6f}]"
+    passed, (lo, hi) = diagnostics.max_principle(model.run(init, params, b, p).records)
+    return passed, f"sigma range [{lo:.3e}, {hi:.6f}]"
 
 
 def check_model_smoothing_rate():

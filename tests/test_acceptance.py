@@ -22,8 +22,11 @@ from nlch.asymptotics import (
 from nlch.diagnostics import (
     LYAPUNOV_TOL,
     MASS_BALANCE_TOL,
-    theorem_probe_max_principle,
-    theorem_probe_separation,
+    SEPARATION_MARGIN,
+    lyapunov_decay,
+    mass_balance,
+    max_principle,
+    separation,
 )
 from nlch.galerkin import ORACLE_GAP_TOL, compare
 from nlch.grid import Field, GridSpec, norm_h
@@ -68,13 +71,11 @@ def coupled(**kw):
 
 def test_ac1_mass_source_balance(bench):
     grid, bundle, poly, init = bench
-    worst = 0.0
-    for eps, tau in ((0.05, 0.1), (0.0, 0.1), (0.05, 0.0), (0.0, 0.0)):
-        traj = run(init, coupled(eps=eps, tau=tau, T=0.05), bundle, poly)
-        for rec in traj.records:
-            rel = rec.mass_balance_residual  # already relative to the mean scale
-            worst = max(worst, rel)
-    report("AC-1 mass-source balance", worst <= MASS_BALANCE_TOL,
+    # each residual is already relative to the mean scale
+    verdicts = [mass_balance(run(init, coupled(eps=eps, tau=tau, T=0.05), bundle, poly).records)
+                for eps, tau in ((0.05, 0.1), (0.0, 0.1), (0.05, 0.0), (0.0, 0.0))]
+    worst = max(measured for _, measured in verdicts)
+    report("AC-1 mass-source balance", all(passed for passed, _ in verdicts),
            f"worst per-step residual {worst:.2e} <= {MASS_BALANCE_TOL:g} over all four regimes")
 
 
@@ -88,10 +89,8 @@ def test_ac2_maximum_principle(bench):
         Field(grid, rng.uniform(0.0, 1.0, grid.size)),
     )
     params = coupled(eta=0.0, T=1.0, dt=1e-3)
-    traj = run(init, params, bundle, poly, record_diagnostics=False)
-    passed, info = theorem_probe_max_principle(traj)
-    report("AC-2 maximum principle", passed,
-           f"sigma in [{info['sigma_min']:.3e}, {info['sigma_max']:.10f}] over 1000 steps")
+    passed, (lo, hi) = max_principle(run(init, params, bundle, poly).records)
+    report("AC-2 maximum principle", passed, f"sigma in [{lo:.3e}, {hi:.10f}] over 1000 steps")
 
 
 def test_ac3_continuous_dependence(bench):
@@ -117,10 +116,9 @@ def test_ac4_separation(bench):
     )
     assert np.max(np.abs(init.phi0.values)) <= 0.8  # starts at the separation radius r0
     params = coupled(eps=0.05, tau=0.05, chi=0.5, eta=0.05, T=0.5, dt=1e-3)
-    traj = run(init, params, bundle, logpot, record_diagnostics=False)
-    passed, r_star = theorem_probe_separation(traj, ell=1.0)
-    report("AC-4 separation", passed,
-           f"sup_t ||phi||_inf = {r_star:.6f} < 1 with margin {1.0 - r_star:.3e} >= 1e-3")
+    passed, r_star = separation(run(init, params, bundle, logpot).records, ell=1.0)
+    report("AC-4 separation", passed, f"sup_t ||phi||_inf = {r_star:.6f} < 1 with margin "
+           f"{1.0 - r_star:.3e} >= {SEPARATION_MARGIN:g}")
 
 
 SWEEP_VALUES = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
@@ -163,7 +161,7 @@ def test_ac5c_joint_rate(bench):
 def test_ac6_lyapunov_decay(bench):
     grid, bundle, poly, _ = bench
     x = grid.axis_coordinates(0)
-    worst_rel = -np.inf
+    verdicts = []
     for spec in (poly, logarithmic_potential(0.3, 0.6)):
         init = InitialData(
             Field(grid, 0.5 * np.cos(np.pi * x)),
@@ -172,10 +170,10 @@ def test_ac6_lyapunov_decay(bench):
         )
         params = ModelParams(eps=0.05, tau=0.1, dt=1e-3, T=0.2, lam=1e-3)  # source-free
         traj = run(init, params, bundle, spec)
-        L = np.array([r.lyapunov for r in traj.records])
-        assert len(L) == 201
-        worst_rel = max(worst_rel, float(np.max(np.diff(L))) / abs(L[0]))
-    report("AC-6 Lyapunov decay", worst_rel <= LYAPUNOV_TOL,
+        assert len(traj.records) == 201
+        verdicts.append(lyapunov_decay(traj.records))
+    worst_rel = max(measured for _, measured in verdicts)
+    report("AC-6 Lyapunov decay", all(passed for passed, _ in verdicts),
            f"max per-step increment / |L(0)| = {worst_rel:.2e} <= {LYAPUNOV_TOL:g} over 200 "
            "steps, both potentials")
 

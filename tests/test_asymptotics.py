@@ -72,20 +72,19 @@ def test_fit_rate_noisy_recovery():
 def test_error_report_takes_appends_and_flag_updates():
     report = ErrorReport(mode="tau", parameter_values=[], distances=[], totals=[],
                          theoretical_slope=0.5, floor=1e-6)
-    assert (report.slope, report.used_in_fit, report.notes) == (None, [], [])
+    assert (report.slope, report.used_in_fit, report.notes) == (None, (), ())
     assert (report.monotone_ok, report.incomplete) == (True, False)
     report.parameter_values.append(1e-2)
     report.totals.append(3e-3)
-    report.used_in_fit = [True]
-    report.notes.append("note")
-    report.slope, report.intercept, report.fit_residual = 0.5, -1.0, 0.0
-    report.monotone_ok, report.incomplete = False, True
-    assert (report.parameter_values, report.totals, report.used_in_fit, report.notes) == (
+    updated = report._replace(used_in_fit=[True], notes=["note"], slope=0.5, intercept=-1.0,
+                              fit_residual=0.0, monotone_ok=False, incomplete=True)
+    assert (updated.parameter_values, updated.totals, updated.used_in_fit, updated.notes) == (
         [1e-2], [3e-3], [True], ["note"])
-    assert (report.slope, report.monotone_ok, report.incomplete) == (0.5, False, True)
-    # each report starts with lists of its own
+    assert (updated.slope, updated.monotone_ok, updated.incomplete) == (0.5, False, True)
+    # the defaults are immutable, so no two reports share a list
+    assert (report.used_in_fit, report.notes, report.slope) == ((), (), None)
     other = ErrorReport("eps", [], [], [], 0.25, 0.0)
-    assert (other.used_in_fit, other.notes) == ([], [])
+    assert (other.used_in_fit, other.notes) == ((), ())
 
 
 @pytest.mark.parametrize("theory", [0.25, 0.5])

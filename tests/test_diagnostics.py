@@ -8,13 +8,19 @@ from nlch.diagnostics import (
     TrajectoryDistance,
     distance,
     energy,
+    LYAPUNOV_TOL,
+    MASS_BALANCE_TOL,
+    MAX_PRINCIPLE_TOL,
+    SEPARATION_MARGIN,
     lyapunov,
-    theorem_probe_max_principle,
-    theorem_probe_separation,
+    lyapunov_decay,
+    mass_balance,
+    max_principle,
+    separation,
     write_diagnostics_csv,
     write_distances_csv,
 )
-from nlch.errors import ComparisonError
+from nlch.errors import ComparisonError, InapplicabilityError
 from nlch.grid import Field, GridSpec, norm_h
 from nlch.kernel import KernelSpec, build
 from nlch.model import ModelParams, State, Trajectory
@@ -106,39 +112,78 @@ def test_distance_alignment_errors(grid64):
         distance(t1, t3)
 
 
-def test_max_principle_probe(grid64):
-    sigs = [Field.constant(grid64, 0.5)] * 3
-    phis = [Field.constant(grid64, 0.0)] * 3
-    ok, info = theorem_probe_max_principle(frozen_trajectory(grid64, phis, sigs))
-    assert ok and info["first_violation"] is None
-
-    bad = [Field.constant(grid64, 0.5), Field.constant(grid64, 1.1), Field.constant(grid64, 0.5)]
-    ok, info = theorem_probe_max_principle(frozen_trajectory(grid64, phis, bad))
-    assert not ok
-    t_bad, idx, val = info["first_violation"]
-    assert t_bad == pytest.approx(0.1)
-    assert val == pytest.approx(1.1)
+# a record whose every field is 0; records() replaces the columns a case sets
+ZERO = DiagnosticsRecord._make([0.0] * len(DiagnosticsRecord._fields))
 
 
-def test_separation_probe(grid64):
-    sigs = [Field.constant(grid64, 0.5)] * 2
-    ok, r_star = theorem_probe_separation(
-        frozen_trajectory(grid64, [Field.constant(grid64, 0.0)] * 2, sigs), ell=1.0
-    )
-    assert ok and r_star == 0.0
+def records(**columns):
+    """One record per row of the given columns; every other field is 0."""
+    return [ZERO._replace(**dict(zip(columns, row))) for row in zip(*columns.values())]
 
-    close = [Field.constant(grid64, 0.0), Field.constant(grid64, 1.0 - 1e-8)]
-    ok, r_star = theorem_probe_separation(frozen_trajectory(grid64, close, sigs), ell=1.0)
-    assert not ok and r_star == pytest.approx(1.0 - 1e-8)
 
+def test_max_principle_verdict():
+    assert max_principle(records(sigma_min=[0.5] * 3, sigma_max=[0.5] * 3)) == (True, (0.5, 0.5))
+    ok, (lo, hi) = max_principle(records(sigma_min=[0.5, 0.2, 0.5], sigma_max=[0.5, 1.1, 0.5]))
+    assert not ok and (lo, hi) == (0.2, 1.1)
+    assert not max_principle(records(sigma_min=[0.5, -0.1], sigma_max=[0.5, 0.5]))[0]
+
+
+def test_max_principle_verdict_at_its_tolerance():
+    lo, hi = -MAX_PRINCIPLE_TOL, 1.0 + MAX_PRINCIPLE_TOL
+    assert max_principle(records(sigma_min=[0.5, lo], sigma_max=[hi, 0.5])) == (True, (lo, hi))
+    below, above = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+    assert not max_principle(records(sigma_min=[below], sigma_max=[0.5]))[0]
+    assert not max_principle(records(sigma_min=[0.5], sigma_max=[above]))[0]
+
+
+def test_separation_verdict():
+    assert separation(records(phi_supnorm=[0.0, 0.0]), ell=1.0) == (True, 0.0)
+    assert separation(records(phi_supnorm=[0.0, 1.0 - 1e-8]), ell=1.0) == (False, 1.0 - 1e-8)
     # separated from the barrier, but by less than the margin 1e-3
-    inside = [Field.constant(grid64, 0.0), Field.constant(grid64, 1.0 - 1e-4)]
-    ok, r_star = theorem_probe_separation(frozen_trajectory(grid64, inside, sigs), ell=1.0)
-    assert not ok and r_star == pytest.approx(1.0 - 1e-4)
+    assert separation(records(phi_supnorm=[0.0, 1.0 - 1e-4]), ell=1.0) == (False, 1.0 - 1e-4)
+    assert separation(records(phi_supnorm=[0.3, 0.1]), ell=0.5) == (True, 0.3)
 
-    edge = [Field.constant(grid64, 0.0), Field.constant(grid64, -(1.0 - 1e-3))]
-    ok, r_star = theorem_probe_separation(frozen_trajectory(grid64, edge, sigs), ell=1.0)
-    assert ok and r_star == 1.0 - 1e-3
+
+@pytest.mark.parametrize("ell", [1.0, 0.5])
+def test_separation_verdict_at_its_margin(ell):
+    edge = ell - SEPARATION_MARGIN
+    assert separation(records(phi_supnorm=[0.0, edge]), ell) == (True, edge)
+    past = np.nextafter(edge, np.inf)
+    assert separation(records(phi_supnorm=[0.0, past]), ell) == (False, past)
+
+
+def test_mass_balance_verdict_at_its_tolerance():
+    assert mass_balance(records(mass_balance_residual=[0.0, 1e-17])) == (True, 1e-17)
+    at = records(mass_balance_residual=[MASS_BALANCE_TOL, 0.0])
+    assert mass_balance(at) == (True, MASS_BALANCE_TOL)
+    past = np.nextafter(MASS_BALANCE_TOL, np.inf)
+    assert mass_balance(records(mass_balance_residual=[0.0, past])) == (False, past)
+
+
+def test_lyapunov_verdict_at_its_tolerance():
+    assert lyapunov_decay(records(lyapunov=[3.0, 2.0, 1.0])) == (True, -1.0 / 3.0)
+    # a rise of about 3e-10 is judged over |L(0)|, also when L(0) < 0
+    assert not lyapunov_decay(records(lyapunov=[-2.0, -3.0, -3.0 + 3e-10]))[0]
+    assert lyapunov_decay(records(lyapunov=[-4.0, -5.0, -5.0 + 3e-10]))[0]
+    # L = 1, 0, TOL rises by exactly TOL from 0, where the difference is exact
+    assert lyapunov_decay(records(lyapunov=[1.0, 0.0, LYAPUNOV_TOL])) == (True, LYAPUNOV_TOL)
+    past = np.nextafter(LYAPUNOV_TOL, np.inf)
+    assert lyapunov_decay(records(lyapunov=[1.0, 0.0, past])) == (False, past)
+
+
+@pytest.mark.parametrize("verdict", [
+    mass_balance, max_principle, lyapunov_decay, lambda recs: separation(recs, ell=1.0)])
+def test_a_run_without_records_has_no_verdict(verdict):
+    # a run made with record_diagnostics=False never passes by default
+    with pytest.raises(InapplicabilityError, match="record_diagnostics=True"):
+        verdict([])
+
+
+def test_lyapunov_verdict_needs_a_step_and_a_nonzero_start():
+    with pytest.raises(InapplicabilityError, match="at least 2"):
+        lyapunov_decay(records(lyapunov=[1.0]))
+    with pytest.raises(InapplicabilityError, match=r"\|L\(0\)\|"):
+        lyapunov_decay(records(lyapunov=[0.0, -1.0]))
 
 
 def test_csv_writers(tmp_path, grid64):

@@ -7,6 +7,7 @@ import nlch.model
 import nlch.potential
 from nlch.audit import GateInput, admit, ip_infty, ip_init
 from nlch.config import build_problem, load_config
+from nlch.diagnostics import lyapunov_decay, mass_balance, max_principle
 from nlch.errors import AssumptionError, ConfigError, SolverError, StepError
 from nlch.grid import Field, GridSpec, mean, norm_h
 from nlch.kernel import KernelSpec, build
@@ -78,13 +79,12 @@ def test_with_params_validates_the_copy():
 def test_trajectory_takes_appends_and_flag_updates(grid64):
     params = ModelParams()
     a, b = Trajectory(params=params), Trajectory(params=params)
-    assert (a.times, a.phis, a.mus, a.sigmas, a.records, a.complete) == ([], [], [], [], [], True)
+    assert (a.times, a.phis, a.mus, a.sigmas, a.records) == ([], [], [], [], [])
     a.times.append(0.0)
     a.phis.append(Field.constant(grid64, 0.0))
-    a.complete = False
     # each trajectory starts with lists of its own
-    assert (b.times, b.phis, b.complete) == ([], [], True)
-    assert (a.times, len(a.phis), a.complete) == ([0.0], 1, False)
+    assert (b.times, b.phis) == ([], [])
+    assert (a.times, len(a.phis)) == ([0.0], 1)
     times = [0.0, 0.1]
     assert Trajectory(params, times=times).times is times
 
@@ -135,8 +135,8 @@ def test_mass_source_balance(grid256, bundle_wide, poly, cosine_data):
     for eps, tau in ((0.05, 0.1), (0.0, 0.1), (0.05, 0.0), (0.0, 0.0)):
         params = coupled_params(eps=eps, tau=tau, T=0.02)
         traj = run(InitialData(phi0, mu0, sig0), params, bundle_wide, poly)
-        for rec in traj.records:
-            assert rec.mass_balance_residual <= 1e-12 * (1.0 + abs(rec.t))
+        passed, worst = mass_balance(traj.records)
+        assert passed, (eps, tau, worst)
 
 
 def test_run_T0_returns_initial_only(grid64, bundle64, poly):
@@ -295,7 +295,7 @@ def test_run_admits_sigma0_through_ip_infty(grid64, bundle64, poly):
         run(bad_sigma, coupled_params(eta=0.0, T=0.01), bundle64, poly)
     # the row does not apply with active transport
     traj = run(bad_sigma, coupled_params(eta=0.05, T=0.002), bundle64, poly)
-    assert traj.complete and len(traj.records) == 3
+    assert isinstance(traj, Trajectory) and len(traj.records) == 3
 
 
 def test_2d_run_conserves_and_dissipates():
@@ -312,14 +312,13 @@ def test_2d_run_conserves_and_dissipates():
     )
     params = coupled_params(T=0.02)
     traj = run(init, params, b, p)
-    assert max(r.mass_balance_residual for r in traj.records) <= 1e-12
-    assert traj.records[-1].sigma_min >= -1e-10
-    assert traj.records[-1].sigma_max <= 1.0 + 1e-10
+    assert mass_balance(traj.records)[0]
+    # every step's sigma, not only the last
+    assert max_principle(traj.records)[0]
 
     # source-free 2D: Lyapunov non-increasing
     traj0 = run(init, ModelParams(eps=0.05, tau=0.1, dt=1e-3, T=0.02, lam=1e-3), b, p)
-    L = np.array([r.lyapunov for r in traj0.records])
-    assert np.max(np.diff(L)) <= 1e-10 * L[0]
+    assert lyapunov_decay(traj0.records)[0]
 
 
 def test_step_error_without_coercivity(grid64):
@@ -507,10 +506,10 @@ def test_a_failed_row_leaves_the_other_rows_bit_identical(grid64, bundle64, poly
     err = results[2]
     assert isinstance(err, StepError) and str(err) == "injected failure"
     assert err.step == 21 and err.t == pytest.approx(0.021)
-    assert not err.partial.complete and len(err.partial.times) == 21
+    assert isinstance(err.partial, Trajectory) and len(err.partial.times) == 21
     _assert_same_run(err.partial, _truncated(run(inits[2], params[2], bundle64, poly), 21))
     for i in (0, 1, 3):
-        assert results[i].complete
+        assert isinstance(results[i], Trajectory)
         _assert_same_run(results[i], run(inits[i], params[i], bundle64, poly))
 
 
@@ -571,5 +570,5 @@ def test_2d_lockstep_rows_equal_their_own_runs():
     params.append(base.with_params(eps=1e-2))
     results = run_rows([problem.init] * 4, params, problem.bundle, problem.spec)
     for p, got in zip(params, results):
-        assert got.complete and len(got.records) == 11
+        assert isinstance(got, Trajectory) and len(got.records) == 11
         _assert_same_run(got, run(problem.init, p, problem.bundle, problem.spec))

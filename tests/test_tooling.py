@@ -79,6 +79,26 @@ def test_cli_compares_against_no_float_literal():
     assert found == []
 
 
+def test_structural_tolerances_are_compared_only_in_diagnostics():
+    # each structural rule is written once, in nlch.diagnostics; elsewhere a
+    # tolerance may name itself in a message, never in an order comparison
+    names = {"MASS_BALANCE_TOL", "LYAPUNOV_TOL", "MAX_PRINCIPLE_TOL", "SEPARATION_MARGIN"}
+    order = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    owner = ROOT / "src" / "nlch" / "diagnostics.py"
+    found = []
+    for path in sorted([*(ROOT / "src" / "nlch").glob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        if path == owner:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Compare) and any(isinstance(op, order) for op in node.ops)):
+                continue
+            named = {getattr(sub, "id", getattr(sub, "attr", None))
+                     for operand in (node.left, *node.comparators) for sub in ast.walk(operand)}
+            if named & names:
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert found == []
+
+
 def test_package_modules_use_every_import():
     # module-level imports only; a line marked "# noqa: F401" is a traced call
     # site, which test_tracer_only_imports_are_traced_call_sites checks
