@@ -183,6 +183,10 @@ class SweepPlan:
 
 # a sweep's fitted slope passes down to this far below the theoretical one
 SLOPE_MARGIN = 0.05
+# a member whose error is within this factor of the dt-refinement floor is left out of the fit
+FLOOR_FACTOR = 3.0
+# the errors of a monotone sweep may rise once, by at most this factor
+MONOTONE_SLACK = 1.05
 
 
 class ErrorReport(NamedTuple):
@@ -289,16 +293,17 @@ def sweep(plan: SweepPlan) -> ErrorReport:
         distances.append(tracker.distance(run_index))
     incomplete = len(values) < len(plan.members)
     totals = [d.total(weights) for d in distances]
-    used_in_fit = [not tot <= 3.0 * floor for tot in totals]
-    notes += [f"value {v:.3g} is within 3x of the dt-refinement floor {floor:.3e}; "
-              "excluded from the fit" for v, use in zip(values, used_in_fit) if not use]
+    used_in_fit = [not tot <= FLOOR_FACTOR * floor for tot in totals]
+    notes += [f"value {v:.3g} is within {FLOOR_FACTOR:g}x of the dt-refinement floor "
+              f"{floor:.3e}; excluded from the fit"
+              for v, use in zip(values, used_in_fit) if not use]
 
     # Non-increasing along the decreasing parameter sequence, tolerating
-    # one inversion of at most 5 percent (discretization floor noise).
+    # one inversion of at most MONOTONE_SLACK (discretization floor noise).
     inversions = 0
     for a, b in zip(totals, totals[1:]):
         if b > a:
-            inversions += 1 if b <= 1.05 * a else 2
+            inversions += 1 if b <= MONOTONE_SLACK * a else 2
 
     fit = (None, None, None)
     try:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, diagnostics  # asymptotics, galerkin, verify: imported where run
 from .audit import audit as run_audit
-from .config import build_grid, build_problem, load_config
+from .config import build_grid, build_problem, load_config, resolved_text
 from .errors import AssumptionError, ConfigError, NlchError, StepError
 from .grid import write_field, write_field_csv, write_table
 from .model import derive_constants, run  # noqa: F401  derive_constants: a traced call site
@@ -85,7 +85,7 @@ def _prologue(args, command: str, cfg, report) -> Path:
     """
     out = Path(args.out if args.out is not None else cfg["output.dir"])
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.resolved").write_text(cfg.resolved_text())
+    (out / "config.resolved").write_text(resolved_text(cfg))
     (out / "audit.txt").write_text(report.render())
     print(report.render(), end="")
     _write_manifest(out, command, args.seed, ["config.resolved", "audit.txt"])
@@ -116,10 +116,7 @@ def _cmd_simulate(args) -> int:
                    snapshot_stride=stride)
     except StepError as err:
         # persist the partial trajectory before reporting the failure
-        traj = getattr(err, "partial", None)
-        if traj is None:
-            raise
-        failure = err
+        traj, failure = err.partial, err
     diagnostics.write_diagnostics_csv(out / "diagnostics.csv", traj.records)
     files = ["config.resolved", "audit.txt", "diagnostics.csv"]
     for k, (t, phi, sig) in enumerate(zip(traj.times, traj.phis, traj.sigmas)):
@@ -239,7 +236,7 @@ def _cmd_oracle_compare(args) -> int:
     cfg = load_config(args.config, args.set)
     n = cfg["oracle.modes"]
     galerkin.make_basis(build_grid(cfg), n)  # the oracle's settings, checked before the run
-    cfg.entries.update({
+    cfg.update({
         "model.eps": 0.1, "model.tau": 0.1,
         "model.dt": _positive(cfg, "oracle.dt"), "model.T": _positive(cfg, "oracle.t"),
     })

@@ -3,6 +3,8 @@
 The format is one `section.key = value` pair per line, `#` comments,
 blank lines ignored. Unknown keys are hard errors: there is no silent
 typo tolerance. Values are typed by the schema below; lists use commas.
+A parsed configuration is a plain dict from every SCHEMA key to its
+typed value.
 """
 
 import math
@@ -87,20 +89,9 @@ SCHEMA: dict[str, tuple] = {
 }
 
 
-class RunConfig:
-    """A parsed configuration: ``entries`` maps every SCHEMA key to its typed value."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: dict):
-        self.entries = entries
-
-    def __getitem__(self, key):
-        return self.entries[key]
-
-    def resolved_text(self) -> str:
-        lines = [f"{k} = {_format_value(v)}" for k, v in sorted(self.entries.items())]
-        return "\n".join(lines) + "\n"
+def resolved_text(cfg: dict) -> str:
+    """The configuration as sorted key = value lines, which parse_config reads back."""
+    return "".join(f"{k} = {_format_value(v)}\n" for k, v in sorted(cfg.items()))
 
 
 def _format_value(v) -> str:
@@ -121,7 +112,7 @@ def _typed(key: str, val: str, where: str):
         raise ConfigError(f"{where}: bad value for {key}: {err}") from None
 
 
-def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
+def parse_config(text: str, overrides: list[str] | None = None) -> dict:
     """Parse key=value text plus --set overrides; unknown keys are errors."""
     entries = {k: v for k, (_, v) in SCHEMA.items()}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -137,7 +128,7 @@ def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
             raise ConfigError(f"--set needs key=value, got {item!r}")
         key, val = (p.strip() for p in item.split("=", 1))
         entries[key] = _typed(key, val, "--set")
-    return RunConfig(entries)
+    return entries
 
 
 def _read(what: str, path: str, reader):
@@ -149,13 +140,13 @@ def _read(what: str, path: str, reader):
         raise ConfigError(f"cannot read {what} {path}: {reason}") from None
 
 
-def load_config(path: str | None, overrides: list[str] | None = None) -> RunConfig:
+def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
     if path is None:
         return parse_config("", overrides)
     return parse_config(_read("config", path, lambda p: Path(p).read_text()), overrides)
 
 
-def build_grid(cfg: RunConfig) -> GridSpec:
+def build_grid(cfg: dict) -> GridSpec:
     dim = cfg["grid.dim"]
     extent = cfg["grid.extent"]
     cells = cfg["grid.cells"]
@@ -166,7 +157,7 @@ def build_grid(cfg: RunConfig) -> GridSpec:
     return GridSpec(dim=dim, extent=extent, cells=cells)
 
 
-def build_kernel_spec(cfg: RunConfig) -> KernelSpec:
+def build_kernel_spec(cfg: dict) -> KernelSpec:
     family = cfg["kernel.family"]
     table = None
     if family == "tabulated":
@@ -187,7 +178,7 @@ def build_kernel_spec(cfg: RunConfig) -> KernelSpec:
     )
 
 
-def build_potential(cfg: RunConfig):
+def build_potential(cfg: dict):
     family = cfg["potential.family"]
     if family == "polynomial":
         return polynomial_potential(shift=cfg["potential.convexity_shift"])
@@ -198,7 +189,7 @@ def build_potential(cfg: RunConfig):
     raise ConfigError(f"unknown potential family {family!r}")
 
 
-def build_params(cfg: RunConfig) -> ModelParams:
+def build_params(cfg: dict) -> ModelParams:
     h_name = cfg["model.h"]
     if h_name not in H_FAMILIES:
         raise ConfigError(f"unknown proliferation profile {h_name!r}")
@@ -251,7 +242,7 @@ def standard_normals(seed: int, n: int) -> np.ndarray:
     return np.sqrt(-2.0 * np.log(1.0 - u[0])) * np.cos(2.0 * np.pi * u[1])
 
 
-def build_initial_data(cfg: RunConfig, grid: GridSpec, seed: int = 0) -> InitialData:
+def build_initial_data(cfg: dict, grid: GridSpec, seed: int = 0) -> InitialData:
     family = cfg["ic.family"]
     if family == "file":
         fields = {}
@@ -298,7 +289,6 @@ def build_initial_data(cfg: RunConfig, grid: GridSpec, seed: int = 0) -> Initial
 class Problem(NamedTuple):
     """Everything needed to run: grid, kernel bundle, potential, params, data."""
 
-    config: RunConfig
     grid: GridSpec
     bundle: object
     spec: object
@@ -306,10 +296,10 @@ class Problem(NamedTuple):
     init: InitialData
 
 
-def build_problem(cfg: RunConfig, seed: int = 0) -> Problem:
+def build_problem(cfg: dict, seed: int = 0) -> Problem:
     grid = build_grid(cfg)
     bundle = build(build_kernel_spec(cfg), grid)
     spec = build_potential(cfg)
     params = build_params(cfg)
     init = build_initial_data(cfg, grid, seed=seed)
-    return Problem(config=cfg, grid=grid, bundle=bundle, spec=spec, params=params, init=init)
+    return Problem(grid=grid, bundle=bundle, spec=spec, params=params, init=init)

@@ -25,17 +25,16 @@ class StepError(NlchError):
     """The nonlinear time-step iteration diverged or produced an invalid state.
 
     ``phase`` names the failed part of the step (Newton, resolvent,
-    nutrient, convergence or barrier). ``model.run_rows`` sets ``step``,
-    the 1-based index of the failed step, and ``t``, the time it advanced
-    to.
+    nutrient, convergence or barrier). ``model.run_rows`` sets all three
+    of ``partial``, the run's Trajectory up to the failure, ``step``, the
+    1-based index of the failed step, and ``t``, the time it advanced to.
     """
 
     def __init__(self, message, residual_history=None, phase=None):
         super().__init__(message)
         self.residual_history = list(residual_history or [])
         self.phase = phase
-        self.step = None
-        self.t = None
+        self.partial = self.step = self.t = None
 
 
 class AssumptionError(NlchError):

@@ -58,6 +58,10 @@ class SpectralBasis(NamedTuple):
     def weight(self) -> float:
         return self.grid.cell_volume
 
+    def gram(self, v: np.ndarray) -> np.ndarray:
+        """The weighted Gram matrix E^T diag(v) E w: int v e_i e_j."""
+        return self.functions.T @ (v[:, None] * self.functions) * self.weight
+
 
 def make_basis(grid: GridSpec, n: int) -> SpectralBasis:
     """First n modes: constant |Omega|^(-1/2), then sqrt(2/L) cos(j pi x / L).
@@ -102,7 +106,6 @@ class GalerkinOperator(NamedTuple):
     """Precomputed matrices of the projected system."""
 
     basis: SpectralBasis
-    bundle: KernelBundle
     spec: PotentialSpec
     params: ModelParams
     mat_a: np.ndarray  # int a e_i e_j
@@ -122,12 +125,11 @@ def build_operator(basis: SpectralBasis, bundle: KernelBundle, spec: PotentialSp
         raise DimensionError("kernel bundle and basis live on different grids")
     E = basis.functions
     w = basis.weight
-    a = bundle.a_field.values
-    mat_a = E.T @ (a[:, None] * E) * w
+    mat_a = basis.gram(bundle.a_field.values)
     mat_conv = E.T @ bundle.convolve_array(E.T).T * w
     ss_coeff = E.T @ np.full(basis.grid.size, params.sigma_s) * w
     return GalerkinOperator(
-        basis=basis, bundle=bundle, spec=spec, params=params, mat_a=mat_a, mat_conv=mat_conv,
+        basis=basis, spec=spec, params=params, mat_a=mat_a, mat_conv=mat_conv,
         ss_coeff=ss_coeff, h_prime=params.h_profile[1].prime,
     )
 
@@ -179,7 +181,7 @@ def jacobian(t: float, y: np.ndarray, op: GalerkinOperator) -> np.ndarray:
     basis, params, spec = op.basis, op.params, op.spec
     n = basis.n
     alpha, _, gamma = split_coeffs(y, n)
-    E, w, l = basis.functions, basis.weight, basis.eigenvalues
+    E, l, gram = basis.functions, basis.eigenvalues, basis.gram
     tau, eps = params.tau, params.eps
 
     phi = E @ alpha
@@ -187,9 +189,6 @@ def jacobian(t: float, y: np.ndarray, op: GalerkinOperator) -> np.ndarray:
     h_phi = params.h(phi)
     dh_phi = op.h_prime(phi)
     _, dyosida, _ = yosida_with_derivative(spec, params.lam_eff, phi)
-
-    def gram(v):
-        return E.T @ (v[:, None] * E) * w
 
     eye = np.identity(n)
     lap = np.diag(l)

@@ -166,11 +166,6 @@ class Field:
         return f"Field(grid={self.grid.cells}, min={self.values.min():.3g}, max={self.values.max():.3g})"
 
 
-def _check_same_grid(f: Field, g: Field):
-    if f.grid != g.grid:
-        raise DimensionError("fields live on different grids")
-
-
 def mean(f: Field) -> float:
     """Generalised mean value: integral over the domain divided by its measure."""
     return float(np.sum(f.values)) * f.grid.cell_volume / f.grid.measure
@@ -178,7 +173,8 @@ def mean(f: Field) -> float:
 
 def inner_h(f: Field, g: Field) -> float:
     """L2 inner product by the midpoint rule."""
-    _check_same_grid(f, g)
+    if f.grid != g.grid:
+        raise DimensionError("fields live on different grids")
     return float(np.dot(f.values, g.values)) * f.grid.cell_volume
 
 

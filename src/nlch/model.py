@@ -31,7 +31,7 @@ from .audit import RUN_GATES, GateInput, admit, derive_constants, ip_infty, ip_i
 from .errors import ConfigError, SolverError, StepError
 from .grid import Field, solve_helmholtz, solve_shifted_diffusion, _lap_array
 from .kernel import KernelBundle
-from .potential import PotentialSpec, f2_prime, yosida_with_derivative
+from .potential import PotentialSpec, yosida_with_derivative
 
 # Newton acceptance tolerance, relative to 1 + ||eps mu + phi + dt g||_H, and iteration cap
 NEWTON_TOL = 1e-10
@@ -288,7 +288,7 @@ def _step_arrays(phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: KernelBun
     h_old, mass_old, mass_sum, lap_mu, a_phi, diag_lin = derived
 
     g = (p0.P * sig - p0.A) * h_old
-    w = np.asarray(f2_prime(spec, phi)) - conv_phi - p0.chi * sig
+    w = spec.f2_prime(phi) - conv_phi - p0.chi * sig
 
     const1 = mass_old + dt * g
     # a residual norm that overflows is inf, a named StepError below, so
@@ -300,7 +300,6 @@ def _step_arrays(phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: KernelBun
         # each row's best iterate: (residual, phi, mu, y, dy, s, eps mu + phi, lap mu, a phi)
         # as whole batches, read at the row
         best = [None] * M
-        tol_floor = [None] * M
         going = [True] * M
 
         p, m, (y, dy, s) = phi, mu, yos
@@ -315,15 +314,12 @@ def _step_arrays(phi, mu, sig, conv_phi, yos, rows: _Lockstep, bundle: KernelBun
                     continue
                 history = histories[i]
                 history.append(res)
-                if it == 0:
-                    best[i] = (res, p, m, y, dy, s, mass_it, lap_m, a_p)
-                    tol_floor[i] = 1e-14 * (1.0 + res)
-                elif res < best[i][0]:
+                if it == 0 or res < best[i][0]:
                     best[i] = (res, p, m, y, dy, s, mass_it, lap_m, a_p)
                 # stop at the floor, at the cap, or below the acceptance
                 # tolerance once no longer contracting: the residual has hit
                 # its floating-point floor
-                if (res <= tol_floor[i] or it == NEWTON_CAP
+                if (res <= 1e-14 * (1.0 + history[0]) or it == NEWTON_CAP
                         or (it > 0 and res <= accept_tol[i] and res > 0.25 * history[-2])):
                     going[i] = False
             if not any(going):
@@ -448,8 +444,8 @@ def run_rows(inits: Sequence[InitialData], params: Sequence[ModelParams], bundle
     store no snapshots: at every snapshot time, observe(t, runs, phi, mu,
     sig) receives the indices of the runs still going and their (runs, n)
     rows. Each run's diagnostics records are made in blocks of at most
-    RECORD_BLOCK states, cut at every snapshot and before a failed run's
-    partial trajectory is returned.
+    RECORD_BLOCK states, cut when full, at the end of the run and before
+    a failed run's partial trajectory is returned.
     """
     if validate:
         for init, p in zip(inits, params):
@@ -510,16 +506,15 @@ def run_rows(inits: Sequence[InitialData], params: Sequence[ModelParams], bundle
             t = k * dt
             conv = bundle.convolve_array(phi)
         rows = [_rows(v) for v in (phi, mu, sig)]
-        snapshot = k % snapshot_stride == 0 or k == n_steps
         if record_diagnostics:
             conv_rows, prox_rows = _rows(conv), _rows(yos[2])
             for j, i in enumerate(runs):
                 pending[i].append((t, rows[0][j], rows[1][j], rows[2][j], conv_rows[j],
                                    prox_rows[j], stats[j]))
-            if snapshot or len(pending[runs[0]]) == RECORD_BLOCK:
+            if len(pending[runs[0]]) == RECORD_BLOCK:
                 for i in runs:
                     flush(i)
-        if snapshot:
+        if k % snapshot_stride == 0 or k == n_steps:
             if observe is not None:
                 observe(t, runs, *(v.reshape(len(runs), -1) for v in (phi, mu, sig)))
                 continue
@@ -530,6 +525,8 @@ def run_rows(inits: Sequence[InitialData], params: Sequence[ModelParams], bundle
                 # not finite, so snapshots skip the finiteness scan
                 for fields_, row in zip((traj.phis, traj.mus, traj.sigmas), rows):
                     fields_.append(Field(grid, row[j], check=False))
+    for i in runs:
+        flush(i)
     return results
 
 

@@ -284,13 +284,9 @@ def f_eval(spec: PotentialSpec, r):
     return out
 
 
-def f2_prime(spec: PotentialSpec, r):
-    return spec.f2_prime(np.asarray(r, dtype=float))
-
-
 def f_prime_regularized(spec: PotentialSpec, lam: float, r):
     """Derivative of the regularized potential: Yosida of F1 plus F2'."""
-    return yosida(spec, lam, r) + f2_prime(spec, r)
+    return yosida(spec, lam, r) + spec.f2_prime(r)
 
 
 def f_lambda_eval(spec: PotentialSpec, lam: float, r, prox=None):
@@ -313,6 +309,13 @@ def check_dominance(spec: PotentialSpec, a_star: float) -> float:
     return float(a_star + fpp)
 
 
+def _newton_descent(u: float, newton_ratio: Callable) -> float:
+    """Newton steps u -> u - newton_ratio(u) from ``u``, taken while a step decreases u."""
+    while (step := u - newton_ratio(u)) < u:
+        u = step
+    return u
+
+
 def check_growth(spec: PotentialSpec) -> float | None:
     """Growth constant sup |dF1(r)| / (F1(r) + 1) over |r| <= 10, in closed form.
 
@@ -331,12 +334,8 @@ def check_growth(spec: PotentialSpec) -> float | None:
         return None
     s = spec.params["shift"]
     b, c, d = 2.0 * s, 8.0 * s * s - 15.0, -10.0 * s
-    u = 1.0 + max(b, abs(c), -d)
-    while True:
-        step = u - (((u + b) * u + c) * u + d) / ((3.0 * u + 2.0 * b) * u + c)
-        if not step < u:
-            break
-        u = step
+    u = _newton_descent(1.0 + max(b, abs(c), -d),
+                        lambda u: (((u + b) * u + c) * u + d) / ((3.0 * u + 2.0 * b) * u + c))
     r = min(math.sqrt(u), 10.0)
     return float(abs(spec.f1_prime(r)) / (spec.f1(r) + 1.0))
 
@@ -376,13 +375,12 @@ def normalization_offset(spec: PotentialSpec) -> float:
     if spec.family != "logarithmic":
         return 0.0
     theta, theta0 = spec.params["theta"], spec.params["theta0"]
-    u = theta0 / theta
-    while True:
+
+    def newton_ratio(u):
         t = math.tanh(u)
-        step = u - (theta0 * t - theta * u) / (theta0 * (1.0 - t * t) - theta)
-        if not step < u:
-            break
-        u = step
+        return (theta0 * t - theta * u) / (theta0 * (1.0 - t * t) - theta)
+
+    u = _newton_descent(theta0 / theta, newton_ratio)
     # log cosh u = log1p(2 sinh^2(u/2)) keeps its u^2/2 digits near the
     # flat well theta -> theta0, where u* -> 0; u + log1p(exp(-2u)) - log 2
     # does not overflow at large u

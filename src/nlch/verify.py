@@ -252,7 +252,7 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(out=print):
+def run_all():
     """Run every property check; returns True when all pass."""
     all_ok = True
     width = max(len(name) for name, _ in ALL_CHECKS)
@@ -262,6 +262,6 @@ def run_all(out=print):
         except Exception as err:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(err).__name__}: {err}"
         all_ok = all_ok and ok
-        out(f"{'PASS' if ok else 'FAIL'}  {name.ljust(width)}  {detail}")
-    out(("all properties hold" if all_ok else "PROPERTY FAILURES") )
+        print(f"{'PASS' if ok else 'FAIL'}  {name.ljust(width)}  {detail}")
+    print("all properties hold" if all_ok else "PROPERTY FAILURES")
     return all_ok

@@ -13,10 +13,11 @@ import nlch.cli
 import nlch.model
 from nlch.cli import main
 from nlch.config import (
-    RunConfig,
+    SCHEMA,
     build_problem,
     load_config,
     parse_config,
+    resolved_text,
     standard_normals,
 )
 from nlch.diagnostics import DiagnosticsRecord, mass_balance
@@ -52,10 +53,12 @@ ic.phi_modes = 1,3
 
 
 def test_resolved_text_roundtrip():
-    cfg = parse_config("")
-    text = cfg.resolved_text()
-    cfg2 = parse_config(text)
-    assert cfg2.entries == cfg.entries
+    # a parsed configuration is a plain dict of every SCHEMA key, and
+    # config.resolved parses back to it
+    cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "separation.cfg"))
+    assert type(cfg) is dict
+    assert cfg.keys() == SCHEMA.keys()
+    assert parse_config(resolved_text(cfg)) == cfg
 
 
 def test_build_problem_default():

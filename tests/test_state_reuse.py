@@ -201,8 +201,8 @@ def _each_state(monkeypatch):
 
 def test_block_records_equal_each_states_recomputation(monkeypatch):
     # default.cfg stores every 25th state, more than a record block holds:
-    # records come in blocks cut at every snapshot and after RECORD_BLOCK
-    # states, and each equals the record of its state alone
+    # records come in blocks cut after RECORD_BLOCK states and at the end
+    # of the run, and each equals the record of its state alone
     cfg = load_config(str(CONFIGS / "default.cfg"), ["model.T=0.05"])
     assert cfg["output.snapshot_stride"] == 25 > nlch.model.RECORD_BLOCK == 8
     problem = build_problem(cfg)
@@ -216,7 +216,7 @@ def test_block_records_equal_each_states_recomputation(monkeypatch):
 
     monkeypatch.setattr(diagnostics, "make_record", block)
     traj = run(problem.init, problem.params, problem.bundle, problem.spec, snapshot_stride=25)
-    assert blocks == [1, 8, 8, 8, 1, 8, 8, 8, 1]
+    assert blocks == [8, 8, 8, 8, 8, 8, 3]
     assert traj.times == [0.0, 0.025, 0.05]
     init = problem.init
     states = [(init.phi0.values, init.mu0.values, init.sigma0.values, None)] + states
