@@ -183,6 +183,9 @@ class SweepPlan:
 
 # a sweep's fitted slope passes down to this far below the theoretical one
 SLOPE_MARGIN = 0.05
+# the dt-refinement floor runs the reference at dt / FLOOR_REFINEMENT, storing
+# every FLOOR_REFINEMENT-th state so its snapshots line up with the members'
+FLOOR_REFINEMENT = 2
 # a member whose error is within this factor of the dt-refinement floor is left out of the fit
 FLOOR_FACTOR = 3.0
 # the errors of a monotone sweep may rise once, by at most this factor
@@ -257,10 +260,10 @@ def sweep(plan: SweepPlan) -> ErrorReport:
     """
     weights = plan.limit.weights
 
-    # every run below was admitted with the plan, except the dt/2 floor
+    # every run below was admitted with the plan, except the dt-refinement floor
     ref_params = plan.limit_params()
-    half = ref_params.with_params(dt=ref_params.dt / 2.0)
-    ref_half = run(plan.init, half, plan.bundle, plan.spec, snapshot_stride=2,
+    half = ref_params.with_params(dt=ref_params.dt / FLOOR_REFINEMENT)
+    ref_half = run(plan.init, half, plan.bundle, plan.spec, snapshot_stride=FLOOR_REFINEMENT,
                    record_diagnostics=False)
     params = [ref_params] + [p for _, p, _ in plan.members]
     floor_row = len(params)

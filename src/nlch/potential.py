@@ -327,8 +327,7 @@ def check_growth(spec: PotentialSpec) -> float | None:
     p(u) = u^3 + 2s u^2 - (15 - 8s^2) u - 10s = 0. The cubic is convex
     on u > 0 (p'' = 6u + 4s) with p(0) = -10s <= 0, so it has one
     positive root, below Cauchy's bound 1 + max(2s, |8s^2 - 15|, 10s).
-    Newton steps from that bound fall monotonically to the root; the
-    iteration stops when a step no longer decreases u.
+    Newton steps from that bound fall monotonically to the root.
     """
     if spec.has_barrier:
         return None
@@ -370,7 +369,7 @@ def normalization_offset(spec: PotentialSpec) -> float:
     u* > 0, and there F = theta (u* tanh u* / 2 - log cosh u*). The
     root of g(u) = theta0 tanh u - theta u, concave on u > 0, is reached
     by Newton steps that fall monotonically from u = theta0 / theta,
-    where g < 0; the iteration stops when a step no longer decreases u.
+    where g < 0.
     """
     if spec.family != "logarithmic":
         return 0.0

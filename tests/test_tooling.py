@@ -60,8 +60,7 @@ def test_cli_compares_against_no_float_literal():
     # every pass/fail threshold is a constant of the module that computes the
     # number it judges; a float in one of the CLI's comparisons or in those of
     # the sweep and stability verdicts, directly, inside arithmetic or through
-    # a local name, is a threshold without an owner; a name bound to a call's
-    # result is a measured number, whose arguments are not searched
+    # a local name, is a threshold without an owner
     src = ROOT / "src" / "nlch"
     cli = [fn for fn in ast.walk(ast.parse((src / "cli.py").read_text()))
            if isinstance(fn, ast.FunctionDef)]
@@ -75,7 +74,6 @@ def test_cli_compares_against_no_float_literal():
     found = []
     for fn in cli + verdicts:
         assigned = {target.id: node.value for node in ast.walk(fn) if isinstance(node, ast.Assign)
-                    and not isinstance(node.value, ast.Call)
                     for target in node.targets if isinstance(target, ast.Name)}
 
         def floats(node, seen=()):
