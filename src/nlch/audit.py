@@ -20,14 +20,7 @@ import numpy as np
 from .errors import AssumptionError
 from .grid import estimate_poincare_constant, norm_h
 from .kernel import EpsilonZero, KernelBundle, epsilon_zero
-from .potential import (
-    PotentialSpec,
-    barrier_margin_values,
-    check_dominance,
-    check_growth,
-    f_eval,
-    normalization_offset,
-)
+from .potential import PotentialSpec, barrier_margin_values, check_dominance, f_eval
 
 if TYPE_CHECKING:
     from .model import InitialData, ModelParams
@@ -51,7 +44,7 @@ def derive_constants(bundle: KernelBundle, spec: PotentialSpec) -> DerivedConsta
     c0 = check_dominance(spec, bundle.a_star)
     c_omega = estimate_poincare_constant(bundle.grid)
     eps0 = epsilon_zero(bundle, c0) if c0 > 0 else None
-    return DerivedConstants(c0=c0, c_omega=c_omega, eps0=eps0, c_f=check_growth(spec))
+    return DerivedConstants(c0=c0, c_omega=c_omega, eps0=eps0, c_f=spec.c_f)
 
 
 class AuditCheck(NamedTuple):
@@ -134,7 +127,7 @@ def a4_split(g: GateInput) -> AuditCheck:
     """Each family's constructor admits only parameters (shift >= 0,
     0 < theta < theta0, c > 0) under which its split has these properties."""
     # `or` turns the -0.0 of a zero offset into 0.0, which prints as 0
-    lower = -normalization_offset(g.spec) or 0.0
+    lower = -g.spec.offset or 0.0
     return AuditCheck(
         "A4 potential split", True, True,
         f"F1 convex >= 0, F2'(0) = 0, 0 in dF1(0); F >= {lower:.4g} "

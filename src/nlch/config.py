@@ -26,8 +26,15 @@ from .potential import (
 )
 
 
+def _finite(s: str) -> float:
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"{s.strip()} is not finite")
+    return x
+
+
 def _parse_floats(s: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in s.split(",") if p.strip())
+    return tuple(_finite(p) for p in s.split(",") if p.strip())
 
 
 def _parse_ints(s: str) -> tuple[int, ...]:
@@ -64,12 +71,12 @@ SCHEMA: dict[str, tuple] = {
     "model.dt": (float, 1e-3),
     "model.T": (float, 0.25),
     "ic.family": (str, "cosine"),
-    "ic.phi_mean": (float, 0.0),
-    "ic.phi_amplitude": (float, 0.3),
+    "ic.phi_mean": (_finite, 0.0),
+    "ic.phi_amplitude": (_finite, 0.3),
     "ic.phi_modes": (_parse_ints, (1, 2)),
-    "ic.mu_value": (float, 0.0),
-    "ic.sigma_mean": (float, 0.6),
-    "ic.sigma_amplitude": (float, 0.2),
+    "ic.mu_value": (_finite, 0.0),
+    "ic.sigma_mean": (_finite, 0.6),
+    "ic.sigma_amplitude": (_finite, 0.2),
     "ic.smooth": (float, 0.01),
     "ic.phi_file": (str, ""),
     "ic.mu_file": (str, ""),

@@ -22,6 +22,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import itertools
+import math
 import os
 import struct
 import sys
@@ -87,11 +88,15 @@ class GridSpec:
         cells = tuple(int(c) for c in cells)
         if len(extent) != dim or len(cells) != dim:
             raise ConfigError("extent and cells must have one entry per axis")
-        if any(e <= 0 for e in extent):
-            raise ConfigError(f"extents must be positive, got {extent}")
+        if not all(0 < e < math.inf for e in extent):
+            raise ConfigError(f"grid.extent must be positive and finite, got {extent}")
         if any(c < 4 for c in cells):
             raise ConfigError(f"need at least 4 cells per axis, got {cells}")
         spacing = tuple(e / c for e, c in zip(extent, cells))
+        # the Neumann spectrum divides by each spacing squared
+        if not all(0.0 < h * h < math.inf for h in spacing):
+            raise ConfigError(f"grid.extent {extent} over cells {cells} gives a spacing "
+                              "whose square is not a positive float")
         size, cell_volume, measure = 1, 1.0, 1.0
         for c, h, e in zip(cells, spacing, extent):
             size *= c

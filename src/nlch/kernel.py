@@ -60,6 +60,10 @@ class KernelSpec:
                 raise ConfigError("kernel table values must be finite")
             if np.any(np.diff(radii) <= 0):
                 raise ConfigError("kernel table radii must be strictly increasing")
+        # the profile squares a gaussian's width and a newtonian's delta
+        for name, value, owner in (("width", width, "gaussian"), ("delta", delta, "newtonian")):
+            if family == owner and np.isfinite(value) and value * value == np.inf:
+                raise ConfigError(f"kernel.{name} = {value:g} is too large to square")
         self.family, self.width, self.delta = family, width, delta
         self.cutoff, self.normalization, self.table = cutoff, normalization, table
 
@@ -193,6 +197,11 @@ def build(spec: KernelSpec, grid: GridSpec) -> KernelBundle:
     grad_fast = _FastConvolution(gtab, grid)
     b_sup = float(np.max(grad_fast.apply(ones)))
 
+    # epsilon_zero squares a^* + b^*
+    ab = a_sup + b_sup
+    if np.isfinite(ab) and ab * ab == np.inf:
+        raise ConfigError(f"kernel constants a^* + b^* = {ab:.3g} are too large to square; "
+                          "lower kernel.normalization")
     c_a = max(a_sup - a_star, 1.0)
     return KernelBundle(
         spec=spec,

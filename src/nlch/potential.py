@@ -11,6 +11,10 @@ logarithmic (entropy) well on (-1, 1), and the double obstacle given by
 the indicator of [-1, 1]. For the polynomial family an adjustable share
 of quadratic convexity can be moved into F1; this changes only the
 implicit/explicit splitting seen by the time stepper, never F itself.
+Each family carries its closed-form constants: the growth constant C_F
+that gates the eps -> 0 limit (None for the barrier wells) and the
+offset that lifts F to be nonnegative (nonzero for the logarithmic well
+alone).
 """
 
 import math
@@ -35,16 +39,21 @@ class Chart(NamedTuple):
 
 
 class PotentialSpec(NamedTuple):
+    """A split well F = F1 + F2 with its closed-form constants: ``c_f``, the
+    growth constant sup |dF1(r)| / (F1(r) + 1) over |r| <= 10, is None for a
+    barrier well; F + ``offset`` >= 0 on the domain of F1."""
+
     family: str
     ell: float
     f1: Callable
     f2: Callable
     f2_prime: Callable
     f2_second: Callable
-    params: dict
     f1_prime: Callable | None = None
     f1_second: Callable | None = None
     chart: Chart | None = None
+    c_f: float | None = None
+    offset: float = 0.0
 
     @property
     def has_barrier(self) -> bool:
@@ -64,6 +73,13 @@ def polynomial_potential(shift: float = 0.5) -> PotentialSpec:
     The resolvent equation s + lam (s^3 + 2 shift s) = r is the depressed
     cubic s^3 + q s = r / lam with q = (1 + 2 shift lam) / lam > 0, whose
     one real root is c sinh(asinh(3 r / (lam q c)) / 3), c = 2 sqrt(q/3).
+
+    The growth ratio |F1'(r)| / (F1(r) + 1) is even, vanishes at 0 and at
+    infinity, and is stationary where u = r^2 solves p(u) = u^3 + 2s u^2
+    - (15 - 8s^2) u - 10s = 0. The cubic is convex on u > 0 (p'' = 6u + 4s)
+    with p(0) = -10s <= 0, so it has one positive root, below Cauchy's
+    bound 1 + max(2s, |8s^2 - 15|, 10s). Newton steps from that bound fall
+    monotonically to the root, where the ratio is C_F, capped at |r| = 10.
     """
     s = float(shift)
     if not 0.0 <= s < math.inf:
@@ -87,6 +103,12 @@ def polynomial_potential(shift: float = 0.5) -> PotentialSpec:
         r = np.asarray(r)
         return r * r * r + 2.0 * s * r
 
+    b, c, d = 2.0 * s, 8.0 * s * s - 15.0, -10.0 * s
+    u = 1.0 + max(b, abs(c), -d)
+    while (step := u - (((u + b) * u + c) * u + d) / ((3.0 * u + 2.0 * b) * u + c)) < u:
+        u = step
+    r = min(math.sqrt(u), 10.0)
+
     return PotentialSpec(
         family="polynomial",
         ell=math.inf,
@@ -98,7 +120,7 @@ def polynomial_potential(shift: float = 0.5) -> PotentialSpec:
         f2_second=lambda r: np.full_like(np.asarray(r, dtype=float), -(1.0 + 2.0 * s)),
         chart=Chart(resolvent_root, lambda spec, u: (u, spec.f1_prime(u)),
                     lambda spec, lam, u, s: 1.0 + lam * spec.f1_second(u)),
-        params={"shift": s},
+        c_f=float(abs(f1_prime(r)) / (f1(r) + 1.0)),
     )
 
 
@@ -108,9 +130,34 @@ def _xlogx(x):
 
 
 def logarithmic_potential(theta: float, theta0: float) -> PotentialSpec:
-    """Entropy well on (-1, 1): F1 carries the logarithms, F2 = -theta0 r^2 / 2."""
+    """Entropy well on (-1, 1): F1 carries the logarithms, F2 = -theta0 r^2 / 2.
+
+    F(0) = 0 and F''(0) = theta - theta0 < 0, so the minimum of F is
+    negative for every admissible (theta, theta0); since only F' enters
+    the dynamics, the family keeps the literal formula and carries the
+    offset for energy reporting. In the chart r = tanh u, F'(r) = theta u
+    - theta0 tanh u vanishes at one u* > 0, and there F = theta (u* tanh
+    u* / 2 - log cosh u*). The root of g(u) = theta0 tanh u - theta u,
+    concave on u > 0, is reached by Newton steps that fall monotonically
+    from u = theta0 / theta, where g < 0.
+    """
     if not 0 < theta < theta0:
         raise ConfigError(f"logarithmic potential needs 0 < theta < theta0, got {theta}, {theta0}")
+
+    u = theta0 / theta
+    while True:
+        t = math.tanh(u)
+        step = u - (theta0 * t - theta * u) / (theta0 * (1.0 - t * t) - theta)
+        if not step < u:
+            break
+        u = step
+    # log cosh u = log1p(2 sinh^2(u/2)) keeps its u^2/2 digits near the
+    # flat well theta -> theta0, where u* -> 0; u + log1p(exp(-2u)) - log 2
+    # does not overflow at large u
+    if u < 1.0:
+        log_cosh = math.log1p(2.0 * math.sinh(0.5 * u) ** 2)
+    else:
+        log_cosh = u + math.log1p(math.exp(-2.0 * u)) - math.log(2.0)
 
     def start(lam, a):
         # in the chart s = tanh(u), F1'(s) = theta u: the Newton step off
@@ -145,7 +192,7 @@ def logarithmic_potential(theta: float, theta0: float) -> PotentialSpec:
         f2_second=lambda r: np.full_like(np.asarray(r, dtype=float), -theta0),
         chart=Chart(start, lambda spec, u: (np.tanh(u), theta * u),
                     lambda spec, lam, u, s: (1.0 - s * s) + lam * theta),
-        params={"theta": theta, "theta0": theta0},
+        offset=theta * (log_cosh - 0.5 * u * math.tanh(u)),
     )
 
 
@@ -167,7 +214,6 @@ def double_obstacle_potential(c: float) -> PotentialSpec:
         f2=lambda r: c * (1.0 - np.asarray(r) ** 2),
         f2_prime=lambda r: -2.0 * c * np.asarray(r),
         f2_second=lambda r: np.full_like(np.asarray(r, dtype=float), -2.0 * c),
-        params={"c": c},
     )
 
 
@@ -309,36 +355,6 @@ def check_dominance(spec: PotentialSpec, a_star: float) -> float:
     return float(a_star + fpp)
 
 
-def _newton_descent(u: float, newton_ratio: Callable) -> float:
-    """Newton steps u -> u - newton_ratio(u) from ``u``, taken while a step decreases u."""
-    while (step := u - newton_ratio(u)) < u:
-        u = step
-    return u
-
-
-def check_growth(spec: PotentialSpec) -> float | None:
-    """Growth constant sup |dF1(r)| / (F1(r) + 1) over |r| <= 10, in closed form.
-
-    Only potentials with D(dF1) = R have one; a barrier family gets None,
-    and the pol_growth row of nlch.audit then blocks the eps = 0 limit
-    that needs this bound. The polynomial well is the one family without
-    a barrier. With convexity shift s the ratio is even, vanishes at 0
-    and at infinity, and is stationary where u = r^2 solves
-    p(u) = u^3 + 2s u^2 - (15 - 8s^2) u - 10s = 0. The cubic is convex
-    on u > 0 (p'' = 6u + 4s) with p(0) = -10s <= 0, so it has one
-    positive root, below Cauchy's bound 1 + max(2s, |8s^2 - 15|, 10s).
-    Newton steps from that bound fall monotonically to the root.
-    """
-    if spec.has_barrier:
-        return None
-    s = spec.params["shift"]
-    b, c, d = 2.0 * s, 8.0 * s * s - 15.0, -10.0 * s
-    u = _newton_descent(1.0 + max(b, abs(c), -d),
-                        lambda u: (((u + b) * u + c) * u + d) / ((3.0 * u + 2.0 * b) * u + c))
-    r = min(math.sqrt(u), 10.0)
-    return float(abs(spec.f1_prime(r)) / (spec.f1(r) + 1.0))
-
-
 def barrier_margin_values(spec: PotentialSpec, chi_eta: float, deltas) -> list[float]:
     """F'(ell - delta) - chi*eta*(ell - delta) for a sequence of offsets.
 
@@ -355,36 +371,3 @@ def barrier_margin_values(spec: PotentialSpec, chi_eta: float, deltas) -> list[f
         val = float(spec.f1_prime(r) + spec.f2_prime(r) - chi_eta * r)
         out.append(val)
     return out
-
-
-def normalization_offset(spec: PotentialSpec) -> float:
-    """Additive constant that lifts F to be nonnegative on its domain, in closed form.
-
-    Zero for the polynomial and obstacle wells, whose minimum 0 is taken
-    at r = +-1. The logarithmic well has F(0) = 0 and F''(0) =
-    theta - theta0 < 0, so its minimum is negative for every admissible
-    (theta, theta0); since only F' enters the dynamics, the family keeps
-    the literal formula and exposes the offset for energy reporting. In
-    the chart r = tanh u, F'(r) = theta u - theta0 tanh u vanishes at one
-    u* > 0, and there F = theta (u* tanh u* / 2 - log cosh u*). The
-    root of g(u) = theta0 tanh u - theta u, concave on u > 0, is reached
-    by Newton steps that fall monotonically from u = theta0 / theta,
-    where g < 0.
-    """
-    if spec.family != "logarithmic":
-        return 0.0
-    theta, theta0 = spec.params["theta"], spec.params["theta0"]
-
-    def newton_ratio(u):
-        t = math.tanh(u)
-        return (theta0 * t - theta * u) / (theta0 * (1.0 - t * t) - theta)
-
-    u = _newton_descent(theta0 / theta, newton_ratio)
-    # log cosh u = log1p(2 sinh^2(u/2)) keeps its u^2/2 digits near the
-    # flat well theta -> theta0, where u* -> 0; u + log1p(exp(-2u)) - log 2
-    # does not overflow at large u
-    if u < 1.0:
-        log_cosh = math.log1p(2.0 * math.sinh(0.5 * u) ** 2)
-    else:
-        log_cosh = u + math.log1p(math.exp(-2.0 * u)) - math.log(2.0)
-    return theta * (log_cosh - 0.5 * u * math.tanh(u))

@@ -230,9 +230,10 @@ def test_ac8_convolution_exactness():
 
 def test_ac9_yosida_correctness():
     rng = np.random.default_rng(2)
+    theta = 0.3
     families = [
         ("polynomial", polynomial_potential(0.5), 10.0),
-        ("logarithmic", logarithmic_potential(0.3, 0.6), None),
+        ("logarithmic", logarithmic_potential(theta, 0.6), None),
         ("double-obstacle", double_obstacle_potential(0.25), 5.0),
     ]
     worst_residual = 0.0
@@ -240,7 +241,7 @@ def test_ac9_yosida_correctness():
     moreau_ok = True
     for name, spec, box in families:
         for lam in (1.0, 0.1, 0.01):
-            hi = box if box is not None else min(2.0, 1.0 + 12.0 * lam * spec.params["theta"] / 2.0)
+            hi = box if box is not None else min(2.0, 1.0 + 12.0 * lam * theta / 2.0)
             r = rng.uniform(-hi, hi, 1000)
             s = rng.uniform(-hi, hi, 1000)
             yr, ys = yosida(spec, lam, r), yosida(spec, lam, s)

@@ -13,7 +13,6 @@ from nlch.potential import (
     double_obstacle_potential,
     f_eval,
     logarithmic_potential,
-    normalization_offset,
     polynomial_potential,
     resolvent,
 )
@@ -80,15 +79,15 @@ def test_a2_and_a4_hold_for_every_admitted_parameter(h_name, spec, lam):
         rs = np.linspace(-10.0, 10.0, 20001)
     assert np.all(np.asarray(spec.f1(rs)) >= -1e-12)
     # F is bounded below by minus the offset A4 prints
-    assert np.all(f_eval(spec, rs) + normalization_offset(spec) >= -1e-12)
+    assert np.all(f_eval(spec, rs) + spec.offset >= -1e-12)
     assert float(spec.f2_prime(0.0)) == 0.0
     assert resolvent(spec, lam, 0.0) == 0.0  # 0 in dF1(0)
 
     # exact nonnegativity holds for the polynomial and obstacle wells;
     # the logarithmic well dips below zero by a constant that only
     # shifts the energy (the dynamics sees F'), reported as an offset
-    assert normalization_offset(polynomial_potential(0.5)) == 0.0
-    assert normalization_offset(double_obstacle_potential(0.3)) == 0.0
-    off = normalization_offset(logarithmic_potential(0.3, 0.6))
+    assert polynomial_potential(0.5).offset == 0.0
+    assert double_obstacle_potential(0.3).offset == 0.0
+    off = logarithmic_potential(0.3, 0.6).offset
     assert 0.0 < off < 0.6 / 2  # deeper than 0, shallower than the F2 scale
     assert off > 0.6 / 2 - 0.3 * np.log(2)  # at least the endpoint depth

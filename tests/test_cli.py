@@ -412,6 +412,35 @@ def test_cli_bad_sweep_values_are_rejected_before_any_file(tmp_path, capsys, set
     assert not out.exists()
 
 
+# one setting per value that no run can use: each is a configuration error
+# naming its key, not a bare ValueError, ZeroDivisionError or OverflowError
+_UNUSABLE = [
+    *(("audit", [f"{key}={value}"], key)
+      for key in ("ic.phi_mean", "ic.phi_amplitude", "ic.sigma_mean", "ic.sigma_amplitude",
+                  "ic.mu_value")
+      for value in ("nan", "inf", "-inf")),
+    *(("stability", [f"stability.deltas={value}"], "stability.deltas") for value in ("nan", "inf")),
+    *(("audit", [f"grid.extent={value}"], "grid.extent") for value in ("1e-300", "1e300")),
+    ("audit", ["kernel.width=1e300"], "kernel.width"),
+    ("audit", ["kernel.family=newtonian", "kernel.delta=1e300"], "kernel.delta"),
+    ("audit", ["kernel.normalization=1e300"], "kernel.normalization"),
+]
+
+
+@pytest.mark.parametrize("command, settings, key",
+                         [pytest.param(*draw, id=",".join(draw[1])) for draw in _UNUSABLE])
+def test_cli_unusable_values_are_configuration_errors_naming_the_key(tmp_path, capsys, command,
+                                                                      settings, key):
+    out = tmp_path / "run"
+    rc = main([command, "--out", str(out)] + [arg for s in settings for arg in ("--set", s)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert any(line.startswith("configuration error:") and key in line
+               for line in err.splitlines())
+    assert not out.exists()
+
+
 def test_cli_overflowing_step_fails_without_numpy_warnings(tmp_path):
     # the inf residual norm is reported as the failed step, not also as a RuntimeWarning
     root = Path(__file__).resolve().parents[1]

@@ -13,7 +13,6 @@ from nlch.errors import ConfigError, SolverError
 from nlch.potential import (
     barrier_margin_values,
     check_dominance,
-    check_growth,
     double_obstacle_potential,
     f_eval,
     f_prime_regularized,
@@ -76,7 +75,7 @@ def _sample_range(spec, lam):
     once it exceeds ~1/ulp no float can meet an absolute tolerance there.
     """
     if spec.family == "logarithmic":
-        theta = spec.params["theta"]
+        theta = float(spec.f1_second(0.0))  # F1''(0) = theta
         return min(2.0, 1.0 + 12.0 * lam * theta / 2.0)
     return 10.0
 
@@ -273,8 +272,13 @@ def test_check_dominance():
     assert check_dominance(poly, 1.5 + 0.3) == pytest.approx(base + 0.3, abs=1e-12)
 
 
-@pytest.mark.parametrize("spec", [spec for spec, _ in FAMILIES] + [polynomial_potential(1.0)],
-                         ids=lambda spec: f"{spec.family}-{spec.params}")
+@pytest.mark.parametrize("spec", [
+    pytest.param(make(**kwargs), id=f"{make(**kwargs).family}-{kwargs}")
+    for make, kwargs in [
+        (polynomial_potential, {"shift": 0.5}), (polynomial_potential, {"shift": 0.0}),
+        (logarithmic_potential, {"theta": 0.3, "theta0": 0.6}),
+        (double_obstacle_potential, {"c": 0.25}), (polynomial_potential, {"shift": 1.0}),
+    ]])
 def test_check_dominance_is_the_dense_mesh_infimum(spec):
     # reference: the infimum of a_* + F'' over 20001 points of the domain
     # (its interior, 1e-3 ell from each barrier); F1'' vanishes inside the obstacle
@@ -300,7 +304,7 @@ def test_check_growth_oracle():
     oracle_arg = res.x
     assert oracle_arg == pytest.approx(15.0**0.25, abs=1e-6)  # stationarity: r^4 = 15
 
-    got = check_growth(polynomial_potential(0.0))
+    got = polynomial_potential(0.0).c_f
     assert got == pytest.approx(oracle_value, abs=1e-6)
 
     # r = 0 contributes 0 to the sup
@@ -308,11 +312,11 @@ def test_check_growth_oracle():
 
     # a barrier well has no growth constant; the pol_growth row fails it
     for barrier in (logarithmic_potential(0.3, 0.6), double_obstacle_potential(0.2)):
-        assert check_growth(barrier) is None
+        assert barrier.c_f is None
 
 
 def _growth_by_np_roots(shift):
-    """check_growth as it was computed with numpy's eigenvalue-based np.roots."""
+    """C_F as it was computed with numpy's eigenvalue-based np.roots."""
     spec = polynomial_potential(shift)
     u = float(np.max(np.roots([1.0, 2.0 * shift, 8.0 * shift**2 - 15.0, -10.0 * shift]).real))
     r = min(np.sqrt(u), 10.0)
@@ -324,13 +328,13 @@ def _growth_by_np_roots(shift):
 def test_check_growth_matches_np_roots(shift):
     # the Newton root of the stationarity cubic against the companion-matrix roots
     want = _growth_by_np_roots(shift)
-    assert abs(check_growth(polynomial_potential(shift)) - want) <= 1e-14 * want
+    assert abs(polynomial_potential(shift).c_f - want) <= 1e-14 * want
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.1, 0.5, 1.0, 1.4, 2.0, 5.0, 10.0])
 def test_check_growth_equals_np_roots_at_listed_shifts(shift):
     # the shipped configurations use shift 0.5
-    assert check_growth(polynomial_potential(shift)) == _growth_by_np_roots(shift)
+    assert polynomial_potential(shift).c_f == _growth_by_np_roots(shift)
 
 
 def test_barrier_divergence_trend():
@@ -355,12 +359,10 @@ def test_barrier_divergence_trend():
 def test_logarithmic_offset_matches_a_dense_sample(theta, theta0):
     # the interior minimum is negative for every admissible well (F(0) = 0,
     # F''(0) < 0), not only when the endpoint value F(1) is
-    from nlch.potential import normalization_offset
-
     spec = logarithmic_potential(theta, theta0)
     rs = np.linspace(-1.0 + 1e-12, 1.0 - 1e-12, 1_000_001)
     sampled = -float(np.min(f_eval(spec, rs)))
-    off = normalization_offset(spec)
+    off = spec.offset
     assert off > 0.0
     assert off >= sampled - 1e-15  # the sample cannot reach below the minimum
     # spacing h = 2e-6 misses the minimum by up to F''(r*) h^2 / 8, which

@@ -108,6 +108,21 @@ def test_structural_tolerances_are_compared_only_in_diagnostics():
     assert found == []
 
 
+def test_only_the_kernel_compares_a_family():
+    # a potential family's identity decides nothing outside its constructor:
+    # each well carries its own constants (C_F, offset) and resolvent chart
+    found = []
+    for path in sorted((ROOT / "src" / "nlch").glob("*.py")):
+        if path.name == "kernel.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(sub, ast.Attribute) and sub.attr == "family"
+                    for operand in (node.left, *node.comparators) for sub in ast.walk(operand)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_package_modules_use_every_import():
     # module-level imports only; a line marked "# noqa: F401" is a traced call
     # site, which test_tracer_only_imports_are_traced_call_sites checks
